@@ -15,11 +15,12 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import cluster, exposure, hazardclass, homeloc, ingest, stats, synth
-from .geoindex import build_index
+from .geoindex import build_index, locate_stops
 from .model import HAZARD_TYPES, REGION_DIRECT, REGION_LATENT, REGION_NONE, MeiTable
 
 THREADS_ENV = "HAZMOB_THREADS"
@@ -39,6 +40,17 @@ class StageError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
+
+
+@contextmanager
+def _stage(name: str):
+    """Attribute any failure inside the block to the named pipeline stage."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 @dataclass
@@ -219,7 +231,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _parse_inputs(config: RunConfig):
-    try:
+    with _stage("ingest"):
         stops, stop_report = ingest.parse_stops(config.stops)
         tracts = ingest.parse_tracts(config.tracts)
         layers = {}
@@ -230,13 +242,11 @@ def _parse_inputs(config: RunConfig):
             ("heat", config.hazard_heat),
         ):
             layers[hazard], hazard_reports[hazard] = ingest.parse_hazard(path, hazard)
-    except ingest.IngestError as exc:
-        raise StageError("ingest", str(exc))
     return stops, stop_report, tracts, layers, hazard_reports
 
 
 def _classify_masks(config: RunConfig, layers, tracts):
-    try:
+    with _stage("hazardclass"):
         masks = {
             "air_pollution": hazardclass.classify_percentile(
                 layers["air_pollution"], config.air_threshold
@@ -249,8 +259,6 @@ def _classify_masks(config: RunConfig, layers, tracts):
             # Toggle off: heat stays unmasked and contributes no exposure.
             masks["heat"] = layers["heat"]
         return masks
-    except hazardclass.ClassifyError as exc:
-        raise StageError("hazardclass", str(exc))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -268,40 +276,42 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         stops, stop_report, tracts, layers, hazard_reports = _parse_inputs(config)
 
-        try:
+        with _stage("geoindex"):
             index = build_index(tracts, config.cell_size_deg)
-        except Exception as exc:
-            raise StageError("geoindex", str(exc))
+            where = locate_stops(index, stops)
 
-        home_map = homeloc.infer_homes(
-            stops, index,
-            night_start=config.night_start,
-            night_end=config.night_end,
-            min_nights=config.min_nights,
-        )
+        with _stage("homeloc"):
+            home_map = homeloc.infer_homes(
+                stops, where,
+                night_start=config.night_start,
+                night_end=config.night_end,
+                min_nights=config.min_nights,
+            )
 
         masks = _classify_masks(config, layers, tracts)
 
-        acc = exposure.accumulate_parallel(stops, home_map, index, masks, threads=threads)
-        table = exposure.compute_mei(acc)
-        table = exposure.classify_regions(table, masks)
+        with _stage("exposure"):
+            acc = exposure.accumulate_parallel(stops, where, home_map, masks, threads=threads)
+            table = exposure.compute_mei(acc)
+            table = exposure.classify_regions(table, masks)
+            curves = [
+                exposure.population_curve(table, tracts, h, list(config.curve_thresholds))
+                for h in HAZARD_TYPES
+            ]
+            compound_tracts, compound_pop = exposure.compound_latent(
+                table, tracts, config.compound_threshold
+            )
 
-        curves = [
-            exposure.population_curve(table, tracts, h, list(config.curve_thresholds))
-            for h in HAZARD_TYPES
-        ]
-        compound_tracts, compound_pop = exposure.compound_latent(
-            table, tracts, config.compound_threshold
-        )
+        with _stage("cluster"):
+            points = cluster.cluster_points(table)
+            result = cluster.dbscan(points, cluster.ClusterConfig(eps=config.eps, min_pts=config.min_pts))
+            table = cluster.apply_labels(table, result)
+            summary = cluster.summarize(result, table)
 
-        points = cluster.cluster_points(table)
-        result = cluster.dbscan(points, cluster.ClusterConfig(eps=config.eps, min_pts=config.min_pts))
-        table = cluster.apply_labels(table, result)
-        summary = cluster.summarize(result, table)
-
-        disparity = stats.disparity_table(table, tracts)
-        correlations = stats.hazard_pair_correlations(table)
-        scatter = stats.scatter_export(table, tracts)
+        with _stage("stats"):
+            disparity = stats.disparity_table(table, tracts)
+            correlations = stats.hazard_pair_correlations(table)
+            scatter = stats.scatter_export(table, tracts)
 
         config_hash = config.config_hash()
 

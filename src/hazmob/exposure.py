@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .geoindex import TractIndex, locate
 from .homeloc import HomeMap
 from .model import (
     HAZARD_TYPES,
@@ -61,11 +60,14 @@ class AccumulateResult:
 
 def accumulate(
     stops,
+    where: list[str | None],
     home_map: HomeMap,
-    index: TractIndex,
     masks: dict[str, HazardLayer],
 ) -> AccumulateResult:
     """Accumulate dwell sums for every stop made by a user with a home.
+
+    where[i] is the tract holding stops[i] (geoindex.locate_stops), or
+    None when the stop lies outside every tract.
 
     A stop's dwell always counts toward the home tract's TDT. It counts
     toward HDT for hazard h when the stop lies in a tract masked for h.
@@ -77,7 +79,7 @@ def accumulate(
     masked = {h: masks[h].masked_geoids() for h in HAZARD_TYPES if h in masks}
     result = AccumulateResult()
     by_tract = result.by_tract
-    for stop in stops:
+    for stop, geoid in zip(stops, where, strict=True):
         home = homes.get(stop.user_id)
         if home is None:
             result.dropped_stops += 1
@@ -89,7 +91,6 @@ def accumulate(
             acc = by_tract[home] = ExposureAccumulator(geoid=home)
         dwell = stop.dwell_s
         acc.tdt_s += dwell
-        geoid = locate(index, stop.lon, stop.lat)
         if geoid is None:
             acc.unresolved_dwell_s += dwell
             continue
@@ -106,24 +107,27 @@ def accumulate(
 
 def accumulate_parallel(
     stops,
+    where: list[str | None],
     home_map: HomeMap,
-    index: TractIndex,
     masks: dict[str, HazardLayer],
     threads: int = 1,
 ) -> AccumulateResult:
-    """Shard the stop list across threads and merge the partial sums.
+    """Shard the stop list and its tracts across threads and merge the partial sums.
 
     Integer sums commute, so the merged result is identical to the
     single-pass result for any shard boundaries and any thread count.
     """
     if threads <= 1 or len(stops) < 2 * threads:
-        return accumulate(stops, home_map, index, masks)
+        return accumulate(stops, where, home_map, masks)
     from concurrent.futures import ThreadPoolExecutor
 
     size = (len(stops) + threads - 1) // threads
-    shards = [stops[i : i + size] for i in range(0, len(stops), size)]
+    bounds = range(0, len(stops), size)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(lambda s: accumulate(s, home_map, index, masks), shards))
+        partials = list(pool.map(
+            lambda i: accumulate(stops[i : i + size], where[i : i + size], home_map, masks),
+            bounds,
+        ))
     merged = partials[0]
     for part in partials[1:]:
         merged.merge(part)

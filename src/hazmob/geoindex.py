@@ -117,6 +117,24 @@ def locate(index: TractIndex, lon: float, lat: float) -> str | None:
     return None
 
 
+def locate_stops(index: TractIndex, stops) -> list[str | None]:
+    """Return the tract of every stop, in stop order.
+
+    locate() is a pure function of the point, so each distinct (lon, lat)
+    is located once and its result reused for every stop made there.
+    0.0 and -0.0 share a key, which is safe: locate() only scales, floors,
+    subtracts and compares a coordinate, and none of those tells them apart.
+    """
+    seen: dict[tuple[float, float], str | None] = {}
+    where = []
+    for stop in stops:
+        point = (stop.lon, stop.lat)
+        if point not in seen:
+            seen[point] = locate(index, stop.lon, stop.lat)
+        where.append(seen[point])
+    return where
+
+
 def locate_brute_force(index: TractIndex, lon: float, lat: float) -> str | None:
     """Exhaustive all-polygon scan; the correctness oracle for locate()."""
     for geoid in sorted(index.geometries):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .geoindex import TractIndex, locate
-
 DAY_S = 86400
 
 
@@ -50,19 +48,22 @@ def night_overlaps(start_ts: int, dwell_s: int, night_start: int, night_end: int
 
 def infer_homes(
     stops,
-    index: TractIndex,
+    where: list[str | None],
     night_start: int = 22,
     night_end: int = 6,
     min_nights: int = 3,
 ) -> HomeMap:
-    """Infer each user's home tract from nighttime dwell."""
+    """Infer each user's home tract from nighttime dwell.
+
+    where[i] is the tract holding stops[i] (geoindex.locate_stops), or
+    None when the stop lies outside every tract.
+    """
     night_dwell: dict[str, dict[str, int]] = {}
     total_dwell: dict[str, dict[str, int]] = {}
     nights_seen: dict[str, set[int]] = {}
     users: set[str] = set()
-    for stop in stops:
+    for stop, geoid in zip(stops, where, strict=True):
         users.add(stop.user_id)
-        geoid = locate(index, stop.lon, stop.lat)
         if geoid is None:
             continue
         per_tract = total_dwell.setdefault(stop.user_id, {})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -76,17 +77,26 @@ def _open_text(source: str | Path | IO) -> tuple[IO, bool]:
 
 
 _EPOCH_BY_DATE: dict[str, int] = {}
+# The canonical YYYY-MM-DDTHH:MM:SSZ layout with ASCII digits and in-range
+# time fields; the date is range-checked by datetime() on first sight.
+_CANONICAL_UTC = re.compile(
+    r"(\d{4}-\d\d-\d\d)T([01]\d|2[0-3]):([0-5]\d):([0-5]\d)Z", re.ASCII
+)
 
 
 def parse_iso_utc(text: str) -> int:
-    """Parse an ISO 8601 UTC timestamp to integer epoch seconds."""
-    # Fast path for the canonical YYYY-MM-DDTHH:MM:SSZ layout.
-    if len(text) == 20 and text[10] == "T" and text[19] == "Z":
-        day = _EPOCH_BY_DATE.get(text[:10])
+    """Parse an ISO 8601 UTC timestamp to integer epoch seconds.
+
+    Raises ValueError on anything datetime.fromisoformat rejects.
+    """
+    canonical = _CANONICAL_UTC.fullmatch(text)
+    if canonical is not None:
+        date, hh, mm, ss = canonical.groups()
+        day = _EPOCH_BY_DATE.get(date)
         if day is None:
-            dt = datetime(int(text[:4]), int(text[5:7]), int(text[8:10]), tzinfo=timezone.utc)
-            day = _EPOCH_BY_DATE[text[:10]] = int(dt.timestamp())
-        return day + int(text[11:13]) * 3600 + int(text[14:16]) * 60 + int(text[17:19])
+            dt = datetime(int(date[:4]), int(date[5:7]), int(date[8:10]), tzinfo=timezone.utc)
+            day = _EPOCH_BY_DATE[date] = int(dt.timestamp())
+        return day + int(hh) * 3600 + int(mm) * 60 + int(ss)
     dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
@@ -445,7 +455,10 @@ def _row_count(table) -> int:
 
 
 def read_mei(source: str | Path | IO) -> MeiTable:
-    """Parse a mei.csv report back into a MeiTable (6-decimal precision)."""
+    """Parse a mei.csv report back into a MeiTable (6-decimal precision).
+
+    Any malformed row is fatal and named by its line number.
+    """
     handle, owned = _open_text(source)
     try:
         reader = csv.reader(handle)
@@ -453,7 +466,9 @@ def read_mei(source: str | Path | IO) -> MeiTable:
         if header != MEI_HEADER:
             raise IngestError(f"bad mei.csv header: {header}")
         rows: dict[str, MeiRow] = {}
-        for row in reader:
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(MEI_HEADER):
+                raise IngestError(f"line {line_no}: expected {len(MEI_HEADER)} fields, got {len(row)}")
             geoid = row[0]
 
             def triplet(offset: int) -> dict[str, float | None]:
@@ -462,13 +477,20 @@ def read_mei(source: str | Path | IO) -> MeiTable:
                     for i, h in enumerate(HAZARD_TYPES)
                 }
 
-            rows[geoid] = MeiRow(
-                geoid=geoid,
-                mei=triplet(1),
-                nonhome_share=triplet(4),
-                nonhome_conditional=triplet(7),
-                region_class={h: row[10 + i] for i, h in enumerate(HAZARD_TYPES)},
-            )
+            try:
+                mei_row = MeiRow(
+                    geoid=geoid,
+                    mei=triplet(1),
+                    nonhome_share=triplet(4),
+                    nonhome_conditional=triplet(7),
+                    region_class={h: row[10 + i] for i, h in enumerate(HAZARD_TYPES)},
+                )
+            except ValueError as exc:
+                raise IngestError(f"line {line_no}: unparseable field: {exc}") from exc
+            violations = validate(mei_row)
+            if violations:
+                raise IngestError(f"line {line_no}: {violations[0]}")
+            rows[geoid] = mei_row
         return MeiTable(rows=rows)
     finally:
         if owned:

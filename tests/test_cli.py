@@ -236,3 +236,45 @@ def test_no_heat_quartile_toggle(fixture_dir, tmp_path):
         rows = list(csv_mod.DictReader(fh))
     assert all(r["class_heat"] != "direct" for r in rows)
     assert all(not r["mei_heat"] or float(r["mei_heat"]) == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("module, name, stage", [
+    ("cli", "locate_stops", "geoindex"),
+    ("homeloc", "infer_homes", "homeloc"),
+    ("exposure", "accumulate_parallel", "exposure"),
+    ("exposure", "compute_mei", "exposure"),
+    ("cluster", "dbscan", "cluster"),
+    ("stats", "scatter_export", "stats"),
+])
+def test_run_stage_failure_names_stage_and_leaves_no_outputs(
+    fixture_dir, tmp_path, capsys, monkeypatch, module, name, stage
+):
+    import importlib
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr(importlib.import_module(f"hazmob.{module}"), name, boom)
+    out = tmp_path / "out"
+    assert main(run_args(fixture_dir, out)) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"error in {stage}:" in err
+    assert "planted failure" in err
+    assert list(out.iterdir()) == []
+
+
+def test_report_bad_mei_cell_exits_1_naming_line(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "for_report"
+    assert main(run_args(fixture_dir, out)) == EXIT_OK
+    lines = (out / "mei.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[1].split(",")
+    cells[header.index("mei_air")] = "abc"
+    bad = tmp_path / "bad_mei.csv"
+    bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--mei", str(bad),
+                 "--tracts", str(fixture_dir / "tracts.geojson")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "error in ingest:" in err
+    assert "line 2" in err

@@ -14,7 +14,7 @@ from hazmob.exposure import (
     compute_mei,
     population_curve,
 )
-from hazmob.geoindex import build_index, locate
+from hazmob.geoindex import build_index, locate, locate_stops
 from hazmob.homeloc import HomeMap, infer_homes
 from hazmob.model import HAZARD_TYPES, HazardLayer, StopRecord
 
@@ -47,7 +47,7 @@ def test_all_dwell_in_masked_home_tract(two_tract_setup):
     _, index = two_tract_setup
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 30), stop("u1", 0.6, 0.5, 70)]
-    result = accumulate(stops, home_map, index, masks_for({"heat": {"48001000001"}}))
+    result = accumulate(stops, locate_stops(index, stops), home_map, masks_for({"heat": {"48001000001"}}))
     acc = result.by_tract["48001000001"]
     assert acc.tdt_s == 100
     assert acc.hdt_s["heat"] == 100
@@ -59,7 +59,7 @@ def test_nonhome_stop_in_unmasked_tract(two_tract_setup):
     _, index = two_tract_setup
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 30), stop("u1", 1.5, 0.5, 70)]
-    result = accumulate(stops, home_map, index, masks_for({"heat": {"48001000001"}}))
+    result = accumulate(stops, locate_stops(index, stops), home_map, masks_for({"heat": {"48001000001"}}))
     acc = result.by_tract["48001000001"]
     assert acc.tdt_s == 100
     assert acc.hdt_s["heat"] == 30
@@ -71,7 +71,7 @@ def test_unlocated_stop_counts_in_tdt_and_unresolved(two_tract_setup):
     _, index = two_tract_setup
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 40), stop("u1", 9.0, 9.0, 25)]
-    result = accumulate(stops, home_map, index, masks_for({"heat": {"48001000001"}}))
+    result = accumulate(stops, locate_stops(index, stops), home_map, masks_for({"heat": {"48001000001"}}))
     acc = result.by_tract["48001000001"]
     assert acc.tdt_s == 65
     assert acc.unresolved_dwell_s == 25
@@ -83,7 +83,7 @@ def test_stops_by_homeless_users_dropped_with_diagnostics(two_tract_setup):
     _, index = two_tract_setup
     home_map = HomeMap(assignments={"u1": "48001000001"}, unassigned=["u2"])
     stops = [stop("u1", 0.5, 0.5, 40), stop("u2", 0.5, 0.5, 99)]
-    result = accumulate(stops, home_map, index, masks_for({}))
+    result = accumulate(stops, locate_stops(index, stops), home_map, masks_for({}))
     assert result.dropped_stops == 1
     assert result.dropped_dwell_s == 99
     assert result.dropped_users == {"u2"}
@@ -122,7 +122,7 @@ def test_mei_upper_bound_all_masked(two_tract_setup):
     _, index = two_tract_setup
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 50)]
-    result = accumulate(stops, home_map, index, masks_for({"air_pollution": {"48001000001"}}))
+    result = accumulate(stops, locate_stops(index, stops), home_map, masks_for({"air_pollution": {"48001000001"}}))
     table = compute_mei(result)
     row = table.rows["48001000001"]
     assert row.mei["air_pollution"] == 1.0
@@ -223,7 +223,7 @@ def oracle_world():
                           users=500, stops_per_user=192)
     )
     index = build_index(world.tracts, cell_size_deg=0.5)
-    home_map = infer_homes(world.stops, index)
+    home_map = infer_homes(world.stops, locate_stops(index, world.stops))
     masks = classify_world_masks(world)
     return world, index, home_map, masks
 
@@ -231,7 +231,7 @@ def oracle_world():
 def test_accumulate_matches_reference_loop(oracle_world):
     world, index, home_map, masks = oracle_world
     assert len(world.stops) == 100000
-    result = accumulate(world.stops, home_map, index, masks)
+    result = accumulate(world.stops, locate_stops(index, world.stops), home_map, masks)
     masked_sets = {h: masks[h].masked_geoids() for h in HAZARD_TYPES}
     tdt, hdt, tdt_nh, hdt_nh, unresolved = reference_exposure(
         world.stops, home_map.assignments, index, masked_sets
@@ -248,9 +248,10 @@ def test_accumulate_matches_reference_loop(oracle_world):
 
 def test_sharded_accumulation_identical(oracle_world):
     world, index, home_map, masks = oracle_world
-    single = accumulate(world.stops, home_map, index, masks)
+    where = locate_stops(index, world.stops)
+    single = accumulate(world.stops, where, home_map, masks)
     for threads in (2, 5, 8):
-        sharded = accumulate_parallel(world.stops, home_map, index, masks, threads=threads)
+        sharded = accumulate_parallel(world.stops, where, home_map, masks, threads=threads)
         assert set(sharded.by_tract) == set(single.by_tract)
         for geoid, acc in single.by_tract.items():
             other = sharded.by_tract[geoid]
@@ -263,23 +264,23 @@ def test_sharded_accumulation_identical(oracle_world):
 
 def test_conservation_of_dwell(oracle_world):
     world, index, home_map, masks = oracle_world
-    result = accumulate(world.stops, home_map, index, masks)
+    result = accumulate(world.stops, locate_stops(index, world.stops), home_map, masks)
     total = sum(s.dwell_s for s in world.stops)
     assert sum(a.tdt_s for a in result.by_tract.values()) + result.dropped_dwell_s == total
 
 
 def test_stop_order_shuffle_leaves_results_unchanged(oracle_world):
     world, index, home_map, masks = oracle_world
-    baseline = compute_mei(accumulate(world.stops, home_map, index, masks))
+    baseline = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks))
     shuffled = list(world.stops)
     random.Random(1).shuffle(shuffled)
-    again = compute_mei(accumulate(shuffled, home_map, index, masks))
+    again = compute_mei(accumulate(shuffled, locate_stops(index, shuffled), home_map, masks))
     assert baseline.rows == again.rows
 
 
 def test_nonhome_share_never_exceeds_mei(oracle_world):
     world, index, home_map, masks = oracle_world
-    table = compute_mei(accumulate(world.stops, home_map, index, masks))
+    table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks))
     for row in table.rows.values():
         for h in HAZARD_TYPES:
             if row.mei[h] is not None:
@@ -289,7 +290,7 @@ def test_nonhome_share_never_exceeds_mei(oracle_world):
 
 def test_population_curve_matches_brute_force_on_world(oracle_world):
     world, index, home_map, masks = oracle_world
-    table = classify_regions(compute_mei(accumulate(world.stops, home_map, index, masks)), masks)
+    table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks)), masks)
     pop = {t.geoid: t.population for t in world.tracts}
     thresholds = [0.0, 0.02, 0.05, 0.1, 0.2, 0.5]
     for h in HAZARD_TYPES:
@@ -305,7 +306,7 @@ def test_population_curve_matches_brute_force_on_world(oracle_world):
 
 def test_compound_latent_matches_brute_force_on_world(oracle_world):
     world, index, home_map, masks = oracle_world
-    table = classify_regions(compute_mei(accumulate(world.stops, home_map, index, masks)), masks)
+    table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks)), masks)
     pop = {t.geoid: t.population for t in world.tracts}
     geoids, total = compound_latent(table, world.tracts, 0.02)
     expected = sorted(
@@ -319,14 +320,14 @@ def test_compound_latent_matches_brute_force_on_world(oracle_world):
 
 def test_enlarging_mask_never_decreases_mei(oracle_world):
     world, index, home_map, masks = oracle_world
-    base_table = compute_mei(accumulate(world.stops, home_map, index, masks))
+    base_table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks))
     bigger = dict(masks)
     heat = masks["heat"]
     extra = sorted(set(heat.values) - heat.masked_geoids())[:20]
     mask = dict(heat.mask)
     mask.update({g: True for g in extra})
     bigger["heat"] = HazardLayer(hazard_type="heat", values=heat.values, mask=mask)
-    grown_table = compute_mei(accumulate(world.stops, home_map, index, bigger))
+    grown_table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, bigger))
     for geoid, row in base_table.rows.items():
         before = row.mei["heat"]
         after = grown_table.rows[geoid].mei["heat"]

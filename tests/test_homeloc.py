@@ -1,7 +1,7 @@
 import random
 
 from hazmob import synth
-from hazmob.geoindex import build_index
+from hazmob.geoindex import build_index, locate_stops
 from hazmob.homeloc import infer_homes, night_overlaps
 from hazmob.model import StopRecord
 
@@ -59,7 +59,7 @@ def test_night_overlap_non_wrapping_window():
 def test_single_candidate_home():
     index = two_tract_index()
     stops = [stop("u1", 0.5, 0.5, ts(d, 23), 6 * 3600) for d in range(4)]
-    homes = infer_homes(stops, index)
+    homes = infer_homes(stops, locate_stops(index, stops))
     assert homes.assignments == {"u1": "48001000001"}
     assert homes.unassigned == []
 
@@ -70,7 +70,7 @@ def test_tie_breaks_to_smaller_geoid():
     for d in range(3):
         stops.append(stop("u1", 1.5, 0.5, ts(d, 23), 4 * 3600))  # tract 2 night dwell
         stops.append(stop("u1", 0.5, 0.5, ts(d, 2), 4 * 3600))  # tract 1 same night dwell
-    homes = infer_homes(stops, index)
+    homes = infer_homes(stops, locate_stops(index, stops))
     assert homes.assignments["u1"] == "48001000001"
 
 
@@ -82,17 +82,17 @@ def test_tie_breaks_by_total_dwell_first():
         stops.append(stop("u1", 0.5, 0.5, ts(d, 2), 4 * 3600))
     # extra daytime dwell in tract 2 outweighs the geoid tie-break
     stops.append(stop("u1", 1.5, 0.5, ts(10, 9), 3600))
-    homes = infer_homes(stops, index)
+    homes = infer_homes(stops, locate_stops(index, stops))
     assert homes.assignments["u1"] == "48001000002"
 
 
 def test_min_nights_gate():
     index = two_tract_index()
     stops = [stop("u1", 0.5, 0.5, ts(d, 23), 6 * 3600) for d in range(2)]
-    homes = infer_homes(stops, index, min_nights=3)
+    homes = infer_homes(stops, locate_stops(index, stops), min_nights=3)
     assert homes.assignments == {}
     assert homes.unassigned == ["u1"]
-    homes = infer_homes(stops, index, min_nights=2)
+    homes = infer_homes(stops, locate_stops(index, stops), min_nights=2)
     assert homes.assignments == {"u1": "48001000001"}
 
 
@@ -101,7 +101,7 @@ def test_users_partition_between_assigned_and_unassigned():
     stops = [stop("u1", 0.5, 0.5, ts(d, 23), 6 * 3600) for d in range(4)]
     stops.append(stop("u2", 0.5, 0.5, ts(0, 9), 3600))  # daytime only
     stops.append(stop("u3", 5.5, 5.5, ts(0, 23), 6 * 3600))  # outside all tracts
-    homes = infer_homes(stops, index)
+    homes = infer_homes(stops, locate_stops(index, stops))
     assert set(homes.assignments) | set(homes.unassigned) == {"u1", "u2", "u3"}
     assert set(homes.assignments) & set(homes.unassigned) == set()
     assert homes.unassigned == ["u2", "u3"]
@@ -111,7 +111,7 @@ def test_assigned_home_has_nighttime_dwell():
     index = two_tract_index()
     stops = [stop("u1", 0.5, 0.5, ts(d, 23), 6 * 3600) for d in range(3)]
     stops += [stop("u1", 1.5, 0.5, ts(d, 9), 10 * 3600) for d in range(20)]
-    homes = infer_homes(stops, index)
+    homes = infer_homes(stops, locate_stops(index, stops))
     # tract 2 dominates total dwell but has no nighttime dwell
     assert homes.assignments["u1"] == "48001000001"
 
@@ -125,10 +125,10 @@ def test_shuffle_invariance():
             lon = rng.choice([0.5, 1.5])
             stops.append(stop(f"u{u}", lon, 0.5, ts(d, 23, rng.randrange(60)), rng.randrange(3600, 7 * 3600)))
             stops.append(stop(f"u{u}", rng.choice([0.5, 1.5]), 0.5, ts(d, 9), rng.randrange(3600)))
-    baseline = infer_homes(stops, index)
+    baseline = infer_homes(stops, locate_stops(index, stops))
     for _ in range(3):
         rng.shuffle(stops)
-        again = infer_homes(stops, index)
+        again = infer_homes(stops, locate_stops(index, stops))
         assert again.assignments == baseline.assignments
         assert again.unassigned == baseline.unassigned
 
@@ -136,7 +136,7 @@ def test_shuffle_invariance():
 def test_synthetic_planted_homes_recovered():
     world = synth.gen_world(synth.WorldConfig(seed=77, grid_n=8, users=500, stops_per_user=30))
     index = build_index(world.tracts, cell_size_deg=0.5)
-    homes = infer_homes(world.stops, index)
+    homes = infer_homes(world.stops, locate_stops(index, world.stops))
     planted = world.truth.homes
     assert len(homes.assignments) == 500
     recovered = sum(1 for u, g in homes.assignments.items() if planted[u] == g)

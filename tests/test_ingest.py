@@ -1,7 +1,10 @@
 import io
 import json
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hazmob import ingest, synth
 from hazmob.exposure import PopulationCurve
@@ -74,6 +77,89 @@ def test_iso_parse_formats():
     assert ingest.parse_iso_utc("2019-04-01T00:00:00Z") == 1554076800
     assert ingest.parse_iso_utc("2019-04-01T00:00:00+00:00") == 1554076800
     assert ingest.format_iso_utc(1554076800) == "2019-04-01T00:00:00Z"
+
+
+MALFORMED_CANONICAL = [
+    "2019-04-01T25:00:00Z",
+    "2019-04-01T23:99:99Z",
+    "2019-04-01T-1:00:00Z",
+    "2019x04x01T08:00:00Z",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_CANONICAL)
+def test_iso_fast_path_rejects_malformed_canonical_length(text):
+    with pytest.raises(ValueError):
+        ingest.parse_iso_utc(text)
+
+
+def test_parse_stops_rejects_malformed_timestamps():
+    stops, report = parse_stops(stops_stream(*(f"u1,0.5,0.5,{t},60" for t in MALFORMED_CANONICAL)))
+    assert stops == []
+    assert report.rows_rejected == len(MALFORMED_CANONICAL)
+
+
+def _reference_epoch(text: str):
+    try:
+        return int(datetime.fromisoformat(text[:-1] + "+00:00").timestamp())
+    except ValueError:
+        return None
+
+
+_any_second = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59))
+
+
+def _near_canonical():
+    """A valid YYYY-MM-DDTHH:MM:SSZ timestamp with up to three of its fields
+    replaced by same-width junk: out-of-range numbers, signed or padded
+    numbers, non-ASCII digits and wrong separators."""
+    two = st.one_of(
+        st.integers(0, 99).map(lambda v: f"{v:02d}"),
+        st.sampled_from(["-1", "+1", " 1", "1 ", "1_", "\u0661\u0662", "\uff11\uff12"]),
+    )
+    junk = {
+        0: st.one_of(st.integers(0, 9999).map(lambda v: f"{v:04d}"),
+                     st.sampled_from(["-201", "+201", " 201", "\u0662\u0660\u0661\u0669"])),
+        **dict.fromkeys((1, 3, 5, 7, 9), st.sampled_from("-:xT/ ")),
+        **dict.fromkeys((2, 4, 6, 8, 10), two),
+    }
+
+    def fields(moment: datetime) -> list[str]:
+        date, clock = moment.isoformat().split("T")
+        y, mo, d = date.split("-")
+        h, mi, sec = clock.split(":")
+        return [y, "-", mo, "-", d, "T", h, ":", mi, ":", sec]
+
+    edits = st.lists(
+        st.sampled_from(sorted(junk)).flatmap(lambda i: junk[i].map(lambda v: (i, v))), max_size=3
+    )
+
+    def build(moment, changes):
+        parts = fields(moment.replace(microsecond=0))
+        for i, value in changes:
+            parts[i] = value
+        return "".join(parts) + "Z"
+
+    return st.builds(build, _any_second, edits)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_near_canonical())
+def test_iso_fast_path_equals_fromisoformat_or_rejects(text):
+    assert len(text) == 20
+    try:
+        got = ingest.parse_iso_utc(text)
+    except ValueError:
+        got = None
+    assert got == _reference_epoch(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_any_second)
+def test_iso_fast_path_accepts_every_valid_instant(moment):
+    moment = moment.replace(microsecond=0)
+    text = moment.isoformat() + "Z"
+    assert ingest.parse_iso_utc(text) == int(moment.replace(tzinfo=timezone.utc).timestamp())
 
 
 def tract_feature(geoid: str, lon0=0.0, lat0=0.0, close=True):
@@ -257,6 +343,37 @@ def test_mei_round_trip_to_six_decimals(tmp_path):
                 else:
                     assert abs(mine - theirs) <= 5e-7
             assert row.region_class[h] == back.region_class[h]
+
+
+def _mei_csv(tmp_path, *rows: str):
+    dest = tmp_path / "mei.csv"
+    dest.write_text(",".join(ingest.MEI_HEADER) + "\n" + "".join(r + "\n" for r in rows))
+    return dest
+
+
+GOOD_MEI_ROW = "48001000001,0.5,0.25,0.1,0.1,0.1,0.0,,,,latent,none,direct"
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (GOOD_MEI_ROW.replace(",0.5,", ",abc,", 1), "unparseable field"),
+    (GOOD_MEI_ROW + ",extra", "expected 13 fields, got 14"),
+    ("48001000002,0.5", "expected 13 fields, got 2"),
+    (GOOD_MEI_ROW.replace(",0.5,", ",1.5,", 1), "outside [0, 1]"),
+    (GOOD_MEI_ROW.replace("latent", "bogus"), "invalid class"),
+])
+def test_read_mei_rejects_bad_row_naming_line(tmp_path, bad, reason):
+    dest = _mei_csv(tmp_path, GOOD_MEI_ROW, bad)
+    with pytest.raises(IngestError, match=r"line 3: .*") as info:
+        ingest.read_mei(dest)
+    assert reason in str(info.value)
+
+
+def test_read_mei_accepts_good_row(tmp_path):
+    table = ingest.read_mei(_mei_csv(tmp_path, GOOD_MEI_ROW))
+    row = table.rows["48001000001"]
+    assert row.mei["air_pollution"] == 0.5
+    assert row.nonhome_conditional["heat"] is None
+    assert row.region_class["heat"] == "direct"
 
 
 def test_write_report_curves_and_unknown(tmp_path):

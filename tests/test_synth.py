@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hazmob import synth
-from hazmob.geoindex import build_index, locate
+from hazmob.geoindex import build_index, locate, locate_stops
 from hazmob.model import HAZARD_TYPES
 from hazmob.synth import SynthConfigError, WorldConfig, gen_world, planted_truth, write_world
 
@@ -219,7 +219,7 @@ def test_empirical_mei_tracks_expected_on_moderate_world():
                          users=125, stops_per_user=300)
     world = gen_world(config)
     index = build_index(world.tracts, cell_size_deg=0.5)
-    home_map = infer_homes(world.stops, index)
+    home_map = infer_homes(world.stops, locate_stops(index, world.stops))
     masks = {
         h: type(world.layers[h])(
             hazard_type=h,
@@ -228,7 +228,7 @@ def test_empirical_mei_tracks_expected_on_moderate_world():
         )
         for h in HAZARD_TYPES
     }
-    table = compute_mei(accumulate(world.stops, home_map, index, masks))
+    table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks))
     truth = planted_truth(world)
     worst = 0.0
     for geoid, row in table.rows.items():
