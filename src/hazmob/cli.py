@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -109,10 +110,8 @@ class RunConfig:
             raise ConfigError("min_nights must be >= 1")
         if self.cell_size_deg <= 0:
             raise ConfigError("cell_size_deg must be positive")
-        if self.eps <= 0 or self.min_pts < 1:
-            raise ConfigError("cluster parameters require eps > 0 and min_pts >= 1")
-        if list(self.curve_thresholds) != sorted(self.curve_thresholds):
-            raise ConfigError("curve_thresholds must be sorted ascending")
+        if not (math.isfinite(self.eps) and self.eps > 0) or self.min_pts < 1:
+            raise ConfigError("cluster parameters require a finite eps > 0 and min_pts >= 1")
 
     def config_hash(self) -> str:
         parts = []
@@ -133,6 +132,13 @@ class RunConfig:
         return out
 
 
+def _thresholds(text: str) -> tuple[float, ...]:
+    values = tuple(float(v) for v in text.split(",") if v.strip())
+    if list(values) != sorted(values):
+        raise ValueError("must be sorted ascending")
+    return values
+
+
 _CONFIG_PARSERS = {
     "stops": str, "tracts": str, "hazard_air": str, "hazard_toxic": str,
     "hazard_heat": str, "out_dir": str,
@@ -140,7 +146,7 @@ _CONFIG_PARSERS = {
     "heat_quartile": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
     "night_start": int, "night_end": int, "min_nights": int,
     "cell_size_deg": float, "eps": float, "min_pts": int,
-    "curve_thresholds": lambda s: tuple(float(v) for v in s.split(",") if v.strip()),
+    "curve_thresholds": _thresholds,
     "compound_threshold": float, "threads": int,
 }
 
@@ -170,6 +176,14 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+def _parse_flag(key: str, text: str):
+    """Parse a flag's text with the config-file parser for `key`."""
+    try:
+        return _CONFIG_PARSERS[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {exc}")
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     values = load_config_file(args.config) if args.config else {}
     overrides = {
@@ -182,7 +196,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         "min_nights": args.min_nights, "cell_size_deg": args.cell_size,
         "eps": args.eps, "min_pts": args.min_pts,
         "curve_thresholds": (
-            tuple(float(v) for v in args.curve_thresholds.split(",") if v.strip())
+            _parse_flag("curve_thresholds", args.curve_thresholds)
             if args.curve_thresholds is not None
             else None
         ),
@@ -391,13 +405,13 @@ def _class_means(table: MeiTable, hazard: str) -> dict[str, tuple[int, float | N
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    thresholds = list(_parse_flag("curve_thresholds", args.curve_thresholds))
     try:
         table = ingest.read_mei(args.mei)
         tracts = ingest.parse_tracts(args.tracts)
     except ingest.IngestError as exc:
         print(f"error in ingest: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    thresholds = [float(v) for v in args.curve_thresholds.split(",") if v.strip()]
 
     defined = sum(1 for row in table.rows.values() if not row.excluded)
     print(f"tracts with defined MEI: {defined}")

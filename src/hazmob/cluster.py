@@ -5,12 +5,25 @@ least min_pts neighbors (self included) within eps are core points;
 clusters are maximal density-connected sets; everything unreachable is
 noise (-1). Points are scanned in geoid order and neighbor lists kept in
 that order, which pins border-point assignment and makes the labeling
-fully deterministic. Neighborhoods are brute force, which is cheap at
-tract scale.
+fully deterministic.
+
+Neighborhoods come from a uniform 3-D grid hash (Gunawan 2013; Schubert
+et al., "DBSCAN Revisited, Revisited", TODS 2017): each point is bucketed
+by its integer cell floor(coord / side), and only the 27 cells around a
+point's own are searched, with the same exact squared-distance test as an
+all-pairs scan, so every neighbor list is identical to that scan's. The
+side is eps * (1 + 1e-9), not eps: with a side of exactly eps, rounding
+in coord / side puts some pairs at distance <= eps two cells apart (about
+1 % of them on a lattice at exact multiples of eps jittered by a few
+ulp), where a 27-cell search misses them. Cells are keyed by the integer
+triple, never by a flattened product, which overflows int64 for a tiny
+eps.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -27,8 +40,8 @@ class ClusterConfig:
     min_pts: int = 10
 
     def check(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be positive and finite")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
 
@@ -52,17 +65,33 @@ class ClusterResult:
     summary: list[ClusterSummaryRow]
 
 
+_OFFSETS = tuple(itertools.product((-1, 0, 1), repeat=3))
+
+
 def _neighbor_lists(coords: np.ndarray, eps: float, block: int = 512) -> list[np.ndarray]:
-    """Indices within eps of each point (self included), ascending order."""
-    n = len(coords)
+    """Indices within eps of each point (self included), ascending order.
+
+    Distances are computed for at most `block` points of a cell at a time,
+    so one dense cell cannot blow up memory.
+    """
     eps2 = eps * eps
-    neighbors: list[np.ndarray] = []
-    for start in range(0, n, block):
-        chunk = coords[start : start + block]
-        d2 = ((chunk[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-        for row in d2:
-            neighbors.append(np.nonzero(row <= eps2)[0])
-        del d2
+    side = eps * (1 + 1e-9)
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for i, cell in enumerate(np.floor(coords / side).astype(np.int64).tolist()):
+        buckets.setdefault(tuple(cell), []).append(i)
+    members_of = {cell: np.asarray(members, dtype=np.intp) for cell, members in buckets.items()}
+
+    neighbors = [None] * len(coords)
+    for (x, y, z), members in members_of.items():
+        around = [members_of.get((x + dx, y + dy, z + dz)) for dx, dy, dz in _OFFSETS]
+        candidates = np.sort(np.concatenate([c for c in around if c is not None]))
+        cand_coords = coords[candidates]
+        for start in range(0, len(members), block):
+            rows = members[start : start + block]
+            d2 = ((coords[rows][:, None, :] - cand_coords[None, :, :]) ** 2).sum(axis=2)
+            for i, row in zip(rows, d2):
+                neighbors[i] = candidates[row <= eps2]
+            del d2
     return neighbors
 
 
@@ -74,6 +103,8 @@ def dbscan(points: list[tuple[str, tuple[float, float, float]]], config: Cluster
     points = sorted(points, key=lambda p: p[0])
     geoids = [p[0] for p in points]
     coords = np.asarray([p[1] for p in points], dtype=float)
+    if not np.isfinite(coords).all():
+        raise ValueError("cluster coordinates must be finite")
     n = len(points)
     neighbors = _neighbor_lists(coords, config.eps)
     core = [len(nb) >= config.min_pts for nb in neighbors]

@@ -107,6 +107,30 @@ def test_run_missing_input_exits_2(fixture_dir, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "nan"), ("--eps", "inf"),
+    ("--curve-thresholds", "abc"), ("--curve-thresholds", "0.5,0.1"),
+])
+def test_run_bad_cluster_or_curve_flag_exits_2(fixture_dir, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(run_args(fixture_dir, out, flag, value)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0.5,0.1"])
+def test_report_bad_curve_thresholds_exits_2(fixture_dir, tmp_path, capsys, value):
+    out = tmp_path / "for_report"
+    assert main(run_args(fixture_dir, out)) == EXIT_OK
+    capsys.readouterr()
+    assert main(["report", "--mei", str(out / "mei.csv"),
+                 "--tracts", str(fixture_dir / "tracts.geojson"),
+                 "--curve-thresholds", value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.out == ""
+
+
 def test_config_file_with_flag_overrides(fixture_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -1,15 +1,20 @@
 """Clustering checked against a from-first-principles reference DBSCAN."""
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hazmob import synth
 from hazmob.cluster import (
     NOISE,
     ClusterConfig,
+    _neighbor_lists,
     apply_labels,
     cluster_points,
     dbscan,
@@ -133,10 +138,17 @@ def test_empty_input():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        dbscan([], ClusterConfig(eps=0.0, min_pts=3))
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            dbscan([], ClusterConfig(eps=eps, min_pts=3))
     with pytest.raises(ValueError):
         dbscan([], ClusterConfig(eps=0.1, min_pts=0))
+
+
+def test_non_finite_coordinates_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            dbscan(points_from([(0.1, 0.2, 0.3), (0.1, bad, 0.3)]), ClusterConfig(eps=0.1, min_pts=1))
 
 
 def test_partition_property_every_point_labeled():
@@ -163,6 +175,90 @@ def test_labels_match_reference_implementation():
         assert same_partition_on_cores_and_noise(
             labels_mine, labels_ref, [tuple(c) for _, c in sorted(pts)], 0.09, 5
         ), f"seed {seed}: partitions differ"
+
+
+def all_pairs_neighbors(coords, eps):
+    """All-pairs scan with the same squared-distance test as the grid search."""
+    eps2 = eps * eps
+    return [np.nonzero(((coords - c) ** 2).sum(axis=1) <= eps2)[0] for c in coords]
+
+
+def _nudge_ulps(values, ulps):
+    """Move each value by its own count of units in the last place."""
+    for _ in range(int(np.abs(ulps).max(initial=0))):
+        step = np.sign(ulps)
+        values = np.where(step > 0, np.nextafter(values, np.inf),
+                          np.where(step < 0, np.nextafter(values, -np.inf), values))
+        ulps = ulps - step
+    return values
+
+
+@st.composite
+def grid_cases(draw):
+    """(coords, eps) on the inputs a uniform grid gets wrong most easily.
+
+    Lattices fill a k x k x k block of exact multiples of eps, each coordinate
+    jittered by up to 3 ulp, so many pairs at distance ~eps straddle cell
+    borders; shifting the block by many eps reaches large and negative
+    coordinates. Random points reach scales up to 1e6 while eps goes down
+    to 1e-9, which puts cell indices near 1e15; "one cell" keeps every
+    point inside a single cell.
+    """
+    eps = draw(st.sampled_from([0.1, 0.3, 0.07, 1 / 3, 1e-9]) | st.floats(1e-9, 10.0))
+    kind = draw(st.sampled_from(["lattice", "random", "one_cell"]))
+    if kind == "lattice":
+        k = draw(st.integers(1, 4))
+        shift = draw(st.sampled_from([0, -7, 12_345, -10**7, 10**9]))
+        steps = np.asarray(list(itertools.product(range(k), repeat=3)), dtype=float) + shift
+        jitter = draw(st.lists(st.integers(-3, 3), min_size=steps.size, max_size=steps.size))
+        coords = _nudge_ulps(steps * eps, np.asarray(jitter).reshape(steps.shape))
+    else:
+        n = draw(st.integers(1, 40))
+        unit = st.floats(-1.0, 1.0) if kind == "random" else st.floats(0.0, 0.5)
+        scale = eps if kind == "one_cell" else draw(st.sampled_from([eps, 3 * eps, 1.0, 1e6]))
+        offset = draw(st.sampled_from([0.0, -1e6, 2.5e3])) if kind == "random" else 0.0
+        values = draw(st.lists(unit, min_size=3 * n, max_size=3 * n))
+        coords = np.asarray(values).reshape(n, 3) * scale + offset
+    if draw(st.booleans()):  # exact duplicates
+        n = len(coords)
+        coords = coords[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=2 * n))]
+    return coords, eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_cases(), st.integers(1, 6))
+def test_grid_neighbors_equal_all_pairs_scan(case, min_pts):
+    coords, eps = case
+    got = _neighbor_lists(coords, eps)
+    want = all_pairs_neighbors(coords, eps)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.tolist() == w.tolist(), f"point {i}"
+    triples = [tuple(c) for c in coords]
+    by_dist = [[j for j, u in enumerate(triples) if math.dist(t, u) <= eps] for t in triples]
+    if by_dist != [w.tolist() for w in want]:
+        return  # a pair within rounding of eps: the oracle's math.dist rounds otherwise
+    pts = points_from(coords)
+    mine = dbscan(pts, ClusterConfig(eps=eps, min_pts=min_pts))
+    ref = reference_dbscan(triples, eps, min_pts)
+    assert same_partition_on_cores_and_noise(
+        [mine.labels[g] for g, _ in pts], ref, triples, eps, min_pts
+    )
+
+
+def test_coincident_points_memory_bounded():
+    """3,000 identical triples share one cell; its distances go in blocks."""
+    coords = np.full((3000, 3), 0.5)
+    result = dbscan(points_from(coords), ClusterConfig(eps=0.1, min_pts=10))
+    assert set(result.labels.values()) == {0}
+    tracemalloc.start()
+    try:
+        neighbors = _neighbor_lists(coords, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(len(nb) == 3000 for nb in neighbors)
+    assert peak < 150 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 def test_scan_order_insensitive_core_sets():
