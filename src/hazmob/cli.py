@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -108,8 +108,10 @@ class RunConfig:
             raise ConfigError("night window hours must lie in [0, 23]")
         if self.min_nights < 1:
             raise ConfigError("min_nights must be >= 1")
-        if self.cell_size_deg <= 0:
-            raise ConfigError("cell_size_deg must be positive")
+        if not (math.isfinite(self.cell_size_deg) and self.cell_size_deg > 0):
+            raise ConfigError("cell_size_deg must be finite and positive")
+        if not math.isfinite(self.compound_threshold):
+            raise ConfigError("compound_threshold must be finite")
         if not (math.isfinite(self.eps) and self.eps > 0) or self.min_pts < 1:
             raise ConfigError("cluster parameters require a finite eps > 0 and min_pts >= 1")
 
@@ -134,6 +136,8 @@ class RunConfig:
 
 def _thresholds(text: str) -> tuple[float, ...]:
     values = tuple(float(v) for v in text.split(",") if v.strip())
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise ValueError("must be finite and lie in [0, 1]")
     if list(values) != sorted(values):
         raise ValueError("must be sorted ascending")
     return values
@@ -230,15 +234,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     world = synth.gen_world(config)
-    paths = synth.write_world(world, args.out)
     meta = {
         "config": {f.name: getattr(config, f.name) for f in fields(config)},
         "tracts": len(world.tracts),
         "stops": len(world.stops),
     }
-    with open(Path(args.out) / "world_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        paths = synth.write_world(world, args.out)
+        with open(Path(args.out) / "world_meta.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except (OSError, ingest.IngestError) as exc:
+        print(f"error in output: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     for name, path in sorted(paths.items()):
         print(f"wrote {name}: {path}")
     return EXIT_OK
@@ -285,9 +293,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
+        with _stage("output"):
+            out_dir.mkdir(parents=True, exist_ok=True)
+
         stops, stop_report, tracts, layers, hazard_reports = _parse_inputs(config)
 
         with _stage("geoindex"):
@@ -333,7 +343,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             path = out_dir / name
             written.append(path)
             written.append(Path(f"{path}.meta.json"))
-            ingest.write_report(obj, path, config_hash)
+            with _stage("output"):
+                ingest.write_report(obj, path, config_hash)
 
         emit(table, "mei.csv")
         emit(result, "clusters.csv")
@@ -373,18 +384,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         }
         meta_path = out_dir / "run_metadata.json"
         written.append(meta_path)
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(metadata, fh, sort_keys=True, indent=2)
+        with _stage("output"), open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(metadata, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
     except StageError as exc:
         for path in written:
-            path.unlink(missing_ok=True)
+            # A directory standing where an output goes is not ours to remove,
+            # and failing on it would hide the error being reported.
+            with suppress(OSError):
+                path.unlink(missing_ok=True)
         print(f"error in {exc.stage}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ingest.IngestError as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
-        print(f"error in output: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
     print(f"run complete: {len(written)} files in {out_dir}")

@@ -110,6 +110,9 @@ def test_run_missing_input_exits_2(fixture_dir, tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--eps", "nan"), ("--eps", "inf"),
     ("--curve-thresholds", "abc"), ("--curve-thresholds", "0.5,0.1"),
+    ("--curve-thresholds", "0.1,nan"), ("--curve-thresholds", "0.1,1.5"),
+    ("--cell-size", "nan"), ("--cell-size", "inf"),
+    ("--compound-threshold", "nan"), ("--compound-threshold", "inf"),
 ])
 def test_run_bad_cluster_or_curve_flag_exits_2(fixture_dir, tmp_path, capsys, flag, value):
     out = tmp_path / "out"
@@ -118,7 +121,7 @@ def test_run_bad_cluster_or_curve_flag_exits_2(fixture_dir, tmp_path, capsys, fl
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "0.5,0.1"])
+@pytest.mark.parametrize("value", ["abc", "0.5,0.1", "0.1,nan"])
 def test_report_bad_curve_thresholds_exits_2(fixture_dir, tmp_path, capsys, value):
     out = tmp_path / "for_report"
     assert main(run_args(fixture_dir, out)) == EXIT_OK
@@ -302,3 +305,42 @@ def test_report_bad_mei_cell_exits_1_naming_line(fixture_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error in ingest:" in err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_out_below_a_regular_file_exits_1(fixture_dir, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out"
+    if command == "run":
+        args = run_args(fixture_dir, out)
+    else:
+        args = ["synth", "--seed", "1", "--grid", "2", "--users", "4",
+                "--stops-per-user", "3", "--out", str(out)]
+    assert main(args) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error in output:")
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_output_cleanup_skips_a_directory_in_the_way(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(run_args(fixture_dir, out)) == EXIT_OK
+    (out / "scatter.csv").unlink()
+    (out / "scatter.csv").mkdir()
+    capsys.readouterr()
+    assert main(run_args(fixture_dir, out)) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error in output:")
+    assert "scatter.csv" in err
+    assert (out / "scatter.csv").is_dir()
+    assert not (out / "mei.csv").exists()  # written by the failed run, then removed
+
+
+def test_non_finite_metadata_is_an_output_error(fixture_dir, tmp_path, capsys, monkeypatch):
+    from hazmob import exposure
+
+    monkeypatch.setattr(exposure, "compound_latent", lambda *args: ([], float("nan")))
+    out = tmp_path / "out"
+    assert main(run_args(fixture_dir, out)) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error in output:")
+    assert list(out.iterdir()) == []

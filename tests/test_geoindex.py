@@ -1,4 +1,7 @@
+import math
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,9 @@ def test_build_index_rejects_empty_and_bad_cell():
         build_index([])
     with pytest.raises(GeoIndexError):
         build_index([unit_square_tract("48001950100", 0, 0)], cell_size_deg=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(GeoIndexError):
+            build_index([unit_square_tract("48001950100", 0, 0)], cell_size_deg=bad)
 
 
 def test_single_tract_grid_populated(unit_square_index):
@@ -131,8 +137,8 @@ def test_locate_deterministic_on_repeat(unit_square_index):
 
 
 # ---------------------------------------------------------------------------
-# locate_stops: one locate() per distinct point, same answers as the scalar
-# locate() and the brute-force oracle
+# locate_stops: the block-vectorized lookup gives the same answers as the
+# scalar locate() and the brute-force oracle
 # ---------------------------------------------------------------------------
 
 def _ring(*corners):
@@ -144,12 +150,38 @@ def _tract(geoid, *parts):
                        pct_minority=0.1, pct_below_poverty200=0.1)
 
 
+def _wobbled(a, b, segments, amp, rng):
+    """segments + 1 vertices from a to b, interior ones moved perpendicular by <= amp."""
+    (ax, ay), (bx, by) = a, b
+    nx, ny = ay - by, bx - ax  # perpendicular to the edge
+    scale = amp / math.hypot(nx, ny)
+    pts = [a]
+    for k in range(1, segments):
+        t, d = k / segments, rng.uniform(-1.0, 1.0) * scale
+        pts.append((ax + (bx - ax) * t + nx * d, ay + (by - ay) * t + ny * d))
+    return pts + [b]
+
+
+def _wobbled_pair():
+    """A 200-edge ring with wobbled sides, as in county-stops, and a neighbour
+    sharing its wobbled east side (the same vertices in reverse order)."""
+    rng = random.Random(200)
+    corners = [(10.0, 1.0), (12.0, 1.0), (12.0, 3.0), (10.0, 3.0), (10.0, 1.0)]
+    sides = [_wobbled(corners[i], corners[i + 1], 50, 0.1, rng) for i in range(4)]
+    ring = tuple(pt for side in sides for pt in side[:-1]) + (corners[0],)
+    east = sides[1]
+    neighbour = tuple(east[::-1]) + ((13.0, 1.0), (13.0, 3.0), east[-1])
+    return _tract("48005000100", (ring,)), _tract("48005000200", (neighbour,))
+
+
 # Unit squares around the origin share edges on x = 0 and y = 0 and a vertex
 # at (0, 0); an L-shaped tract sits on top of them and a triangle to the
 # right, whose slanted edge crosses grid cells. Tract ...0100 is a
 # MultiPolygon: a square with a square hole plus a detached part. The island
 # tract ...0200 fills the hole exactly, so the hole's boundary belongs to
-# both and resolves to the smaller geoid.
+# both and resolves to the smaller geoid. Tracts 48005... are the wobbled
+# 201-vertex ring and its neighbour; the U-shaped 48007000100 has
+# horizontal edges on both sides of its notch.
 _OUTER = _ring((3.0, 0.0), (7.0, 0.0), (7.0, 4.0), (3.0, 4.0))
 _HOLE = _ring((4.0, 1.0), (6.0, 1.0), (6.0, 3.0), (4.0, 3.0))
 LOCATE_WORLD = [
@@ -162,8 +194,16 @@ LOCATE_WORLD = [
     _tract("48004000100", (_ring((-2.0, 1.0), (0.0, 1.0), (0.0, 2.0), (-1.0, 2.0),
                                  (-1.0, 3.0), (-2.0, 3.0)),)),
     _tract("48004000200", (_ring((0.0, 1.0), (2.0, 1.0), (0.0, 3.0)),)),
+    *_wobbled_pair(),
+    _tract("48007000100", (_ring((14.0, 1.0), (17.0, 1.0), (17.0, 3.0), (16.0, 3.0),
+                                 (16.0, 2.0), (15.0, 2.0), (15.0, 3.0), (14.0, 3.0)),)),
 ]
 LOCATE_INDEX = build_index(LOCATE_WORLD, cell_size_deg=0.75)
+# Index cells finer than, comparable to, and coarser than the whole world.
+LOCATE_INDEXES = [build_index(LOCATE_WORLD, cell_size_deg=c) for c in (0.1, 0.75, 20.0)]
+# Block and pass sizes so small that block boundaries fall between points of
+# one cell and pass boundaries inside a part's edge list.
+SMALL_SIZES = {"_BLOCK_POINTS": 3, "_PASS_ROWS": 17}
 RINGS = [ring for t in LOCATE_WORLD for part in t.geometry for ring in part]
 EDGES = [(ring[i], ring[i + 1]) for ring in RINGS for i in range(len(ring) - 1)]
 
@@ -173,14 +213,25 @@ def _on_edge(edge, t):
     return (x1 + (x2 - x1) * t, y1 + (y2 - y1) * t)
 
 
+def _nudge(point, dx, dy):
+    """Move each coordinate of point by one ulp in the direction of dx, dy (0 stays)."""
+    return tuple(v if d == 0 else math.nextafter(v, math.copysign(math.inf, d))
+                 for v, d in zip(point, (dx, dy)))
+
+
 # Quarter-degree values make points that share one coordinate common.
-_coord = st.one_of(st.floats(-3.0, 10.0, allow_nan=False),
-                   st.sampled_from([k / 4 for k in range(-12, 41)]))
+_coord = st.one_of(st.floats(-3.0, 18.0, allow_nan=False),
+                   st.sampled_from([k / 4 for k in range(-12, 73)]))
 _signed_zero = st.sampled_from([0.0, -0.0])
-_points = st.one_of(
-    st.tuples(_coord, _coord),
+_boundary = st.one_of(
     st.sampled_from(sorted({pt for ring in RINGS for pt in ring})),
     st.builds(_on_edge, st.sampled_from(EDGES), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+)
+_ulp = st.sampled_from([-1, 0, 1])
+_points = st.one_of(
+    st.tuples(_coord, _coord),
+    _boundary,
+    st.builds(_nudge, _boundary, _ulp, _ulp),
     st.tuples(_signed_zero, _coord),
     st.tuples(_coord, _signed_zero),
     st.tuples(_signed_zero, _signed_zero),
@@ -194,36 +245,112 @@ _stop_lists = st.lists(_points, min_size=1, max_size=12).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(_stop_lists)
 def test_locate_stops_equals_scalar_locate_and_brute_force(stops):
-    index = LOCATE_INDEX
-    where = locate_stops(index, stops)
-    assert where == [locate(index, s.lon, s.lat) for s in stops]
-    assert where == [locate_brute_force(index, s.lon, s.lat) for s in stops]
+    expected = [locate_brute_force(LOCATE_INDEX, s.lon, s.lat) for s in stops]
+    for index in LOCATE_INDEXES:
+        assert [locate(index, s.lon, s.lat) for s in stops] == expected
+        assert locate_stops(index, stops) == expected
+        with mock.patch.multiple(geoindex, **SMALL_SIZES):
+            assert locate_stops(index, stops) == expected
+
+
+FIXTURE_CASES = [
+    ((0.0, 0.0), "48002001000"),  # shared vertex, smallest geoid
+    ((-0.0, -0.0), "48002001000"),
+    ((3.5, 2.0), "48003000100"),  # ring around the hole
+    ((3.25, 0.5), "48003000100"),  # below the hole, where joined rings would add a crossing
+    ((8.5, 0.5), "48003000100"),  # detached part
+    ((5.0, 2.0), "48003000200"),  # island inside the hole
+    ((4.0, 2.0), "48003000100"),  # hole boundary: both, smaller wins
+    ((-0.5, 2.5), None),  # notch of the L
+    ((-0.5, 3.0), None),  # on the line of the L's top edge, past its end
+    ((-1.5, 2.5), "48004000100"),
+    ((0.5, 1.5), "48004000200"),  # inside the triangle
+    ((1.0, 2.0), "48004000200"),  # on its slanted edge
+    ((1.5, 2.0), None),
+    ((11.0, 2.0), "48005000100"),  # inside the wobbled ring
+    ((12.5, 2.0), "48005000200"),
+    ((15.5, 3.0), None),  # on the line of both top edges of the U, between them
+    ((15.5, 2.0), "48007000100"),  # notch bottom
+]
 
 
 def test_locate_stops_fixture_covers_edges_holes_and_islands():
-    index = LOCATE_INDEX
-    assert locate(index, 0.0, 0.0) == "48002001000"  # shared vertex, smallest geoid
-    assert locate(index, -0.0, -0.0) == "48002001000"
-    assert locate(index, 3.5, 2.0) == "48003000100"  # ring around the hole
-    assert locate(index, 8.5, 0.5) == "48003000100"  # detached part
-    assert locate(index, 5.0, 2.0) == "48003000200"  # island inside the hole
-    assert locate(index, 4.0, 2.0) == "48003000100"  # hole boundary: both, smaller wins
-    assert locate(index, -0.5, 2.5) is None  # notch of the L
-    assert locate(index, -1.5, 2.5) == "48004000100"
-    assert locate(index, 0.5, 1.5) == "48004000200"  # inside the triangle
-    assert locate(index, 1.0, 2.0) == "48004000200"  # on its slanted edge
-    assert locate(index, 1.5, 2.0) is None
+    assert len(LOCATE_WORLD[-3].geometry[0][0]) == 201
+    stops = [StopRecord(user_id="u", lon=x, lat=y, start_ts=0, dwell_s=1) for (x, y), _ in FIXTURE_CASES]
+    expected = [geoid for _, geoid in FIXTURE_CASES]
+    for index in LOCATE_INDEXES:
+        assert [locate(index, s.lon, s.lat) for s in stops] == expected
+        assert locate_stops(index, stops) == expected
+        with mock.patch.multiple(geoindex, **SMALL_SIZES):
+            assert locate_stops(index, stops) == expected
 
 
-def test_locate_stops_calls_locate_once_per_distinct_point(monkeypatch):
-    index = build_index(grid_tracts(3), cell_size_deg=0.5)
-    points = [(0.5, 0.5), (1.5, 2.5), (9.0, 9.0), (0.0, 1.0), (-0.0, 1.0)]
-    rng = random.Random(5)
-    stops = [StopRecord(user_id="u", lon=x, lat=y, start_ts=0, dwell_s=1)
-             for x, y in (rng.choice(points) for _ in range(200))]
-    calls = []
-    real = geoindex.locate
-    monkeypatch.setattr(geoindex, "locate", lambda *a: calls.append(a) or real(*a))
-    where = locate_stops(index, stops)
-    assert len(calls) == len({(s.lon, s.lat) for s in stops}) == 4
-    assert where == [real(index, s.lon, s.lat) for s in stops]
+def _scattered_stops(index, rng, n):
+    """n stops spread over the index's tracts and half a degree around them, then n // 2 repeats."""
+    parts = [p for geometry in index.geometries.values() for p in geometry]
+    x0, x1 = min(p.min_x for p in parts) - 0.5, max(p.max_x for p in parts) + 0.5
+    y0, y1 = min(p.min_y for p in parts) - 0.5, max(p.max_y for p in parts) + 0.5
+    pts = [(rng.uniform(x0, x1), rng.uniform(y0, y1)) for _ in range(n)]
+    pts += [rng.choice(pts) for _ in range(n // 2)]
+    return [StopRecord(user_id="u", lon=x, lat=y, start_ts=0, dwell_s=1) for x, y in pts]
+
+
+def test_locate_stops_calls_neither_locate_nor_contains(monkeypatch):
+    stops = _scattered_stops(LOCATE_INDEX, random.Random(5), 3000)
+    expected = [locate(LOCATE_INDEX, s.lon, s.lat) for s in stops]
+
+    def forbidden(*args):
+        raise AssertionError("locate_stops must not fall back to the scalar oracles")
+
+    for name in ("locate", "contains", "point_in_part", "locate_brute_force"):
+        monkeypatch.setattr(geoindex, name, forbidden)
+    assert locate_stops(LOCATE_INDEX, stops) == expected
+
+
+def test_locate_stops_empty_builds_nothing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("nothing to build for no stops")
+
+    monkeypatch.setattr(geoindex, "_complex_points", forbidden)
+    monkeypatch.setattr(geoindex, "_locate_block", forbidden)
+    assert locate_stops(object(), []) == []
+
+
+def test_locate_stops_rejects_points_without_a_finite_cell():
+    for lon, lat in ((math.nan, 0.5), (0.5, math.inf)):
+        with pytest.raises(GeoIndexError):
+            locate_stops(LOCATE_INDEX, [StopRecord(user_id="u", lon=lon, lat=lat, start_ts=0, dwell_s=1)])
+
+
+def _wobbled_grid(n, rng):
+    """n x n tracts of 201-vertex rings whose wobbled sides neighbours share."""
+    horiz = {(i, j): _wobbled((float(i), float(j)), (i + 1.0, float(j)), 50, 0.1, rng)
+             for i in range(n) for j in range(n + 1)}
+    vert = {(i, j): _wobbled((float(i), float(j)), (float(i), j + 1.0), 50, 0.1, rng)
+            for i in range(n + 1) for j in range(n)}
+    tracts = []
+    for i in range(n):
+        for j in range(n):
+            ring = (horiz[i, j][:-1] + vert[i + 1, j][:-1]
+                    + horiz[i, j + 1][::-1][:-1] + vert[i, j][::-1])
+            tracts.append(_tract(f"48006{i:03d}{j:03d}", (tuple(ring),)))
+    return tracts
+
+
+def test_locate_stops_memory_is_bounded():
+    rng = random.Random(17)
+    index = build_index(_wobbled_grid(12, rng), cell_size_deg=0.05)
+    stops = [StopRecord(user_id="u", lon=rng.uniform(-0.5, 12.5), lat=rng.uniform(-0.5, 12.5),
+                        start_ts=0, dwell_s=1) for _ in range(100_000)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        where = locate_stops(index, stops)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # The result list alone is 0.8 MB; the distinct-point arrays take 16-24
+    # bytes per point and each block and pass a bounded amount on top.
+    assert peak < 10_000_000, peak
+    sample = rng.sample(range(len(stops)), 300)
+    assert [where[i] for i in sample] == [locate(index, stops[i].lon, stops[i].lat) for i in sample]
