@@ -73,7 +73,9 @@ class RunConfig:
     min_pts: int = 10
     curve_thresholds: tuple[float, ...] = (0.05, 0.10)
     compound_threshold: float = 0.05
-    threads: int = 0  # 0 = resolve from the environment, else 1
+    # 0 = resolve from the environment, else 1. Validated and recorded, but
+    # without effect: the pipeline runs on one thread.
+    threads: int = 0
 
     # Keys that do not change results and stay out of the config hash.
     _NON_SEMANTIC = ("out_dir", "threads", "stops", "tracts",
@@ -110,8 +112,7 @@ class RunConfig:
             raise ConfigError("min_nights must be >= 1")
         if not (math.isfinite(self.cell_size_deg) and self.cell_size_deg > 0):
             raise ConfigError("cell_size_deg must be finite and positive")
-        if not math.isfinite(self.compound_threshold):
-            raise ConfigError("compound_threshold must be finite")
+        _require_finite("compound_threshold", self.compound_threshold)
         if not (math.isfinite(self.eps) and self.eps > 0) or self.min_pts < 1:
             raise ConfigError("cluster parameters require a finite eps > 0 and min_pts >= 1")
 
@@ -132,6 +133,11 @@ class RunConfig:
             value = getattr(self, f.name)
             out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
 
 
 def _thresholds(text: str) -> tuple[float, ...]:
@@ -287,7 +293,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = build_run_config(args)
         config.validate_for_run()
-        threads = config.resolved_threads()
+        config.resolved_threads()  # validates HAZMOB_THREADS
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -306,7 +312,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         with _stage("homeloc"):
             home_map = homeloc.infer_homes(
-                stops, where,
+                stops, where, index.geoids,
                 night_start=config.night_start,
                 night_end=config.night_end,
                 min_nights=config.min_nights,
@@ -315,7 +321,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         masks = _classify_masks(config, layers, tracts)
 
         with _stage("exposure"):
-            acc = exposure.accumulate_parallel(stops, where, home_map, masks, threads=threads)
+            acc = exposure.accumulate(stops, where, index.geoids, home_map, masks)
             table = exposure.compute_mei(acc)
             table = exposure.classify_regions(table, masks)
             curves = [
@@ -375,6 +381,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "dropped_stops": acc.dropped_stops,
                 "dropped_dwell_s": acc.dropped_dwell_s,
                 "dropped_users": len(acc.dropped_users),
+                "users_no_night_dwell": home_map.no_night_dwell,
+                "users_below_min_nights": len(home_map.unassigned) - home_map.no_night_dwell,
             },
             "compound_latent": {
                 "threshold": config.compound_threshold,
@@ -415,6 +423,7 @@ def _class_means(table: MeiTable, hazard: str) -> dict[str, tuple[int, float | N
 
 def cmd_report(args: argparse.Namespace) -> int:
     thresholds = list(_parse_flag("curve_thresholds", args.curve_thresholds))
+    _require_finite("compound_threshold", args.compound_threshold)
     try:
         table = ingest.read_mei(args.mei)
         tracts = ingest.parse_tracts(args.tracts)
@@ -523,7 +532,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--curve-thresholds", dest="curve_thresholds",
                        help="comma-separated ascending thresholds")
     p_run.add_argument("--compound-threshold", type=float, dest="compound_threshold")
-    p_run.add_argument("--threads", type=int)
+    p_run.add_argument("--threads", type=int, help="accepted and recorded; has no effect")
 
     p_report = sub.add_parser("report", help="summarize a prior run")
     p_report.add_argument("--mei", required=True, help="mei.csv from a run")

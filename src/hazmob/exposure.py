@@ -3,13 +3,17 @@
 For each tract, total dwell time (TDT) sums every stop made by the
 tract's residents; hazard dwell time (HDT) sums the part spent at stops
 inside high-hazard tracts. The exposure index is HDT / TDT per hazard.
-All dwell sums are integers, so accumulation over any sharding of the
-stop list merges to the exact single-pass result.
+accumulate() sums a Stops frame's dwell per home tract as int64
+reductions over (home, tract) codes, so every sum is exact (dwell is at
+most model.MAX_DWELL_S per stop) and independent of stop order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
+
+import numpy as np
 
 from .homeloc import HomeMap
 from .model import (
@@ -22,6 +26,7 @@ from .model import (
     HazardLayer,
     MeiRow,
     MeiTable,
+    Stops,
 )
 
 
@@ -46,28 +51,18 @@ class AccumulateResult:
     def unresolved_dwell_s(self) -> int:
         return sum(a.unresolved_dwell_s for a in self.by_tract.values())
 
-    def merge(self, other: "AccumulateResult") -> None:
-        for geoid, acc in other.by_tract.items():
-            mine = self.by_tract.get(geoid)
-            if mine is None:
-                self.by_tract[geoid] = acc
-            else:
-                mine.merge(acc)
-        self.dropped_stops += other.dropped_stops
-        self.dropped_dwell_s += other.dropped_dwell_s
-        self.dropped_users |= other.dropped_users
-
 
 def accumulate(
-    stops,
-    where: list[str | None],
+    stops: Stops,
+    where: np.ndarray,
+    geoids: Sequence[str],
     home_map: HomeMap,
     masks: dict[str, HazardLayer],
 ) -> AccumulateResult:
     """Accumulate dwell sums for every stop made by a user with a home.
 
-    where[i] is the tract holding stops[i] (geoindex.locate_stops), or
-    None when the stop lies outside every tract.
+    where[i] is the tract of stop i (geoindex.locate_stops): a position in
+    geoids, or -1 when the stop lies outside every tract.
 
     A stop's dwell always counts toward the home tract's TDT. It counts
     toward HDT for hazard h when the stop lies in a tract masked for h.
@@ -76,62 +71,53 @@ def accumulate(
     reported in the diagnostics.
     """
     homes = home_map.assignments
-    masked = {h: masks[h].masked_geoids() for h in HAZARD_TYPES if h in masks}
+    home_geoids = sorted(set(homes.values()))
+    home_code = {g: i for i, g in enumerate(home_geoids)}
+    user_home = np.array([home_code.get(homes.get(u), -1) for u in stops.user_ids.tolist()],
+                         dtype=np.int64)
+    home = user_home[stops.user]
+    dwell = stops.dwell_s
     result = AccumulateResult()
-    by_tract = result.by_tract
-    for stop, geoid in zip(stops, where, strict=True):
-        home = homes.get(stop.user_id)
-        if home is None:
-            result.dropped_stops += 1
-            result.dropped_dwell_s += stop.dwell_s
-            result.dropped_users.add(stop.user_id)
-            continue
-        acc = by_tract.get(home)
-        if acc is None:
-            acc = by_tract[home] = ExposureAccumulator(geoid=home)
-        dwell = stop.dwell_s
-        acc.tdt_s += dwell
-        if geoid is None:
-            acc.unresolved_dwell_s += dwell
-            continue
-        nonhome = geoid != home
-        if nonhome:
-            acc.tdt_nonhome_s += dwell
-        for h, mask_set in masked.items():
-            if geoid in mask_set:
-                acc.hdt_s[h] += dwell
-                if nonhome:
-                    acc.hdt_nonhome_s[h] += dwell
+    dropped = np.flatnonzero(home < 0)
+    result.dropped_stops = len(dropped)
+    result.dropped_dwell_s = int(dwell[dropped].sum())
+    dropped_users = np.bincount(stops.user[dropped], minlength=len(stops.user_ids))
+    result.dropped_users = set(stops.user_ids[np.flatnonzero(dropped_users)].tolist())
+
+    kept = np.flatnonzero(home >= 0)
+    home, tract, dwell = home[kept], where[kept], dwell[kept]
+    # Tract codes of the homes; -2 for a home outside geoids, which no stop has.
+    tract_code = {g: i for i, g in enumerate(geoids)}
+    home_tract = np.array([tract_code.get(g, -2) for g in home_geoids], dtype=np.int64)
+    nonhome = (tract >= 0) & (tract != home_tract[home])
+
+    def sums(rows) -> list[int]:
+        """Exact int64 dwell sums per home over the selected stops."""
+        out = np.zeros(len(home_geoids), dtype=np.int64)
+        np.add.at(out, home[rows], dwell[rows])
+        return out.tolist()
+
+    tdt = sums(slice(None))
+    tdt_nonhome = sums(nonhome)
+    unresolved = sums(tract < 0)
+    hdt, hdt_nonhome = {}, {}
+    for h in HAZARD_TYPES:
+        masked_set = masks[h].masked_geoids() if h in masks else frozenset()
+        # One flag per tract code, plus a False for code -1 (no tract).
+        masked = np.array([g in masked_set for g in geoids] + [False])[tract]
+        hdt[h] = sums(masked)
+        hdt_nonhome[h] = sums(masked & nonhome)
+    counts = np.bincount(home, minlength=len(home_geoids))
+    for i in np.flatnonzero(counts).tolist():
+        result.by_tract[home_geoids[i]] = ExposureAccumulator(
+            geoid=home_geoids[i],
+            tdt_s=tdt[i],
+            hdt_s={h: hdt[h][i] for h in HAZARD_TYPES},
+            tdt_nonhome_s=tdt_nonhome[i],
+            hdt_nonhome_s={h: hdt_nonhome[h][i] for h in HAZARD_TYPES},
+            unresolved_dwell_s=unresolved[i],
+        )
     return result
-
-
-def accumulate_parallel(
-    stops,
-    where: list[str | None],
-    home_map: HomeMap,
-    masks: dict[str, HazardLayer],
-    threads: int = 1,
-) -> AccumulateResult:
-    """Shard the stop list and its tracts across threads and merge the partial sums.
-
-    Integer sums commute, so the merged result is identical to the
-    single-pass result for any shard boundaries and any thread count.
-    """
-    if threads <= 1 or len(stops) < 2 * threads:
-        return accumulate(stops, where, home_map, masks)
-    from concurrent.futures import ThreadPoolExecutor
-
-    size = (len(stops) + threads - 1) // threads
-    bounds = range(0, len(stops), size)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(
-            lambda i: accumulate(stops[i : i + size], where[i : i + size], home_map, masks),
-            bounds,
-        ))
-    merged = partials[0]
-    for part in partials[1:]:
-        merged.merge(part)
-    return merged
 
 
 def compute_mei(result: AccumulateResult) -> MeiTable:

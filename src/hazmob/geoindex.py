@@ -10,7 +10,8 @@ size.
 locate_stops() is the pipeline's lookup. It runs the crossing test as
 numpy passes over all distinct stop points at once, evaluating the same
 float expressions in the same order as point_in_part(), so it returns
-exactly what locate() returns for every point. The scalar locate(),
+exactly what locate() returns for every point, as a code into the
+index's sorted geoids. The scalar locate(),
 contains() and point_in_part(), and the exhaustive locate_brute_force(),
 are its test oracles.
 """
@@ -23,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import CensusTract, Geometry
+from .model import CensusTract, Geometry, Stops
 
 DEFAULT_CELL_SIZE_DEG = 0.05
 
@@ -56,6 +57,7 @@ class TractIndex:
     cell_size_deg: float
     grid: dict[tuple[int, int], tuple[str, ...]]
     geometries: dict[str, tuple[_PreparedPart, ...]]
+    geoids: tuple[str, ...]  # sorted; locate_stops() returns positions in it
 
 
 def _prepare(geometry: Geometry) -> tuple[_PreparedPart, ...]:
@@ -90,7 +92,8 @@ def build_index(tracts: list[CensusTract], cell_size_deg: float = DEFAULT_CELL_S
                         bucket.append(tract.geoid)
     # Candidates sorted by geoid so overlap ties resolve to the smallest geoid.
     grid = {cell: tuple(sorted(geoids)) for cell, geoids in cells.items()}
-    return TractIndex(cell_size_deg=cell_size_deg, grid=grid, geometries=geometries)
+    return TractIndex(cell_size_deg=cell_size_deg, grid=grid, geometries=geometries,
+                      geoids=tuple(sorted(geometries)))
 
 
 def point_in_part(part: _PreparedPart, x: float, y: float) -> bool:
@@ -137,10 +140,11 @@ def locate(index: TractIndex, lon: float, lat: float) -> str | None:
     return None
 
 
-def locate_stops(index: TractIndex, stops) -> list[str | None]:
-    """Return the tract of every stop (or None), in stop order.
+def locate_stops(index: TractIndex, stops: Stops) -> np.ndarray:
+    """Return the tract of every stop, in stop order, as int32 codes.
 
-    Equal to [locate(index, s.lon, s.lat) for s in stops]. Distinct points
+    A code is a position in index.geoids, or -1 for a stop outside every
+    tract: index.geoids[code] == locate(index, lon, lat). Distinct points
     are sorted by index cell and located _BLOCK_POINTS at a time: each
     point is paired with its cell's candidate parts, pairs outside a part's
     bounding box are dropped, and each remaining pair is expanded over the
@@ -151,13 +155,13 @@ def locate_stops(index: TractIndex, stops) -> list[str | None]:
     GeoIndexError for a point with no finite index cell (a NaN or infinite
     coordinate).
     """
-    if not stops:
-        return []
+    if not len(stops):
+        return np.empty(0, dtype=np.int32)
     # Distinct points as lon + i·lat, sorted by lon then lat: np.unique
     # without its copy of the column and its inverse index. 0.0 and -0.0
     # share an entry, which is safe: locate() only scales, floors, subtracts
     # and compares a coordinate, and none of those tells them apart.
-    points = _complex_points(stops)
+    points = _complex_points(stops.lon, stops.lat)
     points.sort()
     points = points[np.r_[True, points[1:] != points[:-1]]]
     x, y = points.real, points.imag
@@ -166,22 +170,27 @@ def locate_stops(index: TractIndex, stops) -> list[str | None]:
     if not (np.isfinite(kx).all() and np.isfinite(ky).all()):
         raise GeoIndexError("stop point has no finite index cell")
     order = np.lexsort((ky, kx))
-    located = np.full(len(points), None, dtype=object)
+    codes = {geoid: code for code, geoid in enumerate(index.geoids)}
+    located = np.empty(len(points), dtype=np.int32)
     for start in range(0, len(order), _BLOCK_POINTS):
         block = order[start:start + _BLOCK_POINTS]
-        located[block] = _locate_block(index, x[block], y[block], kx[block], ky[block])
+        located[block] = _locate_block(index, codes, x[block], y[block], kx[block], ky[block])
     # Map stops back to their points a block at a time, with no n-long
     # inverse index.
-    where: list[str | None] = [None] * len(stops)
+    where = np.empty(len(stops), dtype=np.int32)
     for start in range(0, len(stops), _BLOCK_POINTS):
-        chunk = _complex_points(stops[start:start + _BLOCK_POINTS])
-        where[start:start + len(chunk)] = located[np.searchsorted(points, chunk)].tolist()
+        end = start + _BLOCK_POINTS
+        chunk = _complex_points(stops.lon[start:end], stops.lat[start:end])
+        where[start:end] = located[np.searchsorted(points, chunk)]
     return where
 
 
-def _complex_points(stops) -> np.ndarray:
-    """lon + i·lat of each stop."""
-    return np.fromiter((complex(s.lon, s.lat) for s in stops), np.complex128, len(stops))
+def _complex_points(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """lon + i·lat, built without arithmetic (1j * inf would give a NaN real part)."""
+    points = np.empty(len(lon), dtype=np.complex128)
+    points.real = lon
+    points.imag = lat
+    return points
 
 
 def _ragged_passes(counts: np.ndarray):
@@ -207,15 +216,15 @@ def _ragged_passes(counts: np.ndarray):
 _RING_BREAK = ((math.nan, math.nan),)
 
 
-def _locate_block(index: TractIndex, x, y, kx, ky) -> np.ndarray:
-    """Tracts (object array, None where outside) of points sorted by cell."""
-    located = np.full(len(x), None, dtype=object)
+def _locate_block(index: TractIndex, codes: dict[str, int], x, y, kx, ky) -> np.ndarray:
+    """Tract codes (-1 where outside) of points sorted by cell."""
+    located = np.full(len(x), -1, dtype=np.int32)
     # Candidate parts of each run of points that share a cell, in the grid's
     # geoid order; parts are numbered in the order the block first meets them.
     # The float cell keys find the grid's int keys (3.0 == 3, equal hashes).
     run_start = np.flatnonzero(np.r_[True, (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])])
     parts: list[_PreparedPart] = []
-    part_geoid: list[str] = []
+    part_code: list[int] = []
     part_ids: dict[str, range] = {}
     cand: list[int] = []
     run_cands = []
@@ -227,7 +236,7 @@ def _locate_block(index: TractIndex, x, y, kx, ky) -> np.ndarray:
                 geometry = index.geometries[geoid]
                 ids = part_ids[geoid] = range(len(parts), len(parts) + len(geometry))
                 parts += geometry
-                part_geoid += [geoid] * len(geometry)
+                part_code += [codes[geoid]] * len(geometry)
             cand += ids
         run_cands.append(len(cand) - before)
     if not parts:
@@ -306,7 +315,7 @@ def _locate_block(index: TractIndex, x, y, kx, ky) -> np.ndarray:
     hit = np.flatnonzero(on_edge | (crossings % 2 == 1))
     points = pair_point[hit]
     first = np.flatnonzero(np.diff(points, prepend=-1))
-    located[points[first]] = np.array(part_geoid, dtype=object)[pair_part[hit[first]]]
+    located[points[first]] = np.array(part_code, dtype=np.int32)[pair_part[hit[first]]]
     return located
 
 

@@ -5,21 +5,39 @@ largest total nighttime dwell (stop intervals clipped to the night
 window), provided the user has nighttime dwell on at least min_nights
 distinct nights. Ties break by larger all-day dwell, then smallest geoid.
 The result is a pure function of the stop set; input order is irrelevant.
+
+infer_homes() works on whole columns in closed form, with no per-night
+loop: a stop's night seconds are a difference of a cumulative night-time
+function, the nights it touches form one contiguous range of night ids,
+and a user's night count is the size of the union of those ranges. The
+scalar night_overlaps(), which splits one stop night by night, is the
+test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
+
+from .model import Stops
 
 DAY_S = 86400
 
 
 @dataclass(frozen=True, slots=True)
 class HomeMap:
-    """Home assignments plus the users that could not be assigned."""
+    """Home assignments plus the users that could not be assigned.
+
+    no_night_dwell counts the unassigned users with no nighttime dwell at
+    any located stop; the other unassigned users have dwell on fewer than
+    min_nights nights.
+    """
 
     assignments: dict[str, str]
     unassigned: list[str] = field(default_factory=list)
+    no_night_dwell: int = 0
 
 
 def night_overlaps(start_ts: int, dwell_s: int, night_start: int, night_end: int) -> list[tuple[int, int]]:
@@ -46,46 +64,113 @@ def night_overlaps(start_ts: int, dwell_s: int, night_start: int, night_end: int
     return out
 
 
+def _window(night_start: int, night_end: int) -> tuple[int, int]:
+    """(offset, length) in seconds of the night window opening each UTC day.
+
+    Windows wrap midnight when night_end <= night_start, so equal hours
+    make the whole day night.
+    """
+    wrap = night_end <= night_start
+    return night_start * 3600, ((night_end + 24 if wrap else night_end) - night_start) * 3600
+
+
+def _night_seconds(start_ts: np.ndarray, dwell_s: np.ndarray, night_start: int, night_end: int) -> np.ndarray:
+    """Seconds of each stop inside night windows: the sum of its night_overlaps().
+
+    With (q, r) = divmod(t - offset, DAY_S), F(t) = q * length + min(r, length)
+    counts the night seconds before t, so a stop holds F(end) - F(start).
+    """
+    offset, length = _window(night_start, night_end)
+
+    def before(t):
+        q, r = np.divmod(t - offset, DAY_S)
+        return q * length + np.minimum(r, length)
+
+    return before(start_ts + dwell_s) - before(start_ts)
+
+
+def _night_range(start_ts: np.ndarray, dwell_s: np.ndarray, night_start: int, night_end: int):
+    """(first, last) night ids, inclusive, of the windows each stop overlaps.
+
+    These are the night ids of its night_overlaps(); the range is empty
+    (first > last) when the stop has no night seconds.
+    """
+    offset, length = _window(night_start, night_end)
+    first = (start_ts - offset - length) // DAY_S + 1
+    last = np.where(dwell_s > 0, (start_ts + dwell_s - offset - 1) // DAY_S, first - 1)
+    return first, last
+
+
+def _count_nights(user: np.ndarray, first: np.ndarray, last: np.ndarray, n_users: int) -> np.ndarray:
+    """Per user code, the size of the union of its nonempty [first, last] ranges.
+
+    The ranges are swept in (user, first) order against the running max of
+    the last nights. Each user's ranges are shifted into a band of their
+    own, so the running max never carries over from the previous user.
+    """
+    order = np.lexsort((first, user))
+    user, first, last = user[order], first[order], last[order]
+    base = first.min() if len(user) else 0
+    band = last.max() - base + 2 if len(user) else 0
+    lo = user * band + (first - base)
+    hi = user * band + (last - base)
+    covered = np.r_[lo[:1] - 1, np.maximum.accumulate(hi)[:-1]]
+    nights = np.zeros(n_users, dtype=np.int64)
+    np.add.at(nights, user, np.maximum(hi - np.maximum(lo - 1, covered), 0))
+    return nights
+
+
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal keys."""
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: len(keys)])
+
+
 def infer_homes(
-    stops,
-    where: list[str | None],
+    stops: Stops,
+    where: np.ndarray,
+    geoids: Sequence[str],
     night_start: int = 22,
     night_end: int = 6,
     min_nights: int = 3,
 ) -> HomeMap:
     """Infer each user's home tract from nighttime dwell.
 
-    where[i] is the tract holding stops[i] (geoindex.locate_stops), or
-    None when the stop lies outside every tract.
+    where[i] is the tract of stop i (geoindex.locate_stops): a position in
+    geoids, or -1 when the stop lies outside every tract. Such stops count
+    toward nothing.
     """
-    night_dwell: dict[str, dict[str, int]] = {}
-    total_dwell: dict[str, dict[str, int]] = {}
-    nights_seen: dict[str, set[int]] = {}
-    users: set[str] = set()
-    for stop, geoid in zip(stops, where, strict=True):
-        users.add(stop.user_id)
-        if geoid is None:
-            continue
-        per_tract = total_dwell.setdefault(stop.user_id, {})
-        per_tract[geoid] = per_tract.get(geoid, 0) + stop.dwell_s
-        pieces = night_overlaps(stop.start_ts, stop.dwell_s, night_start, night_end)
-        if not pieces:
-            continue
-        nd = night_dwell.setdefault(stop.user_id, {})
-        seen = nights_seen.setdefault(stop.user_id, set())
-        for night_id, seconds in pieces:
-            nd[geoid] = nd.get(geoid, 0) + seconds
-            seen.add(night_id)
+    n_users = len(stops.user_ids)
+    located = np.flatnonzero(where >= 0)
+    user = stops.user[located].astype(np.int64)
+    start, dwell = stops.start_ts[located], stops.dwell_s[located]
+    night = _night_seconds(start, dwell, night_start, night_end)
 
-    assignments: dict[str, str] = {}
-    unassigned: list[str] = []
-    for user in sorted(users):
-        nd = night_dwell.get(user)
-        if not nd or len(nights_seen.get(user, ())) < min_nights:
-            unassigned.append(user)
-            continue
-        td = total_dwell[user]
-        # Max nighttime dwell, then max total dwell, then smallest geoid.
-        best = min(nd, key=lambda g: (-nd[g], -td.get(g, 0), g))
-        assignments[user] = best
-    return HomeMap(assignments=assignments, unassigned=unassigned)
+    # Night and total dwell per (user, tract) pair. Pairs with night dwell
+    # are the home candidates; a user's best one comes first in
+    # (user, -night dwell, -total dwell, geoid) order.
+    n_tracts = max(len(geoids), 1)
+    pair = user * n_tracts + where[located]
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    head = _heads(pair)
+    pair_user, pair_tract = np.divmod(pair[head], n_tracts)
+    pair_total = np.add.reduceat(dwell[order], head)
+    pair_night = np.add.reduceat(night[order], head)
+    cand = np.flatnonzero(pair_night > 0)
+    cand = cand[np.lexsort((pair_tract[cand], -pair_total[cand], -pair_night[cand], pair_user[cand]))]
+    best = cand[_heads(pair_user[cand])]
+    home = np.full(n_users, -1, dtype=np.int64)
+    home[pair_user[best]] = pair_tract[best]
+
+    sel = np.flatnonzero(night > 0)
+    first, last = _night_range(start[sel], dwell[sel], night_start, night_end)
+    home[_count_nights(user[sel], first, last, n_users) < min_nights] = -1
+
+    by_name = np.argsort(stops.user_ids, kind="stable")
+    names = stops.user_ids[by_name].tolist()
+    homes = home[by_name].tolist()
+    return HomeMap(
+        assignments={u: geoids[h] for u, h in zip(names, homes) if h >= 0},
+        unassigned=[u for u, h in zip(names, homes) if h < 0],
+        no_night_dwell=n_users - len(best),
+    )

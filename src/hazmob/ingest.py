@@ -5,26 +5,38 @@ tract GeoJSON schema, and the deterministic report CSVs with their JSON
 metadata sidecars. Data-row problems are rejected row by row and counted;
 structural problems (bad header, duplicate keys, broken geometry) abort
 with IngestError.
+
+parse_stops() returns one model.Stops frame of numpy columns. It checks
+and converts whole chunks of rows at once; only rows those checks do not
+accept take the scalar row path, which words each reject exactly as a
+row-by-row parse would.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import filterfalse, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable
+
+import numpy as np
 
 from .model import (
     HAZARD_SHORT,
     HAZARD_TYPES,
+    MAX_DWELL_S,
     CensusTract,
     HazardLayer,
     MeiRow,
     MeiTable,
     StopRecord,
+    Stops,
     validate,
 )
 
@@ -107,11 +119,28 @@ def format_iso_utc(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def parse_stops(source: str | Path | IO) -> tuple[list[StopRecord], IngestReport]:
-    """Parse a stops CSV, rejecting malformed rows and keeping row order."""
+# parse_stops() reads this many CSV rows at a time; it bounds the rows held
+# as Python strings. Results do not depend on it.
+_CHUNK_ROWS = 4096
+_STOP_DTYPES = (np.int32, np.float64, np.float64, np.int64, np.int64, np.int64)
+_UNREAD = -(2**63)  # below every epoch parse_iso_utc() returns
+
+
+def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
+    """Parse a stops CSV into a Stops frame, rejecting malformed rows and keeping row order.
+
+    Rows are read _CHUNK_ROWS at a time. Coordinates and dwell go through
+    float() and int() as in the scalar row path, canonical timestamps are
+    decoded as a byte matrix, and every range check runs on whole columns.
+    A row that fails only because its timestamp is not canonical is read
+    with parse_iso_utc(). Any other row the column checks do not accept
+    goes through the scalar row path, which decides and words its reject,
+    so rejects and their reasons are those of a row-by-row parse.
+    """
     handle, owned = _open_text(source)
     report = IngestReport()
-    stops: list[StopRecord] = []
+    users: dict[str, int] = {}
+    chunks = []
     try:
         reader = csv.reader(handle)
         try:
@@ -120,32 +149,158 @@ def parse_stops(source: str | Path | IO) -> tuple[list[StopRecord], IngestReport
             raise IngestError("stops file is empty (missing header)") from None
         if header != STOPS_HEADER:
             raise IngestError(f"bad stops header: expected {STOPS_HEADER}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            report.rows_read += 1
-            if len(row) != 5:
-                report.reject(line_no, f"expected 5 fields, got {len(row)}")
-                continue
-            try:
-                rec = StopRecord(
-                    user_id=row[0],
-                    lon=float(row[1]),
-                    lat=float(row[2]),
-                    start_ts=parse_iso_utc(row[3]),
-                    dwell_s=int(row[4]),
-                )
-            except (ValueError, IndexError) as exc:
-                report.reject(line_no, f"unparseable field: {exc}")
-                continue
-            violations = validate(rec)
-            if violations:
-                report.reject(line_no, violations[0])
-                continue
-            stops.append(rec)
-            report.rows_accepted += 1
+        line = 2
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            chunks.append(_parse_chunk(rows, line, report, users))
+            line += len(rows)
     finally:
         if owned:
             handle.close()
+    if chunks:
+        columns = [np.concatenate(column) for column in zip(*chunks)]
+    else:
+        columns = [np.empty(0, dtype) for dtype in _STOP_DTYPES]
+    user, lon, lat, start_ts, dwell_s, lines = columns
+    stops = Stops(user=user, user_ids=np.array(list(users), dtype=object), lon=lon, lat=lat,
+                  start_ts=start_ts, dwell_s=dwell_s, line=lines)
     return stops, report
+
+
+def _parse_chunk(rows: list[list[str]], first_line: int, report: IngestReport,
+                 users: dict[str, int]) -> tuple[np.ndarray, ...]:
+    """Columns (user code, lon, lat, start_ts, dwell_s, line) of a chunk's accepted rows.
+
+    Rejects are recorded in line order; users first seen here get the next codes.
+    """
+    n = len(rows)
+    lon, lat = np.zeros(n), np.zeros(n)
+    start_ts, dwell_s = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    accepted = np.zeros(n, dtype=bool)
+    five = np.flatnonzero(np.fromiter(map(len, rows), np.int64, n) == 5)
+    if len(five):
+        good = rows if len(five) == n else list(map(rows.__getitem__, five.tolist()))
+        m = len(good)
+        ok = np.fromiter(map(bool, map(itemgetter(0), good)), bool, m)
+        for column, k, low, high in ((lon, 1, -180.0, 180.0), (lat, 2, -90.0, 90.0)):
+            values = np.fromiter(_map_lenient(float, map(itemgetter(k), good), math.nan), np.float64, m)
+            ok &= (low <= values) & (values <= high)  # NaN and failures fail both
+            column[five] = values
+        values = _map_lenient(int, map(itemgetter(4), good), -1)
+        try:
+            values = np.array(values, dtype=np.int64)
+        except OverflowError:  # beyond int64, so beyond MAX_DWELL_S
+            values = np.array([v if 0 <= v <= MAX_DWELL_S else -1 for v in values], dtype=np.int64)
+        ok &= (0 <= values) & (values <= MAX_DWELL_S)
+        dwell_s[five] = values
+        canonical, start_ts[five] = _canonical_epochs(list(map(itemgetter(3), good)))
+        accepted[five] = ok & canonical
+        # A row whose only fault is a non-canonical timestamp is accepted
+        # when parse_iso_utc() reads it.
+        retry = five[ok & ~canonical]
+        texts = map(itemgetter(3), map(rows.__getitem__, retry.tolist()))
+        stamps = np.fromiter(_map_lenient(parse_iso_utc, texts, _UNREAD), np.int64, len(retry))
+        start_ts[retry] = stamps
+        accepted[retry[stamps != _UNREAD]] = True
+
+    # Everything else takes the scalar row path, in line order.
+    for i in np.flatnonzero(~accepted).tolist():
+        rec = _scalar_stop(rows[i])
+        if isinstance(rec, str):
+            report.reject(first_line + i, rec)
+            continue
+        lon[i], lat[i], start_ts[i], dwell_s[i] = rec.lon, rec.lat, rec.start_ts, rec.dwell_s
+        accepted[i] = True
+    report.rows_read += n
+    keep = np.flatnonzero(accepted)
+    report.rows_accepted += len(keep)
+
+    names = list(map(itemgetter(0), map(rows.__getitem__, keep.tolist())))
+    fresh = list(filterfalse(users.__contains__, dict.fromkeys(names)))
+    users.update(zip(fresh, range(len(users), len(users) + len(fresh))))
+    user = np.fromiter(map(users.__getitem__, names), np.int32, len(names))
+    line = np.arange(first_line, first_line + n, dtype=np.int64)
+    return user, lon[keep], lat[keep], start_ts[keep], dwell_s[keep], line[keep]
+
+
+def _map_lenient(convert, texts, fill) -> list:
+    """[convert(t) for t in texts], with `fill` where convert raises ValueError.
+
+    The conversion runs as a C-level map, resumed after each failure.
+    """
+    out: list = []
+    it = iter(texts)
+    while True:
+        try:
+            out.extend(map(convert, it))
+            return out
+        except ValueError:
+            out.append(fill)
+
+
+def _scalar_stop(row: list[str]) -> StopRecord | str:
+    """The row path: the row's record, or the reason it is rejected."""
+    if len(row) != 5:
+        return f"expected 5 fields, got {len(row)}"
+    try:
+        rec = StopRecord(
+            user_id=row[0],
+            lon=float(row[1]),
+            lat=float(row[2]),
+            start_ts=parse_iso_utc(row[3]),
+            dwell_s=int(row[4]),
+        )
+    except (ValueError, IndexError) as exc:
+        return f"unparseable field: {exc}"
+    violations = validate(rec)
+    return violations[0] if violations else rec
+
+
+# Byte layout of a canonical YYYY-MM-DDTHH:MM:SSZ timestamp.
+_TS_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+_TS_SEPARATORS = np.array([4, 7, 10, 13, 16, 19])
+_TS_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _canonical_epochs(texts) -> tuple[np.ndarray, np.ndarray]:
+    """Which texts are valid canonical UTC timestamps, and their epoch seconds.
+
+    Accepts exactly the ASCII YYYY-MM-DDTHH:MM:SSZ strings that
+    parse_iso_utc() accepts through its fast path (a real date in years
+    1-9999, hour 00-23, minute and second 00-59), with the same value;
+    other entries are False with epoch 0. Dates become days with H.
+    Hinnant's days_from_civil.
+    """
+    n = len(texts)
+    ok = np.fromiter(map(len, texts), np.int64, n) == 20
+    picked = np.flatnonzero(ok)
+    epochs = np.zeros(n, dtype=np.int64)
+    if not len(picked):
+        return ok, epochs
+    same = texts if len(picked) == n else list(map(texts.__getitem__, picked.tolist()))
+    # Non-ASCII characters become "?", one byte each, and fail the checks.
+    raw = np.frombuffer("".join(same).encode("ascii", "replace"), dtype=np.uint8).reshape(-1, 20)
+    valid = (raw[:, _TS_SEPARATORS] == _TS_TEMPLATE[_TS_SEPARATORS]).all(axis=1)
+    digits = raw[:, _TS_DIGITS] - np.uint8(48)  # non-digits wrap past 9
+    valid &= (digits <= 9).all(axis=1)
+    d = digits.astype(np.int64)
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month = d[:, 4] * 10 + d[:, 5]
+    day = d[:, 6] * 10 + d[:, 7]
+    hour, minute, second = d[:, 8] * 10 + d[:, 9], d[:, 10] * 10 + d[:, 11], d[:, 12] * 10 + d[:, 13]
+    valid &= (year >= 1) & (1 <= month) & (month <= 12) & (hour <= 23) & (minute <= 59) & (second <= 59)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _DAYS_IN_MONTH[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
+    valid &= (1 <= day) & (day <= month_days)
+    # days_from_civil: years start in March, so February's leap day is last.
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * np.where(month > 2, month - 3, month + 9) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    ok[picked] = valid
+    epochs[picked] = np.where(valid, days * 86400 + hour * 3600 + minute * 60 + second, 0)
+    return ok, epochs
 
 
 def _as_ring(raw, feature_idx: int, where: str) -> tuple[tuple[float, float], ...]:
@@ -296,8 +451,9 @@ def _write_sidecar(dest: str | Path, config_hash: str, n_rows: int) -> None:
         raise IngestError(f"cannot write {dest}.meta.json: {exc}") from exc
 
 
-def write_stops(stops: Iterable[StopRecord], dest: str | Path) -> int:
-    rows = ([s.user_id, repr(s.lon), repr(s.lat), format_iso_utc(s.start_ts), s.dwell_s] for s in stops)
+def write_stops(stops: Stops, dest: str | Path) -> int:
+    rows = ([s.user_id, repr(s.lon), repr(s.lat), format_iso_utc(s.start_ts), s.dwell_s]
+            for s in stops.records())
     return _write_csv(dest, STOPS_HEADER, rows)
 
 

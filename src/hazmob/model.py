@@ -4,11 +4,16 @@ All values are plain dataclasses with no I/O and no algorithms. Dwell
 times are integer seconds throughout so that accumulation is exact.
 Instances are treated as immutable once constructed; mapping fields are
 never mutated after the owning object is returned to a caller.
+
+The pipeline holds its stops in one Stops frame of numpy columns;
+StopRecord is the row view of that frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 HAZARD_TYPES = ("air_pollution", "toxic", "heat")
 
@@ -36,6 +41,45 @@ class StopRecord:
     lat: float
     start_ts: int  # UTC epoch seconds
     dwell_s: int
+
+
+# The longest accepted stop, about 68 years. It keeps every int64 dwell sum
+# exact for fewer than 2**32 stops.
+MAX_DWELL_S = 2**31 - 1
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Stops:
+    """Stop records as numpy columns, one entry per stop, in source order.
+
+    user holds int32 codes into user_ids (an object array naming each user
+    once, in order of first appearance); lon and lat are float64; start_ts
+    (UTC epoch seconds), dwell_s and line (the stop's line in its source
+    file, 2 for the first data row) are int64.
+    """
+
+    user: np.ndarray
+    user_ids: np.ndarray
+    lon: np.ndarray
+    lat: np.ndarray
+    start_ts: np.ndarray
+    dwell_s: np.ndarray
+    line: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Stops):
+            return NotImplemented
+        return self.records() == other.records() and np.array_equal(self.line, other.line)
+
+    def records(self) -> list[StopRecord]:
+        """The row view: one StopRecord per stop, in order."""
+        return list(map(
+            StopRecord, self.user_ids[self.user].tolist(), self.lon.tolist(), self.lat.tolist(),
+            self.start_ts.tolist(), self.dwell_s.tolist(),
+        ))
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,17 +132,6 @@ class ExposureAccumulator:
     hdt_nonhome_s: dict[str, int] = field(default_factory=lambda: dict.fromkeys(HAZARD_TYPES, 0))
     unresolved_dwell_s: int = 0
 
-    def merge(self, other: "ExposureAccumulator") -> None:
-        """Fold another accumulator for the same tract into this one."""
-        if other.geoid != self.geoid:
-            raise ValueError(f"cannot merge accumulators for {self.geoid} and {other.geoid}")
-        self.tdt_s += other.tdt_s
-        self.tdt_nonhome_s += other.tdt_nonhome_s
-        self.unresolved_dwell_s += other.unresolved_dwell_s
-        for h in HAZARD_TYPES:
-            self.hdt_s[h] += other.hdt_s[h]
-            self.hdt_nonhome_s[h] += other.hdt_nonhome_s[h]
-
 
 @dataclass(frozen=True, slots=True)
 class MeiRow:
@@ -144,6 +177,8 @@ def _validate_stop(rec: StopRecord) -> list[str]:
         out.append("lat: out of range [-90, 90]")
     if not isinstance(rec.dwell_s, int) or rec.dwell_s < 0:
         out.append("dwell_s: must be a non-negative integer")
+    elif rec.dwell_s > MAX_DWELL_S:
+        out.append("dwell_s: out of range")
     if not isinstance(rec.start_ts, int):
         out.append("start_ts: must be integer epoch seconds")
     return out

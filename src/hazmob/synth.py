@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hazardclass import classify_heat_quartile, classify_percentile, percentile_interpolated
-from .model import HAZARD_TYPES, CensusTract, HazardLayer, StopRecord
+from .model import HAZARD_TYPES, CensusTract, HazardLayer, Stops
 
 # 2019-04-01T00:00:00Z; the synthetic month spans 30 days from here.
 MONTH_START_TS = 1554076800
@@ -93,7 +93,7 @@ class World:
     config: WorldConfig
     tracts: list[CensusTract]
     layers: dict[str, HazardLayer]  # values only; masks live in the truth
-    stops: list[StopRecord]
+    stops: Stops  # line numbers are those of the written stops.csv
     truth: PlantedTruth = field(repr=False)
 
 
@@ -347,7 +347,7 @@ def gen_world(config: WorldConfig) -> World:
             raise AssertionError("archetype mask plant does not survive classification")
 
     stops_rng = _rng(config.seed, _STREAM_STOPS)
-    stops: list[StopRecord] = []
+    columns: list[tuple[np.ndarray, ...]] = []  # (lon, lat, start_ts, dwell_s) per batch of stops
     homes: dict[str, str] = {}
     n_day = config.stops_per_user
     for u in range(config.users):
@@ -359,17 +359,13 @@ def gen_world(config: WorldConfig) -> World:
         night_minutes = stops_rng.integers(0, 30, NIGHTS_PER_USER)
         night_dwells = stops_rng.integers(*NIGHT_DWELL, NIGHTS_PER_USER)
         night_coords = stops_rng.uniform(0.05, 0.95, (NIGHTS_PER_USER, 2))
-        for d in range(NIGHTS_PER_USER):
-            ts = MONTH_START_TS + d * 86400 + 23 * 3600 + int(night_minutes[d]) * 60
-            stops.append(
-                StopRecord(
-                    user_id=user_id,
-                    lon=home_col + float(night_coords[d, 0]),
-                    lat=home_row + float(night_coords[d, 1]),
-                    start_ts=ts,
-                    dwell_s=int(night_dwells[d]),
-                )
-            )
+        nights = np.arange(NIGHTS_PER_USER)
+        columns.append((
+            home_col + night_coords[:, 0],
+            home_row + night_coords[:, 1],
+            MONTH_START_TS + nights * 86400 + 23 * 3600 + night_minutes * 60,
+            night_dwells,
+        ))
         if n_day == 0:
             continue
         cum = cum_weights[home_idx]
@@ -380,18 +376,19 @@ def gen_world(config: WorldConfig) -> World:
         minutes = stops_rng.integers(0, 60, n_day)
         dwells = stops_rng.integers(*DAY_DWELL, n_day)
         coords = stops_rng.uniform(0.05, 0.95, (n_day, 2))
-        for s in range(n_day):
-            dest = int(dests[s])
-            ts = MONTH_START_TS + int(days[s]) * 86400 + int(hours[s]) * 3600 + int(minutes[s]) * 60
-            stops.append(
-                StopRecord(
-                    user_id=user_id,
-                    lon=dest % n + float(coords[s, 0]),
-                    lat=dest // n + float(coords[s, 1]),
-                    start_ts=ts,
-                    dwell_s=int(dwells[s]),
-                )
-            )
+        columns.append((
+            dests % n + coords[:, 0],
+            dests // n + coords[:, 1],
+            MONTH_START_TS + days * 86400 + hours * 3600 + minutes * 60,
+            dwells,
+        ))
+    lon, lat, start_ts, dwell_s = map(np.concatenate, zip(*columns))
+    stops = Stops(
+        user=np.repeat(np.arange(config.users, dtype=np.int32), NIGHTS_PER_USER + n_day),
+        user_ids=np.array(list(homes), dtype=object),
+        lon=lon, lat=lat, start_ts=start_ts, dwell_s=dwell_s,
+        line=np.arange(2, len(lon) + 2, dtype=np.int64),
+    )
 
     expected = _expected_mei(config, geoids, weights, masks)
     labels = None

@@ -32,13 +32,13 @@ def gate(num: int, description: str, condition: bool, detail: str = "") -> None:
 def run_pipeline(world, cell_size=0.5, air_thr=0.5, toxic_thr=0.5):
     index = build_index(world.tracts, cell_size_deg=cell_size)
     where = locate_stops(index, world.stops)
-    home_map = infer_homes(world.stops, where)
+    home_map = infer_homes(world.stops, where, index.geoids)
     masks = {
         "air_pollution": hazardclass.classify_percentile(world.layers["air_pollution"], air_thr),
         "toxic": hazardclass.classify_percentile(world.layers["toxic"], toxic_thr),
         "heat": hazardclass.classify_heat_quartile(world.layers["heat"], world.tracts),
     }
-    acc = exposure.accumulate(world.stops, where, home_map, masks)
+    acc = exposure.accumulate(world.stops, where, index.geoids, home_map, masks)
     table = exposure.classify_regions(exposure.compute_mei(acc), masks)
     return index, home_map, masks, acc, table
 
@@ -63,7 +63,7 @@ def test_c01_exposure_equals_reference_loop():
     masked = {h: masks[h].masked_geoids() for h in HAZARD_TYPES}
     tdt: dict[str, int] = {}
     hdt: dict[str, dict[str, int]] = {h: {} for h in HAZARD_TYPES}
-    for s in world.stops:
+    for s in world.stops.records():
         home = home_map.assignments.get(s.user_id)
         if home is None:
             continue
@@ -354,13 +354,13 @@ def test_c09_million_stop_performance_floor(tmp_path):
     layers = {h: ingest.parse_hazard(paths[f"hazard_{h}"], h)[0] for h in HAZARD_TYPES}
     index = build_index(tracts)
     where = locate_stops(index, stops)
-    home_map = infer_homes(stops, where)
+    home_map = infer_homes(stops, where, index.geoids)
     masks = {
         "air_pollution": hazardclass.classify_percentile(layers["air_pollution"]),
         "toxic": hazardclass.classify_percentile(layers["toxic"]),
         "heat": hazardclass.classify_heat_quartile(layers["heat"], tracts),
     }
-    acc = exposure.accumulate(stops, where, home_map, masks)
+    acc = exposure.accumulate(stops, where, index.geoids, home_map, masks)
     table = exposure.classify_regions(exposure.compute_mei(acc), masks)
     curves = [exposure.population_curve(table, tracts, h, [0.05, 0.10]) for h in HAZARD_TYPES]
     result = cluster.dbscan(cluster.cluster_points(table), cluster.ClusterConfig())
@@ -405,7 +405,7 @@ def test_c10_monotonicity_suite(bimodal_world):
     bigger = dict(masks)
     bigger["heat"] = type(heat)(hazard_type="heat", values=heat.values, mask=grown)
     grown_table = exposure.compute_mei(
-        exposure.accumulate(world.stops, locate_stops(index, world.stops), home_map, bigger)
+        exposure.accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, bigger)
     )
     mei_ok = True
     for geoid, row in table.rows.items():

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -268,7 +269,7 @@ def test_no_heat_quartile_toggle(fixture_dir, tmp_path):
 @pytest.mark.parametrize("module, name, stage", [
     ("cli", "locate_stops", "geoindex"),
     ("homeloc", "infer_homes", "homeloc"),
-    ("exposure", "accumulate_parallel", "exposure"),
+    ("exposure", "accumulate", "exposure"),
     ("exposure", "compute_mei", "exposure"),
     ("cluster", "dbscan", "cluster"),
     ("stats", "scatter_export", "stats"),
@@ -344,3 +345,56 @@ def test_non_finite_metadata_is_an_output_error(fixture_dir, tmp_path, capsys, m
     assert main(run_args(fixture_dir, out)) == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("error in output:")
     assert list(out.iterdir()) == []
+
+
+def test_huge_dwell_row_is_rejected_and_counted(fixture_dir, tmp_path, capsys):
+    """One stop of 10**20 s used to make home inference loop over every day of it."""
+    stops = tmp_path / "stops.csv"
+    good = (fixture_dir / "stops.csv").read_text()
+    stops.write_text(good + "u000000,0.06345199285039718,0.7144629343767177,"
+                            "2019-04-01T23:16:00Z,100000000000000000000\n")
+    args = run_args(fixture_dir, tmp_path / "out")
+    args[args.index("--stops") + 1] = str(stops)
+    started = time.perf_counter()
+    assert main(args) == EXIT_OK
+    assert time.perf_counter() - started < 30
+    counts = json.loads((tmp_path / "out" / "run_metadata.json").read_text())["counts"]
+    assert counts["stops_rejected"] == 1
+    assert counts["stops_accepted"] == len(good.splitlines()) - 1
+    capsys.readouterr()
+    assert main(["validate", "--stops", str(stops)]) == EXIT_OK
+    assert f"stops line {len(good.splitlines()) + 1}: dwell_s: out of range" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_report_non_finite_compound_threshold_exits_2(fixture_dir, tmp_path, capsys, value):
+    out = tmp_path / "for_report"
+    assert main(run_args(fixture_dir, out)) == EXIT_OK
+    capsys.readouterr()
+    assert main(["report", "--mei", str(out / "mei.csv"),
+                 "--tracts", str(fixture_dir / "tracts.geojson"),
+                 f"--compound-threshold={value}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: compound_threshold must be finite")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("extra, no_night_dwell, below_min_nights", [
+    (("--min-nights", "9"), 0, 108),  # every user has 8 planted nights
+    (("--night-start", "5", "--night-end", "5"), 0, 0),  # the whole day is night
+    (("--night-start", "18", "--night-end", "19", "--min-nights", "2"), None, None),
+])
+def test_run_metadata_says_why_users_got_no_home(fixture_dir, tmp_path, extra, no_night_dwell,
+                                                 below_min_nights):
+    out = tmp_path / "out"
+    assert main(run_args(fixture_dir, out, *extra)) == EXIT_OK
+    meta = json.loads((out / "run_metadata.json").read_text())
+    counts, diagnostics = meta["counts"], meta["diagnostics"]
+    assert counts["users_assigned"] + counts["users_unassigned"] == 108
+    assert (diagnostics["users_no_night_dwell"] + diagnostics["users_below_min_nights"]
+            == counts["users_unassigned"])
+    if no_night_dwell is None:  # day stops end by 18:30, night stops start at 23:00
+        assert diagnostics["users_no_night_dwell"] > 0
+    else:
+        assert diagnostics["users_no_night_dwell"] == no_night_dwell
+        assert diagnostics["users_below_min_nights"] == below_min_nights

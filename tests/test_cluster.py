@@ -333,9 +333,9 @@ def test_archetype_world_largest_cluster_is_all_high():
         synth.WorldConfig(seed=404, grid_n=16, users=512, stops_per_user=60, archetype_mode=True)
     )
     index = build_index(world.tracts, cell_size_deg=0.5)
-    home_map = infer_homes(world.stops, locate_stops(index, world.stops))
+    home_map = infer_homes(world.stops, locate_stops(index, world.stops), index.geoids)
     masks = classify_world_masks(world)
-    table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks)), masks)
+    table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, masks)), masks)
     points = cluster_points(table)
     result = dbscan(points, ClusterConfig(eps=0.1, min_pts=4))
     clusters = [r for r in result.summary if r.label != NOISE]

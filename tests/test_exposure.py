@@ -8,7 +8,6 @@ import pytest
 from hazmob import synth
 from hazmob.exposure import (
     accumulate,
-    accumulate_parallel,
     classify_regions,
     compound_latent,
     compute_mei,
@@ -16,15 +15,22 @@ from hazmob.exposure import (
 )
 from hazmob.geoindex import build_index, locate, locate_stops
 from hazmob.homeloc import HomeMap, infer_homes
-from hazmob.model import HAZARD_TYPES, HazardLayer, StopRecord
+from hazmob.model import HAZARD_TYPES, HazardLayer, StopRecord, Stops
 
-from conftest import classify_world_masks, unit_square_tract
+from conftest import classify_world_masks, frame_of, unit_square_tract
 
 APR1 = 1554076800
 
 
 def stop(user, lon, lat, dwell, start=APR1 + 9 * 3600):
     return StopRecord(user_id=user, lon=lon, lat=lat, start_ts=start, dwell_s=dwell)
+
+
+def accumulate_at(stops, index, home_map, masks):
+    """accumulate() over a frame (or a list of StopRecords) located in index."""
+    if not isinstance(stops, Stops):
+        stops = frame_of(stops)
+    return accumulate(stops, locate_stops(index, stops), index.geoids, home_map, masks)
 
 
 def masks_for(geoids_by_hazard: dict) -> dict:
@@ -47,7 +53,7 @@ def test_all_dwell_in_masked_home_tract(two_tract_setup):
     _, index = two_tract_setup
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 30), stop("u1", 0.6, 0.5, 70)]
-    result = accumulate(stops, locate_stops(index, stops), home_map, masks_for({"heat": {"48001000001"}}))
+    result = accumulate_at(stops, index, home_map, masks_for({"heat": {"48001000001"}}))
     acc = result.by_tract["48001000001"]
     assert acc.tdt_s == 100
     assert acc.hdt_s["heat"] == 100
@@ -59,7 +65,7 @@ def test_nonhome_stop_in_unmasked_tract(two_tract_setup):
     _, index = two_tract_setup
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 30), stop("u1", 1.5, 0.5, 70)]
-    result = accumulate(stops, locate_stops(index, stops), home_map, masks_for({"heat": {"48001000001"}}))
+    result = accumulate_at(stops, index, home_map, masks_for({"heat": {"48001000001"}}))
     acc = result.by_tract["48001000001"]
     assert acc.tdt_s == 100
     assert acc.hdt_s["heat"] == 30
@@ -71,7 +77,7 @@ def test_unlocated_stop_counts_in_tdt_and_unresolved(two_tract_setup):
     _, index = two_tract_setup
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 40), stop("u1", 9.0, 9.0, 25)]
-    result = accumulate(stops, locate_stops(index, stops), home_map, masks_for({"heat": {"48001000001"}}))
+    result = accumulate_at(stops, index, home_map, masks_for({"heat": {"48001000001"}}))
     acc = result.by_tract["48001000001"]
     assert acc.tdt_s == 65
     assert acc.unresolved_dwell_s == 25
@@ -83,7 +89,7 @@ def test_stops_by_homeless_users_dropped_with_diagnostics(two_tract_setup):
     _, index = two_tract_setup
     home_map = HomeMap(assignments={"u1": "48001000001"}, unassigned=["u2"])
     stops = [stop("u1", 0.5, 0.5, 40), stop("u2", 0.5, 0.5, 99)]
-    result = accumulate(stops, locate_stops(index, stops), home_map, masks_for({}))
+    result = accumulate_at(stops, index, home_map, masks_for({}))
     assert result.dropped_stops == 1
     assert result.dropped_dwell_s == 99
     assert result.dropped_users == {"u2"}
@@ -122,7 +128,7 @@ def test_mei_upper_bound_all_masked(two_tract_setup):
     _, index = two_tract_setup
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 50)]
-    result = accumulate(stops, locate_stops(index, stops), home_map, masks_for({"air_pollution": {"48001000001"}}))
+    result = accumulate_at(stops, index, home_map, masks_for({"air_pollution": {"48001000001"}}))
     table = compute_mei(result)
     row = table.rows["48001000001"]
     assert row.mei["air_pollution"] == 1.0
@@ -223,7 +229,7 @@ def oracle_world():
                           users=500, stops_per_user=192)
     )
     index = build_index(world.tracts, cell_size_deg=0.5)
-    home_map = infer_homes(world.stops, locate_stops(index, world.stops))
+    home_map = infer_homes(world.stops, locate_stops(index, world.stops), index.geoids)
     masks = classify_world_masks(world)
     return world, index, home_map, masks
 
@@ -231,10 +237,10 @@ def oracle_world():
 def test_accumulate_matches_reference_loop(oracle_world):
     world, index, home_map, masks = oracle_world
     assert len(world.stops) == 100000
-    result = accumulate(world.stops, locate_stops(index, world.stops), home_map, masks)
+    result = accumulate_at(world.stops, index, home_map, masks)
     masked_sets = {h: masks[h].masked_geoids() for h in HAZARD_TYPES}
     tdt, hdt, tdt_nh, hdt_nh, unresolved = reference_exposure(
-        world.stops, home_map.assignments, index, masked_sets
+        world.stops.records(), home_map.assignments, index, masked_sets
     )
     assert set(result.by_tract) == set(tdt)
     for geoid, acc in result.by_tract.items():
@@ -246,41 +252,25 @@ def test_accumulate_matches_reference_loop(oracle_world):
             assert acc.hdt_nonhome_s[h] == hdt_nh[h].get(geoid, 0)
 
 
-def test_sharded_accumulation_identical(oracle_world):
-    world, index, home_map, masks = oracle_world
-    where = locate_stops(index, world.stops)
-    single = accumulate(world.stops, where, home_map, masks)
-    for threads in (2, 5, 8):
-        sharded = accumulate_parallel(world.stops, where, home_map, masks, threads=threads)
-        assert set(sharded.by_tract) == set(single.by_tract)
-        for geoid, acc in single.by_tract.items():
-            other = sharded.by_tract[geoid]
-            assert acc.tdt_s == other.tdt_s
-            assert acc.hdt_s == other.hdt_s
-            assert acc.tdt_nonhome_s == other.tdt_nonhome_s
-            assert acc.hdt_nonhome_s == other.hdt_nonhome_s
-            assert acc.unresolved_dwell_s == other.unresolved_dwell_s
-
-
 def test_conservation_of_dwell(oracle_world):
     world, index, home_map, masks = oracle_world
-    result = accumulate(world.stops, locate_stops(index, world.stops), home_map, masks)
-    total = sum(s.dwell_s for s in world.stops)
+    result = accumulate_at(world.stops, index, home_map, masks)
+    total = sum(s.dwell_s for s in world.stops.records())
     assert sum(a.tdt_s for a in result.by_tract.values()) + result.dropped_dwell_s == total
 
 
 def test_stop_order_shuffle_leaves_results_unchanged(oracle_world):
     world, index, home_map, masks = oracle_world
-    baseline = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks))
-    shuffled = list(world.stops)
+    baseline = compute_mei(accumulate_at(world.stops, index, home_map, masks))
+    shuffled = world.stops.records()
     random.Random(1).shuffle(shuffled)
-    again = compute_mei(accumulate(shuffled, locate_stops(index, shuffled), home_map, masks))
+    again = compute_mei(accumulate_at(shuffled, index, home_map, masks))
     assert baseline.rows == again.rows
 
 
 def test_nonhome_share_never_exceeds_mei(oracle_world):
     world, index, home_map, masks = oracle_world
-    table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks))
+    table = compute_mei(accumulate_at(world.stops, index, home_map, masks))
     for row in table.rows.values():
         for h in HAZARD_TYPES:
             if row.mei[h] is not None:
@@ -290,7 +280,7 @@ def test_nonhome_share_never_exceeds_mei(oracle_world):
 
 def test_population_curve_matches_brute_force_on_world(oracle_world):
     world, index, home_map, masks = oracle_world
-    table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks)), masks)
+    table = classify_regions(compute_mei(accumulate_at(world.stops, index, home_map, masks)), masks)
     pop = {t.geoid: t.population for t in world.tracts}
     thresholds = [0.0, 0.02, 0.05, 0.1, 0.2, 0.5]
     for h in HAZARD_TYPES:
@@ -306,7 +296,7 @@ def test_population_curve_matches_brute_force_on_world(oracle_world):
 
 def test_compound_latent_matches_brute_force_on_world(oracle_world):
     world, index, home_map, masks = oracle_world
-    table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks)), masks)
+    table = classify_regions(compute_mei(accumulate_at(world.stops, index, home_map, masks)), masks)
     pop = {t.geoid: t.population for t in world.tracts}
     geoids, total = compound_latent(table, world.tracts, 0.02)
     expected = sorted(
@@ -320,14 +310,14 @@ def test_compound_latent_matches_brute_force_on_world(oracle_world):
 
 def test_enlarging_mask_never_decreases_mei(oracle_world):
     world, index, home_map, masks = oracle_world
-    base_table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks))
+    base_table = compute_mei(accumulate_at(world.stops, index, home_map, masks))
     bigger = dict(masks)
     heat = masks["heat"]
     extra = sorted(set(heat.values) - heat.masked_geoids())[:20]
     mask = dict(heat.mask)
     mask.update({g: True for g in extra})
     bigger["heat"] = HazardLayer(hazard_type="heat", values=heat.values, mask=mask)
-    grown_table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, bigger))
+    grown_table = compute_mei(accumulate_at(world.stops, index, home_map, bigger))
     for geoid, row in base_table.rows.items():
         before = row.mei["heat"]
         after = grown_table.rows[geoid].mei["heat"]

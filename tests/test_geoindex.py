@@ -18,7 +18,7 @@ from hazmob.geoindex import (
 )
 from hazmob.model import CensusTract, StopRecord
 
-from conftest import unit_square_tract
+from conftest import frame_of, geoids_of, stops_at, unit_square_tract
 
 
 @pytest.fixture(scope="module")
@@ -246,11 +246,12 @@ _stop_lists = st.lists(_points, min_size=1, max_size=12).flatmap(
 @given(_stop_lists)
 def test_locate_stops_equals_scalar_locate_and_brute_force(stops):
     expected = [locate_brute_force(LOCATE_INDEX, s.lon, s.lat) for s in stops]
+    frame = frame_of(stops)
     for index in LOCATE_INDEXES:
         assert [locate(index, s.lon, s.lat) for s in stops] == expected
-        assert locate_stops(index, stops) == expected
+        assert geoids_of(index, locate_stops(index, frame)) == expected
         with mock.patch.multiple(geoindex, **SMALL_SIZES):
-            assert locate_stops(index, stops) == expected
+            assert geoids_of(index, locate_stops(index, frame)) == expected
 
 
 FIXTURE_CASES = [
@@ -276,13 +277,13 @@ FIXTURE_CASES = [
 
 def test_locate_stops_fixture_covers_edges_holes_and_islands():
     assert len(LOCATE_WORLD[-3].geometry[0][0]) == 201
-    stops = [StopRecord(user_id="u", lon=x, lat=y, start_ts=0, dwell_s=1) for (x, y), _ in FIXTURE_CASES]
+    stops = stops_at(point for point, _ in FIXTURE_CASES)
     expected = [geoid for _, geoid in FIXTURE_CASES]
     for index in LOCATE_INDEXES:
-        assert [locate(index, s.lon, s.lat) for s in stops] == expected
-        assert locate_stops(index, stops) == expected
+        assert [locate(index, s.lon, s.lat) for s in stops.records()] == expected
+        assert geoids_of(index, locate_stops(index, stops)) == expected
         with mock.patch.multiple(geoindex, **SMALL_SIZES):
-            assert locate_stops(index, stops) == expected
+            assert geoids_of(index, locate_stops(index, stops)) == expected
 
 
 def _scattered_stops(index, rng, n):
@@ -292,19 +293,19 @@ def _scattered_stops(index, rng, n):
     y0, y1 = min(p.min_y for p in parts) - 0.5, max(p.max_y for p in parts) + 0.5
     pts = [(rng.uniform(x0, x1), rng.uniform(y0, y1)) for _ in range(n)]
     pts += [rng.choice(pts) for _ in range(n // 2)]
-    return [StopRecord(user_id="u", lon=x, lat=y, start_ts=0, dwell_s=1) for x, y in pts]
+    return stops_at(pts)
 
 
 def test_locate_stops_calls_neither_locate_nor_contains(monkeypatch):
     stops = _scattered_stops(LOCATE_INDEX, random.Random(5), 3000)
-    expected = [locate(LOCATE_INDEX, s.lon, s.lat) for s in stops]
+    expected = [locate(LOCATE_INDEX, s.lon, s.lat) for s in stops.records()]
 
     def forbidden(*args):
         raise AssertionError("locate_stops must not fall back to the scalar oracles")
 
     for name in ("locate", "contains", "point_in_part", "locate_brute_force"):
         monkeypatch.setattr(geoindex, name, forbidden)
-    assert locate_stops(LOCATE_INDEX, stops) == expected
+    assert geoids_of(LOCATE_INDEX, locate_stops(LOCATE_INDEX, stops)) == expected
 
 
 def test_locate_stops_empty_builds_nothing(monkeypatch):
@@ -313,13 +314,13 @@ def test_locate_stops_empty_builds_nothing(monkeypatch):
 
     monkeypatch.setattr(geoindex, "_complex_points", forbidden)
     monkeypatch.setattr(geoindex, "_locate_block", forbidden)
-    assert locate_stops(object(), []) == []
+    assert geoids_of(None, locate_stops(object(), stops_at([]))) == []
 
 
 def test_locate_stops_rejects_points_without_a_finite_cell():
     for lon, lat in ((math.nan, 0.5), (0.5, math.inf)):
         with pytest.raises(GeoIndexError):
-            locate_stops(LOCATE_INDEX, [StopRecord(user_id="u", lon=lon, lat=lat, start_ts=0, dwell_s=1)])
+            locate_stops(LOCATE_INDEX, stops_at([(lon, lat)]))
 
 
 def _wobbled_grid(n, rng):
@@ -340,8 +341,7 @@ def _wobbled_grid(n, rng):
 def test_locate_stops_memory_is_bounded():
     rng = random.Random(17)
     index = build_index(_wobbled_grid(12, rng), cell_size_deg=0.05)
-    stops = [StopRecord(user_id="u", lon=rng.uniform(-0.5, 12.5), lat=rng.uniform(-0.5, 12.5),
-                        start_ts=0, dwell_s=1) for _ in range(100_000)]
+    stops = stops_at((rng.uniform(-0.5, 12.5), rng.uniform(-0.5, 12.5)) for _ in range(100_000))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -349,8 +349,9 @@ def test_locate_stops_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # The result list alone is 0.8 MB; the distinct-point arrays take 16-24
-    # bytes per point and each block and pass a bounded amount on top.
+    # The result is 0.4 MB; the distinct-point arrays take 16-24 bytes per
+    # point and each block and pass a bounded amount on top.
     assert peak < 10_000_000, peak
     sample = rng.sample(range(len(stops)), 300)
-    assert [where[i] for i in sample] == [locate(index, stops[i].lon, stops[i].lat) for i in sample]
+    assert ([geoids_of(index, where)[i] for i in sample]
+            == [locate(index, stops.lon[i], stops.lat[i]) for i in sample])

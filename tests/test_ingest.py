@@ -1,15 +1,21 @@
+import csv
 import io
 import json
+import random
+import re
 from datetime import datetime, timezone
+from unittest import mock
+
+import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hazmob import ingest, synth
 from hazmob.exposure import PopulationCurve
 from hazmob.ingest import IngestError, parse_hazard, parse_stops, parse_tracts
-from hazmob.model import HAZARD_TYPES, HazardLayer, MeiRow, MeiTable
+from hazmob.model import HAZARD_TYPES, HazardLayer, MeiRow, MeiTable, StopRecord, validate
 
 from conftest import unit_square_tract
 
@@ -26,7 +32,7 @@ def test_parse_single_good_row():
     assert report.rows_read == 1
     assert report.rows_accepted == 1
     assert report.rows_rejected == 0
-    stop = stops[0]
+    stop = stops.records()[0]
     assert stop.user_id == "u1"
     assert stop.lon == -73.9
     assert stop.dwell_s == 3600
@@ -35,7 +41,7 @@ def test_parse_single_good_row():
 
 def test_parse_rejects_negative_dwell():
     stops, report = parse_stops(stops_stream("u1,-73.9,40.7,2019-04-01T08:00:00Z,-5"))
-    assert stops == []
+    assert stops.records() == []
     assert report.rows_rejected == 1
     line_no, reason = report.first_10_rejects[0]
     assert line_no == 2
@@ -53,7 +59,7 @@ def test_parse_rejects_garbage_and_continues():
             "u6,-73.9,40.7,2019-04-01T08:00:00Z,61",
         )
     )
-    assert [s.user_id for s in stops] == ["u1", "u6"]
+    assert [s.user_id for s in stops.records()] == ["u1", "u6"]
     assert report.rows_read == 6
     assert report.rows_accepted == 2
     assert report.rows_rejected == 4
@@ -95,7 +101,7 @@ def test_iso_fast_path_rejects_malformed_canonical_length(text):
 
 def test_parse_stops_rejects_malformed_timestamps():
     stops, report = parse_stops(stops_stream(*(f"u1,0.5,0.5,{t},60" for t in MALFORMED_CANONICAL)))
-    assert stops == []
+    assert stops.records() == []
     assert report.rows_rejected == len(MALFORMED_CANONICAL)
 
 
@@ -160,6 +166,154 @@ def test_iso_fast_path_accepts_every_valid_instant(moment):
     moment = moment.replace(microsecond=0)
     text = moment.isoformat() + "Z"
     assert ingest.parse_iso_utc(text) == int(moment.replace(tzinfo=timezone.utc).timestamp())
+
+
+def _canonical_reference(text: str):
+    """Epoch of an ASCII YYYY-MM-DDTHH:MM:SSZ text that is a real instant, else None."""
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", text):
+        return None
+    return _reference_epoch(text)
+
+
+def _one_char_replaced():
+    """A valid canonical timestamp with one character replaced by any character."""
+    return st.builds(
+        lambda moment, pos, char: (lambda t: t[:pos] + char + t[pos + 1:])(
+            moment.replace(microsecond=0).isoformat() + "Z"),
+        _any_second, st.integers(0, 19), st.characters(),
+    )
+
+
+def _month_ends():
+    """Canonical texts on days 28-31 of every month, real or not (Feb 29 in non-leap years)."""
+    return st.builds(lambda y, m, d: f"{y:04d}-{m:02d}-{d:02d}T12:00:00Z",
+                     st.integers(0, 9999), st.integers(1, 12), st.integers(28, 31))
+
+
+_timestamp_texts = st.one_of(_near_canonical(), _one_char_replaced(), _month_ends(),
+                             st.text(max_size=22))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_timestamp_texts, max_size=12))
+@example(["2019-04-01T23:59:60Z", "2019-04-01T23:60:00Z", "2019-04-01T24:00:00Z",
+          "2019-04-01T23:59:59Z", "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z",
+          "2019-02-29T00:00:00Z", "2000-02-29T00:00:00Z", "1900-02-29T00:00:00Z",
+          "2019-13-01T00:00:00Z", "2019-00-01T00:00:00Z", "2019-04-00T00:00:00Z"])
+def test_vector_timestamps_equal_fast_path_or_both_reject(texts):
+    ok, epochs = ingest._canonical_epochs(texts)
+    expected = [_canonical_reference(t) for t in texts]
+    assert [e if k else None for k, e in zip(ok.tolist(), epochs.tolist())] == expected
+    for text, epoch in zip(texts, expected):
+        if epoch is not None:
+            assert ingest.parse_iso_utc(text) == epoch
+
+
+def reference_parse(text: str):
+    """The row-by-row parse that parse_stops() replaced: its oracle.
+
+    Returns the accepted records, their line numbers and the report.
+    """
+    report = ingest.IngestReport()
+    records, lines = [], []
+    for line_no, row in enumerate(list(csv.reader(io.StringIO(text)))[1:], start=2):
+        report.rows_read += 1
+        if len(row) != 5:
+            report.reject(line_no, f"expected 5 fields, got {len(row)}")
+            continue
+        try:
+            rec = StopRecord(user_id=row[0], lon=float(row[1]), lat=float(row[2]),
+                             start_ts=ingest.parse_iso_utc(row[3]), dwell_s=int(row[4]))
+        except (ValueError, IndexError) as exc:
+            report.reject(line_no, f"unparseable field: {exc}")
+            continue
+        violations = validate(rec)
+        if violations:
+            report.reject(line_no, violations[0])
+            continue
+        records.append(rec)
+        lines.append(line_no)
+        report.rows_accepted += 1
+    return records, lines, report
+
+
+# Rows of a vendor-style feed: canonical and non-canonical timestamps,
+# lenient numbers, and every kind of malformed row.
+MESSY_ROWS = [
+    "u1,-97.8,30.2,2019-04-02T09:00:00Z,600",
+    "u2,-97.8,30.2,2019-04-02T09:00:00+00:00,600",
+    "u3,-97.8,30.2,2019-04-02T09:00:00.123Z,600",
+    "u1,-97.8,30.2,2019-04-02T09:00:00.123000+00:00,60",
+    "u4,-97.8,30.2,2019-04-02T04:00:00-05:00,60",
+    "u8,0,0,2019-04-02T09:00:00,1",
+    "u8,0,0,2019-04-02 09:00:00Z,1",
+    "u2,-97.8,30.2,2019-04-02T09:00:00Z",
+    "u2,-97.8,30.2,2019-04-02T09:00:00Z,600,x",
+    "",
+    "u3,abc,30.2,2019-04-02T09:00:00Z,600",
+    "u3,-97.8,nan,2019-04-02T09:00:00Z,600",
+    "u3,-97.8,91.5,2019-04-02T09:00:00Z,600",
+    "u6,180.0000001,0,2019-04-02T09:00:00Z,1",
+    "u6,-180.5,0,2019-04-02T09:00:00Z,1",
+    "u6,0,-90.5,2019-04-02T09:00:00Z,1",
+    "u6,inf,0,2019-04-02T09:00:00Z,1",
+    "u1,-97.8,30.2,2019-04-02T09:00:00Z,-60",
+    "u1,-97.8,30.2,2019-04-02T09:00:00Z,60.5",
+    "u7,0,0,2019-04-02T09:00:00Z,2147483647",
+    "u7,0,0,2019-04-02T09:00:00Z,2147483648",
+    "u7,0,0,2019-04-02T09:00:00Z,100000000000000000000",
+    "u7,0,0,2019-04-02T09:00:00Z,-100000000000000000000",
+    "u1,-97.8,30.2,2019-04-31T09:00:00Z,600",
+    "u1,-97.8,30.2,2019-02-29T09:00:00Z,600",
+    "u8,0,0,2019-04-02T24:00:00Z,1",
+    "u9,0,0,\uff12\uff10\uff11\uff19-04-02T09:00:00Z,1",
+    "u1,-97.8,30.2,yesterday,600",
+    ",-97.8,30.2,2019-04-02T09:00:00Z,600",
+    "u5, 1.5 ,-0.0,2019-04-02T09:00:00Z,1_000",
+    "u5,1e1,\u0663,2019-04-02T09:00:00Z,\u0663\u0664",
+    "u6,-180,90,0001-01-01T00:00:00Z,0",
+    "u9,0,0,9999-12-31T23:59:59Z,1",
+    '"u9,x",0,0,2016-02-29T09:00:00Z,1',
+]
+
+
+def _assert_parse_equals_reference(text: str) -> None:
+    records, lines, expected = reference_parse(text)
+    stops, report = parse_stops(io.StringIO(text))
+    assert stops.records() == records
+    for column in ("lon", "lat"):  # bit for bit, signed zeros included
+        values = np.array([getattr(r, column) for r in records], dtype=np.float64)
+        assert getattr(stops, column).view(np.int64).tolist() == values.view(np.int64).tolist()
+    assert stops.line.tolist() == lines
+    assert stops.user_ids.tolist() == list(dict.fromkeys(r.user_id for r in records))
+    assert (report.rows_read, report.rows_accepted, report.rows_rejected, report.first_10_rejects) == (
+        expected.rows_read, expected.rows_accepted, expected.rows_rejected, expected.first_10_rejects)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(MESSY_ROWS), max_size=60), st.integers(1, 9))
+def test_parse_stops_equals_row_by_row_parse(rows, chunk_rows):
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        _assert_parse_equals_reference(STOPS_HEADER + "".join(r + "\n" for r in rows))
+
+
+def test_parse_stops_messy_file_equals_row_by_row_parse():
+    rng = random.Random(7)
+    rows = []
+    for k in range(3000):
+        if rng.random() < 0.3:
+            rows.append(rng.choice(MESSY_ROWS))
+        else:
+            stamp = datetime(2019, 4, 1, tzinfo=timezone.utc).timestamp() + rng.randrange(30 * 86400)
+            text = ingest.format_iso_utc(int(stamp))
+            if rng.random() < 0.25:
+                text = text[:-1] + rng.choice(["+00:00", ".250Z", ".5+00:00"])
+            rows.append(f"d{rng.randrange(400)},{rng.uniform(-98, -97):.6f},{rng.uniform(30, 31):.6f},"
+                        f"{text},{rng.randrange(20000)}")
+    text = STOPS_HEADER + "".join(r + "\n" for r in rows)
+    for chunk_rows in (7, 1000, 4096):
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            _assert_parse_equals_reference(text)
 
 
 def tract_feature(geoid: str, lon0=0.0, lat0=0.0, close=True):

@@ -4,6 +4,7 @@ import pytest
 
 from hazmob.model import (
     HAZARD_TYPES,
+    MAX_DWELL_S,
     CensusTract,
     ExposureAccumulator,
     HazardLayer,
@@ -24,6 +25,13 @@ def make_stop(**overrides) -> StopRecord:
 
 def test_valid_stop_at_dwell_zero_boundary():
     assert validate(make_stop(dwell_s=0)) == []
+
+
+def test_stop_dwell_bounded_at_int32_max():
+    assert validate(make_stop(dwell_s=MAX_DWELL_S)) == []
+    assert MAX_DWELL_S == 2**31 - 1
+    for dwell in (MAX_DWELL_S + 1, 10**20):
+        assert validate(make_stop(dwell_s=dwell)) == ["dwell_s: out of range"]
 
 
 def test_stop_lat_out_of_range():
@@ -90,19 +98,6 @@ def test_accumulator_invariants():
     assert validate(acc) == []
     acc.hdt_s["heat"] = 170
     assert any("hdt_s[heat]" in v for v in validate(acc))
-
-
-def test_accumulator_merge_sums_fields():
-    a = ExposureAccumulator(geoid="G1", tdt_s=10, tdt_nonhome_s=4)
-    a.hdt_s["toxic"] = 3
-    b = ExposureAccumulator(geoid="G1", tdt_s=5, unresolved_dwell_s=2)
-    b.hdt_s["toxic"] = 1
-    a.merge(b)
-    assert a.tdt_s == 15
-    assert a.hdt_s["toxic"] == 4
-    assert a.unresolved_dwell_s == 2
-    with pytest.raises(ValueError):
-        a.merge(ExposureAccumulator(geoid="G2"))
 
 
 def test_mei_row_bounds_checked():

@@ -57,7 +57,7 @@ def test_stops_inside_home_grid_and_valid():
     from hazmob.model import validate
 
     world = gen_world(WorldConfig(seed=3, grid_n=4, users=30, stops_per_user=15))
-    for stop in world.stops:
+    for stop in world.stops.records():
         assert validate(stop) == []
         assert 0.0 <= stop.lon <= 4.0
         assert 0.0 <= stop.lat <= 4.0
@@ -68,7 +68,7 @@ def test_nighttime_stops_forced_home():
     world = gen_world(WorldConfig(seed=3, grid_n=4, users=30, stops_per_user=15))
     index = build_index(world.tracts, cell_size_deg=0.5)
     homes = world.truth.homes
-    for stop in world.stops:
+    for stop in world.stops.records():
         hour = (stop.start_ts % 86400) // 3600
         if hour == 23:
             assert locate(index, stop.lon, stop.lat) == homes[stop.user_id]
@@ -79,7 +79,7 @@ def test_extreme_decay_keeps_stops_home():
     index = build_index(world.tracts, cell_size_deg=0.5)
     homes = world.truth.homes
     at_home = sum(
-        1 for s in world.stops if locate(index, s.lon, s.lat) == homes[s.user_id]
+        1 for s in world.stops.records() if locate(index, s.lon, s.lat) == homes[s.user_id]
     )
     assert at_home / len(world.stops) >= 0.99
 
@@ -219,7 +219,7 @@ def test_empirical_mei_tracks_expected_on_moderate_world():
                          users=125, stops_per_user=300)
     world = gen_world(config)
     index = build_index(world.tracts, cell_size_deg=0.5)
-    home_map = infer_homes(world.stops, locate_stops(index, world.stops))
+    home_map = infer_homes(world.stops, locate_stops(index, world.stops), index.geoids)
     masks = {
         h: type(world.layers[h])(
             hazard_type=h,
@@ -228,7 +228,7 @@ def test_empirical_mei_tracks_expected_on_moderate_world():
         )
         for h in HAZARD_TYPES
     }
-    table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), home_map, masks))
+    table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, masks))
     truth = planted_truth(world)
     worst = 0.0
     for geoid, row in table.rows.items():
