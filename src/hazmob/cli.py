@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import cluster, exposure, hazardclass, homeloc, ingest, stats, synth
 from .geoindex import build_index, locate_stops
-from .model import HAZARD_TYPES, REGION_DIRECT, REGION_LATENT, REGION_NONE, MeiTable
+from .model import HAZARD_TYPES, REGION_DIRECT, REGION_LATENT, REGION_NONE, MeiRow, MeiTable
 
 THREADS_ENV = "HAZMOB_THREADS"
 
@@ -373,7 +373,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "tracts": len(tracts),
                 "users_assigned": len(home_map.assignments),
                 "users_unassigned": len(home_map.unassigned),
-                "tracts_with_mei": sum(1 for r in table.rows.values() if not r.excluded),
+                "tracts_with_mei": int((~table.excluded).sum()),
                 "clusters": sum(1 for r in summary.rows if r.label != cluster.NOISE),
             },
             "diagnostics": {
@@ -408,12 +408,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _class_means(table: MeiTable, hazard: str) -> dict[str, tuple[int, float | None]]:
+def _class_means(rows: list[MeiRow], hazard: str) -> dict[str, tuple[int, float | None]]:
     out = {}
     for region in (REGION_DIRECT, REGION_LATENT, REGION_NONE):
         values = [
             row.mei[hazard]
-            for row in table.rows.values()
+            for row in rows
             if row.region_class[hazard] == region and row.mei[hazard] is not None
         ]
         mean = sum(values) / len(values) if values else None
@@ -425,16 +425,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     thresholds = list(_parse_flag("curve_thresholds", args.curve_thresholds))
     _require_finite("compound_threshold", args.compound_threshold)
     try:
-        table = ingest.read_mei(args.mei)
+        rows = ingest.read_mei_rows(args.mei)
         tracts = ingest.parse_tracts(args.tracts)
     except ingest.IngestError as exc:
         print(f"error in ingest: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    defined = sum(1 for row in table.rows.values() if not row.excluded)
+    table = MeiTable.from_rows(rows)
+    defined = sum(1 for row in rows if not row.excluded)
     print(f"tracts with defined MEI: {defined}")
     for hazard in HAZARD_TYPES:
-        means = _class_means(table, hazard)
+        means = _class_means(rows, hazard)
         parts = []
         for region in (REGION_DIRECT, REGION_LATENT, REGION_NONE):
             n, mean = means[region]

@@ -6,27 +6,30 @@ inside high-hazard tracts. The exposure index is HDT / TDT per hazard.
 accumulate() sums a Stops frame's dwell per home tract as int64
 reductions over (home, tract) codes, so every sum is exact (dwell is at
 most model.MAX_DWELL_S per stop) and independent of stop order.
+compute_mei() turns those columns into a MeiTable with whole-column
+divisions, and the region classes, population curves and compound count
+are numpy passes over it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .homeloc import HomeMap
 from .model import (
+    DIRECT_CODE,
     HAZARD_TYPES,
-    REGION_DIRECT,
-    REGION_LATENT,
-    REGION_NONE,
-    CensusTract,
-    ExposureAccumulator,
+    LATENT_CODE,
+    NONE_CODE,
     HazardLayer,
-    MeiRow,
     MeiTable,
     Stops,
+    TractTable,
+    format6,
 )
 
 
@@ -37,19 +40,58 @@ class PopulationCurve:
     hazard_type: str
     points: list[tuple[float, int]]
 
+    header = ("hazard", "threshold", "population")
 
-@dataclass(slots=True)
+    @property
+    def n_rows(self) -> int:
+        return len(self.points)
+
+    def csv_rows(self) -> Iterator[tuple]:
+        return ((self.hazard_type, format6(t), str(population)) for t, population in self.points)
+
+
+@dataclass(frozen=True, slots=True)
+class CurveTable:
+    """Several population curves as one report, in hazard order."""
+
+    curves: list[PopulationCurve]
+
+    header = PopulationCurve.header
+
+    @property
+    def n_rows(self) -> int:
+        return sum(c.n_rows for c in self.curves)
+
+    def csv_rows(self) -> Iterator[tuple]:
+        ordered = sorted(self.curves, key=lambda c: HAZARD_TYPES.index(c.hazard_type))
+        return chain.from_iterable(c.csv_rows() for c in ordered)
+
+
+@dataclass(frozen=True, eq=False)
 class AccumulateResult:
-    """Per-tract accumulators plus diagnostics about ignored stops."""
+    """Per-home-tract dwell sums as int64 columns, plus diagnostics about ignored stops.
 
-    by_tract: dict[str, ExposureAccumulator] = field(default_factory=dict)
+    One entry per home tract with at least one kept stop, sorted by geoid
+    (a str array). tdt_s is the total dwell of the tract's residents;
+    hdt_s[:, k] the part of it spent at stops inside tracts masked for
+    hazard HAZARD_TYPES[k]. The nonhome columns cover only stops outside
+    the home tract; unresolved_s is dwell at stops outside every known
+    tract (counted in tdt_s, never in hdt_s).
+    """
+
+    geoids: np.ndarray
+    tdt_s: np.ndarray
+    hdt_s: np.ndarray
+    tdt_nonhome_s: np.ndarray
+    hdt_nonhome_s: np.ndarray
+    unresolved_s: np.ndarray
     dropped_stops: int = 0
     dropped_dwell_s: int = 0
     dropped_users: set[str] = field(default_factory=set)
 
     @property
     def unresolved_dwell_s(self) -> int:
-        return sum(a.unresolved_dwell_s for a in self.by_tract.values())
+        return int(self.unresolved_s.sum())
 
 
 def accumulate(
@@ -77,12 +119,8 @@ def accumulate(
                          dtype=np.int64)
     home = user_home[stops.user]
     dwell = stops.dwell_s
-    result = AccumulateResult()
     dropped = np.flatnonzero(home < 0)
-    result.dropped_stops = len(dropped)
-    result.dropped_dwell_s = int(dwell[dropped].sum())
     dropped_users = np.bincount(stops.user[dropped], minlength=len(stops.user_ids))
-    result.dropped_users = set(stops.user_ids[np.flatnonzero(dropped_users)].tolist())
 
     kept = np.flatnonzero(home >= 0)
     home, tract, dwell = home[kept], where[kept], dwell[kept]
@@ -91,115 +129,115 @@ def accumulate(
     home_tract = np.array([tract_code.get(g, -2) for g in home_geoids], dtype=np.int64)
     nonhome = (tract >= 0) & (tract != home_tract[home])
 
-    def sums(rows) -> list[int]:
+    def sums(rows) -> np.ndarray:
         """Exact int64 dwell sums per home over the selected stops."""
         out = np.zeros(len(home_geoids), dtype=np.int64)
         np.add.at(out, home[rows], dwell[rows])
-        return out.tolist()
+        return out
 
-    tdt = sums(slice(None))
-    tdt_nonhome = sums(nonhome)
-    unresolved = sums(tract < 0)
-    hdt, hdt_nonhome = {}, {}
+    hdt, hdt_nonhome = [], []
     for h in HAZARD_TYPES:
         masked_set = masks[h].masked_geoids() if h in masks else frozenset()
         # One flag per tract code, plus a False for code -1 (no tract).
         masked = np.array([g in masked_set for g in geoids] + [False])[tract]
-        hdt[h] = sums(masked)
-        hdt_nonhome[h] = sums(masked & nonhome)
-    counts = np.bincount(home, minlength=len(home_geoids))
-    for i in np.flatnonzero(counts).tolist():
-        result.by_tract[home_geoids[i]] = ExposureAccumulator(
-            geoid=home_geoids[i],
-            tdt_s=tdt[i],
-            hdt_s={h: hdt[h][i] for h in HAZARD_TYPES},
-            tdt_nonhome_s=tdt_nonhome[i],
-            hdt_nonhome_s={h: hdt_nonhome[h][i] for h in HAZARD_TYPES},
-            unresolved_dwell_s=unresolved[i],
-        )
-    return result
+        hdt.append(sums(masked))
+        hdt_nonhome.append(sums(masked & nonhome))
+    # Homes with at least one kept stop.
+    present = np.flatnonzero(np.bincount(home, minlength=len(home_geoids)))
+    return AccumulateResult(
+        geoids=np.array(home_geoids, dtype=str)[present],
+        tdt_s=sums(slice(None))[present],
+        hdt_s=np.stack(hdt, axis=1)[present],
+        tdt_nonhome_s=sums(nonhome)[present],
+        hdt_nonhome_s=np.stack(hdt_nonhome, axis=1)[present],
+        unresolved_s=sums(tract < 0)[present],
+        dropped_stops=len(dropped),
+        dropped_dwell_s=int(stops.dwell_s[dropped].sum()),
+        dropped_users=set(stops.user_ids[np.flatnonzero(dropped_users)].tolist()),
+    )
+
+
+# Below this both operands of an int64 division convert to float64 exactly,
+# so numpy's division rounds the exact quotient once, as Python's int / int does.
+_EXACT = 2**53
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den rounded as Python's int / int rounds it; NaN where den is 0."""
+    num, den = np.broadcast_arrays(num, den)
+    out = np.full(num.shape, np.nan)
+    defined = den > 0
+    exact = defined & (num < _EXACT) & (den < _EXACT)
+    out[exact] = num[exact] / den[exact]
+    for at in zip(*np.nonzero(defined & ~exact)):
+        out[at] = int(num[at]) / int(den[at])
+    return out
 
 
 def compute_mei(result: AccumulateResult) -> MeiTable:
-    """Turn accumulated dwell sums into per-tract exposure index rows."""
-    rows: dict[str, MeiRow] = {}
-    for geoid, acc in result.by_tract.items():
-        tdt = acc.tdt_s
-        nonhome = acc.tdt_nonhome_s
-        mei: dict[str, float | None] = {}
-        share: dict[str, float | None] = {}
-        cond: dict[str, float | None] = {}
-        for h in HAZARD_TYPES:
-            if tdt > 0:
-                mei[h] = acc.hdt_s[h] / tdt
-                share[h] = acc.hdt_nonhome_s[h] / tdt
-            else:
-                mei[h] = None
-                share[h] = None
-            cond[h] = acc.hdt_nonhome_s[h] / nonhome if nonhome > 0 else None
-        rows[geoid] = MeiRow(
-            geoid=geoid,
-            mei=mei,
-            nonhome_share=share,
-            nonhome_conditional=cond,
-            region_class=dict.fromkeys(HAZARD_TYPES, REGION_NONE),
-        )
-    return MeiTable(rows=rows)
+    """Turn accumulated dwell sums into the per-tract exposure index table.
+
+    Region classes start as none and labels as -1.
+    """
+    n = len(result.geoids)
+    return MeiTable(
+        geoids=result.geoids,
+        mei=_ratio(result.hdt_s, result.tdt_s[:, None]),
+        nonhome_share=_ratio(result.hdt_nonhome_s, result.tdt_s[:, None]),
+        nonhome_conditional=_ratio(result.hdt_nonhome_s, result.tdt_nonhome_s[:, None]),
+        region=np.full((n, 3), NONE_CODE, dtype=np.int8),
+        label=np.full(n, -1, dtype=np.int32),
+    )
 
 
 def classify_regions(table: MeiTable, masks: dict[str, HazardLayer]) -> MeiTable:
-    """Set the direct/latent/none region class per hazard on every row."""
-    masked = {h: masks[h].masked_geoids() for h in HAZARD_TYPES if h in masks}
-    rows: dict[str, MeiRow] = {}
-    for geoid, row in table.rows.items():
-        region = {}
-        for h in HAZARD_TYPES:
-            if geoid in masked.get(h, ()):
-                region[h] = REGION_DIRECT
-            elif row.mei[h] is not None and row.mei[h] > 0:
-                region[h] = REGION_LATENT
-            else:
-                region[h] = REGION_NONE
-        rows[geoid] = replace(row, region_class=region)
-    return MeiTable(rows=rows)
+    """Set the direct/latent/none region class per hazard on every tract.
+
+    Direct: the tract is masked for the hazard. Latent: not masked, with a
+    positive index. None: everything else.
+    """
+    region = np.where(table.mei > 0, LATENT_CODE, NONE_CODE).astype(np.int8)
+    geoids = table.geoids.tolist()
+    for k, h in enumerate(HAZARD_TYPES):
+        if h in masks:
+            masked = masks[h].masked_geoids()
+            region[np.fromiter(map(masked.__contains__, geoids), bool, len(geoids)), k] = DIRECT_CODE
+    return table.with_columns(region=region)
+
+
+def tract_columns(geoids: np.ndarray, tracts: TractTable, *names: str):
+    """The tracts named by geoids and the named CensusTract fields.
+
+    Returns (found, *columns), one entry per geoid. A geoid without a tract
+    has found False, population 0 and NaN fractions.
+    """
+    if not isinstance(tracts, TractTable):
+        raise TypeError(f"tracts must be a TractTable, not {type(tracts).__name__}")
+    at = np.fromiter(map(tracts.position.get, geoids.tolist(), repeat(-1)), np.int64, len(geoids))
+    return (at >= 0, *(tracts.columns[name][at] for name in names))
 
 
 def population_curve(
     table: MeiTable,
-    tracts: list[CensusTract],
+    tracts: TractTable,
     hazard_type: str,
     thresholds: list[float],
 ) -> PopulationCurve:
     """Population in latent tracts with index above each threshold."""
-    pop = {t.geoid: t.population for t in tracts}
-    points = []
-    for threshold in thresholds:
-        total = 0
-        for geoid, row in table.rows.items():
-            if row.region_class[hazard_type] != REGION_LATENT:
-                continue
-            mei = row.mei[hazard_type]
-            if mei is not None and mei > threshold:
-                total += pop.get(geoid, 0)
-        points.append((threshold, total))
+    k = HAZARD_TYPES.index(hazard_type)
+    _, population = tract_columns(table.geoids, tracts, "population")
+    latent = table.region[:, k] == LATENT_CODE
+    mei = table.mei[:, k]
+    points = [(t, sum(population[latent & (mei > t)].tolist())) for t in thresholds]
     return PopulationCurve(hazard_type=hazard_type, points=points)
 
 
 def compound_latent(
     table: MeiTable,
-    tracts: list[CensusTract],
+    tracts: TractTable,
     threshold: float,
 ) -> tuple[list[str], int]:
     """Tracts latent in all three hazards with index above threshold in each."""
-    pop = {t.geoid: t.population for t in tracts}
-    selected = []
-    for geoid in sorted(table.rows):
-        row = table.rows[geoid]
-        if all(
-            row.region_class[h] == REGION_LATENT
-            and row.mei[h] is not None
-            and row.mei[h] > threshold
-            for h in HAZARD_TYPES
-        ):
-            selected.append(geoid)
-    return selected, sum(pop.get(g, 0) for g in selected)
+    chosen = ((table.region == LATENT_CODE) & (table.mei > threshold)).all(axis=1)
+    _, population = tract_columns(table.geoids, tracts, "population")
+    return table.geoids[chosen].tolist(), sum(population[chosen].tolist())

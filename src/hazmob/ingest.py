@@ -15,6 +15,7 @@ row-by-row parse would.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -23,33 +24,26 @@ from datetime import datetime, timezone
 from itertools import filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .model import (
-    HAZARD_SHORT,
     HAZARD_TYPES,
     MAX_DWELL_S,
+    MEI_HEADER,
     CensusTract,
     HazardLayer,
     MeiRow,
     MeiTable,
     StopRecord,
     Stops,
+    TractTable,
     validate,
 )
 
 STOPS_HEADER = ["user_id", "lon", "lat", "start_ts", "dwell_s"]
 HAZARD_HEADER = ["geoid", "value"]
-
-MEI_HEADER = (
-    ["geoid"]
-    + [f"mei_{HAZARD_SHORT[h]}" for h in HAZARD_TYPES]
-    + [f"nonhome_share_{HAZARD_SHORT[h]}" for h in HAZARD_TYPES]
-    + [f"nonhome_cond_{HAZARD_SHORT[h]}" for h in HAZARD_TYPES]
-    + [f"class_{HAZARD_SHORT[h]}" for h in HAZARD_TYPES]
-)
 
 
 class IngestError(Exception):
@@ -81,8 +75,6 @@ def _open_text(source: str | Path | IO) -> tuple[IO, bool]:
     if hasattr(source, "read"):
         probe = source.read(0)
         if isinstance(probe, bytes):
-            import io
-
             return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
         return source, False
     raise IngestError(f"unreadable stops source: {type(source).__name__}")
@@ -150,7 +142,7 @@ def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
         if header != STOPS_HEADER:
             raise IngestError(f"bad stops header: expected {STOPS_HEADER}, got {header}")
         line = 2
-        while rows := list(islice(reader, _CHUNK_ROWS)):
+        while rows := _read_rows(reader, _CHUNK_ROWS):
             chunks.append(_parse_chunk(rows, line, report, users))
             line += len(rows)
     finally:
@@ -164,6 +156,26 @@ def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
     stops = Stops(user=user, user_ids=np.array(list(users), dtype=object), lon=lon, lat=lat,
                   start_ts=start_ts, dwell_s=dwell_s, line=lines)
     return stops, report
+
+
+class _Unreadable(list):
+    """Stands in for a row the CSV reader could not read, such as one with a
+    field over csv.field_size_limit(); it has no fields and holds the reason."""
+
+    def __init__(self, reason: str):
+        super().__init__()
+        self.reason = reason
+
+
+def _read_rows(reader, n: int) -> list[list[str]]:
+    """Up to n rows from a CSV reader; a row it cannot read becomes an _Unreadable."""
+    rows: list[list[str]] = []
+    while True:
+        try:
+            rows.extend(islice(reader, n - len(rows)))  # keeps the rows read before an error
+            return rows
+        except csv.Error as exc:
+            rows.append(_Unreadable(f"unreadable row: {exc}"))
 
 
 def _parse_chunk(rows: list[list[str]], first_line: int, report: IngestReport,
@@ -239,6 +251,8 @@ def _map_lenient(convert, texts, fill) -> list:
 
 def _scalar_stop(row: list[str]) -> StopRecord | str:
     """The row path: the row's record, or the reason it is rejected."""
+    if isinstance(row, _Unreadable):
+        return row.reason
     if len(row) != 5:
         return f"expected 5 fields, got {len(row)}"
     try:
@@ -315,7 +329,7 @@ def _as_ring(raw, feature_idx: int, where: str) -> tuple[tuple[float, float], ..
     return ring
 
 
-def parse_tracts(source: str | Path | IO) -> list[CensusTract]:
+def parse_tracts(source: str | Path | IO) -> TractTable:
     """Parse a GeoJSON FeatureCollection of census tracts."""
     handle, owned = _open_text(source)
     try:
@@ -370,7 +384,7 @@ def parse_tracts(source: str | Path | IO) -> list[CensusTract]:
         if violations:
             raise IngestError(f"feature {idx}: {violations[0]}")
         tracts.append(tract)
-    return tracts
+    return TractTable(tracts)
 
 
 def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer, IngestReport]:
@@ -425,17 +439,13 @@ def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer
 # ---------------------------------------------------------------------------
 
 
-def _fmt6(x: float | None) -> str:
-    return "" if x is None else f"{x:.6f}"
-
-
-def _write_csv(dest: str | Path, header: list[str], rows: Iterable[Iterable]) -> int:
+def _write_csv(dest: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> int:
+    """Write a header and rows of cells as CSV; returns the byte count."""
     try:
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
             return fh.tell()
     except OSError as exc:
         raise IngestError(f"cannot write {dest}: {exc}") from exc
@@ -452,7 +462,7 @@ def _write_sidecar(dest: str | Path, config_hash: str, n_rows: int) -> None:
 
 
 def write_stops(stops: Stops, dest: str | Path) -> int:
-    rows = ([s.user_id, repr(s.lon), repr(s.lat), format_iso_utc(s.start_ts), s.dwell_s]
+    rows = ([s.user_id, repr(s.lon), repr(s.lat), format_iso_utc(s.start_ts), str(s.dwell_s)]
             for s in stops.records())
     return _write_csv(dest, STOPS_HEADER, rows)
 
@@ -489,131 +499,45 @@ def write_tracts(tracts: Iterable[CensusTract], dest: str | Path) -> int:
 
 def write_hazard(layer: HazardLayer, dest: str | Path) -> int:
     if layer.hazard_type == "heat":
-        rows = ([g, int(layer.values[g])] for g in sorted(layer.values))
+        rows = ([g, str(int(layer.values[g]))] for g in sorted(layer.values))
     else:
         rows = ([g, repr(layer.values[g])] for g in sorted(layer.values))
     return _write_csv(dest, HAZARD_HEADER, rows)
 
 
-def write_mask(layer: HazardLayer, dest: str | Path) -> int:
-    rows = (
-        [g, repr(layer.values[g]), int(bool(layer.mask.get(g, False)))]
-        for g in sorted(layer.values)
-    )
-    return _write_csv(dest, ["geoid", "value", "high_hazard"], rows)
-
-
-def write_homes(assignments: dict[str, str], dest: str | Path) -> int:
-    rows = ([u, assignments[u]] for u in sorted(assignments))
-    return _write_csv(dest, ["user_id", "geoid"], rows)
-
-
-def _mei_csv_rows(table: MeiTable) -> list[list[str]]:
-    rows = []
-    for r in table.sorted_rows():
-        rows.append(
-            [r.geoid]
-            + [_fmt6(r.mei[h]) for h in HAZARD_TYPES]
-            + [_fmt6(r.nonhome_share[h]) for h in HAZARD_TYPES]
-            + [_fmt6(r.nonhome_conditional[h]) for h in HAZARD_TYPES]
-            + [r.region_class[h] for h in HAZARD_TYPES]
-        )
-    return rows
-
-
 def write_report(table, dest: str | Path, config_hash: str = "") -> int:
-    """Write any report object as a deterministic CSV plus metadata sidecar.
+    """Write a report as a deterministic CSV plus metadata sidecar; returns the CSV byte count.
 
-    Dispatches on the table type; returns the CSV byte count. Import of
-    the result types is deferred to avoid import cycles at package load.
+    A report exposes its column names (header), its data rows as cells
+    (csv_rows()) and its row count (n_rows). A list of population curves
+    is written as one exposure.CurveTable.
     """
-    from .cluster import ClusterResult, ClusterSummary
-    from .exposure import PopulationCurve
-    from .stats import CorrelationTable, DisparityTable, ScatterTable
+    if isinstance(table, list):
+        from .exposure import CurveTable, PopulationCurve
 
-    if isinstance(table, MeiTable):
-        rows = _mei_csv_rows(table)
-        n = _write_csv(dest, MEI_HEADER, rows)
-    elif isinstance(table, ClusterResult):
-        rows = [[g, table.labels[g]] for g in sorted(table.labels)]
-        n = _write_csv(dest, ["geoid", "label"], rows)
-    elif isinstance(table, ClusterSummary):
-        rows = [
-            [r.label, r.count, _fmt6(r.share)] + [_fmt6(r.mean_mei[h]) for h in HAZARD_TYPES]
-            for r in table.rows
-        ]
-        header = ["label", "count", "share"] + [f"mean_mei_{HAZARD_SHORT[h]}" for h in HAZARD_TYPES]
-        n = _write_csv(dest, header, rows)
-    elif isinstance(table, DisparityTable):
-        rows = []
-        for r in table.rows:
-            cells = [r.hazard, r.region_class, r.n_tracts,
-                     _fmt6(r.mean_poverty), _fmt6(r.mean_minority),
-                     _fmt6(r.weighted_mean_poverty), _fmt6(r.weighted_mean_minority)]
-            for test in (r.poverty_test, r.minority_test):
-                if test is None:
-                    cells += ["", "", ""]
-                else:
-                    cells += [_fmt6(test.t), _fmt6(test.p), int(test.significant_01)]
-            rows.append(cells)
-        header = ["hazard", "region_class", "n_tracts", "mean_poverty", "mean_minority",
-                  "weighted_mean_poverty", "weighted_mean_minority",
-                  "t_poverty", "p_poverty", "sig01_poverty",
-                  "t_minority", "p_minority", "sig01_minority"]
-        n = _write_csv(dest, header, rows)
-    elif isinstance(table, CorrelationTable):
-        rows = [
-            [a, b, _fmt6(c.r), _fmt6(c.p), c.n, int(c.p < 0.01)]
-            for a, b, c in table.rows
-        ]
-        n = _write_csv(dest, ["hazard_a", "hazard_b", "r", "p", "n", "sig01"], rows)
-    elif isinstance(table, ScatterTable):
-        rows = [
-            [r.geoid, _fmt6(r.pct_poverty200), _fmt6(r.mei_air), _fmt6(r.mei_toxic),
-             _fmt6(r.mei_heat), _fmt6(r.pct_minority), r.population]
-            for r in table.rows
-        ]
-        header = ["geoid", "pct_poverty200", "mei_air", "mei_toxic", "mei_heat",
-                  "pct_minority", "population"]
-        n = _write_csv(dest, header, rows)
-    elif isinstance(table, PopulationCurve):
-        n = _write_curves([table], dest)
-    elif isinstance(table, list) and all(isinstance(c, PopulationCurve) for c in table):
-        n = _write_curves(table, dest)
-    else:
+        if all(isinstance(c, PopulationCurve) for c in table):
+            table = CurveTable(table)
+    if not all(hasattr(table, name) for name in ("header", "csv_rows", "n_rows")):
         raise IngestError(f"write_report does not handle {type(table).__name__}")
-    _write_sidecar(dest, config_hash, _row_count(table))
+    n = _write_csv(dest, table.header, table.csv_rows())
+    _write_sidecar(dest, config_hash, table.n_rows)
     return n
-
-
-def _write_curves(curves, dest: str | Path) -> int:
-    rows = []
-    for curve in sorted(curves, key=lambda c: HAZARD_TYPES.index(c.hazard_type)):
-        for threshold, population in curve.points:
-            rows.append([curve.hazard_type, _fmt6(threshold), population])
-    return _write_csv(dest, ["hazard", "threshold", "population"], rows)
-
-
-def _row_count(table) -> int:
-    from .cluster import ClusterResult, ClusterSummary
-    from .exposure import PopulationCurve
-    from .stats import CorrelationTable, DisparityTable, ScatterTable
-
-    if isinstance(table, MeiTable):
-        return len(table.rows)
-    if isinstance(table, ClusterResult):
-        return len(table.labels)
-    if isinstance(table, (ClusterSummary, DisparityTable, CorrelationTable, ScatterTable)):
-        return len(table.rows)
-    if isinstance(table, PopulationCurve):
-        return len(table.points)
-    return sum(len(c.points) for c in table)
 
 
 def read_mei(source: str | Path | IO) -> MeiTable:
     """Parse a mei.csv report back into a MeiTable (6-decimal precision).
 
-    Any malformed row is fatal and named by its line number.
+    The table is sorted by geoid whatever the file's row order; every
+    cluster label reads -1 (mei.csv has no labels).
+    """
+    return MeiTable.from_rows(read_mei_rows(source))
+
+
+def read_mei_rows(source: str | Path | IO) -> list[MeiRow]:
+    """Parse a mei.csv report into MeiRows, in file order (6-decimal precision).
+
+    Any malformed row is fatal and named by its line number. A repeated
+    geoid keeps the place of its first row and the values of its last.
     """
     handle, owned = _open_text(source)
     try:
@@ -647,7 +571,7 @@ def read_mei(source: str | Path | IO) -> MeiTable:
             if violations:
                 raise IngestError(f"line {line_no}: {violations[0]}")
             rows[geoid] = mei_row
-        return MeiTable(rows=rows)
+        return list(rows.values())
     finally:
         if owned:
             handle.close()

@@ -5,13 +5,17 @@ times are integer seconds throughout so that accumulation is exact.
 Instances are treated as immutable once constructed; mapping fields are
 never mutated after the owning object is returned to a caller.
 
-The pipeline holds its stops in one Stops frame of numpy columns;
-StopRecord is the row view of that frame.
+The pipeline holds its stops in one Stops frame of numpy columns and its
+per-tract results in one MeiTable of numpy columns; StopRecord and
+MeiRow are the row views of those frames.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -97,6 +101,40 @@ class CensusTract:
         return self.geoid[:5]
 
 
+class TractTable(tuple):
+    """Census tracts as an immutable sequence, with their demographics
+    joined by geoid once, on first use.
+
+    ingest.parse_tracts and synth.gen_world return one; the population
+    curves, the compound count and the stats tables take one.
+    """
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {t.geoid: i for i, t in enumerate(self)}
+
+    @cached_property
+    def columns(self) -> dict[str, np.ndarray]:
+        """population, pct_minority and pct_below_poverty200, with one more
+        entry (0, NaN, NaN) at the end for a geoid without a tract.
+
+        population is int64 while every value fits, an object array of
+        Python ints otherwise; sums of it go through tolist() so that they
+        stay exact.
+        """
+        population = [t.population for t in self] + [0]
+        try:
+            population = np.array(population, dtype=np.int64)
+        except OverflowError:
+            population = np.array(population, dtype=object)
+        return {
+            "population": population,
+            "pct_minority": np.array([t.pct_minority for t in self] + [math.nan], dtype=np.float64),
+            "pct_below_poverty200": np.array([t.pct_below_poverty200 for t in self] + [math.nan],
+                                             dtype=np.float64),
+        }
+
+
 @dataclass(frozen=True, slots=True)
 class HazardLayer:
     """Per-tract raw hazard values and the derived binary high-hazard mask.
@@ -135,10 +173,11 @@ class ExposureAccumulator:
 
 @dataclass(frozen=True, slots=True)
 class MeiRow:
-    """Per-tract exposure indices, region classes, and cluster label.
+    """One tract's exposure indices, region classes, and cluster label.
 
-    mei[h] is undefined (None) when the source accumulator had zero total
-    dwell; such tracts are excluded from downstream statistics.
+    The row view of a MeiTable. mei[h] is undefined (None) when the source
+    accumulator had zero total dwell; such tracts are excluded from
+    downstream statistics.
     """
 
     geoid: str
@@ -153,14 +192,116 @@ class MeiRow:
         return all(self.mei[h] is None for h in HAZARD_TYPES)
 
 
-@dataclass(frozen=True, slots=True)
+# Region classes by their int8 code in MeiTable.region.
+REGIONS = (REGION_NONE, REGION_LATENT, REGION_DIRECT)
+NONE_CODE, LATENT_CODE, DIRECT_CODE = range(3)
+
+MEI_HEADER = (
+    ["geoid"]
+    + [f"mei_{HAZARD_SHORT[h]}" for h in HAZARD_TYPES]
+    + [f"nonhome_share_{HAZARD_SHORT[h]}" for h in HAZARD_TYPES]
+    + [f"nonhome_cond_{HAZARD_SHORT[h]}" for h in HAZARD_TYPES]
+    + [f"class_{HAZARD_SHORT[h]}" for h in HAZARD_TYPES]
+)
+
+
+def format6(x: float | None) -> str:
+    """A report float with 6 decimals; empty for an undefined value."""
+    return "" if x is None else f"{x:.6f}"
+
+
+def format6_column(values: np.ndarray) -> list[str]:
+    """format6 over a float column, with NaN as the undefined value."""
+    return ["" if v != v else f"{v:.6f}" for v in values.tolist()]
+
+
+@dataclass(frozen=True, eq=False)
 class MeiTable:
-    """Exposure index rows keyed by tract geoid."""
+    """Per-tract exposure indices, region classes and cluster labels as numpy columns.
 
-    rows: dict[str, MeiRow]
+    One entry per tract, sorted by geoid (a str array). mei, nonhome_share
+    and nonhome_conditional are float64 of shape (n, 3), one column per
+    hazard in HAZARD_TYPES order, NaN where undefined; region holds int8
+    codes into REGIONS, shape (n, 3); label holds int32 cluster labels,
+    -1 for noise and for tracts that were not clustered. MeiRow is the
+    row view (rows).
+    """
 
-    def sorted_rows(self) -> list[MeiRow]:
-        return [self.rows[g] for g in sorted(self.rows)]
+    geoids: np.ndarray
+    mei: np.ndarray
+    nonhome_share: np.ndarray
+    nonhome_conditional: np.ndarray
+    region: np.ndarray
+    label: np.ndarray
+
+    header = MEI_HEADER
+
+    def __len__(self) -> int:
+        return len(self.geoids)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.geoids)
+
+    @property
+    def excluded(self) -> np.ndarray:
+        """Per tract: True when no index is defined."""
+        return np.isnan(self.mei).all(axis=1)
+
+    def with_columns(self, *, region: np.ndarray | None = None,
+                     label: np.ndarray | None = None) -> MeiTable:
+        """The same table with new region codes or cluster labels."""
+        return MeiTable(
+            geoids=self.geoids, mei=self.mei, nonhome_share=self.nonhome_share,
+            nonhome_conditional=self.nonhome_conditional,
+            region=self.region if region is None else region,
+            label=self.label if label is None else label,
+        )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[MeiRow]) -> MeiTable:
+        """The table of MeiRows (in any order; geoids must be distinct)."""
+        rows = sorted(rows, key=lambda r: r.geoid)
+
+        def column(name: str) -> np.ndarray:
+            values = [[math.nan if v is None else v for v in map(getattr(r, name).get, HAZARD_TYPES)]
+                      for r in rows]
+            return np.array(values, dtype=np.float64).reshape(len(rows), 3)
+
+        codes = [[REGIONS.index(r.region_class[h]) for h in HAZARD_TYPES] for r in rows]
+        return cls(
+            geoids=np.array([r.geoid for r in rows], dtype=str),
+            mei=column("mei"),
+            nonhome_share=column("nonhome_share"),
+            nonhome_conditional=column("nonhome_conditional"),
+            region=np.array(codes, dtype=np.int8).reshape(len(rows), 3),
+            label=np.array([r.cluster_label for r in rows], dtype=np.int32),
+        )
+
+    @cached_property
+    def rows(self) -> dict[str, MeiRow]:
+        """The row view: one MeiRow per tract, keyed and ordered by geoid."""
+        def triples(column: np.ndarray) -> list[dict[str, float | None]]:
+            return [dict(zip(HAZARD_TYPES, (None if v != v else v for v in row)))
+                    for row in column.tolist()]
+
+        classes = [dict(zip(HAZARD_TYPES, map(REGIONS.__getitem__, row)))
+                   for row in self.region.tolist()]
+        return {
+            geoid: MeiRow(geoid, mei, share, cond, region_class, label)
+            for geoid, mei, share, cond, region_class, label in zip(
+                self.geoids.tolist(), triples(self.mei), triples(self.nonhome_share),
+                triples(self.nonhome_conditional), classes, self.label.tolist())
+        }
+
+    def csv_rows(self) -> Iterator[tuple]:
+        """mei.csv's data rows: geoid, the three index columns and the classes."""
+        cells = [format6_column(column[:, k])
+                 for column in (self.mei, self.nonhome_share, self.nonhome_conditional)
+                 for k in range(3)]
+        names = np.array(REGIONS, dtype=object)[self.region]
+        cells += [names[:, k].tolist() for k in range(3)]
+        return zip(self.geoids.tolist(), *cells)
 
 
 def _num(x) -> bool:

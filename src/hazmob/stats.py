@@ -3,21 +3,31 @@
 Welch's unequal-variance t-test with Welch-Satterthwaite degrees of
 freedom, two-sided p-values through the regularized incomplete beta
 function (continued-fraction evaluation), Pearson correlation with its
-t-based p-value, and the table builders for the disparity and scatter
-reports.
+t-based p-value, and the table builders for the disparity, correlation
+and scatter reports, which run over the MeiTable's columns and the tract
+demographics joined to them by geoid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterator
 
+import numpy as np
+
+from .exposure import tract_columns
 from .model import (
+    DIRECT_CODE,
     HAZARD_TYPES,
+    LATENT_CODE,
     REGION_DIRECT,
     REGION_LATENT,
-    CensusTract,
     MeiTable,
+    TractTable,
+    format6,
+    format6_column,
 )
 
 _BETACF_MAX_ITER = 400
@@ -108,21 +118,35 @@ class CorrelationResult:
     n: int
 
 
-def _mean_var(sample: list[float]) -> tuple[float, float]:
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
+
+
+def _square_sum(deviations: np.ndarray) -> float:
+    """math.fsum of v ** 2 over the values.
+
+    Both v ** 2 and math.pow(v, 2.0) evaluate C pow(v, 2.0) (for v < 0,
+    CPython's ** passes -v, and pow() squares the magnitude either way).
+    This is not v * v: glibc's pow(v, 2.0) differs from the correctly
+    rounded v * v in the last bit for about 1 value in 1,200, and these
+    sums feed the reported statistics.
+    """
+    return math.fsum(map(math.pow, deviations.tolist(), repeat(2.0)))
+
+
+def _mean_var(sample: np.ndarray) -> tuple[float, float]:
     n = len(sample)
-    mean = math.fsum(sample) / n
-    var = math.fsum((v - mean) ** 2 for v in sample) / (n - 1)
-    return mean, var
+    mean = math.fsum(sample.tolist()) / n
+    return mean, _square_sum(sample - mean) / (n - 1)
 
 
-def welch_t_test(sample_a, sample_b, pooled: bool = False) -> TTestResult | None:
-    """Two-sample t-test; Welch by default, pooled variance on request.
+def welch_t_test(sample_a, sample_b) -> TTestResult | None:
+    """Welch's unequal-variance two-sample t-test on two sequences or arrays of numbers.
 
     Returns None (not an exception) when a sample has fewer than two
     values or both variances are zero.
     """
-    a = [float(v) for v in sample_a]
-    b = [float(v) for v in sample_b]
+    a, b = _floats(sample_a), _floats(sample_b)
     if len(a) < 2 or len(b) < 2:
         return None
     mean_a, var_a = _mean_var(a)
@@ -130,36 +154,31 @@ def welch_t_test(sample_a, sample_b, pooled: bool = False) -> TTestResult | None
     if var_a == 0.0 and var_b == 0.0:
         return None
     na, nb = len(a), len(b)
-    if pooled:
-        sp2 = ((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2)
-        se = math.sqrt(sp2 * (1.0 / na + 1.0 / nb))
-        df = float(na + nb - 2)
-    else:
-        sa, sb = var_a / na, var_b / nb
-        se = math.sqrt(sa + sb)
-        df = (sa + sb) ** 2 / (sa * sa / (na - 1) + sb * sb / (nb - 1))
+    sa, sb = var_a / na, var_b / nb
+    se = math.sqrt(sa + sb)
+    df = (sa + sb) ** 2 / (sa * sa / (na - 1) + sb * sb / (nb - 1))
     t = (mean_a - mean_b) / se if se > 0 else math.inf * math.copysign(1.0, mean_a - mean_b)
     p = t_two_sided_p(t, df)
     return TTestResult(mean_a=mean_a, mean_b=mean_b, t=t, df=df, p=p, significant_01=p < 0.01)
 
 
 def pearson(x, y) -> CorrelationResult | None:
-    """Sample Pearson correlation with a two-sided t-based p-value.
+    """Sample Pearson correlation of two sequences or arrays of numbers,
+    with a two-sided t-based p-value.
 
     Returns None for undersized or constant input.
     """
-    xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
+    xs, ys = _floats(x), _floats(y)
     n = len(xs)
     if n != len(ys) or n < 3:
         return None
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxx = math.fsum((v - mx) ** 2 for v in xs)
-    syy = math.fsum((v - my) ** 2 for v in ys)
+    dx = xs - math.fsum(xs.tolist()) / n
+    dy = ys - math.fsum(ys.tolist()) / n
+    sxx = _square_sum(dx)
+    syy = _square_sum(dy)
     if sxx == 0.0 or syy == 0.0:
         return None
-    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
+    sxy = math.fsum((dx * dy).tolist())
     r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
@@ -195,142 +214,137 @@ class DisparityRow:
 class DisparityTable:
     rows: list[DisparityRow]
 
+    header = ("hazard", "region_class", "n_tracts", "mean_poverty", "mean_minority",
+              "weighted_mean_poverty", "weighted_mean_minority",
+              "t_poverty", "p_poverty", "sig01_poverty",
+              "t_minority", "p_minority", "sig01_minority")
 
-@dataclass(frozen=True, slots=True)
-class ScatterRow:
-    geoid: str
-    pct_poverty200: float
-    mei_air: float | None
-    mei_toxic: float | None
-    mei_heat: float | None
-    pct_minority: float
-    population: int
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
+
+    def csv_rows(self) -> Iterator[list]:
+        for r in self.rows:
+            cells = [r.hazard, r.region_class, str(r.n_tracts),
+                     format6(r.mean_poverty), format6(r.mean_minority),
+                     format6(r.weighted_mean_poverty), format6(r.weighted_mean_minority)]
+            for test in (r.poverty_test, r.minority_test):
+                if test is None:
+                    cells += ["", "", ""]
+                else:
+                    cells += [format6(test.t), format6(test.p), str(int(test.significant_01))]
+            yield cells
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class ScatterTable:
-    rows: list[ScatterRow]
+    """Exposure indices beside demographics, one entry per tract, sorted by geoid.
+
+    mei is float64 (n, 3) with NaN where undefined.
+    """
+
+    geoids: np.ndarray
+    pct_poverty200: np.ndarray
+    mei: np.ndarray
+    pct_minority: np.ndarray
+    population: np.ndarray
+
+    header = ("geoid", "pct_poverty200", "mei_air", "mei_toxic", "mei_heat",
+              "pct_minority", "population")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.geoids)
+
+    def csv_rows(self) -> Iterator[tuple]:
+        return zip(self.geoids.tolist(), format6_column(self.pct_poverty200),
+                   *(format6_column(self.mei[:, k]) for k in range(3)),
+                   format6_column(self.pct_minority), map(str, self.population.tolist()))
 
 
 @dataclass(frozen=True, slots=True)
 class CorrelationTable:
     rows: list[tuple[str, str, CorrelationResult]]
 
+    header = ("hazard_a", "hazard_b", "r", "p", "n", "sig01")
 
-def _included(table: MeiTable, tracts: list[CensusTract]):
-    by_geoid = {t.geoid: t for t in tracts}
-    joined = []
-    for geoid in sorted(table.rows):
-        row = table.rows[geoid]
-        tract = by_geoid.get(geoid)
-        if tract is None or row.excluded:
-            continue
-        joined.append((tract, row))
-    return joined
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
+
+    def csv_rows(self) -> Iterator[tuple]:
+        return ((a, b, format6(c.r), format6(c.p), str(c.n), str(int(c.p < 0.01))) for a, b, c in self.rows)
 
 
-def _in_class(row, hazard: str, region: str) -> bool:
-    if hazard == COMPOUND:
-        return all(row.region_class[h] == region for h in HAZARD_TYPES)
-    return row.region_class[hazard] == region
-
-
-def _means(tracts: list[CensusTract]) -> tuple[float | None, float | None, float | None, float | None]:
-    if not tracts:
+def _means(poverty: np.ndarray, minority: np.ndarray, population: np.ndarray):
+    """Plain and population-weighted means of a class's poverty and minority shares."""
+    n = len(poverty)
+    if not n:
         return None, None, None, None
-    n = len(tracts)
-    poverty = math.fsum(t.pct_below_poverty200 for t in tracts) / n
-    minority = math.fsum(t.pct_minority for t in tracts) / n
-    total_pop = sum(t.population for t in tracts)
+    mean_poverty = math.fsum(poverty.tolist()) / n
+    mean_minority = math.fsum(minority.tolist()) / n
+    total_pop = sum(population.tolist())
     if total_pop > 0:
-        wpoverty = math.fsum(t.pct_below_poverty200 * t.population for t in tracts) / total_pop
-        wminority = math.fsum(t.pct_minority * t.population for t in tracts) / total_pop
+        wpoverty = math.fsum((poverty * population).tolist()) / total_pop
+        wminority = math.fsum((minority * population).tolist()) / total_pop
     else:
         wpoverty, wminority = None, None
-    return poverty, minority, wpoverty, wminority
+    return mean_poverty, mean_minority, wpoverty, wminority
 
 
-def disparity_table(table: MeiTable, tracts: list[CensusTract]) -> DisparityTable:
+def disparity_table(table: MeiTable, tracts: TractTable) -> DisparityTable:
     """Group demographic means with significance tests, mirroring Table-style
     direct/latent comparisons for each hazard and the compound case.
 
     Each class is compared against the complementary tracts with a Welch
     t-test at the 0.01 level; classes with fewer than 2 tracts get their
-    means but no test. The first row carries the all-tract baseline.
+    means but no test. The first row carries the all-tract baseline. Only
+    tracts with a defined index and a tract record take part.
     """
-    joined = _included(table, tracts)
-    all_tracts = [t for t, _ in joined]
-    rows: list[DisparityRow] = []
-    poverty, minority, wpoverty, wminority = _means(all_tracts)
-    rows.append(
-        DisparityRow(
-            hazard="all", region_class="all", n_tracts=len(all_tracts),
-            mean_poverty=poverty, mean_minority=minority,
-            weighted_mean_poverty=wpoverty, weighted_mean_minority=wminority,
-            poverty_test=None, minority_test=None,
-        )
-    )
+    found, population, minority, poverty = tract_columns(
+        table.geoids, tracts, "population", "pct_minority", "pct_below_poverty200")
+    included = found & ~table.excluded
+    region, population = table.region[included], population[included]
+    minority, poverty = minority[included], poverty[included]
+
+    def row(hazard: str, region_class: str, members: np.ndarray | None) -> DisparityRow:
+        chosen = slice(None) if members is None else members
+        means = _means(poverty[chosen], minority[chosen], population[chosen])
+        poverty_test = minority_test = None
+        if members is not None and 2 <= members.sum() <= len(members) - 2:
+            poverty_test = welch_t_test(poverty[members], poverty[~members])
+            minority_test = welch_t_test(minority[members], minority[~members])
+        return DisparityRow(hazard, region_class, len(poverty[chosen]), *means,
+                            poverty_test=poverty_test, minority_test=minority_test)
+
+    rows = [row("all", "all", None)]
     for hazard in DISPARITY_HAZARDS:
-        for region in (REGION_DIRECT, REGION_LATENT):
-            members = [t for t, r in joined if _in_class(r, hazard, region)]
-            rest = [t for t, r in joined if not _in_class(r, hazard, region)]
-            poverty, minority, wpoverty, wminority = _means(members)
-            poverty_test = minority_test = None
-            if len(members) >= 2 and len(rest) >= 2:
-                poverty_test = welch_t_test(
-                    [t.pct_below_poverty200 for t in members],
-                    [t.pct_below_poverty200 for t in rest],
-                )
-                minority_test = welch_t_test(
-                    [t.pct_minority for t in members],
-                    [t.pct_minority for t in rest],
-                )
-            rows.append(
-                DisparityRow(
-                    hazard=hazard, region_class=region, n_tracts=len(members),
-                    mean_poverty=poverty, mean_minority=minority,
-                    weighted_mean_poverty=wpoverty, weighted_mean_minority=wminority,
-                    poverty_test=poverty_test, minority_test=minority_test,
-                )
-            )
+        for name, code in ((REGION_DIRECT, DIRECT_CODE), (REGION_LATENT, LATENT_CODE)):
+            if hazard == COMPOUND:
+                members = (region == code).all(axis=1)
+            else:
+                members = region[:, HAZARD_TYPES.index(hazard)] == code
+            rows.append(row(hazard, name, members))
     return DisparityTable(rows=rows)
 
 
 def hazard_pair_correlations(table: MeiTable) -> CorrelationTable:
     """Pearson correlation for each hazard pair over fully defined rows."""
     rows = []
+    defined = ~np.isnan(table.mei)
     for i, ha in enumerate(HAZARD_TYPES):
-        for hb in HAZARD_TYPES[i + 1 :]:
-            xs, ys = [], []
-            for geoid in sorted(table.rows):
-                row = table.rows[geoid]
-                if row.mei[ha] is not None and row.mei[hb] is not None:
-                    xs.append(row.mei[ha])
-                    ys.append(row.mei[hb])
-            result = pearson(xs, ys)
+        for j in range(i + 1, len(HAZARD_TYPES)):
+            both = defined[:, i] & defined[:, j]
+            result = pearson(table.mei[both, i], table.mei[both, j])
             if result is not None:
-                rows.append((ha, hb, result))
+                rows.append((ha, HAZARD_TYPES[j], result))
     return CorrelationTable(rows=rows)
 
 
-def scatter_export(table: MeiTable, tracts: list[CensusTract]) -> ScatterTable:
+def scatter_export(table: MeiTable, tracts: TractTable) -> ScatterTable:
     """Per-tract rows pairing exposure indices with demographics."""
-    by_geoid = {t.geoid: t for t in tracts}
-    rows = []
-    for geoid in sorted(table.rows):
-        tract = by_geoid.get(geoid)
-        if tract is None:
-            continue
-        row = table.rows[geoid]
-        rows.append(
-            ScatterRow(
-                geoid=geoid,
-                pct_poverty200=tract.pct_below_poverty200,
-                mei_air=row.mei["air_pollution"],
-                mei_toxic=row.mei["toxic"],
-                mei_heat=row.mei["heat"],
-                pct_minority=tract.pct_minority,
-                population=tract.population,
-            )
-        )
-    return ScatterTable(rows=rows)
+    found, population, minority, poverty = tract_columns(
+        table.geoids, tracts, "population", "pct_minority", "pct_below_poverty200")
+    return ScatterTable(geoids=table.geoids[found], pct_poverty200=poverty[found],
+                        mei=table.mei[found], pct_minority=minority[found],
+                        population=population[found])

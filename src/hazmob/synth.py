@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hazardclass import classify_heat_quartile, classify_percentile, percentile_interpolated
-from .model import HAZARD_TYPES, CensusTract, HazardLayer, Stops
+from .model import HAZARD_TYPES, CensusTract, HazardLayer, Stops, TractTable
 
 # 2019-04-01T00:00:00Z; the synthetic month spans 30 days from here.
 MONTH_START_TS = 1554076800
@@ -91,7 +91,7 @@ class PlantedTruth:
 @dataclass(frozen=True, slots=True)
 class World:
     config: WorldConfig
-    tracts: list[CensusTract]
+    tracts: TractTable
     layers: dict[str, HazardLayer]  # values only; masks live in the truth
     stops: Stops  # line numbers are those of the written stops.csv
     truth: PlantedTruth = field(repr=False)
@@ -320,7 +320,7 @@ def gen_world(config: WorldConfig) -> World:
     poverty = np.clip(0.12 + 0.75 * config.demo_hazard_gain * score + 0.05 * demo_rng.standard_normal(total), 0.01, 0.99)
     population = demo_rng.integers(500, 5001, total)
 
-    tracts = [
+    tracts = TractTable(
         CensusTract(
             geoid=geoids[i],
             geometry=_unit_square(i // n, i % n),
@@ -329,7 +329,7 @@ def gen_world(config: WorldConfig) -> World:
             pct_below_poverty200=float(poverty[i]),
         )
         for i in range(total)
-    ]
+    )
 
     # Masks the pipeline is expected to reproduce from the value layers.
     masks = {

@@ -222,7 +222,7 @@ def test_report_empty_latent_class(tmp_path, capsys):
             region_class=dict.fromkeys(HAZARD_TYPES, "direct"),
         )
     }
-    ingest.write_report(MeiTable(rows=rows), tmp_path / "mei.csv")
+    ingest.write_report(MeiTable.from_rows(rows.values()), tmp_path / "mei.csv")
     tract_doc = {
         "type": "FeatureCollection",
         "features": [{
@@ -364,6 +364,22 @@ def test_huge_dwell_row_is_rejected_and_counted(fixture_dir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", "--stops", str(stops)]) == EXIT_OK
     assert f"stops line {len(good.splitlines()) + 1}: dwell_s: out of range" in capsys.readouterr().out
+
+
+def test_overlong_stops_field_is_rejected_and_counted(fixture_dir, tmp_path, capsys):
+    """A 200,000-character user_id used to abort the run in ingest."""
+    lines = (fixture_dir / "stops.csv").read_text().splitlines(keepends=True)
+    stops = tmp_path / "stops.csv"
+    stops.write_text("".join(lines[:2]) + "u" * 200_000 + ",0.5,0.5,2019-04-01T23:16:00Z,60\n"
+                     + "".join(lines[2:]))
+    args = run_args(fixture_dir, tmp_path / "out")
+    args[args.index("--stops") + 1] = str(stops)
+    assert main(args) == EXIT_OK
+    counts = json.loads((tmp_path / "out" / "run_metadata.json").read_text())["counts"]
+    assert (counts["stops_rejected"], counts["stops_accepted"]) == (1, len(lines) - 1)
+    capsys.readouterr()
+    assert main(["validate", "--stops", str(stops)]) == EXIT_OK
+    assert "stops line 3: unreadable row: field larger than field limit" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

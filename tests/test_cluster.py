@@ -15,6 +15,7 @@ from hazmob.cluster import (
     NOISE,
     ClusterConfig,
     _neighbor_lists,
+    _summary_rows,
     apply_labels,
     cluster_points,
     dbscan,
@@ -102,6 +103,12 @@ def points_from(coords):
     return [(f"48{i:09d}", tuple(c)) for i, c in enumerate(coords)]
 
 
+def summary_of(result, points):
+    """The summary rows of result, with means over the clustered points."""
+    coords = dict(points)
+    return _summary_rows(result.label, np.array([coords[g] for g in result.geoids.tolist()]).reshape(-1, 3))
+
+
 def test_two_blobs_two_clusters_no_noise():
     rng = np.random.default_rng(5)
     blob_a = 0.9 + rng.normal(0, 0.01, (20, 3))
@@ -134,7 +141,7 @@ def test_single_point_insufficient_neighbors_is_noise():
 def test_empty_input():
     result = dbscan([], ClusterConfig(eps=0.1, min_pts=3))
     assert result.labels == {}
-    assert result.summary == []
+    assert summary_of(result, []) == []
 
 
 def test_config_validation():
@@ -229,7 +236,14 @@ def grid_cases(draw):
 @given(grid_cases(), st.integers(1, 6))
 def test_grid_neighbors_equal_all_pairs_scan(case, min_pts):
     coords, eps = case
-    got = _neighbor_lists(coords, eps)
+    order, indptr, indices = _neighbor_lists(coords, eps)
+    assert sorted(order.tolist()) == list(range(len(coords)))
+    assert indptr[0] == 0 and indptr[-1] == len(indices)
+    rows = np.split(indices, indptr[1:-1])
+    assert all((np.diff(row) > 0).all() for row in rows)
+    got = [None] * len(coords)
+    for point, row in zip(order.tolist(), rows):
+        got[point] = np.sort(order[row])
     want = all_pairs_neighbors(coords, eps)
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
@@ -253,11 +267,11 @@ def test_coincident_points_memory_bounded():
     assert set(result.labels.values()) == {0}
     tracemalloc.start()
     try:
-        neighbors = _neighbor_lists(coords, 0.1)
+        _, indptr, indices = _neighbor_lists(coords, 0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(len(nb) == 3000 for nb in neighbors)
+    assert (np.diff(indptr) == 3000).all() and len(indices) == 3000 * 3000
     assert peak < 150 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
@@ -274,11 +288,12 @@ def test_scan_order_insensitive_core_sets():
 
 
 def test_summary_means_and_ordering():
-    coords = [(0.9, 1.0, 0.8)] * 3 + [(0.1, 0.1, 0.1)] * 5
-    result = dbscan(points_from(coords), ClusterConfig(eps=0.05, min_pts=3))
-    assert result.summary[0].count == 5
-    assert result.summary[1].count == 3
-    big, small = result.summary[0], result.summary[1]
+    points = points_from([(0.9, 1.0, 0.8)] * 3 + [(0.1, 0.1, 0.1)] * 5)
+    result = dbscan(points, ClusterConfig(eps=0.05, min_pts=3))
+    summary = summary_of(result, points)
+    assert summary[0].count == 5
+    assert summary[1].count == 3
+    big, small = summary[0], summary[1]
     assert small.mean_mei["air_pollution"] == pytest.approx(0.9)
     assert small.mean_mei["toxic"] == pytest.approx(1.0)
     assert small.mean_mei["heat"] == pytest.approx(0.8)
@@ -286,10 +301,11 @@ def test_summary_means_and_ordering():
 
 
 def test_noise_only_summary():
-    coords = [(0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]
-    result = dbscan(points_from(coords), ClusterConfig(eps=0.01, min_pts=2))
-    assert [r.label for r in result.summary] == [NOISE]
-    assert result.summary[0].count == 3
+    points = points_from([(0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.0, 1.0, 1.0)])
+    result = dbscan(points, ClusterConfig(eps=0.01, min_pts=2))
+    summary = summary_of(result, points)
+    assert [r.label for r in summary] == [NOISE]
+    assert summary[0].count == 3
 
 
 def test_summarize_from_table_matches_and_labels_apply():
@@ -303,7 +319,7 @@ def test_summarize_from_table_matches_and_labels_apply():
             nonhome_conditional=dict.fromkeys(HAZARD_TYPES, None),
             region_class=dict.fromkeys(HAZARD_TYPES, "none"),
         )
-    table = MeiTable(rows=rows)
+    table = MeiTable.from_rows(rows.values())
     points = cluster_points(table)
     assert len(points) == 8
     result = dbscan(points, ClusterConfig(eps=0.1, min_pts=3))
@@ -325,7 +341,7 @@ def test_cluster_points_excludes_undefined_rows():
             nonhome_conditional=dict.fromkeys(HAZARD_TYPES, None),
             region_class=dict.fromkeys(HAZARD_TYPES, "none"),
         )
-    assert len(cluster_points(MeiTable(rows=rows))) == 1
+    assert len(cluster_points(MeiTable.from_rows(rows.values()))) == 1
 
 
 def test_archetype_world_largest_cluster_is_all_high():
@@ -338,7 +354,7 @@ def test_archetype_world_largest_cluster_is_all_high():
     table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, masks)), masks)
     points = cluster_points(table)
     result = dbscan(points, ClusterConfig(eps=0.1, min_pts=4))
-    clusters = [r for r in result.summary if r.label != NOISE]
+    clusters = [r for r in summarize(result, table).rows if r.label != NOISE]
     assert len(clusters) == 8
     top = clusters[0]
     assert top.mean_mei["air_pollution"] > 0.8

@@ -1,12 +1,17 @@
 """Exposure accumulation and index computation, checked against a naive
 per-record reference loop that shares no code with the pipeline."""
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hazmob import synth
 from hazmob.exposure import (
+    AccumulateResult,
     accumulate,
     classify_regions,
     compound_latent,
@@ -15,7 +20,7 @@ from hazmob.exposure import (
 )
 from hazmob.geoindex import build_index, locate, locate_stops
 from hazmob.homeloc import HomeMap, infer_homes
-from hazmob.model import HAZARD_TYPES, HazardLayer, StopRecord, Stops
+from hazmob.model import HAZARD_TYPES, ExposureAccumulator, HazardLayer, StopRecord, Stops, TractTable
 
 from conftest import classify_world_masks, frame_of, unit_square_tract
 
@@ -33,6 +38,36 @@ def accumulate_at(stops, index, home_map, masks):
     return accumulate(stops, locate_stops(index, stops), index.geoids, home_map, masks)
 
 
+def sums_of(accumulators) -> AccumulateResult:
+    """The AccumulateResult holding these accumulators' sums."""
+    accs = sorted(accumulators, key=lambda a: a.geoid)
+
+    def column(name):
+        return np.array([getattr(a, name) for a in accs], dtype=np.int64)
+
+    def hazards(name):
+        return np.array([[getattr(a, name)[h] for h in HAZARD_TYPES] for a in accs],
+                        dtype=np.int64).reshape(-1, 3)
+
+    return AccumulateResult(
+        geoids=np.array([a.geoid for a in accs], dtype=str), tdt_s=column("tdt_s"),
+        hdt_s=hazards("hdt_s"), tdt_nonhome_s=column("tdt_nonhome_s"),
+        hdt_nonhome_s=hazards("hdt_nonhome_s"), unresolved_s=column("unresolved_dwell_s"),
+    )
+
+
+def by_tract(result: AccumulateResult) -> dict[str, ExposureAccumulator]:
+    """The ExposureAccumulator of each home tract in result, by geoid."""
+    return {
+        geoid: ExposureAccumulator(geoid, tdt, dict(zip(HAZARD_TYPES, hdt)), tdt_nonhome,
+                                   dict(zip(HAZARD_TYPES, hdt_nonhome)), unresolved)
+        for geoid, tdt, hdt, tdt_nonhome, hdt_nonhome, unresolved in zip(
+            result.geoids.tolist(), result.tdt_s.tolist(), result.hdt_s.tolist(),
+            result.tdt_nonhome_s.tolist(), result.hdt_nonhome_s.tolist(),
+            result.unresolved_s.tolist())
+    }
+
+
 def masks_for(geoids_by_hazard: dict) -> dict:
     masks = {}
     for h in HAZARD_TYPES:
@@ -44,9 +79,26 @@ def masks_for(geoids_by_hazard: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def two_tract_setup():
-    tracts = [unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0)]
+    tracts = TractTable([unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0)])
     index = build_index(tracts, cell_size_deg=0.5)
     return tracts, index
+
+
+def test_tract_without_residents_has_no_index_even_when_masked(two_tract_setup):
+    """The index is per home tract: a masked tract nobody lives in gets no row,
+    no scatter row and no place in the disparity counts, but its hazard still
+    counts for the residents who visit it."""
+    from hazmob.stats import disparity_table, scatter_export
+
+    tracts, index = two_tract_setup
+    home_map = HomeMap(assignments={"u1": "48001000001"})
+    stops = [stop("u1", 0.5, 0.5, 30), stop("u1", 1.5, 0.5, 70)]
+    masks = masks_for({"heat": {"48001000002"}})
+    table = classify_regions(compute_mei(accumulate_at(stops, index, home_map, masks)), masks)
+    assert table.geoids.tolist() == ["48001000001"]
+    assert table.rows["48001000001"].mei["heat"] == pytest.approx(0.7)
+    assert scatter_export(table, tracts).geoids.tolist() == ["48001000001"]
+    assert disparity_table(table, tracts).rows[0].n_tracts == 1
 
 
 def test_all_dwell_in_masked_home_tract(two_tract_setup):
@@ -54,7 +106,7 @@ def test_all_dwell_in_masked_home_tract(two_tract_setup):
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 30), stop("u1", 0.6, 0.5, 70)]
     result = accumulate_at(stops, index, home_map, masks_for({"heat": {"48001000001"}}))
-    acc = result.by_tract["48001000001"]
+    acc = by_tract(result)["48001000001"]
     assert acc.tdt_s == 100
     assert acc.hdt_s["heat"] == 100
     assert acc.tdt_nonhome_s == 0
@@ -66,7 +118,7 @@ def test_nonhome_stop_in_unmasked_tract(two_tract_setup):
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 30), stop("u1", 1.5, 0.5, 70)]
     result = accumulate_at(stops, index, home_map, masks_for({"heat": {"48001000001"}}))
-    acc = result.by_tract["48001000001"]
+    acc = by_tract(result)["48001000001"]
     assert acc.tdt_s == 100
     assert acc.hdt_s["heat"] == 30
     assert acc.tdt_nonhome_s == 70
@@ -78,7 +130,7 @@ def test_unlocated_stop_counts_in_tdt_and_unresolved(two_tract_setup):
     home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 40), stop("u1", 9.0, 9.0, 25)]
     result = accumulate_at(stops, index, home_map, masks_for({"heat": {"48001000001"}}))
-    acc = result.by_tract["48001000001"]
+    acc = by_tract(result)["48001000001"]
     assert acc.tdt_s == 65
     assert acc.unresolved_dwell_s == 25
     assert acc.tdt_nonhome_s == 0
@@ -95,18 +147,17 @@ def test_stops_by_homeless_users_dropped_with_diagnostics(two_tract_setup):
     assert result.dropped_users == {"u2"}
     # conservation: located tdt + dropped = total dwell
     total = sum(s.dwell_s for s in stops)
-    assert sum(a.tdt_s for a in result.by_tract.values()) + result.dropped_dwell_s == total
+    assert sum(a.tdt_s for a in by_tract(result).values()) + result.dropped_dwell_s == total
 
 
 def test_compute_mei_basic_ratios():
-    from hazmob.exposure import AccumulateResult
     from hazmob.model import ExposureAccumulator
 
     acc = ExposureAccumulator(geoid="G1", tdt_s=100)
     acc.hdt_s["heat"] = 70
     acc.tdt_nonhome_s = 40
     acc.hdt_nonhome_s["heat"] = 20
-    table = compute_mei(AccumulateResult(by_tract={"G1": acc}))
+    table = compute_mei(sums_of([acc]))
     row = table.rows["G1"]
     assert row.mei["heat"] == pytest.approx(0.7)
     assert row.nonhome_share["heat"] == pytest.approx(0.2)
@@ -114,11 +165,50 @@ def test_compute_mei_basic_ratios():
     assert row.mei["toxic"] == 0.0
 
 
+# Dwell sums up to 2**62, crowded around 2**53, where int64 stops converting
+# to float64 exactly.
+SUM = st.integers(0, 2**62) | st.integers(2**53 - 4, 2**53 + 4) | st.integers(0, 100)
+
+
+@st.composite
+def accumulator_sums(draw):
+    tdt = draw(SUM)
+    nonhome = draw(st.integers(0, tdt))
+    hdt = [draw(st.integers(0, tdt)) for _ in HAZARD_TYPES]
+    hdt_nonhome = [draw(st.integers(0, min(h, nonhome))) for h in hdt]
+    return tdt, hdt, nonhome, hdt_nonhome
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(accumulator_sums(), max_size=12))
+def test_compute_mei_bits_equal_python_int_division(sums):
+    """Every index is Python's int / int of the int64 sums, to the bit."""
+    n = len(sums)
+    result = AccumulateResult(
+        geoids=np.array([f"G{i:02d}" for i in range(n)], dtype=str),
+        tdt_s=np.array([t for t, _, _, _ in sums], dtype=np.int64),
+        hdt_s=np.array([h for _, h, _, _ in sums], dtype=np.int64).reshape(n, 3),
+        tdt_nonhome_s=np.array([x for _, _, x, _ in sums], dtype=np.int64),
+        hdt_nonhome_s=np.array([h for _, _, _, h in sums], dtype=np.int64).reshape(n, 3),
+        unresolved_s=np.zeros(n, dtype=np.int64),
+    )
+    table = compute_mei(result)
+
+    def bits(column) -> list:
+        return [None if math.isnan(v) else v.hex() for v in column.ravel().tolist()]
+
+    def div(num: int, den: int):
+        return None if den == 0 else (num / den).hex()
+
+    assert bits(table.mei) == [div(h, t) for t, hdt, _, _ in sums for h in hdt]
+    assert bits(table.nonhome_share) == [div(h, t) for t, _, _, hn in sums for h in hn]
+    assert bits(table.nonhome_conditional) == [div(h, x) for _, _, x, hn in sums for h in hn]
+
+
 def test_compute_mei_zero_dwell_undefined():
-    from hazmob.exposure import AccumulateResult
     from hazmob.model import ExposureAccumulator
 
-    table = compute_mei(AccumulateResult(by_tract={"G1": ExposureAccumulator(geoid="G1")}))
+    table = compute_mei(sums_of([ExposureAccumulator(geoid="G1")]))
     row = table.rows["G1"]
     assert row.mei["heat"] is None
     assert row.excluded
@@ -136,7 +226,6 @@ def test_mei_upper_bound_all_masked(two_tract_setup):
 
 
 def test_classify_regions_rules(two_tract_setup):
-    from hazmob.exposure import AccumulateResult
     from hazmob.model import ExposureAccumulator
 
     masks = masks_for({"heat": {"G1"}})
@@ -145,40 +234,37 @@ def test_classify_regions_rules(two_tract_setup):
         acc = ExposureAccumulator(geoid=geoid, tdt_s=100)
         acc.hdt_s["heat"] = hdt
         accs[geoid] = acc
-    table = classify_regions(compute_mei(AccumulateResult(by_tract=accs)), masks)
+    table = classify_regions(compute_mei(sums_of(accs.values())), masks)
     assert table.rows["G1"].region_class["heat"] == "direct"
     assert table.rows["G2"].region_class["heat"] == "latent"
     assert table.rows["G3"].region_class["heat"] == "none"
 
 
 def test_population_curve_definition(two_tract_setup):
-    from hazmob.exposure import AccumulateResult
     from hazmob.model import ExposureAccumulator
 
-    tracts = [unit_square_tract("48001000001", 0, 0, population=1000)]
+    tracts = TractTable([unit_square_tract("48001000001", 0, 0, population=1000)])
     acc = ExposureAccumulator(geoid="48001000001", tdt_s=100)
     acc.hdt_s["heat"] = 7
-    table = classify_regions(compute_mei(AccumulateResult(by_tract={"48001000001": acc})), masks_for({}))
+    table = classify_regions(compute_mei(sums_of([acc])), masks_for({}))
     curve = population_curve(table, tracts, "heat", [0.05, 0.10])
     assert curve.points == [(0.05, 1000), (0.10, 0)]
 
 
 def test_population_curve_empty_latent_class():
-    from hazmob.exposure import AccumulateResult
 
-    table = classify_regions(compute_mei(AccumulateResult()), masks_for({}))
-    curve = population_curve(table, [], "heat", [0.0, 0.5])
+    table = classify_regions(compute_mei(sums_of([])), masks_for({}))
+    curve = population_curve(table, TractTable(), "heat", [0.0, 0.5])
     assert curve.points == [(0.0, 0), (0.5, 0)]
 
 
 def test_compound_latent_rules():
-    from hazmob.exposure import AccumulateResult
     from hazmob.model import ExposureAccumulator
 
-    tracts = [
+    tracts = TractTable([
         unit_square_tract("48001000001", 0, 0, population=500),
         unit_square_tract("48001000002", 1, 0, population=700),
-    ]
+    ])
     accs = {}
     for geoid, rates in (("48001000001", (6, 7, 8)), ("48001000002", (6, 7, 8))):
         acc = ExposureAccumulator(geoid=geoid, tdt_s=100)
@@ -187,10 +273,32 @@ def test_compound_latent_rules():
         accs[geoid] = acc
     # second tract is direct in heat, so it cannot be compound-latent
     masks = masks_for({"heat": {"48001000002"}})
-    table = classify_regions(compute_mei(AccumulateResult(by_tract=accs)), masks)
+    table = classify_regions(compute_mei(sums_of(accs.values())), masks)
     geoids, population = compound_latent(table, tracts, 0.05)
     assert geoids == ["48001000001"]
     assert population == 500
+
+
+@pytest.mark.parametrize("populations", [(2**62, 2**62), (2**63, 2**64)])
+def test_population_sums_are_exact_past_int64(populations):
+    """Populations add up as Python ints, with no int64 wrap-around."""
+    from hazmob.stats import disparity_table
+
+    tracts = TractTable(unit_square_tract(f"4800100000{i}", i, 0, population=p)
+                        for i, p in enumerate(populations))
+    accs = [ExposureAccumulator(geoid=t.geoid, tdt_s=100, hdt_s=dict.fromkeys(HAZARD_TYPES, 50))
+            for t in tracts]
+    table = classify_regions(compute_mei(sums_of(accs)), masks_for({}))
+    total = sum(populations)
+    assert population_curve(table, tracts, "heat", [0.1, 0.9]).points == [(0.1, total), (0.9, 0)]
+    assert compound_latent(table, tracts, 0.1) == ([t.geoid for t in tracts], total)
+    assert disparity_table(table, tracts).rows[0].weighted_mean_poverty == pytest.approx(0.3)
+
+
+def test_tract_demographics_need_a_tract_table():
+    table = compute_mei(sums_of([]))
+    with pytest.raises(TypeError):
+        population_curve(table, [], "heat", [0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +350,8 @@ def test_accumulate_matches_reference_loop(oracle_world):
     tdt, hdt, tdt_nh, hdt_nh, unresolved = reference_exposure(
         world.stops.records(), home_map.assignments, index, masked_sets
     )
-    assert set(result.by_tract) == set(tdt)
-    for geoid, acc in result.by_tract.items():
+    assert set(by_tract(result)) == set(tdt)
+    for geoid, acc in by_tract(result).items():
         assert acc.tdt_s == tdt[geoid]
         assert acc.tdt_nonhome_s == tdt_nh.get(geoid, 0)
         assert acc.unresolved_dwell_s == unresolved.get(geoid, 0)
@@ -256,7 +364,7 @@ def test_conservation_of_dwell(oracle_world):
     world, index, home_map, masks = oracle_world
     result = accumulate_at(world.stops, index, home_map, masks)
     total = sum(s.dwell_s for s in world.stops.records())
-    assert sum(a.tdt_s for a in result.by_tract.values()) + result.dropped_dwell_s == total
+    assert sum(a.tdt_s for a in by_tract(result).values()) + result.dropped_dwell_s == total
 
 
 def test_stop_order_shuffle_leaves_results_unchanged(oracle_world):

@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import math
 import random
 import re
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from hazmob import ingest, synth
 from hazmob.exposure import PopulationCurve
 from hazmob.ingest import IngestError, parse_hazard, parse_stops, parse_tracts
-from hazmob.model import HAZARD_TYPES, HazardLayer, MeiRow, MeiTable, StopRecord, validate
+from hazmob.model import HAZARD_TYPES, HazardLayer, MeiRow, MeiTable, StopRecord, format6, validate
 
 from conftest import unit_square_tract
 
@@ -64,6 +67,24 @@ def test_parse_rejects_garbage_and_continues():
     assert report.rows_accepted == 2
     assert report.rows_rejected == 4
     assert report.rows_read == report.rows_accepted + report.rows_rejected
+
+
+def test_parse_stops_rejects_overlong_field_and_continues():
+    """A field over csv.field_size_limit() costs its row, not the whole file."""
+    long_user = "u" * 200_000
+    for chunk_rows in (1, 2, 4096):
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            stops, report = parse_stops(stops_stream(
+                "u1,-73.9,40.7,2019-04-01T08:00:00Z,60",
+                f"{long_user},-73.9,40.7,2019-04-01T08:00:00Z,60",
+                "u3,-73.9,40.7,2019-04-01T09:00:00Z,61",
+            ))
+        assert [s.user_id for s in stops.records()] == ["u1", "u3"]
+        assert stops.line.tolist() == [2, 4]
+        assert (report.rows_read, report.rows_accepted, report.rows_rejected) == (3, 2, 1)
+        line_no, reason = report.first_10_rejects[0]
+        assert line_no == 3
+        assert reason.startswith("unreadable row: field larger than field limit")
 
 
 def test_parse_stops_bad_header_is_fatal():
@@ -442,12 +463,12 @@ def mei_table(rows: int = 3) -> MeiTable:
             nonhome_conditional={"air_pollution": 0.5, "toxic": None, "heat": None},
             region_class={"air_pollution": "latent", "toxic": "none", "heat": "direct"},
         )
-    return MeiTable(rows=out)
+    return MeiTable.from_rows(out.values())
 
 
 def test_write_report_empty_mei_table(tmp_path):
     dest = tmp_path / "mei.csv"
-    ingest.write_report(MeiTable(rows={}), dest)
+    ingest.write_report(MeiTable.from_rows([]), dest)
     lines = dest.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("geoid,mei_air,mei_toxic,mei_heat,")
@@ -479,7 +500,7 @@ def test_mei_round_trip_to_six_decimals(tmp_path):
             nonhome_conditional={h: (rng.random() if rng.random() > 0.2 else None) for h in HAZARD_TYPES},
             region_class={h: rng.choice(["direct", "latent", "none"]) for h in HAZARD_TYPES},
         )
-    table = MeiTable(rows=rows)
+    table = MeiTable.from_rows(rows.values())
     dest = tmp_path / "mei.csv"
     ingest.write_report(table, dest)
     parsed = ingest.read_mei(dest)
@@ -497,6 +518,58 @@ def test_mei_round_trip_to_six_decimals(tmp_path):
                 else:
                     assert abs(mine - theirs) <= 5e-7
             assert row.region_class[h] == back.region_class[h]
+
+
+# Geoid characters, quote and comma included. NUL is left out because numpy
+# str arrays drop trailing NULs; CR because csv.writer, with a LF line
+# terminator, leaves it unquoted and csv.reader then splits the row there.
+GEOID_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"),
+                     min_size=1, max_size=11)
+INDEX = st.floats(0.0, 1.0) | st.just(math.nan)
+
+
+@st.composite
+def mei_tables(draw) -> MeiTable:
+    """MeiTables with undefined cells, all three region classes and labels -1..k."""
+    geoids = np.sort(np.array(draw(st.lists(GEOID_TEXT, max_size=25, unique=True)), dtype=str))
+    n = len(geoids)
+
+    def column():
+        return np.array(draw(st.lists(INDEX, min_size=3 * n, max_size=3 * n)), dtype=np.float64).reshape(n, 3)
+
+    k = draw(st.integers(0, 5))
+    return MeiTable(
+        geoids=geoids, mei=column(), nonhome_share=column(), nonhome_conditional=column(),
+        region=np.array(draw(st.lists(st.integers(0, 2), min_size=3 * n, max_size=3 * n)),
+                        dtype=np.int8).reshape(n, 3),
+        label=np.array(draw(st.lists(st.integers(-1, k), min_size=n, max_size=n)), dtype=np.int32),
+    )
+
+
+def six_decimals(column: np.ndarray) -> list[str]:
+    return [format6(None if v != v else v) for v in column.ravel().tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mei_tables())
+@example(MeiTable(
+    geoids=np.array(["48001000001", "48001000002", "48001000003", 'a,"b"\nc'], dtype=str),
+    mei=np.array([[0.1234565, math.nan, 1.0]] * 4), nonhome_share=np.zeros((4, 3)),
+    nonhome_conditional=np.full((4, 3), math.nan),
+    region=np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 0, 0]], dtype=np.int8),
+    label=np.array([-1, 0, 1, 2], dtype=np.int32)))
+def test_mei_table_round_trips_through_writer_and_read_mei(table):
+    """read_mei(write_report(table)) is the table at 6 decimals; mei.csv has no labels."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dest = Path(tmp) / "mei.csv"
+        ingest.write_report(table, dest)
+        back = ingest.read_mei(dest)
+        assert json.loads(Path(f"{dest}.meta.json").read_text())["rows"] == len(table)
+    assert back.geoids.tolist() == table.geoids.tolist()
+    for name in ("mei", "nonhome_share", "nonhome_conditional"):
+        assert six_decimals(getattr(back, name)) == six_decimals(getattr(table, name)), name
+    assert back.region.tolist() == table.region.tolist()
+    assert back.label.tolist() == [-1] * len(table)
 
 
 def _mei_csv(tmp_path, *rows: str):
@@ -530,6 +603,17 @@ def test_read_mei_accepts_good_row(tmp_path):
     assert row.region_class["heat"] == "direct"
 
 
+def test_read_mei_rows_keep_file_order(tmp_path):
+    """read_mei_rows keeps the file's order (a repeated geoid keeps its first
+    place and its last values); read_mei sorts by geoid."""
+    late = GOOD_MEI_ROW.replace("48001000001", "48001000009")
+    dest = _mei_csv(tmp_path, late, GOOD_MEI_ROW, late.replace(",0.5,", ",0.75,", 1))
+    rows = ingest.read_mei_rows(dest)
+    assert [r.geoid for r in rows] == ["48001000009", "48001000001"]
+    assert rows[0].mei["air_pollution"] == 0.75
+    assert ingest.read_mei(dest).geoids.tolist() == ["48001000001", "48001000009"]
+
+
 def test_write_report_curves_and_unknown(tmp_path):
     curves = [
         PopulationCurve(hazard_type="heat", points=[(0.05, 1200), (0.1, 300)]),
@@ -544,6 +628,9 @@ def test_write_report_curves_and_unknown(tmp_path):
     assert lines[3].startswith("heat,")
     with pytest.raises(IngestError):
         ingest.write_report(object(), tmp_path / "nope.csv")
+    with pytest.raises(IngestError):
+        ingest.write_report([curves[0], "not a curve"], tmp_path / "mixed.csv")
+    assert not (tmp_path / "mixed.csv").exists()
 
 
 def test_write_report_unwritable_destination_fatal(tmp_path):
@@ -551,9 +638,22 @@ def test_write_report_unwritable_destination_fatal(tmp_path):
         ingest.write_report(mei_table(), tmp_path / "missing_dir" / "mei.csv")
 
 
+def write_mask(layer: HazardLayer, dest) -> int:
+    rows = (
+        [g, repr(layer.values[g]), str(int(bool(layer.mask.get(g, False))))]
+        for g in sorted(layer.values)
+    )
+    return ingest._write_csv(dest, ["geoid", "value", "high_hazard"], rows)
+
+
+def write_homes(assignments: dict[str, str], dest) -> int:
+    rows = ([u, assignments[u]] for u in sorted(assignments))
+    return ingest._write_csv(dest, ["user_id", "geoid"], rows)
+
+
 def test_write_mask_and_homes(tmp_path):
     layer = HazardLayer(hazard_type="toxic", values={"G2": 0.8, "G1": 0.2}, mask={"G2": True, "G1": False})
-    ingest.write_mask(layer, tmp_path / "mask.csv")
+    write_mask(layer, tmp_path / "mask.csv")
     assert (tmp_path / "mask.csv").read_text() == "geoid,value,high_hazard\nG1,0.2,0\nG2,0.8,1\n"
-    ingest.write_homes({"u2": "G1", "u1": "G2"}, tmp_path / "homes.csv")
+    write_homes({"u2": "G1", "u1": "G2"}, tmp_path / "homes.csv")
     assert (tmp_path / "homes.csv").read_text() == "user_id,geoid\nu1,G2\nu2,G1\n"

@@ -123,7 +123,7 @@ def test_mei_table_validation_prefixes_geoid():
         nonhome_conditional={h: None for h in HAZARD_TYPES},
         region_class={h: "none" for h in HAZARD_TYPES},
     )
-    violations = validate(MeiTable(rows={"G1": row}))
+    violations = validate(MeiTable.from_rows([row]))
     assert violations and all(v.startswith("rows[G1].") for v in violations)
 
 
@@ -135,3 +135,4 @@ def test_validate_is_pure():
 def test_validate_rejects_unknown_type():
     with pytest.raises(TypeError):
         validate(42)
+

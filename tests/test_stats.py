@@ -6,6 +6,7 @@ under test shares no code with it.
 """
 
 import math
+import statistics
 
 import pytest
 
@@ -13,13 +14,15 @@ from hazmob import synth
 from hazmob.exposure import accumulate, classify_regions, compute_mei
 from hazmob.geoindex import build_index, locate_stops
 from hazmob.homeloc import infer_homes
-from hazmob.model import HAZARD_TYPES, MeiRow, MeiTable
+from hazmob.model import HAZARD_TYPES, MeiRow, MeiTable, TractTable
 from hazmob.stats import (
+    TTestResult,
     betainc_regularized,
     disparity_table,
     hazard_pair_correlations,
     pearson,
     scatter_export,
+    t_two_sided_p,
     welch_t_test,
 )
 
@@ -98,11 +101,23 @@ def test_error_values_not_crashes():
     assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None  # constant
 
 
+def pooled_t_test(a, b) -> TTestResult:
+    """Student's two-sample t-test with pooled variance."""
+    na, nb = len(a), len(b)
+    mean_a, var_a = statistics.fmean(a), statistics.variance(a)
+    mean_b, var_b = statistics.fmean(b), statistics.variance(b)
+    sp2 = ((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2)
+    t = (mean_a - mean_b) / math.sqrt(sp2 * (1.0 / na + 1.0 / nb))
+    df = float(na + nb - 2)
+    p = t_two_sided_p(t, df)
+    return TTestResult(mean_a=mean_a, mean_b=mean_b, t=t, df=df, p=p, significant_01=p < 0.01)
+
+
 def test_welch_reduces_to_pooled_at_equal_sizes_and_variances():
     a = [1.0, 2.0, 3.0, 4.0, 5.0]
     b = [2.5, 3.5, 4.5, 5.5, 6.5]  # same variance, shifted
     welch = welch_t_test(a, b)
-    pooled = welch_t_test(a, b, pooled=True)
+    pooled = pooled_t_test(a, b)
     assert welch.t == pytest.approx(pooled.t, rel=1e-12)
     assert welch.df == pytest.approx(pooled.df, rel=1e-12)
     assert welch.p == pytest.approx(pooled.p, rel=1e-12)
@@ -168,7 +183,7 @@ def make_table(region_by_geoid, mei_value=0.5):
             nonhome_conditional=dict.fromkeys(HAZARD_TYPES, None),
             region_class=dict(zip(HAZARD_TYPES, regions)),
         )
-    return MeiTable(rows=rows)
+    return MeiTable.from_rows(rows.values())
 
 
 def test_disparity_planted_minority_in_direct_tracts():
@@ -185,7 +200,7 @@ def test_disparity_planted_minority_in_direct_tracts():
                               poverty=(0.6 if direct else 0.25) + rng.gauss(0, 0.01))
         )
         regions[geoid] = ("direct" if direct else "latent",) * 3
-    table = disparity_table(make_table(regions), tracts)
+    table = disparity_table(make_table(regions), TractTable(tracts))
     baseline = table.rows[0]
     assert baseline.hazard == "all"
     assert baseline.mean_minority == pytest.approx((15 * 0.8 + 25 * 0.2) / 40, abs=0.02)
@@ -211,7 +226,7 @@ def test_disparity_uniform_demographics_nothing_significant():
                               poverty=0.3 + rng.gauss(0, 0.05))
         )
         regions[geoid] = ("direct" if i % 2 == 0 else "latent",) * 3
-    table = disparity_table(make_table(regions), tracts)
+    table = disparity_table(make_table(regions), TractTable(tracts))
     for row in table.rows[1:]:
         for test in (row.poverty_test, row.minority_test):
             if test is not None:
@@ -224,7 +239,7 @@ def test_disparity_empty_class_has_blank_cells():
         geoid = f"48001{i:06d}"
         tracts.append(unit_square_tract(geoid, i, 0))
         regions[geoid] = ("direct",) * 3
-    table = disparity_table(make_table(regions), tracts)
+    table = disparity_table(make_table(regions), TractTable(tracts))
     latent_rows = [r for r in table.rows if r.region_class == "latent"]
     assert all(r.n_tracts == 0 for r in latent_rows)
     assert all(r.mean_poverty is None and r.poverty_test is None for r in latent_rows)
@@ -271,7 +286,7 @@ def test_hazard_pair_correlations_all_pairs(small_world, small_world_index):
 
 
 def test_scatter_export_rows_sorted_and_undefined_blank():
-    tracts = [unit_square_tract(f"48001{i:06d}", i, 0, population=100 + i) for i in range(3)]
+    tracts = TractTable(unit_square_tract(f"48001{i:06d}", i, 0, population=100 + i) for i in range(3))
     rows = {}
     for i, tract in enumerate(tracts):
         rows[tract.geoid] = MeiRow(
@@ -281,16 +296,16 @@ def test_scatter_export_rows_sorted_and_undefined_blank():
             nonhome_conditional=dict.fromkeys(HAZARD_TYPES, None),
             region_class=dict.fromkeys(HAZARD_TYPES, "none"),
         )
-    scatter = scatter_export(MeiTable(rows=rows), tracts)
-    assert [r.geoid for r in scatter.rows] == sorted(rows)
-    assert scatter.rows[1].mei_air is None
-    assert scatter.rows[0].population == 100
+    scatter = scatter_export(MeiTable.from_rows(rows.values()), tracts)
+    assert scatter.geoids.tolist() == sorted(rows)
+    assert math.isnan(scatter.mei[1, 0])
+    assert scatter.population[0] == 100
 
 
 def test_scatter_round_trips_through_writer(tmp_path):
     from hazmob import ingest
 
-    tracts = [unit_square_tract(f"48001{i:06d}", i, 0) for i in range(3)]
+    tracts = TractTable(unit_square_tract(f"48001{i:06d}", i, 0) for i in range(3))
     rows = {
         t.geoid: MeiRow(
             geoid=t.geoid,
@@ -301,7 +316,7 @@ def test_scatter_round_trips_through_writer(tmp_path):
         )
         for t in tracts
     }
-    scatter = scatter_export(MeiTable(rows=rows), tracts)
+    scatter = scatter_export(MeiTable.from_rows(rows.values()), tracts)
     dest = tmp_path / "scatter.csv"
     ingest.write_report(scatter, dest)
     lines = dest.read_text().splitlines()
