@@ -17,10 +17,10 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import cluster, exposure, hazardclass, homeloc, ingest, stats, synth
+from . import cluster, exposure, hazardclass, homeloc, ingest, stats
 from .geoindex import build_index, locate_stops
 from .model import HAZARD_TYPES, REGION_DIRECT, REGION_LATENT, REGION_NONE, MeiRow, MeiTable
 
@@ -54,32 +54,62 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
+def _bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {text!r}")
+    return word in ("1", "true", "yes", "on")
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _exists(path: str) -> bool:
+    return bool(path) and Path(path).exists()
+
+
+def _key(default, parse=str, check=None, must="", *, flag=None, hashed=True, hazard=None):
+    """Declare a run key: its default; the parser of its config-file or flag
+    text; the check its value must pass, worded as `<key> must <must>`; its
+    flag, when not `--` plus the key with `_` -> `-`; whether it enters the
+    config hash; and, for a hazard layer's path, the hazard type."""
+    return field(default=default, metadata={"parse": parse, "check": check, "must": must,
+                                            "flag": flag, "hashed": hashed, "hazard": hazard})
+
+
+# Input paths do not change results, so they stay out of the config hash.
+_INPUT = {"check": _exists, "must": "name an existing file", "hashed": False}
+_FRACTION = {"check": lambda v: 0.0 <= v <= 1.0, "must": "be finite and lie in [0, 1]"}
+_HOUR = {"check": lambda v: 0 <= v <= 23, "must": "lie in [0, 23]"}
+_POSITIVE = {"check": lambda v: math.isfinite(v) and v > 0, "must": "be finite and positive"}
+_COUNT = {"check": lambda v: v >= 1, "must": "be >= 1"}
+
+
 @dataclass
 class RunConfig:
-    stops: str = ""
-    tracts: str = ""
-    hazard_air: str = ""
-    hazard_toxic: str = ""
-    hazard_heat: str = ""
-    out_dir: str = ""
-    air_threshold: float = 0.5
-    toxic_threshold: float = 0.5
-    heat_quartile: bool = True
-    night_start: int = 22
-    night_end: int = 6
-    min_nights: int = 3
-    cell_size_deg: float = 0.05
-    eps: float = 0.1
-    min_pts: int = 10
-    curve_thresholds: tuple[float, ...] = (0.05, 0.10)
-    compound_threshold: float = 0.05
+    stops: str = _key("", **_INPUT)
+    tracts: str = _key("", **_INPUT)
+    hazard_air: str = _key("", **_INPUT, hazard="air_pollution")
+    hazard_toxic: str = _key("", **_INPUT, hazard="toxic")
+    hazard_heat: str = _key("", **_INPUT, hazard="heat")
+    out_dir: str = _key("", check=bool, must="be given", flag="--out", hashed=False)
+    air_threshold: float = _key(0.5, float, **_FRACTION)
+    toxic_threshold: float = _key(0.5, float, **_FRACTION)
+    heat_quartile: bool = _key(True, _bool)
+    night_start: int = _key(22, int, **_HOUR)
+    night_end: int = _key(6, int, **_HOUR)
+    min_nights: int = _key(3, int, **_COUNT)
+    cell_size_deg: float = _key(0.05, float, **_POSITIVE, flag="--cell-size")
+    eps: float = _key(0.1, float, **_POSITIVE)
+    min_pts: int = _key(10, int, **_COUNT)
+    curve_thresholds: tuple[float, ...] = _key(
+        (0.05, 0.10), _floats, lambda v: all(0.0 <= t <= 1.0 for t in v) and list(v) == sorted(v),
+        "be finite, lie in [0, 1] and ascend")
+    compound_threshold: float = _key(0.05, float, **_FRACTION)
     # 0 = resolve from the environment, else 1. Validated and recorded, but
     # without effect: the pipeline runs on one thread.
-    threads: int = 0
-
-    # Keys that do not change results and stay out of the config hash.
-    _NON_SEMANTIC = ("out_dir", "threads", "stops", "tracts",
-                     "hazard_air", "hazard_toxic", "hazard_heat")
+    threads: int = _key(0, int, lambda v: v >= 0, "be >= 0", hashed=False)
 
     def resolved_threads(self) -> int:
         if self.threads > 0:
@@ -95,31 +125,19 @@ class RunConfig:
             return n
         return 1
 
-    def validate_for_run(self) -> None:
-        for name in ("stops", "tracts", "hazard_air", "hazard_toxic", "hazard_heat"):
-            path = getattr(self, name)
-            if not path:
-                raise ConfigError(f"missing required input path: {name}")
-            if not Path(path).exists():
-                raise ConfigError(f"{name} path does not exist: {path}")
-        if not self.out_dir:
-            raise ConfigError("missing required output directory (out_dir)")
-        if not 0.0 <= self.air_threshold <= 1.0 or not 0.0 <= self.toxic_threshold <= 1.0:
-            raise ConfigError("hazard thresholds must lie in [0, 1]")
-        if not 0 <= self.night_start <= 23 or not 0 <= self.night_end <= 23:
-            raise ConfigError("night window hours must lie in [0, 23]")
-        if self.min_nights < 1:
-            raise ConfigError("min_nights must be >= 1")
-        if not (math.isfinite(self.cell_size_deg) and self.cell_size_deg > 0):
-            raise ConfigError("cell_size_deg must be finite and positive")
-        _require_finite("compound_threshold", self.compound_threshold)
-        if not (math.isfinite(self.eps) and self.eps > 0) or self.min_pts < 1:
-            raise ConfigError("cluster parameters require a finite eps > 0 and min_pts >= 1")
+    def check(self, *names: str) -> None:
+        """Raise ConfigError for the first of the named keys (all if none are
+        named) whose value fails its declared check."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            check = f.metadata["check"]
+            if (not names or f.name in names) and check and not check(value):
+                raise ConfigError(f"{f.name} must {f.metadata['must']}, got {value!r}")
 
     def config_hash(self) -> str:
         parts = []
         for f in fields(self):
-            if f.name in self._NON_SEMANTIC:
+            if not f.metadata["hashed"]:
                 continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
@@ -135,30 +153,40 @@ class RunConfig:
         return out
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite")
+_KEYS = {f.name: f for f in fields(RunConfig)}
+# Hazard type -> the run key holding its layer's path.
+_HAZARD_KEYS = {f.metadata["hazard"]: f.name for f in _KEYS.values() if f.metadata["hazard"]}
+_INPUT_KEYS = [key for key, f in _KEYS.items() if f.metadata["check"] is _exists]
+_REPORT_KEYS = ("curve_thresholds", "compound_threshold")
 
 
-def _thresholds(text: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in text.split(",") if v.strip())
-    if not all(0.0 <= v <= 1.0 for v in values):
-        raise ValueError("must be finite and lie in [0, 1]")
-    if list(values) != sorted(values):
-        raise ValueError("must be sorted ascending")
+def _parse(key: str, text: str, where: str = ""):
+    """Parse a config-file value or flag text for `key`."""
+    try:
+        return _KEYS[key].metadata["parse"](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad value for {key}: {exc}") from None
+
+
+def _flag_values(args: argparse.Namespace, keys) -> dict:
+    """The given flags among `keys`, parsed as their config-file values are."""
+    values = {}
+    for key in keys:
+        text = getattr(args, key)
+        if text is not None:
+            # A boolean flag stores True or False, which reads back the same.
+            values[key] = _parse(key, str(text))
     return values
 
 
-_CONFIG_PARSERS = {
-    "stops": str, "tracts": str, "hazard_air": str, "hazard_toxic": str,
-    "hazard_heat": str, "out_dir": str,
-    "air_threshold": float, "toxic_threshold": float,
-    "heat_quartile": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "night_start": int, "night_end": int, "min_nights": int,
-    "cell_size_deg": float, "eps": float, "min_pts": int,
-    "curve_thresholds": _thresholds,
-    "compound_threshold": float, "threads": int,
-}
+def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
+    """Add one flag per run key, storing its text (or a boolean) under the key."""
+    for f in map(_KEYS.get, keys):
+        default = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+        parser.add_argument(
+            f.metadata["flag"] or "--" + f.name.replace("_", "-"), dest=f.name,
+            action=argparse.BooleanOptionalAction if isinstance(f.default, bool) else None,
+            help=f"default: {default}" if default != "" else None)
 
 
 def load_config_file(path: str) -> dict:
@@ -176,46 +204,15 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        parser = _CONFIG_PARSERS.get(key)
-        if parser is None:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-        try:
-            values[key] = parser(value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}")
+        values[key] = _parse(key, value.strip(), f"{path}:{line_no}: ")
     return values
-
-
-def _parse_flag(key: str, text: str):
-    """Parse a flag's text with the config-file parser for `key`."""
-    try:
-        return _CONFIG_PARSERS[key](text)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {exc}")
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     values = load_config_file(args.config) if args.config else {}
-    overrides = {
-        "stops": args.stops, "tracts": args.tracts,
-        "hazard_air": args.hazard_air, "hazard_toxic": args.hazard_toxic,
-        "hazard_heat": args.hazard_heat, "out_dir": args.out,
-        "air_threshold": args.air_threshold, "toxic_threshold": args.toxic_threshold,
-        "heat_quartile": args.heat_quartile,
-        "night_start": args.night_start, "night_end": args.night_end,
-        "min_nights": args.min_nights, "cell_size_deg": args.cell_size,
-        "eps": args.eps, "min_pts": args.min_pts,
-        "curve_thresholds": (
-            _parse_flag("curve_thresholds", args.curve_thresholds)
-            if args.curve_thresholds is not None
-            else None
-        ),
-        "compound_threshold": args.compound_threshold, "threads": args.threads,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    return RunConfig(**values)
+    return RunConfig(**{**values, **_flag_values(args, _KEYS)})
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +221,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+
     try:
         config = synth.WorldConfig(
             seed=args.seed,
@@ -264,11 +263,8 @@ def _parse_inputs(config: RunConfig):
         tracts = ingest.parse_tracts(config.tracts)
         layers = {}
         hazard_reports = {}
-        for hazard, path in (
-            ("air_pollution", config.hazard_air),
-            ("toxic", config.hazard_toxic),
-            ("heat", config.hazard_heat),
-        ):
+        for hazard, key in _HAZARD_KEYS.items():
+            path = getattr(config, key)
             layers[hazard], hazard_reports[hazard] = ingest.parse_hazard(path, hazard)
     return stops, stop_report, tracts, layers, hazard_reports
 
@@ -292,7 +288,7 @@ def _classify_masks(config: RunConfig, layers, tracts):
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = build_run_config(args)
-        config.validate_for_run()
+        config.check()
         config.resolved_threads()  # validates HAZMOB_THREADS
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -422,8 +418,8 @@ def _class_means(rows: list[MeiRow], hazard: str) -> dict[str, tuple[int, float 
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    thresholds = list(_parse_flag("curve_thresholds", args.curve_thresholds))
-    _require_finite("compound_threshold", args.compound_threshold)
+    config = RunConfig(**_flag_values(args, _REPORT_KEYS))
+    config.check(*_REPORT_KEYS)
     try:
         rows = ingest.read_mei_rows(args.mei)
         tracts = ingest.parse_tracts(args.tracts)
@@ -445,12 +441,12 @@ def cmd_report(args: argparse.Namespace) -> int:
                 parts.append(f"{region}: {n} tracts mean_mei={mean:.6f}")
         print(f"{hazard} " + " | ".join(parts))
     for hazard in HAZARD_TYPES:
-        curve = exposure.population_curve(table, tracts, hazard, thresholds)
+        curve = exposure.population_curve(table, tracts, hazard, list(config.curve_thresholds))
         for threshold, population in curve.points:
             print(f"latent_population {hazard} above {threshold:.6f}: {population}")
-    geoids, population = exposure.compound_latent(table, tracts, args.compound_threshold)
+    geoids, population = exposure.compound_latent(table, tracts, config.compound_threshold)
     print(
-        f"compound_latent above {args.compound_threshold:.6f}: "
+        f"compound_latent above {config.compound_threshold:.6f}: "
         f"{len(geoids)} tracts population={population}"
     )
     return EXIT_OK
@@ -477,11 +473,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         except ingest.IngestError as exc:
             print(f"tracts: fatal: {exc}", file=sys.stderr)
             status = EXIT_RUNTIME
-    for hazard, path in (
-        ("air_pollution", args.hazard_air),
-        ("toxic", args.hazard_toxic),
-        ("heat", args.hazard_heat),
-    ):
+    for hazard, key in _HAZARD_KEYS.items():
+        path = getattr(args, key)
         if not path:
             continue
         try:
@@ -514,39 +507,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the full pipeline")
     p_run.add_argument("--config", help="key=value config file; flags override")
-    p_run.add_argument("--stops")
-    p_run.add_argument("--tracts")
-    p_run.add_argument("--hazard-air", dest="hazard_air")
-    p_run.add_argument("--hazard-toxic", dest="hazard_toxic")
-    p_run.add_argument("--hazard-heat", dest="hazard_heat")
-    p_run.add_argument("--out")
-    p_run.add_argument("--air-threshold", type=float, dest="air_threshold")
-    p_run.add_argument("--toxic-threshold", type=float, dest="toxic_threshold")
-    p_run.add_argument("--heat-quartile", dest="heat_quartile", action="store_true", default=None)
-    p_run.add_argument("--no-heat-quartile", dest="heat_quartile", action="store_false")
-    p_run.add_argument("--night-start", type=int, dest="night_start")
-    p_run.add_argument("--night-end", type=int, dest="night_end")
-    p_run.add_argument("--min-nights", type=int, dest="min_nights")
-    p_run.add_argument("--cell-size", type=float, dest="cell_size")
-    p_run.add_argument("--eps", type=float)
-    p_run.add_argument("--min-pts", type=int, dest="min_pts")
-    p_run.add_argument("--curve-thresholds", dest="curve_thresholds",
-                       help="comma-separated ascending thresholds")
-    p_run.add_argument("--compound-threshold", type=float, dest="compound_threshold")
-    p_run.add_argument("--threads", type=int, help="accepted and recorded; has no effect")
+    _add_flags(p_run, _KEYS)
 
     p_report = sub.add_parser("report", help="summarize a prior run")
     p_report.add_argument("--mei", required=True, help="mei.csv from a run")
     p_report.add_argument("--tracts", required=True)
-    p_report.add_argument("--curve-thresholds", dest="curve_thresholds", default="0.05,0.1")
-    p_report.add_argument("--compound-threshold", type=float, dest="compound_threshold", default=0.05)
+    _add_flags(p_report, _REPORT_KEYS)
 
     p_validate = sub.add_parser("validate", help="dry-run ingest of input files")
-    p_validate.add_argument("--stops")
-    p_validate.add_argument("--tracts")
-    p_validate.add_argument("--hazard-air", dest="hazard_air")
-    p_validate.add_argument("--hazard-toxic", dest="hazard_toxic")
-    p_validate.add_argument("--hazard-heat", dest="hazard_heat")
+    _add_flags(p_validate, _INPUT_KEYS)
 
     return parser
 

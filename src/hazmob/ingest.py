@@ -111,8 +111,8 @@ def format_iso_utc(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-# parse_stops() reads this many CSV rows at a time; it bounds the rows held
-# as Python strings. Results do not depend on it.
+# parse_stops() and parse_hazard() read this many CSV rows at a time; it
+# bounds the rows held as Python strings. Results do not depend on it.
 _CHUNK_ROWS = 4096
 _STOP_DTYPES = (np.int32, np.float64, np.float64, np.int64, np.int64, np.int64)
 _UNREAD = -(2**63)  # below every epoch parse_iso_utc() returns
@@ -176,6 +176,12 @@ def _read_rows(reader, n: int) -> list[list[str]]:
             return rows
         except csv.Error as exc:
             rows.append(_Unreadable(f"unreadable row: {exc}"))
+
+
+def _each_row(reader):
+    """Every row of a CSV reader, one it cannot read as an _Unreadable."""
+    while rows := _read_rows(reader, _CHUNK_ROWS):
+        yield from rows
 
 
 def _parse_chunk(rows: list[list[str]], first_line: int, report: IngestReport,
@@ -402,8 +408,11 @@ def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer
             raise IngestError("hazard file is empty (missing header)") from None
         if header != HAZARD_HEADER:
             raise IngestError(f"bad hazard header: expected {HAZARD_HEADER}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(_each_row(reader), start=2):
             report.rows_read += 1
+            if isinstance(row, _Unreadable):
+                report.reject(line_no, row.reason)
+                continue
             if len(row) != 2:
                 report.reject(line_no, f"expected 2 fields, got {len(row)}")
                 continue

@@ -1,13 +1,15 @@
+import argparse
 import json
 import os
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from hazmob import synth
-from hazmob.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_config_file, main
-from hazmob.cli import ConfigError
+from hazmob.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_config_file, main, make_parser
+from hazmob.cli import ConfigError, RunConfig
 
 REPORT_FILES = [
     "mei.csv", "clusters.csv", "cluster_summary.csv", "disparity.csv",
@@ -114,12 +116,96 @@ def test_run_missing_input_exits_2(fixture_dir, tmp_path, capsys):
     ("--curve-thresholds", "0.1,nan"), ("--curve-thresholds", "0.1,1.5"),
     ("--cell-size", "nan"), ("--cell-size", "inf"),
     ("--compound-threshold", "nan"), ("--compound-threshold", "inf"),
+    ("--compound-threshold", "-1"), ("--threads", "-5"), ("--eps", "abc"),
 ])
 def test_run_bad_cluster_or_curve_flag_exits_2(fixture_dir, tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     assert main(run_args(fixture_dir, out, flag, value)) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("heat_quartile = ture", "config error: {cfg}:2: bad value for heat_quartile: "),
+    ("threads = -5", "config error: threads must be >= 0"),
+    ("compound_threshold = -1", "config error: compound_threshold must be finite and lie in [0, 1]"),
+    ("eps = abc", "config error: {cfg}:2: bad value for eps: "),
+])
+def test_run_bad_config_line_exits_2(fixture_dir, tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# one bad line\n{line}\n")
+    out = tmp_path / "out"
+    assert main(run_args(fixture_dir, out, "--config", str(cfg))) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(message.format(cfg=cfg))
+    assert not out.exists()
+
+
+def test_config_file_reads_each_boolean_spelling(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for text, value in [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                        ("0", False), ("false", False), ("NO", False), ("Off", False)]:
+        cfg.write_text(f"heat_quartile = {text}\n")
+        assert load_config_file(str(cfg)) == {"heat_quartile": value}
+
+
+def test_option_strings_are_pinned():
+    parser = make_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: " ".join(s for a in commands.choices[name]._actions for s in a.option_strings
+                       if s not in ("-h", "--help"))
+        for name in ("run", "report", "validate")
+    }
+    assert options == {
+        "run": "--config --stops --tracts --hazard-air --hazard-toxic --hazard-heat --out "
+               "--air-threshold --toxic-threshold --heat-quartile --no-heat-quartile "
+               "--night-start --night-end --min-nights --cell-size --eps --min-pts "
+               "--curve-thresholds --compound-threshold --threads",
+        "report": "--mei --tracts --curve-thresholds --compound-threshold",
+        "validate": "--stops --tracts --hazard-air --hazard-toxic --hazard-heat",
+    }
+
+
+def key_values(fixture: Path, out: Path) -> dict[str, tuple[str, str]]:
+    """Each run key's flag, and the text of a value other than its default."""
+    return {
+        "stops": ("--stops", str(fixture / "stops.csv")),
+        "tracts": ("--tracts", str(fixture / "tracts.geojson")),
+        "hazard_air": ("--hazard-air", str(fixture / "hazard_air_pollution.csv")),
+        "hazard_toxic": ("--hazard-toxic", str(fixture / "hazard_toxic.csv")),
+        "hazard_heat": ("--hazard-heat", str(fixture / "hazard_heat.csv")),
+        "out_dir": ("--out", str(out)),
+        "air_threshold": ("--air-threshold", "0.6"),
+        "toxic_threshold": ("--toxic-threshold", "0.4"),
+        "heat_quartile": ("--no-heat-quartile", "off"),
+        "night_start": ("--night-start", "21"),
+        "night_end": ("--night-end", "7"),
+        "min_nights": ("--min-nights", "2"),
+        "cell_size_deg": ("--cell-size", "0.25"),
+        "eps": ("--eps", "0.15"),
+        "min_pts": ("--min-pts", "5"),
+        "curve_thresholds": ("--curve-thresholds", "0.05,0.1,0.2"),
+        "compound_threshold": ("--compound-threshold", "0.1"),
+        "threads": ("--threads", "2"),
+    }
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+def test_flag_and_config_line_set_a_key_alike(fixture_dir, tmp_path, key):
+    out = tmp_path / "out"
+    flag, text = key_values(fixture_dir, out)[key]
+    base = run_args(fixture_dir, out)
+    if flag in base:
+        del base[base.index(flag):base.index(flag) + 2]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    results = []
+    for args in ([flag] if key == "heat_quartile" else [flag, text]), ["--config", str(cfg)]:
+        assert main(base + args) == EXIT_OK
+        meta = json.loads((out / "run_metadata.json").read_text())
+        results.append((meta["config"], meta["config_hash"]))
+    assert results[0] == results[1]
+    assert results[0][0][key] != RunConfig().as_dict()[key]
 
 
 @pytest.mark.parametrize("value", ["abc", "0.5,0.1", "0.1,nan"])
@@ -382,7 +468,23 @@ def test_overlong_stops_field_is_rejected_and_counted(fixture_dir, tmp_path, cap
     assert "stops line 3: unreadable row: field larger than field limit" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_overlong_hazard_field_is_rejected_and_counted(fixture_dir, tmp_path, capsys):
+    """A 200,000-character geoid used to abort the run in ingest."""
+    lines = (fixture_dir / "hazard_air_pollution.csv").read_text().splitlines(keepends=True)
+    hazard = tmp_path / "hazard_air.csv"
+    hazard.write_text("".join(lines) + "G" * 200_000 + ",0.5\n")
+    args = run_args(fixture_dir, tmp_path / "out")
+    args[args.index("--hazard-air") + 1] = str(hazard)
+    assert main(args) == EXIT_OK
+    counts = json.loads((tmp_path / "out" / "run_metadata.json").read_text())["counts"]
+    assert counts["hazard_rows_rejected"]["air_pollution"] == 1
+    capsys.readouterr()
+    assert main(["validate", "--hazard-air", str(hazard)]) == EXIT_OK
+    assert f"hazard_air_pollution: read={len(lines)} accepted={len(lines) - 1} rejected=1" in (
+        capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
 def test_report_non_finite_compound_threshold_exits_2(fixture_dir, tmp_path, capsys, value):
     out = tmp_path / "for_report"
     assert main(run_args(fixture_dir, out)) == EXIT_OK

@@ -409,6 +409,19 @@ def test_parse_hazard_heat_accepts_counts():
     assert report.rows_rejected == 1
 
 
+def test_parse_hazard_rejects_overlong_field_and_continues():
+    """A field over csv.field_size_limit() costs its row, not the whole file."""
+    for chunk_rows in (1, 2, 4096):
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            layer, report = parse_hazard(
+                hazard_stream("G1,0.5", "G" * 200_000 + ",0.6", "G3,0.7"), "air_pollution")
+        assert layer.values == {"G1": 0.5, "G3": 0.7}
+        assert (report.rows_read, report.rows_accepted, report.rows_rejected) == (3, 2, 1)
+        line_no, reason = report.first_10_rejects[0]
+        assert line_no == 3
+        assert reason.startswith("unreadable row: field larger than field limit")
+
+
 def test_parse_hazard_duplicate_geoid_fatal():
     with pytest.raises(IngestError, match="duplicate"):
         parse_hazard(hazard_stream("G1,0.5", "G1,0.6"), "air_pollution")
