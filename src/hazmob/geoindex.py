@@ -11,9 +11,10 @@ locate_stops() is the pipeline's lookup. It runs the crossing test as
 numpy passes over all distinct stop points at once, evaluating the same
 float expressions in the same order as point_in_part(), so it returns
 exactly what locate() returns for every point, as a code into the
-index's sorted geoids. The scalar locate(),
-contains() and point_in_part(), and the exhaustive locate_brute_force(),
-are its test oracles.
+index's sorted geoids. The index and the lookup read the TractTable's
+vertex columns and never build its rows. The scalar locate(), contains()
+and point_in_part(), and the exhaustive locate_brute_force(), read the
+row view and are its test oracles.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from itertools import chain
 
 import numpy as np
 
-from .model import CensusTract, Geometry, Stops
+from .model import Geometry, Polygon, Stops, TractTable
 
 DEFAULT_CELL_SIZE_DEG = 0.05
 
-# locate_stops() takes distinct points this many at a time, in index-cell
+# locate_stops() takes distinct points this many at a time, in lon-lat
 # order, and one numpy pass covers at most this many rows of a ragged
 # expansion (points over their cell's candidate parts, then (point, part)
 # pairs over the part's edges). They bound the transient arrays, and so a
@@ -41,67 +42,87 @@ class GeoIndexError(Exception):
     """Raised when an index cannot be built."""
 
 
-@dataclass(frozen=True, slots=True)
-class _PreparedPart:
-    """One polygon part with its bounding box precomputed."""
-
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
-    rings: tuple[tuple[tuple[float, float], ...], ...]
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TractIndex:
+    """A uniform grid over the polygon parts of a TractTable.
+
+    geoids holds the tract geoids sorted; a tract's code is its position in
+    it, and locate_stops() returns codes. Parts are numbered as in the
+    table: part p has the bounding box min_x[p], min_y[p], max_x[p],
+    max_y[p] and its tract's code is part_code[p]; its part_edges[p] edges
+    run over the table's vertex rows from part_first[p] on, the edges that
+    touch a ring's NaN row included. The grid is compressed sparse rows
+    over the occupied cells: cells holds their keys floor(x / cell_size_deg)
+    + i·floor(y / cell_size_deg), sorted, and cell c lists the parts whose
+    box meets it as cell_parts[cell_offsets[c]:cell_offsets[c + 1]], ordered
+    by tract code and then part.
+    """
+
     cell_size_deg: float
-    grid: dict[tuple[int, int], tuple[str, ...]]
-    geometries: dict[str, tuple[_PreparedPart, ...]]
-    geoids: tuple[str, ...]  # sorted; locate_stops() returns positions in it
+    tracts: TractTable
+    geoids: tuple[str, ...]
+    part_code: np.ndarray
+    min_x: np.ndarray
+    min_y: np.ndarray
+    max_x: np.ndarray
+    max_y: np.ndarray
+    part_first: np.ndarray
+    part_edges: np.ndarray
+    cells: np.ndarray
+    cell_offsets: np.ndarray
+    cell_parts: np.ndarray
 
 
-def _prepare(geometry: Geometry) -> tuple[_PreparedPart, ...]:
-    parts = []
-    for part in geometry:
-        xs = [p[0] for ring in part for p in ring]
-        ys = [p[1] for ring in part for p in ring]
-        parts.append(_PreparedPart(min(xs), min(ys), max(xs), max(ys), part))
-    return tuple(parts)
-
-
-def build_index(tracts: list[CensusTract], cell_size_deg: float = DEFAULT_CELL_SIZE_DEG) -> TractIndex:
-    """Build an immutable grid index over the given tracts."""
-    if not tracts:
+def build_index(tracts: TractTable, cell_size_deg: float = DEFAULT_CELL_SIZE_DEG) -> TractIndex:
+    """Build an immutable grid index over a TractTable's columns."""
+    if not len(tracts):
         raise GeoIndexError("cannot build an index over an empty tract list")
     if not (math.isfinite(cell_size_deg) and cell_size_deg > 0):
         raise GeoIndexError("cell_size_deg must be finite and positive")
-    cells: dict[tuple[int, int], list[str]] = {}
-    geometries: dict[str, tuple[_PreparedPart, ...]] = {}
-    for tract in tracts:
-        prepared = _prepare(tract.geometry)
-        geometries[tract.geoid] = prepared
-        for part in prepared:
-            cx0 = math.floor(part.min_x / cell_size_deg)
-            cx1 = math.floor(part.max_x / cell_size_deg)
-            cy0 = math.floor(part.min_y / cell_size_deg)
-            cy1 = math.floor(part.max_y / cell_size_deg)
-            for cx in range(cx0, cx1 + 1):
-                for cy in range(cy0, cy1 + 1):
-                    bucket = cells.setdefault((cx, cy), [])
-                    if tract.geoid not in bucket:
-                        bucket.append(tract.geoid)
-    # Candidates sorted by geoid so overlap ties resolve to the smallest geoid.
-    grid = {cell: tuple(sorted(geoids)) for cell, geoids in cells.items()}
-    return TractIndex(cell_size_deg=cell_size_deg, grid=grid, geometries=geometries,
-                      geoids=tuple(sorted(geometries)))
+    # Bounding boxes of the parts; fmin and fmax skip the NaN ring breaks.
+    part_first = tracts.ring_offsets[tracts.part_offsets[:-1]]
+    min_x, max_x = np.fmin.reduceat(tracts.x, part_first), np.fmax.reduceat(tracts.x, part_first)
+    min_y, max_y = np.fmin.reduceat(tracts.y, part_first), np.fmax.reduceat(tracts.y, part_first)
+    by_geoid = np.argsort(tracts.geoids, kind="stable")
+    code = np.empty(len(tracts), dtype=np.int32)
+    code[by_geoid] = np.arange(len(tracts), dtype=np.int32)
+    part_code = np.repeat(code, np.diff(tracts.tract_offsets))
+
+    # One (cell, part) entry per cell that a part's box meets.
+    with np.errstate(over="ignore"):  # an overflow is the check's infinity
+        cx0, cx1 = np.floor(min_x / cell_size_deg), np.floor(max_x / cell_size_deg)
+        cy0, cy1 = np.floor(min_y / cell_size_deg), np.floor(max_y / cell_size_deg)
+    if not np.isfinite([cx0, cx1, cy0, cy1]).all():
+        raise GeoIndexError("cell_size_deg is too small for the tracts' extent")
+    ny = (cy1 - cy0 + 1).astype(np.int64)
+    counts = (cx1 - cx0 + 1).astype(np.int64) * ny
+    part = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(len(part)) - np.repeat(np.cumsum(counts) - counts, counts)
+    dx, dy = np.divmod(step, ny[part])
+    kx, ky = cx0[part] + dx, cy0[part] + dy
+    # Within a cell, parts in (tract code, part) order: overlaps resolve to the smallest geoid.
+    rank = np.empty(len(part_code), dtype=np.int64)
+    rank[np.argsort(part_code, kind="stable")] = np.arange(len(part_code))
+    order = np.lexsort((rank[part], ky, kx))
+    keys = _complex_points(kx[order], ky[order])
+    new_cell = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return TractIndex(
+        cell_size_deg=cell_size_deg, tracts=tracts,
+        geoids=tuple(tracts.geoids[by_geoid].tolist()), part_code=part_code,
+        min_x=min_x, min_y=min_y, max_x=max_x, max_y=max_y, part_first=part_first,
+        part_edges=tracts.ring_offsets[tracts.part_offsets[1:]] - part_first - 2,
+        cells=keys[new_cell], cell_offsets=np.append(new_cell, len(keys)),
+        cell_parts=part[order].astype(np.int32),
+    )
 
 
-def point_in_part(part: _PreparedPart, x: float, y: float) -> bool:
+def point_in_part(part: Polygon, x: float, y: float) -> bool:
     """Even-odd containment for one polygon part; boundary counts inside."""
-    if x < part.min_x or x > part.max_x or y < part.min_y or y > part.max_y:
+    xs, ys = zip(*chain.from_iterable(part))
+    if x < min(xs) or x > max(xs) or y < min(ys) or y > max(ys):
         return False
     inside = False
-    for ring in part.rings:
+    for ring in part:
         x1, y1 = ring[0]
         for i in range(1, len(ring)):
             x2, y2 = ring[i]
@@ -119,8 +140,13 @@ def point_in_part(part: _PreparedPart, x: float, y: float) -> bool:
     return inside
 
 
-def contains(geometry: tuple[_PreparedPart, ...], x: float, y: float) -> bool:
+def contains(geometry: Geometry, x: float, y: float) -> bool:
     return any(point_in_part(part, x, y) for part in geometry)
+
+
+def _geometry(index: TractIndex, geoid: str) -> Geometry:
+    """A tract's geometry, read from the row view."""
+    return index.tracts[index.tracts.position[geoid]].geometry
 
 
 def locate(index: TractIndex, lon: float, lat: float) -> str | None:
@@ -129,13 +155,14 @@ def locate(index: TractIndex, lon: float, lat: float) -> str | None:
     Candidates are scanned in geoid order, so if tract geometries overlap
     the smallest geoid wins deterministically.
     """
-    cell = (math.floor(lon / index.cell_size_deg), math.floor(lat / index.cell_size_deg))
-    candidates = index.grid.get(cell)
-    if not candidates:
+    key = complex(math.floor(lon / index.cell_size_deg), math.floor(lat / index.cell_size_deg))
+    c = int(np.searchsorted(index.cells, key))
+    if c == len(index.cells) or index.cells[c] != key:
         return None
-    geometries = index.geometries
-    for geoid in candidates:
-        if contains(geometries[geoid], lon, lat):
+    parts = index.cell_parts[index.cell_offsets[c]:index.cell_offsets[c + 1]]
+    for code in dict.fromkeys(index.part_code[parts].tolist()):
+        geoid = index.geoids[code]
+        if contains(_geometry(index, geoid), lon, lat):
             return geoid
     return None
 
@@ -145,13 +172,13 @@ def locate_stops(index: TractIndex, stops: Stops) -> np.ndarray:
 
     A code is a position in index.geoids, or -1 for a stop outside every
     tract: index.geoids[code] == locate(index, lon, lat). Distinct points
-    are sorted by index cell and located _BLOCK_POINTS at a time: each
-    point is paired with its cell's candidate parts, pairs outside a part's
-    bounding box are dropped, and each remaining pair is expanded over the
-    part's edges, keeping the edges whose closed y-span holds the point
-    (the only ones the on-edge and crossing tests can count). A point's
-    tract is the first candidate, in the grid's geoid order, with a part
-    that has the point on an edge or an odd crossing count. Raises
+    are located _BLOCK_POINTS at a time: each point finds its cell in the
+    grid and is paired with the cell's candidate parts, pairs outside a
+    part's bounding box are dropped, and each remaining pair is expanded
+    over the part's edges, keeping the edges whose closed y-span holds the
+    point (the only ones the on-edge and crossing tests can count). A
+    point's tract is the first candidate, in the grid's geoid order, with a
+    part that has the point on an edge or an odd crossing count. Raises
     GeoIndexError for a point with no finite index cell (a NaN or infinite
     coordinate).
     """
@@ -169,12 +196,10 @@ def locate_stops(index: TractIndex, stops: Stops) -> np.ndarray:
     ky = np.floor(y / index.cell_size_deg)
     if not (np.isfinite(kx).all() and np.isfinite(ky).all()):
         raise GeoIndexError("stop point has no finite index cell")
-    order = np.lexsort((ky, kx))
-    codes = {geoid: code for code, geoid in enumerate(index.geoids)}
     located = np.empty(len(points), dtype=np.int32)
-    for start in range(0, len(order), _BLOCK_POINTS):
-        block = order[start:start + _BLOCK_POINTS]
-        located[block] = _locate_block(index, codes, x[block], y[block], kx[block], ky[block])
+    for start in range(0, len(points), _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        located[block] = _locate_block(index, x[block], y[block], kx[block], ky[block])
     # Map stops back to their points a block at a time, with no n-long
     # inverse index.
     where = np.empty(len(stops), dtype=np.int32)
@@ -213,48 +238,22 @@ def _ragged_passes(counts: np.ndarray):
         yield item, offset
 
 
-_RING_BREAK = ((math.nan, math.nan),)
-
-
-def _locate_block(index: TractIndex, codes: dict[str, int], x, y, kx, ky) -> np.ndarray:
-    """Tract codes (-1 where outside) of points sorted by cell."""
+def _locate_block(index: TractIndex, x, y, kx, ky) -> np.ndarray:
+    """Tract codes (-1 where outside) of points with index cells kx, ky."""
     located = np.full(len(x), -1, dtype=np.int32)
-    # Candidate parts of each run of points that share a cell, in the grid's
-    # geoid order; parts are numbered in the order the block first meets them.
-    # The float cell keys find the grid's int keys (3.0 == 3, equal hashes).
-    run_start = np.flatnonzero(np.r_[True, (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])])
-    parts: list[_PreparedPart] = []
-    part_code: list[int] = []
-    part_ids: dict[str, range] = {}
-    cand: list[int] = []
-    run_cands = []
-    for cell in zip(kx[run_start].tolist(), ky[run_start].tolist()):
-        before = len(cand)
-        for geoid in index.grid.get(cell, ()):
-            ids = part_ids.get(geoid)
-            if ids is None:
-                geometry = index.geometries[geoid]
-                ids = part_ids[geoid] = range(len(parts), len(parts) + len(geometry))
-                parts += geometry
-                part_code += [codes[geoid]] * len(geometry)
-            cand += ids
-        run_cands.append(len(cand) - before)
-    if not parts:
+    # Each point's run of candidate parts in the grid; none where its cell is empty.
+    keys = _complex_points(kx, ky)
+    cell = np.minimum(np.searchsorted(index.cells, keys), len(index.cells) - 1)
+    point_first = index.cell_offsets[cell]
+    point_cands = np.where(index.cells[cell] == keys, index.cell_offsets[cell + 1] - point_first, 0)
+    if not point_cands.any():
         return located
-    run_len = np.diff(np.r_[run_start, len(x)])
-    point_cands = np.repeat(run_cands, run_len)
-    point_first = np.repeat(np.cumsum(run_cands) - run_cands, run_len).astype(np.int32)
-    cand = np.array(cand, dtype=np.int32)
-    min_x, min_y, max_x, max_y = np.array(
-        [(p.min_x, p.min_y, p.max_x, p.max_y) for p in parts], dtype=np.float64
-    ).T
+    min_x, min_y, max_x, max_y = index.min_x, index.min_y, index.max_x, index.max_y
 
     # (point, part) pairs whose bounding box holds the point, point-major.
     pair_point, pair_part = [], []
     for item, offset in _ragged_passes(point_cands):
-        part = point_first[item]
-        part += offset
-        part = cand[part]
+        part = index.cell_parts[point_first[item] + offset]
         coord = x[item]
         keep = min_x[part] <= coord
         keep &= coord <= max_x[part]
@@ -268,30 +267,17 @@ def _locate_block(index: TractIndex, codes: dict[str, int], x, y, kx, ky) -> np.
     if not len(pair_part):
         return located
 
-    # Vertices of the parts the pairs use, rings separated by a NaN vertex:
-    # an edge touching it has a NaN y-span, which the y-span test drops.
-    part_v0 = np.zeros(len(parts), dtype=np.int32)
-    part_edges = np.zeros(len(parts), dtype=np.int64)
-    rings = []
-    n_vertices = 0
-    for j in np.flatnonzero(np.bincount(pair_part, minlength=len(parts))).tolist():
-        part_v0[j] = n_vertices
-        for k, ring in enumerate(parts[j].rings):
-            if k:
-                rings.append(_RING_BREAK)
-            rings.append(ring)
-            n_vertices += len(ring) + (k > 0)
-        part_edges[j] = n_vertices - part_v0[j] - 1
-    coords = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), np.float64, 2 * n_vertices)
-    vx, vy = coords[0::2], coords[1::2]
+    # The parts' vertex rows, rings separated by a NaN row: an edge touching
+    # it has a NaN y-span, which the y-span test drops.
+    vx, vy = index.tracts.x, index.tracts.y
 
     # point_in_part()'s tests over (pair, edge) rows: on an edge counts as
     # inside; otherwise the parity of the crossings decides.
     pair_x, pair_y = x[pair_point], y[pair_point]
-    pair_v0 = part_v0[pair_part]
+    pair_v0 = index.part_first[pair_part]
     on_edge = np.zeros(len(pair_part), dtype=bool)
     crossings = np.zeros(len(pair_part), dtype=np.int32)
-    for item, offset in _ragged_passes(part_edges[pair_part]):
+    for item, offset in _ragged_passes(index.part_edges[pair_part]):
         e = pair_v0[item]
         e += offset
         py = pair_y[item]
@@ -315,13 +301,13 @@ def _locate_block(index: TractIndex, codes: dict[str, int], x, y, kx, ky) -> np.
     hit = np.flatnonzero(on_edge | (crossings % 2 == 1))
     points = pair_point[hit]
     first = np.flatnonzero(np.diff(points, prepend=-1))
-    located[points[first]] = np.array(part_code, dtype=np.int32)[pair_part[hit[first]]]
+    located[points[first]] = index.part_code[pair_part[hit[first]]]
     return located
 
 
 def locate_brute_force(index: TractIndex, lon: float, lat: float) -> str | None:
     """Exhaustive all-polygon scan; the correctness oracle for locate()."""
-    for geoid in sorted(index.geometries):
-        if contains(index.geometries[geoid], lon, lat):
+    for geoid in index.geoids:
+        if contains(_geometry(index, geoid), lon, lat):
             return geoid
     return None

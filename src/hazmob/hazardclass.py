@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 
-from .model import CensusTract, HazardLayer
+from .model import HazardLayer, TractTable, county_fips
 
 logger = logging.getLogger(__name__)
 
@@ -51,18 +51,17 @@ def classify_percentile(layer: HazardLayer, threshold: float = 0.5) -> HazardLay
     return HazardLayer(hazard_type=layer.hazard_type, values=dict(layer.values), mask=mask)
 
 
-def classify_heat_quartile(layer: HazardLayer, tracts: list[CensusTract]) -> HazardLayer:
+def classify_heat_quartile(layer: HazardLayer, tracts: TractTable) -> HazardLayer:
     """Mask the top heat-day quartile of each county's tracts."""
     if layer.hazard_type != "heat":
         raise ClassifyError(f"heat classification does not apply to {layer.hazard_type!r}")
-    county_of = {t.geoid: t.county_fips for t in tracts}
+    known = tracts.position
     by_county: dict[str, list[str]] = {}
     for geoid in layer.values:
-        county = county_of.get(geoid)
-        if county is None:
+        if geoid not in known:
             logger.warning("heat layer geoid %s not in tract list; skipped", geoid)
             continue
-        by_county.setdefault(county, []).append(geoid)
+        by_county.setdefault(county_fips(geoid), []).append(geoid)
 
     mask: dict[str, bool] = {}
     for county, geoids in by_county.items():

@@ -15,14 +15,15 @@ row-by-row parse would.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import filterfalse, islice
-from operator import itemgetter
+from itertools import chain, filterfalse, islice, repeat
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -39,6 +40,8 @@ from .model import (
     StopRecord,
     Stops,
     TractTable,
+    csr_offsets,
+    is_geoid,
     validate,
 )
 
@@ -141,10 +144,8 @@ def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
             raise IngestError("stops file is empty (missing header)") from None
         if header != STOPS_HEADER:
             raise IngestError(f"bad stops header: expected {STOPS_HEADER}, got {header}")
-        line = 2
-        while rows := _read_rows(reader, _CHUNK_ROWS):
-            chunks.append(_parse_chunk(rows, line, report, users))
-            line += len(rows)
+        for rows, lines in _chunks(reader):
+            chunks.append(_parse_chunk(rows, lines, report, users))
     finally:
         if owned:
             handle.close()
@@ -160,11 +161,13 @@ def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
 
 class _Unreadable(list):
     """Stands in for a row the CSV reader could not read, such as one with a
-    field over csv.field_size_limit(); it has no fields and holds the reason."""
+    field over csv.field_size_limit(); it has no fields and holds the reason
+    and the line the reader had reached."""
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, line: int):
         super().__init__()
         self.reason = reason
+        self.line = line
 
 
 def _read_rows(reader, n: int) -> list[list[str]]:
@@ -175,20 +178,42 @@ def _read_rows(reader, n: int) -> list[list[str]]:
             rows.extend(islice(reader, n - len(rows)))  # keeps the rows read before an error
             return rows
         except csv.Error as exc:
-            rows.append(_Unreadable(f"unreadable row: {exc}"))
+            rows.append(_Unreadable(f"unreadable row: {exc}", reader.line_num))
 
 
-def _each_row(reader):
-    """Every row of a CSV reader, one it cannot read as an _Unreadable."""
-    while rows := _read_rows(reader, _CHUNK_ROWS):
-        yield from rows
+def _chunks(reader):
+    """Yield the rows of a CSV reader _CHUNK_ROWS at a time, each chunk with
+    the int64 file line each of its rows starts on.
+
+    A chunk that read as many lines as rows has one row per line. Otherwise
+    a quoted field holds a line break, and each row's line is counted from
+    the line breaks in its fields.
+    """
+    while True:
+        before = reader.line_num
+        rows = _read_rows(reader, _CHUNK_ROWS)
+        if not rows:
+            return
+        if reader.line_num - before == len(rows):
+            yield rows, np.arange(before + 1, reader.line_num + 1, dtype=np.int64)
+            continue
+        lines = []
+        end = before
+        for row in rows:
+            lines.append(end + 1)
+            if isinstance(row, _Unreadable):
+                end = max(end + 1, row.line)
+            else:
+                end += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+        yield rows, np.array(lines, dtype=np.int64)
 
 
-def _parse_chunk(rows: list[list[str]], first_line: int, report: IngestReport,
+def _parse_chunk(rows: list[list[str]], lines: np.ndarray, report: IngestReport,
                  users: dict[str, int]) -> tuple[np.ndarray, ...]:
     """Columns (user code, lon, lat, start_ts, dwell_s, line) of a chunk's accepted rows.
 
-    Rejects are recorded in line order; users first seen here get the next codes.
+    lines holds each row's file line. Rejects are recorded in line order;
+    users first seen here get the next codes.
     """
     n = len(rows)
     lon, lat = np.zeros(n), np.zeros(n)
@@ -224,7 +249,7 @@ def _parse_chunk(rows: list[list[str]], first_line: int, report: IngestReport,
     for i in np.flatnonzero(~accepted).tolist():
         rec = _scalar_stop(rows[i])
         if isinstance(rec, str):
-            report.reject(first_line + i, rec)
+            report.reject(int(lines[i]), rec)
             continue
         lon[i], lat[i], start_ts[i], dwell_s[i] = rec.lon, rec.lat, rec.start_ts, rec.dwell_s
         accepted[i] = True
@@ -236,8 +261,7 @@ def _parse_chunk(rows: list[list[str]], first_line: int, report: IngestReport,
     fresh = list(filterfalse(users.__contains__, dict.fromkeys(names)))
     users.update(zip(fresh, range(len(users), len(users) + len(fresh))))
     user = np.fromiter(map(users.__getitem__, names), np.int32, len(names))
-    line = np.arange(first_line, first_line + n, dtype=np.int64)
-    return user, lon[keep], lat[keep], start_ts[keep], dwell_s[keep], line[keep]
+    return user, lon[keep], lat[keep], start_ts[keep], dwell_s[keep], lines[keep]
 
 
 def _map_lenient(convert, texts, fill) -> list:
@@ -323,74 +347,204 @@ def _canonical_epochs(texts) -> tuple[np.ndarray, np.ndarray]:
     return ok, epochs
 
 
-def _as_ring(raw, feature_idx: int, where: str) -> tuple[tuple[float, float], ...]:
-    try:
-        ring = tuple((float(p[0]), float(p[1])) for p in raw)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise IngestError(f"feature {feature_idx}: malformed {where}: {exc}") from exc
-    if len(ring) < 4:
-        raise IngestError(f"feature {feature_idx}: {where} has fewer than 4 vertices")
-    if ring[0] != ring[-1]:
-        raise IngestError(f"feature {feature_idx}: {where} is not closed")
-    return ring
+# A GeoJSON position's first two members must be JSON numbers (true and
+# false are not); the rest, such as an altitude, are ignored.
+_NUMBER_TYPES = frozenset({int, float})
+_MISSING = object()  # stands in for a demographic property a feature lacks
+# Each demographic property: its GeoJSON key, CensusTract field, value
+# types, range and rule.
+_DEMOGRAPHICS = (
+    ("POP", "population", frozenset({int}), 0, math.inf, "must be a non-negative integer"),
+    ("PCT_MINORITY", "pct_minority", _NUMBER_TYPES, 0.0, 1.0, "must be a fraction in [0, 1]"),
+    ("PCT_POV200", "pct_below_poverty200", _NUMBER_TYPES, 0.0, 1.0, "must be a fraction in [0, 1]"),
+)
 
 
 def parse_tracts(source: str | Path | IO) -> TractTable:
-    """Parse a GeoJSON FeatureCollection of census tracts."""
+    """Parse a GeoJSON FeatureCollection of census tracts into a TractTable.
+
+    A broken feature is fatal, and the first one is named, with its part
+    and ring where the fault lies in one: a GEOID that is missing, repeated
+    or not 11 ASCII digits; a geometry that is not a Polygon or
+    MultiPolygon, or has an empty part; a ring with fewer than 4
+    positions, a position that is not an array of at least two numbers, a
+    non-finite coordinate, or first and last positions that differ; a
+    population that is not a non-negative integer, or a fraction outside
+    [0, 1]. All coordinates are converted in one pass, and the checks on
+    them and on the demographics run on whole columns.
+    """
     handle, owned = _open_text(source)
+    # The decoded document holds no reference cycles, so the cycle collector
+    # would only walk its lists and numbers. It stays off until
+    # _tract_table() has returned and the document is freed.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"invalid GeoJSON: {exc}") from exc
+        return _tract_table(handle)
     finally:
+        if collecting:
+            gc.enable()
         if owned:
             handle.close()
+
+
+def _tract_table(handle: IO) -> TractTable:
+    try:
+        doc = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"invalid GeoJSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise IngestError("tracts file is not a GeoJSON FeatureCollection")
-    tracts: list[CensusTract] = []
-    seen: set[str] = set()
+    # The features before the first structural fault, which ends the scan,
+    # and the rings read before it, the faulty feature's included.
+    geoids: dict[str, None] = {}
+    demographics: list[tuple] = []
+    rings: list = []
+    rings_per_part: list[int] = []
+    parts_per_tract: list[int] = []
+    fault = None
     for idx, feat in enumerate(doc.get("features", [])):
         props = feat.get("properties") or {}
         geoid = props.get("GEOID")
+        n_parts = len(rings_per_part)
         if not isinstance(geoid, str) or not geoid:
-            raise IngestError(f"feature {idx}: missing GEOID property")
-        if geoid in seen:
-            raise IngestError(f"feature {idx}: duplicate GEOID {geoid}")
-        seen.add(geoid)
-        geom = feat.get("geometry") or {}
-        gtype = geom.get("type")
-        coords = geom.get("coordinates")
-        if gtype == "Polygon":
-            parts = [coords]
-        elif gtype == "MultiPolygon":
-            parts = coords
+            fault = "missing GEOID property"
+        elif not is_geoid(geoid):
+            fault = f"geoid: must be 11 ASCII digits, got {geoid!r}"
+        elif geoid in geoids:
+            fault = f"duplicate GEOID {geoid}"
         else:
-            raise IngestError(f"feature {idx}: geometry must be Polygon or MultiPolygon, got {gtype}")
-        geometry = tuple(
-            tuple(_as_ring(ring, idx, f"part {pi} ring {ri}") for ri, ring in enumerate(part))
-            for pi, part in enumerate(parts)
-        )
-        if not geometry or any(not part for part in geometry):
-            raise IngestError(f"feature {idx}: empty geometry")
+            fault = _add_rings(feat.get("geometry") or {}, rings, rings_per_part)
+        if fault is not None:
+            fault = f"feature {idx}: {fault}"
+            break
+        geoids[geoid] = None
+        demographics.append(tuple(props.get(key, _MISSING) for key, *_ in _DEMOGRAPHICS))
+        parts_per_tract.append(len(rings_per_part) - n_parts)
+
+    # A fault in a ring comes before every fault of a later ring or feature,
+    # and a feature's properties are checked after its rings.
+    xy, malformed = _coordinates(rings)
+    sizes = np.fromiter(map(len, rings), np.int64, malformed[0] if malformed else len(rings))
+    ring_fault = _ring_fault(xy, sizes) or malformed
+    if ring_fault is not None:
+        ring, problem = ring_fault
+        # The ring's part and tract; both may be the faulty feature's, which
+        # the counts do not include yet.
+        part_first, tract_first = csr_offsets(rings_per_part), csr_offsets(parts_per_tract)
+        p = int(np.searchsorted(part_first, ring, side="right")) - 1
+        t = int(np.searchsorted(tract_first, p, side="right")) - 1
+        place = f"part {p - tract_first[t]} ring {ring - part_first[p]}"
+        fault = f"feature {t}: {problem.format(place)}"
+        demographics = demographics[:t]
+    fault = _demographic_fault(demographics) or fault
+    if fault is not None:
+        raise IngestError(fault)
+    columns = list(zip(*demographics)) or [[]] * len(_DEMOGRAPHICS)
+    return TractTable.from_vertices(list(geoids), *columns, xy, sizes, rings_per_part, parts_per_tract)
+
+
+def _add_rings(geometry: dict, rings: list, rings_per_part: list[int]) -> str | None:
+    """Append the rings of a Polygon or MultiPolygon, and its ring count per
+    part, up to its first structural fault; return that fault, if any."""
+    kind = geometry.get("type")
+    if kind == "Polygon":
+        parts = [geometry.get("coordinates")]
+    elif kind == "MultiPolygon":
+        parts = geometry.get("coordinates")
+    else:
+        return f"geometry must be Polygon or MultiPolygon, got {kind}"
+    if type(parts) is not list:
+        return "malformed coordinates"
+    for pi, part in enumerate(parts):
+        if type(part) is not list:
+            return f"malformed part {pi}"
+        for ri, ring in enumerate(part):
+            if type(ring) is not list:
+                return f"malformed part {pi} ring {ri}"
+            rings.append(ring)
+        rings_per_part.append(len(part))
+    if not parts or not all(parts):
+        return "empty geometry"
+    return None
+
+
+def _coordinates(rings: list) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """lon and lat of every position of the rings, as an (n, 2) float64 array.
+
+    At a position that is not an array of at least two numbers the array
+    ends with the ring before; that ring's number and a fault template are
+    returned with it.
+    """
+    positions = list(chain.from_iterable(rings))
+    try:
+        dims = set(map(len, positions))
+        if min(dims, default=2) >= 2:
+            # x * 1.0 raises for every JSON value but a number or a boolean,
+            # and a boolean reads as 0.0 or 1.0: only those values are looked at.
+            pairs = positions if dims == {2} else map(itemgetter(0, 1), positions)
+            xy = np.fromiter(map(mul, chain.from_iterable(pairs), repeat(1.0)),
+                             np.float64, 2 * len(positions)).reshape(-1, 2)
+            i, k = np.nonzero((xy == 0) | (xy == 1))
+            if not any(type(positions[a][b]) is bool for a, b in zip(i.tolist(), k.tolist())):
+                return xy, None
+    except (TypeError, KeyError, OverflowError):
+        pass
+    r, k = next((r, k) for r, ring in enumerate(rings)
+                for k, position in enumerate(ring) if not _is_position(position))
+    fault = f"malformed {{}}: position {k} is not an array of at least two numbers"
+    return _coordinates(rings[:r])[0], (r, fault)
+
+
+def _is_position(position) -> bool:
+    """Whether a GeoJSON position starts with two numbers that floats hold."""
+    if type(position) is list and len(position) >= 2 and _NUMBER_TYPES.issuperset(map(type, position[:2])):
         try:
-            pop = int(props["POP"])
-            minority = float(props["PCT_MINORITY"])
-            poverty = float(props["PCT_POV200"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"feature {idx}: bad demographic properties: {exc}") from exc
-        tract = CensusTract(
-            geoid=geoid,
-            geometry=geometry,
-            population=pop,
-            pct_minority=minority,
-            pct_below_poverty200=poverty,
-        )
-        violations = validate(tract)
-        if violations:
-            raise IngestError(f"feature {idx}: {violations[0]}")
-        tracts.append(tract)
-    return TractTable(tracts)
+            float(position[0]), float(position[1])
+            return True
+        except OverflowError:
+            pass
+    return False
+
+
+def _ring_fault(xy: np.ndarray, sizes: np.ndarray) -> tuple[int, str] | None:
+    """The first ring with fewer than 4 positions, a non-finite coordinate or
+    different first and last positions, and a template of its fault."""
+    ends = np.cumsum(sizes)
+    short = sizes < 4
+    non_finite = np.zeros(len(sizes), dtype=bool)
+    non_finite[np.searchsorted(ends, np.flatnonzero(~np.isfinite(xy).all(axis=1)), side="right")] = True
+    is_open = np.zeros(len(sizes), dtype=bool)
+    ring = np.flatnonzero(~short)
+    is_open[ring] = (xy[ends[ring] - sizes[ring]] != xy[ends[ring] - 1]).any(axis=1)
+    faulty = np.flatnonzero(short | non_finite | is_open)
+    if not len(faulty):
+        return None
+    r = int(faulty[0])
+    if short[r]:
+        return r, "{} has fewer than 4 vertices"
+    return r, "{} has a non-finite coordinate" if non_finite[r] else "{} is not closed"
+
+
+def _demographic_fault(demographics: list[tuple]) -> str | None:
+    """The fault of the first tract whose demographic properties break a rule, if any."""
+    if not demographics:
+        return None
+    n = len(demographics)
+    ok = []
+    for values, (_, _, types, low, high, _) in zip(zip(*demographics), _DEMOGRAPHICS):
+        typed = np.fromiter(map(types.__contains__, map(type, values)), bool, n)
+        value = np.where(typed, np.fromiter(values, object, n), math.nan)
+        with np.errstate(invalid="ignore"):  # NaN fails both comparisons
+            ok.append(typed & (value >= low) & (value <= high))
+    faulty = np.flatnonzero(~np.logical_and.reduce(ok))
+    if not len(faulty):
+        return None
+    t = int(faulty[0])
+    k = next(k for k, column in enumerate(ok) if not column[t])
+    key, name, *_, rule = _DEMOGRAPHICS[k]
+    problem = f"bad demographic properties: {key!r}" if demographics[t][k] is _MISSING else f"{name}: {rule}"
+    return f"feature {t}: {problem}"
 
 
 def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer, IngestReport]:
@@ -408,34 +562,35 @@ def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer
             raise IngestError("hazard file is empty (missing header)") from None
         if header != HAZARD_HEADER:
             raise IngestError(f"bad hazard header: expected {HAZARD_HEADER}, got {header}")
-        for line_no, row in enumerate(_each_row(reader), start=2):
-            report.rows_read += 1
-            if isinstance(row, _Unreadable):
-                report.reject(line_no, row.reason)
-                continue
-            if len(row) != 2:
-                report.reject(line_no, f"expected 2 fields, got {len(row)}")
-                continue
-            geoid, raw = row
-            if geoid in values:
-                raise IngestError(f"line {line_no}: duplicate geoid {geoid}")
-            try:
-                if hazard_type == "heat":
-                    value: float = int(raw)
-                else:
-                    value = float(raw)
-            except ValueError:
-                report.reject(line_no, f"unparseable value {raw!r}")
-                continue
-            if hazard_type == "heat":
-                if value < 0:
-                    report.reject(line_no, "heat-day count must be >= 0")
+        for rows, lines in _chunks(reader):
+            for line_no, row in zip(lines.tolist(), rows):
+                report.rows_read += 1
+                if isinstance(row, _Unreadable):
+                    report.reject(line_no, row.reason)
                     continue
-            elif not 0.0 <= value <= 1.0:
-                report.reject(line_no, "percentile rank outside [0, 1]")
-                continue
-            values[geoid] = value
-            report.rows_accepted += 1
+                if len(row) != 2:
+                    report.reject(line_no, f"expected 2 fields, got {len(row)}")
+                    continue
+                geoid, raw = row
+                if geoid in values:
+                    raise IngestError(f"line {line_no}: duplicate geoid {geoid}")
+                try:
+                    if hazard_type == "heat":
+                        value: float = int(raw)
+                    else:
+                        value = float(raw)
+                except ValueError:
+                    report.reject(line_no, f"unparseable value {raw!r}")
+                    continue
+                if hazard_type == "heat":
+                    if value < 0:
+                        report.reject(line_no, "heat-day count must be >= 0")
+                        continue
+                elif not 0.0 <= value <= 1.0:
+                    report.reject(line_no, "percentile rank outside [0, 1]")
+                    continue
+                values[geoid] = value
+                report.rows_accepted += 1
     finally:
         if owned:
             handle.close()

@@ -5,9 +5,9 @@ times are integer seconds throughout so that accumulation is exact.
 Instances are treated as immutable once constructed; mapping fields are
 never mutated after the owning object is returned to a caller.
 
-The pipeline holds its stops in one Stops frame of numpy columns and its
-per-tract results in one MeiTable of numpy columns; StopRecord and
-MeiRow are the row views of those frames.
+The pipeline holds its stops in one Stops frame of numpy columns, its
+tracts in one TractTable and its per-tract results in one MeiTable;
+StopRecord, CensusTract and MeiRow are the row views of those frames.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -86,11 +87,16 @@ class Stops:
         ))
 
 
+def county_fips(geoid: str) -> str:
+    """The county of a tract: the state and county digits that begin its GEOID."""
+    return geoid[:5]
+
+
 @dataclass(frozen=True, slots=True)
 class CensusTract:
-    """Tract polygon plus the demographic fields used downstream."""
+    """Tract polygon plus the demographic fields used downstream; the row view of a TractTable."""
 
-    geoid: str  # 11-character tract GEOID
+    geoid: str  # 11-digit tract GEOID
     geometry: Geometry  # WGS84 lon/lat
     population: int
     pct_minority: float  # fraction in [0, 1]
@@ -98,41 +104,126 @@ class CensusTract:
 
     @property
     def county_fips(self) -> str:
-        return self.geoid[:5]
+        return county_fips(self.geoid)
 
 
-class TractTable(tuple):
-    """Census tracts as an immutable sequence, with their demographics
-    joined by geoid once, on first use.
+@dataclass(frozen=True, eq=False)
+class TractTable:
+    """Census tracts as numpy columns, one entry per tract, in source order.
 
-    ingest.parse_tracts and synth.gen_world return one; the population
-    curves, the compound count and the stats tables take one.
+    geoids is a str array; population is int64 while every value fits, an
+    object array of Python ints otherwise; pct_minority and
+    pct_below_poverty200 are float64. The geometry is one float64 x/y vertex
+    column pair holding every ring in order, each followed by a NaN row, and
+    three CSR offset arrays: ring r is rows ring_offsets[r] up to its NaN row
+    ring_offsets[r + 1] - 1, part p is rings part_offsets[p] up to
+    part_offsets[p + 1], and tract t is parts tract_offsets[t] up to
+    tract_offsets[t + 1]. A part's first ring is its exterior, the rest are
+    holes.
+
+    CensusTract is the row view: indexing or iterating the table builds the
+    rows, all at once, on first use. ingest.parse_tracts and synth.gen_world
+    return a table; the index, the population curves, the compound count and
+    the stats tables read its columns.
     """
+
+    geoids: np.ndarray
+    population: np.ndarray
+    pct_minority: np.ndarray
+    pct_below_poverty200: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    ring_offsets: np.ndarray
+    part_offsets: np.ndarray
+    tract_offsets: np.ndarray
+
+    @classmethod
+    def from_vertices(cls, geoids: list[str], population: list[int], pct_minority: list,
+                      pct_below_poverty200: list, xy: np.ndarray, ring_sizes: np.ndarray,
+                      rings_per_part: list[int], parts_per_tract: list[int]) -> TractTable:
+        """The table of checked columns: every ring's vertices as the rows of an
+        (n, 2) float64 array xy, in order, with the vertex count of each ring,
+        the ring count of each part and the part count of each tract."""
+        try:
+            pop = np.array(population, dtype=np.int64)
+        except OverflowError:
+            pop = np.array(population, dtype=object)
+        breaks = np.cumsum(ring_sizes)
+        return cls(
+            geoids=np.array(geoids, dtype=str),
+            population=pop,
+            pct_minority=np.array(pct_minority, dtype=np.float64),
+            pct_below_poverty200=np.array(pct_below_poverty200, dtype=np.float64),
+            x=np.insert(xy[:, 0], breaks, math.nan),
+            y=np.insert(xy[:, 1], breaks, math.nan),
+            ring_offsets=csr_offsets(np.asarray(ring_sizes) + 1),
+            part_offsets=csr_offsets(rings_per_part),
+            tract_offsets=csr_offsets(parts_per_tract),
+        )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[CensusTract]) -> TractTable:
+        """The table of CensusTracts, in the given order."""
+        rows = list(rows)
+        parts = [part for t in rows for part in t.geometry]
+        rings = [ring for part in parts for ring in part]
+        ring_sizes = np.fromiter(map(len, rings), np.int64, len(rings))
+        xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), np.float64,
+                         2 * int(ring_sizes.sum()))
+        return cls.from_vertices(
+            [t.geoid for t in rows], [t.population for t in rows],
+            [t.pct_minority for t in rows], [t.pct_below_poverty200 for t in rows],
+            xy.reshape(-1, 2), ring_sizes, list(map(len, parts)), [len(t.geometry) for t in rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.geoids)
+
+    def __getitem__(self, i: int) -> CensusTract:
+        return self._rows[i]
+
+    def __iter__(self) -> Iterator[CensusTract]:
+        return iter(self._rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TractTable):
+            return NotImplemented
+        return self._rows == other._rows
+
+    @cached_property
+    def _rows(self) -> list[CensusTract]:
+        xs, ys = self.x.tolist(), self.y.tolist()
+        ends = self.ring_offsets.tolist()
+        rings = [tuple(zip(xs[a:b - 1], ys[a:b - 1])) for a, b in zip(ends, ends[1:])]
+        ends = self.part_offsets.tolist()
+        parts = [tuple(rings[a:b]) for a, b in zip(ends, ends[1:])]
+        ends = self.tract_offsets.tolist()
+        return list(map(
+            CensusTract, self.geoids.tolist(), [tuple(parts[a:b]) for a, b in zip(ends, ends[1:])],
+            self.population.tolist(), self.pct_minority.tolist(), self.pct_below_poverty200.tolist(),
+        ))
 
     @cached_property
     def position(self) -> dict[str, int]:
-        return {t.geoid: i for i, t in enumerate(self)}
+        return {geoid: i for i, geoid in enumerate(self.geoids.tolist())}
 
     @cached_property
     def columns(self) -> dict[str, np.ndarray]:
         """population, pct_minority and pct_below_poverty200, with one more
         entry (0, NaN, NaN) at the end for a geoid without a tract.
 
-        population is int64 while every value fits, an object array of
-        Python ints otherwise; sums of it go through tolist() so that they
-        stay exact.
+        Sums of population go through tolist() so that they stay exact.
         """
-        population = [t.population for t in self] + [0]
-        try:
-            population = np.array(population, dtype=np.int64)
-        except OverflowError:
-            population = np.array(population, dtype=object)
         return {
-            "population": population,
-            "pct_minority": np.array([t.pct_minority for t in self] + [math.nan], dtype=np.float64),
-            "pct_below_poverty200": np.array([t.pct_below_poverty200 for t in self] + [math.nan],
-                                             dtype=np.float64),
+            "population": np.append(self.population, np.zeros(1, self.population.dtype)),
+            "pct_minority": np.append(self.pct_minority, math.nan),
+            "pct_below_poverty200": np.append(self.pct_below_poverty200, math.nan),
         }
+
+
+def csr_offsets(counts) -> np.ndarray:
+    """CSR offsets of consecutive runs of the given lengths: 0, then the running sums."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,6 +395,11 @@ class MeiTable:
         return zip(self.geoids.tolist(), *cells)
 
 
+def is_geoid(text) -> bool:
+    """A tract GEOID is 11 ASCII digits: state, county and tract codes."""
+    return isinstance(text, str) and len(text) == 11 and text.isascii() and text.isdigit()
+
+
 def _num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -337,8 +433,8 @@ def _validate_ring(ring: Ring, where: str) -> list[str]:
 
 def _validate_tract(tract: CensusTract) -> list[str]:
     out = []
-    if len(tract.geoid) != 11:
-        out.append("geoid: must be 11 characters")
+    if not is_geoid(tract.geoid):
+        out.append("geoid: must be 11 ASCII digits")
     if not tract.geometry:
         out.append("geometry: must have at least one polygon part")
     for pi, part in enumerate(tract.geometry):
@@ -347,7 +443,7 @@ def _validate_tract(tract: CensusTract) -> list[str]:
             continue
         for ri, ring in enumerate(part):
             out.extend(_validate_ring(ring, f"geometry[{pi}].ring[{ri}]"))
-    if not isinstance(tract.population, int) or tract.population < 0:
+    if type(tract.population) is not int or tract.population < 0:
         out.append("population: must be a non-negative integer")
     for name in ("pct_minority", "pct_below_poverty200"):
         v = getattr(tract, name)

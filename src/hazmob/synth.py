@@ -320,7 +320,7 @@ def gen_world(config: WorldConfig) -> World:
     poverty = np.clip(0.12 + 0.75 * config.demo_hazard_gain * score + 0.05 * demo_rng.standard_normal(total), 0.01, 0.99)
     population = demo_rng.integers(500, 5001, total)
 
-    tracts = TractTable(
+    tracts = TractTable.from_rows(
         CensusTract(
             geoid=geoids[i],
             geometry=_unit_square(i // n, i % n),

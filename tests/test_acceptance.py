@@ -95,7 +95,7 @@ def test_c02_locate_equals_exhaustive_scan():
     started = time.perf_counter()
     world = synth.gen_world(synth.WorldConfig(seed=31, grid_n=10, users=1, stops_per_user=0))
     index = build_index(world.tracts, cell_size_deg=0.05)
-    ordered = sorted(index.geometries.items())
+    ordered = sorted((t.geoid, t.geometry) for t in index.tracts)
     rng = random.Random(90125)
     disagreements = 0
     for _ in range(10000):

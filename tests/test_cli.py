@@ -103,6 +103,26 @@ def test_run_corrupt_stops_names_ingest_stage(fixture_dir, tmp_path, capsys):
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+@pytest.mark.parametrize("value, message", [
+    ("NaN", "part 0 ring 0 has a non-finite coordinate"),
+    ("1e400", "part 0 ring 0 has a non-finite coordinate"),
+    ('"-97.1"', "malformed part 0 ring 0: position 0"),
+    ("true", "malformed part 0 ring 0: position 0"),
+])
+def test_run_bad_tract_vertex_names_ingest_and_feature(fixture_dir, tmp_path, capsys, value, message):
+    doc = json.loads((fixture_dir / "tracts.geojson").read_text())
+    coordinates = doc["features"][3]["geometry"]["coordinates"]
+    coordinates[0][0][0] = 1234.5
+    bad = tmp_path / "tracts.geojson"
+    bad.write_text(json.dumps(doc).replace("1234.5", value))
+    args = run_args(fixture_dir, tmp_path / "out")
+    args[args.index("--tracts") + 1] = str(bad)
+    assert main(args) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error in ingest:")
+    assert f"feature 3: {message}" in err
+
+
 def test_run_missing_input_exits_2(fixture_dir, tmp_path, capsys):
     args = run_args(fixture_dir, tmp_path / "out")
     args[args.index("--stops") + 1] = str(tmp_path / "nope.csv")

@@ -79,7 +79,7 @@ def masks_for(geoids_by_hazard: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def two_tract_setup():
-    tracts = TractTable([unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0)])
+    tracts = TractTable.from_rows([unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0)])
     index = build_index(tracts, cell_size_deg=0.5)
     return tracts, index
 
@@ -243,7 +243,7 @@ def test_classify_regions_rules(two_tract_setup):
 def test_population_curve_definition(two_tract_setup):
     from hazmob.model import ExposureAccumulator
 
-    tracts = TractTable([unit_square_tract("48001000001", 0, 0, population=1000)])
+    tracts = TractTable.from_rows([unit_square_tract("48001000001", 0, 0, population=1000)])
     acc = ExposureAccumulator(geoid="48001000001", tdt_s=100)
     acc.hdt_s["heat"] = 7
     table = classify_regions(compute_mei(sums_of([acc])), masks_for({}))
@@ -254,14 +254,14 @@ def test_population_curve_definition(two_tract_setup):
 def test_population_curve_empty_latent_class():
 
     table = classify_regions(compute_mei(sums_of([])), masks_for({}))
-    curve = population_curve(table, TractTable(), "heat", [0.0, 0.5])
+    curve = population_curve(table, TractTable.from_rows([]), "heat", [0.0, 0.5])
     assert curve.points == [(0.0, 0), (0.5, 0)]
 
 
 def test_compound_latent_rules():
     from hazmob.model import ExposureAccumulator
 
-    tracts = TractTable([
+    tracts = TractTable.from_rows([
         unit_square_tract("48001000001", 0, 0, population=500),
         unit_square_tract("48001000002", 1, 0, population=700),
     ])
@@ -284,7 +284,7 @@ def test_population_sums_are_exact_past_int64(populations):
     """Populations add up as Python ints, with no int64 wrap-around."""
     from hazmob.stats import disparity_table
 
-    tracts = TractTable(unit_square_tract(f"4800100000{i}", i, 0, population=p)
+    tracts = TractTable.from_rows(unit_square_tract(f"4800100000{i}", i, 0, population=p)
                         for i, p in enumerate(populations))
     accs = [ExposureAccumulator(geoid=t.geoid, tdt_s=100, hdt_s=dict.fromkeys(HAZARD_TYPES, 50))
             for t in tracts]

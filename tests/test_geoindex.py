@@ -3,11 +3,12 @@ import random
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hazmob import geoindex
+from hazmob import geoindex, model
 from hazmob.geoindex import (
     GeoIndexError,
     build_index,
@@ -16,29 +17,32 @@ from hazmob.geoindex import (
     locate_brute_force,
     locate_stops,
 )
-from hazmob.model import CensusTract, StopRecord
+from hazmob.model import CensusTract, StopRecord, TractTable
 
-from conftest import frame_of, geoids_of, stops_at, unit_square_tract
+from conftest import frame_of, geoids_of, stops_at, tract_worlds, unit_square_tract, wobbled
 
 
 @pytest.fixture(scope="module")
 def unit_square_index():
-    return build_index([unit_square_tract("48001950100", 0, 0)], cell_size_deg=1.0)
+    return build_index(TractTable.from_rows([unit_square_tract("48001950100", 0, 0)]), cell_size_deg=1.0)
 
 
 def test_build_index_rejects_empty_and_bad_cell():
     with pytest.raises(GeoIndexError):
-        build_index([])
+        build_index(TractTable.from_rows([]))
+    square = TractTable.from_rows([unit_square_tract("48001950100", 0, 0)])
     with pytest.raises(GeoIndexError):
-        build_index([unit_square_tract("48001950100", 0, 0)], cell_size_deg=0.0)
-    for bad in (math.nan, math.inf):
+        build_index(square, cell_size_deg=0.0)
+    for bad in (math.nan, math.inf, 1e-320):  # 1e-320: the unit square spans no finite cell range
         with pytest.raises(GeoIndexError):
-            build_index([unit_square_tract("48001950100", 0, 0)], cell_size_deg=bad)
+            build_index(square, cell_size_deg=bad)
 
 
 def test_single_tract_grid_populated(unit_square_index):
-    assert len(unit_square_index.grid) >= 1
-    assert all("48001950100" in bucket for bucket in unit_square_index.grid.values())
+    index = unit_square_index
+    assert len(index.cells) >= 1
+    buckets = np.split(index.part_code[index.cell_parts], index.cell_offsets[1:-1])
+    assert all("48001950100" in {index.geoids[c] for c in bucket.tolist()} for bucket in buckets)
 
 
 def test_locate_interior_point(unit_square_index):
@@ -66,15 +70,15 @@ def grid_tracts(n: int) -> list[CensusTract]:
 
 
 def test_grid_coverage_lower_bound():
-    index = build_index(grid_tracts(10), cell_size_deg=0.05)
-    total_entries = sum(len(bucket) for bucket in index.grid.values())
+    index = build_index(TractTable.from_rows(grid_tracts(10)), cell_size_deg=0.05)
+    total_entries = len(index.cell_parts)  # one (cell, part) entry per cell a part's box meets
     assert total_entries >= 100
 
 
 def test_overlapping_tracts_resolve_to_smallest_geoid():
     a = unit_square_tract("48001950200", 0, 0)
     b = unit_square_tract("48001950100", 0.5, 0)  # overlaps a on [0.5, 1]
-    index = build_index([a, b], cell_size_deg=0.25)
+    index = build_index(TractTable.from_rows([a, b]), cell_size_deg=0.25)
     assert locate(index, 0.75, 0.5) == "48001950100"
     assert locate(index, 0.25, 0.5) == "48001950200"
 
@@ -86,7 +90,7 @@ def test_multipolygon_membership_any_part():
         geoid="48001950100", geometry=((ring1,), (ring2,)), population=10,
         pct_minority=0.1, pct_below_poverty200=0.1,
     )
-    index = build_index([tract], cell_size_deg=0.5)
+    index = build_index(TractTable.from_rows([tract]), cell_size_deg=0.5)
     assert locate(index, 0.5, 0.5) == "48001950100"
     assert locate(index, 5.5, 5.5) == "48001950100"
     assert locate(index, 3.0, 3.0) is None
@@ -99,7 +103,7 @@ def test_polygon_hole_excluded_boundary_included():
         geoid="48001950100", geometry=(((outer, hole)),),
         population=10, pct_minority=0.1, pct_below_poverty200=0.1,
     )
-    geom = build_index([tract], cell_size_deg=1.0).geometries["48001950100"]
+    geom = build_index(TractTable.from_rows([tract]), cell_size_deg=1.0).tracts[0].geometry
     assert contains(geom, 0.5, 0.5)
     assert not contains(geom, 2.0, 2.0)  # inside the hole
     assert contains(geom, 1.0, 2.0)  # on the hole boundary
@@ -107,7 +111,7 @@ def test_polygon_hole_excluded_boundary_included():
 
 
 def test_locate_agrees_with_brute_force_oracle():
-    tracts = grid_tracts(10)
+    tracts = TractTable.from_rows(grid_tracts(10))
     index = build_index(tracts, cell_size_deg=0.05)
     rng = random.Random(4242)
     disagreements = 0
@@ -120,7 +124,7 @@ def test_locate_agrees_with_brute_force_oracle():
 
 
 def test_locate_independent_of_cell_size():
-    tracts = grid_tracts(5)
+    tracts = TractTable.from_rows(grid_tracts(5))
     coarse = build_index(tracts, cell_size_deg=0.5)
     fine = build_index(tracts, cell_size_deg=0.05)
     rng = random.Random(7)
@@ -150,24 +154,12 @@ def _tract(geoid, *parts):
                        pct_minority=0.1, pct_below_poverty200=0.1)
 
 
-def _wobbled(a, b, segments, amp, rng):
-    """segments + 1 vertices from a to b, interior ones moved perpendicular by <= amp."""
-    (ax, ay), (bx, by) = a, b
-    nx, ny = ay - by, bx - ax  # perpendicular to the edge
-    scale = amp / math.hypot(nx, ny)
-    pts = [a]
-    for k in range(1, segments):
-        t, d = k / segments, rng.uniform(-1.0, 1.0) * scale
-        pts.append((ax + (bx - ax) * t + nx * d, ay + (by - ay) * t + ny * d))
-    return pts + [b]
-
-
 def _wobbled_pair():
     """A 200-edge ring with wobbled sides, as in county-stops, and a neighbour
     sharing its wobbled east side (the same vertices in reverse order)."""
     rng = random.Random(200)
     corners = [(10.0, 1.0), (12.0, 1.0), (12.0, 3.0), (10.0, 3.0), (10.0, 1.0)]
-    sides = [_wobbled(corners[i], corners[i + 1], 50, 0.1, rng) for i in range(4)]
+    sides = [wobbled(corners[i], corners[i + 1], 50, 0.1, rng) for i in range(4)]
     ring = tuple(pt for side in sides for pt in side[:-1]) + (corners[0],)
     east = sides[1]
     neighbour = tuple(east[::-1]) + ((13.0, 1.0), (13.0, 3.0), east[-1])
@@ -198,9 +190,11 @@ LOCATE_WORLD = [
     _tract("48007000100", (_ring((14.0, 1.0), (17.0, 1.0), (17.0, 3.0), (16.0, 3.0),
                                  (16.0, 2.0), (15.0, 2.0), (15.0, 3.0), (14.0, 3.0)),)),
 ]
-LOCATE_INDEX = build_index(LOCATE_WORLD, cell_size_deg=0.75)
+LOCATE_TABLE = TractTable.from_rows(LOCATE_WORLD)
+LOCATE_INDEX = build_index(LOCATE_TABLE, cell_size_deg=0.75)
 # Index cells finer than, comparable to, and coarser than the whole world.
-LOCATE_INDEXES = [build_index(LOCATE_WORLD, cell_size_deg=c) for c in (0.1, 0.75, 20.0)]
+CELL_SIZES = (0.1, 0.75, 20.0)
+LOCATE_INDEXES = [build_index(LOCATE_TABLE, cell_size_deg=c) for c in CELL_SIZES]
 # Block and pass sizes so small that block boundaries fall between points of
 # one cell and pass boundaries inside a part's edge list.
 SMALL_SIZES = {"_BLOCK_POINTS": 3, "_PASS_ROWS": 17}
@@ -288,9 +282,8 @@ def test_locate_stops_fixture_covers_edges_holes_and_islands():
 
 def _scattered_stops(index, rng, n):
     """n stops spread over the index's tracts and half a degree around them, then n // 2 repeats."""
-    parts = [p for geometry in index.geometries.values() for p in geometry]
-    x0, x1 = min(p.min_x for p in parts) - 0.5, max(p.max_x for p in parts) + 0.5
-    y0, y1 = min(p.min_y for p in parts) - 0.5, max(p.max_y for p in parts) + 0.5
+    x0, x1 = index.min_x.min() - 0.5, index.max_x.max() + 0.5
+    y0, y1 = index.min_y.min() - 0.5, index.max_y.max() + 0.5
     pts = [(rng.uniform(x0, x1), rng.uniform(y0, y1)) for _ in range(n)]
     pts += [rng.choice(pts) for _ in range(n // 2)]
     return stops_at(pts)
@@ -299,13 +292,47 @@ def _scattered_stops(index, rng, n):
 def test_locate_stops_calls_neither_locate_nor_contains(monkeypatch):
     stops = _scattered_stops(LOCATE_INDEX, random.Random(5), 3000)
     expected = [locate(LOCATE_INDEX, s.lon, s.lat) for s in stops.records()]
+    table = TractTable.from_rows(LOCATE_WORLD)  # no rows built yet
 
     def forbidden(*args):
         raise AssertionError("locate_stops must not fall back to the scalar oracles")
 
+    def no_rows(*args):
+        raise AssertionError("build_index and locate_stops must not build CensusTract rows")
+
     for name in ("locate", "contains", "point_in_part", "locate_brute_force"):
         monkeypatch.setattr(geoindex, name, forbidden)
-    assert geoids_of(LOCATE_INDEX, locate_stops(LOCATE_INDEX, stops)) == expected
+    monkeypatch.setattr(model, "CensusTract", no_rows)
+    index = build_index(table, cell_size_deg=0.75)
+    assert geoids_of(index, locate_stops(index, stops)) == expected
+
+
+def _world_points(table, rng):
+    """Every vertex and edge midpoint of the table's rings, random points over
+    and around its tracts, and two points in cells far from every tract."""
+    points = []
+    for tract in table:
+        for part in tract.geometry:
+            for ring in part:
+                points += ring
+                points += [((x1 + x2) / 2, (y1 + y2) / 2) for (x1, y1), (x2, y2) in zip(ring, ring[1:])]
+    x0, x1 = np.nanmin(table.x), np.nanmax(table.x)
+    y0, y1 = np.nanmin(table.y), np.nanmax(table.y)
+    points += [(rng.uniform(x0 - 1, x1 + 1), rng.uniform(y0 - 1, y1 + 1)) for _ in range(60)]
+    return points + [(x0 - 30.0, y0), (x1 + 30.0, y1 + 30.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(tract_worlds(), st.randoms(use_true_random=False))
+def test_locate_stops_equals_brute_force_on_generated_worlds(table, rng):
+    points = _world_points(table, rng)
+    stops = stops_at(points)
+    expected = [locate_brute_force(build_index(table), x, y) for x, y in points]
+    for cell in CELL_SIZES:
+        index = build_index(table, cell_size_deg=cell)
+        assert geoids_of(index, locate_stops(index, stops)) == expected
+        keys = np.floor(np.array(points) / cell) @ np.array([1, 1j])
+        assert not np.isin(keys, index.cells).all()  # some points have no candidate part
 
 
 def test_locate_stops_empty_builds_nothing(monkeypatch):
@@ -325,9 +352,9 @@ def test_locate_stops_rejects_points_without_a_finite_cell():
 
 def _wobbled_grid(n, rng):
     """n x n tracts of 201-vertex rings whose wobbled sides neighbours share."""
-    horiz = {(i, j): _wobbled((float(i), float(j)), (i + 1.0, float(j)), 50, 0.1, rng)
+    horiz = {(i, j): wobbled((float(i), float(j)), (i + 1.0, float(j)), 50, 0.1, rng)
              for i in range(n) for j in range(n + 1)}
-    vert = {(i, j): _wobbled((float(i), float(j)), (float(i), j + 1.0), 50, 0.1, rng)
+    vert = {(i, j): wobbled((float(i), float(j)), (float(i), j + 1.0), 50, 0.1, rng)
             for i in range(n + 1) for j in range(n)}
     tracts = []
     for i in range(n):
@@ -340,7 +367,7 @@ def _wobbled_grid(n, rng):
 
 def test_locate_stops_memory_is_bounded():
     rng = random.Random(17)
-    index = build_index(_wobbled_grid(12, rng), cell_size_deg=0.05)
+    index = build_index(TractTable.from_rows(_wobbled_grid(12, rng)), cell_size_deg=0.05)
     stops = stops_at((rng.uniform(-0.5, 12.5), rng.uniform(-0.5, 12.5)) for _ in range(100_000))
     tracemalloc.start()
     try:

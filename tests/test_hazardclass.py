@@ -8,7 +8,7 @@ from hazmob.hazardclass import (
     classify_percentile,
     percentile_interpolated,
 )
-from hazmob.model import HazardLayer
+from hazmob.model import HazardLayer, TractTable
 
 from conftest import unit_square_tract
 
@@ -67,7 +67,7 @@ def county_tracts(county_row: int, n: int):
 def test_heat_quartile_hand_computed_cutoff():
     tracts = county_tracts(1, 4)
     values = dict(zip([t.geoid for t in tracts], [10, 20, 30, 40]))
-    layer = classify_heat_quartile(heat_layer(values), tracts)
+    layer = classify_heat_quartile(heat_layer(values), TractTable.from_rows(tracts))
     masked = layer.masked_geoids()
     # cutoff 37.5 excludes the 30-day tract
     assert masked == {tracts[3].geoid}
@@ -76,24 +76,24 @@ def test_heat_quartile_hand_computed_cutoff():
 def test_heat_quartile_identical_values_all_masked():
     tracts = county_tracts(1, 4)
     values = {t.geoid: 5 for t in tracts}
-    layer = classify_heat_quartile(heat_layer(values), tracts)
+    layer = classify_heat_quartile(heat_layer(values), TractTable.from_rows(tracts))
     assert layer.masked_geoids() == {t.geoid for t in tracts}
 
 
 def test_heat_single_tract_county_masked():
     tracts = county_tracts(2, 1)
-    layer = classify_heat_quartile(heat_layer({tracts[0].geoid: 0}), tracts)
+    layer = classify_heat_quartile(heat_layer({tracts[0].geoid: 0}), TractTable.from_rows(tracts))
     assert layer.masked_geoids() == {tracts[0].geoid}
 
 
 def test_heat_small_county_masks_single_maximum():
     tracts = county_tracts(3, 3)
     values = dict(zip([t.geoid for t in tracts], [7, 12, 3]))
-    layer = classify_heat_quartile(heat_layer(values), tracts)
+    layer = classify_heat_quartile(heat_layer(values), TractTable.from_rows(tracts))
     assert layer.masked_geoids() == {tracts[1].geoid}
     # tie at the maximum resolves to the smallest geoid
     values = dict(zip([t.geoid for t in tracts], [12, 12, 3]))
-    layer = classify_heat_quartile(heat_layer(values), tracts)
+    layer = classify_heat_quartile(heat_layer(values), TractTable.from_rows(tracts))
     assert layer.masked_geoids() == {tracts[0].geoid}
 
 
@@ -102,7 +102,7 @@ def test_heat_unknown_geoid_skipped_with_warning(caplog):
     values = {t.geoid: 10 * (i + 1) for i, t in enumerate(tracts)}
     values["99999999999"] = 80
     with caplog.at_level("WARNING"):
-        layer = classify_heat_quartile(heat_layer(values), tracts)
+        layer = classify_heat_quartile(heat_layer(values), TractTable.from_rows(tracts))
     assert "99999999999" not in layer.mask
     assert any("99999999999" in r.message for r in caplog.records)
 
@@ -112,7 +112,7 @@ def test_heat_large_county_masks_about_a_quarter():
     for n in (16, 40, 101):
         tracts = county_tracts(1, n)
         values = {t.geoid: rng.sample(range(10000), 1)[0] for t in tracts}
-        layer = classify_heat_quartile(heat_layer(values), tracts)
+        layer = classify_heat_quartile(heat_layer(values), TractTable.from_rows(tracts))
         masked = len(layer.masked_geoids())
         target = -(-n // 4)  # ceil(n / 4)
         assert 1 <= masked <= n
@@ -123,9 +123,9 @@ def test_heat_masks_deterministic_under_permutation():
     rng = random.Random(6)
     tracts = county_tracts(1, 20) + county_tracts(2, 7)
     values = {t.geoid: rng.randrange(100) for t in tracts}
-    layer_a = classify_heat_quartile(heat_layer(values), tracts)
+    layer_a = classify_heat_quartile(heat_layer(values), TractTable.from_rows(tracts))
     shuffled_tracts = list(tracts)
     rng.shuffle(shuffled_tracts)
     shuffled_values = dict(rng.sample(list(values.items()), len(values)))
-    layer_b = classify_heat_quartile(heat_layer(shuffled_values), shuffled_tracts)
+    layer_b = classify_heat_quartile(heat_layer(shuffled_values), TractTable.from_rows(shuffled_tracts))
     assert layer_a.mask == layer_b.mask

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hazmob import homeloc, synth
 from hazmob.geoindex import build_index, locate, locate_stops
 from hazmob.homeloc import infer_homes, night_overlaps
-from hazmob.model import StopRecord, Stops
+from hazmob.model import StopRecord, Stops, TractTable
 
 from conftest import frame_of, unit_square_tract
 
@@ -31,7 +31,8 @@ def homes_of(stops, index, **kwargs):
 
 def two_tract_index():
     return build_index(
-        [unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0)],
+        TractTable.from_rows([unit_square_tract("48001000001", 0, 0),
+                              unit_square_tract("48001000002", 1, 0)]),
         cell_size_deg=0.5,
     )
 
@@ -251,8 +252,8 @@ def reference_homes(stops, index, night_start, night_end, min_nights):
 
 
 THREE_TRACTS = build_index(
-    [unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0),
-     unit_square_tract("48001000003", 2, 0)],
+    TractTable.from_rows([unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0),
+                          unit_square_tract("48001000003", 2, 0)]),
     cell_size_deg=0.5,
 )
 # Few places, hours and dwells, so equal night and total dwell (ties) are common.

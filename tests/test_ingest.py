@@ -20,7 +20,7 @@ from hazmob.exposure import PopulationCurve
 from hazmob.ingest import IngestError, parse_hazard, parse_stops, parse_tracts
 from hazmob.model import HAZARD_TYPES, HazardLayer, MeiRow, MeiTable, StopRecord, format6, validate
 
-from conftest import unit_square_tract
+from conftest import tract_worlds, unit_square_tract
 
 STOPS_HEADER = "user_id,lon,lat,start_ts,dwell_s\n"
 
@@ -237,7 +237,11 @@ def reference_parse(text: str):
     """
     report = ingest.IngestReport()
     records, lines = [], []
-    for line_no, row in enumerate(list(csv.reader(io.StringIO(text)))[1:], start=2):
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    for line_no, row in iter(lambda: (reader.line_num + 1, next(reader, None)), (None, None)):
+        if row is None:
+            break
         report.rows_read += 1
         if len(row) != 5:
             report.reject(line_no, f"expected 5 fields, got {len(row)}")
@@ -295,6 +299,8 @@ MESSY_ROWS = [
     "u6,-180,90,0001-01-01T00:00:00Z,0",
     "u9,0,0,9999-12-31T23:59:59Z,1",
     '"u9,x",0,0,2016-02-29T09:00:00Z,1',
+    '"u10\nsecond line",-97.8,30.2,2019-04-02T09:00:00Z,600',
+    'u3,"abc\n",30.2,2019-04-02T09:00:00Z,600',
 ]
 
 
@@ -378,6 +384,106 @@ def test_parse_tracts_rejects_non_polygon():
         parse_tracts(feature_collection(feature))
 
 
+# (where to write in a good feature, value, what the error must say)
+BAD_TRACT_VALUES = [
+    ("vertex", math.nan, "part 0 ring 0 has a non-finite coordinate"),
+    ("vertex", math.inf, "part 0 ring 0 has a non-finite coordinate"),
+    ("vertex", "raw:1e400", "part 0 ring 0 has a non-finite coordinate"),
+    ("vertex", "raw:1" + "0" * 400, "malformed part 0 ring 0: position 2"),
+    ("vertex", "-97.1", "malformed part 0 ring 0: position 2"),
+    ("vertex", True, "malformed part 0 ring 0: position 2"),
+    ("vertex", None, "malformed part 0 ring 0: position 2"),
+    ("position", [1.0], "malformed part 0 ring 0: position 2"),
+    ("position", 1.0, "malformed part 0 ring 0: position 2"),
+    ("position", {"lon": 1.0, "lat": 2.0}, "malformed part 0 ring 0: position 2"),
+    ("POP", 3844.9, "population: must be a non-negative integer"),
+    ("POP", True, "population: must be a non-negative integer"),
+    ("POP", -1, "population: must be a non-negative integer"),
+    ("PCT_MINORITY", "0.5", "pct_minority: must be a fraction in [0, 1]"),
+    ("PCT_POV200", math.nan, "pct_below_poverty200: must be a fraction in [0, 1]"),
+    ("GEOID", "4800195020\r", "geoid: must be 11 ASCII digits, got '4800195020\\r'"),
+    ("GEOID", "4800195020", "geoid: must be 11 ASCII digits"),
+]
+
+
+def bad_tract_text(where: str, value) -> str:
+    """Two unit-square features; the second has value written at where
+    (a value "raw:text" as the JSON text)."""
+    feature = tract_feature("48001950200", 2.0, 0.0)
+    raw = value[4:] if isinstance(value, str) and value.startswith("raw:") else None
+    if where == "vertex":
+        feature["geometry"]["coordinates"][0][2][0] = 1234.5 if raw else value
+    elif where == "position":
+        feature["geometry"]["coordinates"][0][2] = value
+    elif where == "GEOID":
+        feature["properties"]["GEOID"] = value
+    else:
+        feature["properties"][where] = value
+    doc = {"type": "FeatureCollection", "features": [tract_feature("48001950100"), feature]}
+    return json.dumps(doc).replace("1234.5", raw) if raw else json.dumps(doc)
+
+
+@pytest.mark.parametrize("where, value, message", BAD_TRACT_VALUES)
+def test_parse_tracts_rejects_bad_values_naming_the_feature(where, value, message):
+    with pytest.raises(IngestError) as info:
+        parse_tracts(io.StringIO(bad_tract_text(where, value)))
+    assert str(info.value).startswith("feature 1: ")
+    assert message in str(info.value)
+    if where == "position":  # the same among positions of other lengths
+        text = bad_tract_text(where, value).replace("[0.0, 0.0]", "[0.0, 0.0, 5.0]", 1)
+        with pytest.raises(IngestError, match=re.escape(message)):
+            parse_tracts(io.StringIO(text))
+
+
+def test_parse_tracts_rejects_geoid_with_carriage_return():
+    # It would pass an 11-character check, and write_report writes it unquoted.
+    feature = tract_feature("48001950100")
+    feature["properties"]["GEOID"] = "4800195010\r"
+    with pytest.raises(IngestError, match="feature 0: geoid: must be 11 ASCII digits"):
+        parse_tracts(feature_collection(feature))
+
+
+def test_parse_tracts_names_the_first_fault_in_file_order():
+    unclosed = tract_feature("48001950200", 2.0, 0.0, close=False)
+    bad_pop = tract_feature("48001950300", 4.0, 0.0)
+    bad_pop["properties"]["POP"] = -5
+    bad_geoid = tract_feature("480019504")
+    text = feature_collection(tract_feature("48001950100"), unclosed, bad_pop, bad_geoid)
+    with pytest.raises(IngestError, match="feature 1: part 0 ring 0 is not closed"):
+        parse_tracts(text)
+    text = feature_collection(tract_feature("48001950100"), bad_pop, unclosed, bad_geoid)
+    with pytest.raises(IngestError, match="feature 1: population"):
+        parse_tracts(text)
+    # Within a feature the rings come first, in order; then its properties.
+    two_parts = tract_feature("48001950200")
+    ring = two_parts["geometry"]["coordinates"][0]
+    two_parts["geometry"] = {"type": "MultiPolygon", "coordinates": [[ring[:-1]], [ring[:-1] + [[0, "x"]]]]}
+    two_parts["properties"]["POP"] = None
+    with pytest.raises(IngestError, match="feature 0: part 0 ring 0 is not closed"):
+        parse_tracts(feature_collection(two_parts, bad_geoid))
+    del two_parts["properties"]["PCT_POV200"]
+    two_parts["geometry"]["coordinates"][0][0].append(ring[0])
+    with pytest.raises(IngestError, match="feature 0: malformed part 1 ring 0: position 4"):
+        parse_tracts(feature_collection(two_parts, bad_geoid))
+    two_parts["geometry"]["coordinates"][1][0][-1] = ring[0]
+    with pytest.raises(IngestError, match="feature 0: population"):
+        parse_tracts(feature_collection(two_parts, bad_geoid))
+    two_parts["properties"]["POP"] = 10
+    with pytest.raises(IngestError, match="feature 0: bad demographic properties: 'PCT_POV200'"):
+        parse_tracts(feature_collection(two_parts, bad_geoid))
+
+
+def test_parse_tracts_accepts_3d_positions():
+    flat = tract_feature("48001950100")
+    high = tract_feature("48001950100")
+    high["geometry"]["coordinates"][0] = [p + [150.5] for p in high["geometry"]["coordinates"][0]]
+    mixed = tract_feature("48001950100")
+    mixed["geometry"]["coordinates"][0][1] += [12, "members past lat are ignored"]
+    expected = parse_tracts(feature_collection(flat))
+    assert parse_tracts(feature_collection(high)) == expected
+    assert parse_tracts(feature_collection(mixed)) == expected
+
+
 def test_parse_tracts_missing_geoid():
     feature = tract_feature("48001950100")
     del feature["properties"]["GEOID"]
@@ -387,6 +493,16 @@ def test_parse_tracts_missing_geoid():
 
 def hazard_stream(*rows: str) -> io.StringIO:
     return io.StringIO("geoid,value\n" + "".join(r + "\n" for r in rows))
+
+
+def test_rejects_are_numbered_by_file_line_after_a_quoted_line_break():
+    _, report = parse_hazard(hazard_stream('"G\n1",0.5', "G2,abc"), "air_pollution")
+    assert report.first_10_rejects == [(4, "unparseable value 'abc'")]
+    text = (STOPS_HEADER + '"u\n1",1,2,2019-04-02T09:00:00Z,5\n'
+            + "u2,abc,2,2019-04-02T09:00:00Z,5\nu3,1,2,2019-04-02T09:00:00Z,5\n")
+    stops, report = parse_stops(io.StringIO(text))
+    assert [line for line, _ in report.first_10_rejects] == [4]
+    assert stops.line.tolist() == [2, 5]
 
 
 def test_parse_hazard_air_accepts_percentile():
@@ -453,6 +569,31 @@ def test_tracts_round_trip_through_writer(roundtrip_world, tmp_path):
     path = tmp_path / "tracts.geojson"
     ingest.write_tracts(tracts, path)
     assert parse_tracts(path) == tracts
+
+
+@settings(max_examples=60, deadline=None)
+@given(tract_worlds(), st.sampled_from(["2-D", "3-D", "some 3-D"]))
+def test_tract_worlds_round_trip_through_writer(table, dims):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tracts.geojson"
+        ingest.write_tracts(table, path)
+        if dims != "2-D":
+            doc = json.loads(path.read_text())
+            for feature in doc["features"][::1 if dims == "3-D" else 2]:
+                coords = feature["geometry"]["coordinates"]
+                polygons = [coords] if feature["geometry"]["type"] == "Polygon" else coords
+                for ring in (ring for polygon in polygons for ring in polygon):
+                    for position in ring:
+                        position.append(-12.25)
+            path.write_text(json.dumps(doc))
+        parsed = parse_tracts(path)
+    assert parsed == table
+    for name in ("geoids", "population", "pct_minority", "pct_below_poverty200",
+                 "ring_offsets", "part_offsets", "tract_offsets"):
+        assert np.array_equal(getattr(parsed, name), getattr(table, name)), name
+    assert parsed.population.dtype == table.population.dtype
+    for name in ("x", "y"):
+        assert np.array_equal(getattr(parsed, name), getattr(table, name), equal_nan=True)
 
 
 def test_hazard_round_trip_through_writer(roundtrip_world, tmp_path):

@@ -72,6 +72,10 @@ def test_tract_bad_geoid_and_demographics():
     assert any("geoid" in v for v in validate(tract))
     tract = dataclasses.replace(unit_square_tract("48001950100", 0, 0), pct_minority=1.5)
     assert any("pct_minority" in v for v in validate(tract))
+    tract = dataclasses.replace(unit_square_tract("48001950100", 0, 0), geoid="4800195010\r")
+    assert "geoid: must be 11 ASCII digits" in validate(tract)
+    tract = dataclasses.replace(unit_square_tract("48001950100", 0, 0), population=True)
+    assert "population: must be a non-negative integer" in validate(tract)
 
 
 def test_hazard_layer_percentile_bound():

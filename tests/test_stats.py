@@ -200,7 +200,7 @@ def test_disparity_planted_minority_in_direct_tracts():
                               poverty=(0.6 if direct else 0.25) + rng.gauss(0, 0.01))
         )
         regions[geoid] = ("direct" if direct else "latent",) * 3
-    table = disparity_table(make_table(regions), TractTable(tracts))
+    table = disparity_table(make_table(regions), TractTable.from_rows(tracts))
     baseline = table.rows[0]
     assert baseline.hazard == "all"
     assert baseline.mean_minority == pytest.approx((15 * 0.8 + 25 * 0.2) / 40, abs=0.02)
@@ -226,7 +226,7 @@ def test_disparity_uniform_demographics_nothing_significant():
                               poverty=0.3 + rng.gauss(0, 0.05))
         )
         regions[geoid] = ("direct" if i % 2 == 0 else "latent",) * 3
-    table = disparity_table(make_table(regions), TractTable(tracts))
+    table = disparity_table(make_table(regions), TractTable.from_rows(tracts))
     for row in table.rows[1:]:
         for test in (row.poverty_test, row.minority_test):
             if test is not None:
@@ -239,7 +239,7 @@ def test_disparity_empty_class_has_blank_cells():
         geoid = f"48001{i:06d}"
         tracts.append(unit_square_tract(geoid, i, 0))
         regions[geoid] = ("direct",) * 3
-    table = disparity_table(make_table(regions), TractTable(tracts))
+    table = disparity_table(make_table(regions), TractTable.from_rows(tracts))
     latent_rows = [r for r in table.rows if r.region_class == "latent"]
     assert all(r.n_tracts == 0 for r in latent_rows)
     assert all(r.mean_poverty is None and r.poverty_test is None for r in latent_rows)
@@ -286,7 +286,7 @@ def test_hazard_pair_correlations_all_pairs(small_world, small_world_index):
 
 
 def test_scatter_export_rows_sorted_and_undefined_blank():
-    tracts = TractTable(unit_square_tract(f"48001{i:06d}", i, 0, population=100 + i) for i in range(3))
+    tracts = TractTable.from_rows(unit_square_tract(f"48001{i:06d}", i, 0, population=100 + i) for i in range(3))
     rows = {}
     for i, tract in enumerate(tracts):
         rows[tract.geoid] = MeiRow(
@@ -305,7 +305,7 @@ def test_scatter_export_rows_sorted_and_undefined_blank():
 def test_scatter_round_trips_through_writer(tmp_path):
     from hazmob import ingest
 
-    tracts = TractTable(unit_square_tract(f"48001{i:06d}", i, 0) for i in range(3))
+    tracts = TractTable.from_rows(unit_square_tract(f"48001{i:06d}", i, 0) for i in range(3))
     rows = {
         t.geoid: MeiRow(
             geoid=t.geoid,
