@@ -39,7 +39,7 @@ class StageError(Exception):
     """Runtime failure attributed to a pipeline stage."""
 
     def __init__(self, stage: str, message: str):
-        super().__init__(f"stage {stage}: {message}")
+        super().__init__(message)
         self.stage = stage
 
 
@@ -101,7 +101,9 @@ class RunConfig:
     night_end: int = _key(6, int, **_HOUR)
     min_nights: int = _key(3, int, **_COUNT)
     cell_size_deg: float = _key(0.05, float, **_POSITIVE, flag="--cell-size")
-    eps: float = _key(0.1, float, **_POSITIVE)
+    # The range cluster.ClusterConfig.check() accepts.
+    eps: float = _key(0.1, float, lambda v: 2.0**-511 <= v < 2.0**512,
+                      "be at least 2**-511 and below 2**512")
     min_pts: int = _key(10, int, **_COUNT)
     curve_thresholds: tuple[float, ...] = _key(
         (0.05, 0.10), _floats, lambda v: all(0.0 <= t <= 1.0 for t in v) and list(v) == sorted(v),

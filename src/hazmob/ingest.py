@@ -20,12 +20,13 @@ import io
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter, mul
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,19 +69,32 @@ class IngestReport:
             self.first_10_rejects.append((line_no, reason))
 
 
-def _open_text(source: str | Path | IO) -> tuple[IO, bool]:
-    """Return a text-mode handle for a path, text stream, or byte stream."""
-    if isinstance(source, (str, Path)):
+@contextmanager
+def _text(source: str | Path | IO) -> Iterator[IO]:
+    """A text-mode handle on a path, text stream or byte stream, closed on
+    exit if opened here. Bytes that are not UTF-8 are an IngestError that
+    names the source."""
+    owned = isinstance(source, (str, Path))
+    if owned:
         try:
-            return open(source, "r", encoding="utf-8", newline=""), True
+            handle = open(source, "r", encoding="utf-8", newline="")
         except OSError as exc:
             raise IngestError(f"cannot read {source}: {exc}") from exc
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline=""), False
-        return source, False
-    raise IngestError(f"unreadable stops source: {type(source).__name__}")
+    elif hasattr(source, "read"):
+        handle = source
+        if isinstance(source.read(0), bytes):
+            handle = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    else:
+        raise IngestError(f"unreadable stops source: {type(source).__name__}")
+    try:
+        yield handle
+    except UnicodeDecodeError as exc:
+        name = source if owned else getattr(source, "name", "input")
+        byte = exc.object[exc.start]
+        raise IngestError(f"{name}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from exc
+    finally:
+        if owned:
+            handle.close()
 
 
 _EPOCH_BY_DATE: dict[str, int] = {}
@@ -132,11 +146,10 @@ def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
     goes through the scalar row path, which decides and words its reject,
     so rejects and their reasons are those of a row-by-row parse.
     """
-    handle, owned = _open_text(source)
     report = IngestReport()
     users: dict[str, int] = {}
     chunks = []
-    try:
+    with _text(source) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -146,9 +159,6 @@ def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
             raise IngestError(f"bad stops header: expected {STOPS_HEADER}, got {header}")
         for rows, lines in _chunks(reader):
             chunks.append(_parse_chunk(rows, lines, report, users))
-    finally:
-        if owned:
-            handle.close()
     if chunks:
         columns = [np.concatenate(column) for column in zip(*chunks)]
     else:
@@ -373,19 +383,17 @@ def parse_tracts(source: str | Path | IO) -> TractTable:
     [0, 1]. All coordinates are converted in one pass, and the checks on
     them and on the demographics run on whole columns.
     """
-    handle, owned = _open_text(source)
     # The decoded document holds no reference cycles, so the cycle collector
     # would only walk its lists and numbers. It stays off until
     # _tract_table() has returned and the document is freed.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _tract_table(handle)
-    finally:
-        if collecting:
-            gc.enable()
-        if owned:
-            handle.close()
+    with _text(source) as handle:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return _tract_table(handle)
+        finally:
+            if collecting:
+                gc.enable()
 
 
 def _tract_table(handle: IO) -> TractTable:
@@ -403,18 +411,25 @@ def _tract_table(handle: IO) -> TractTable:
     rings_per_part: list[int] = []
     parts_per_tract: list[int] = []
     fault = None
-    for idx, feat in enumerate(doc.get("features", [])):
-        props = feat.get("properties") or {}
-        geoid = props.get("GEOID")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise IngestError("tracts file is not a GeoJSON FeatureCollection: features is not an array")
+    for idx, feat in enumerate(features):
         n_parts = len(rings_per_part)
-        if not isinstance(geoid, str) or not geoid:
+        if not isinstance(feat, dict):
+            fault = "not a JSON object"
+        elif not isinstance(props := feat.get("properties") or {}, dict):
+            fault = "properties: not a JSON object"
+        elif not isinstance(geometry := feat.get("geometry") or {}, dict):
+            fault = "geometry: not a JSON object"
+        elif not isinstance(geoid := props.get("GEOID"), str) or not geoid:
             fault = "missing GEOID property"
         elif not is_geoid(geoid):
             fault = f"geoid: must be 11 ASCII digits, got {geoid!r}"
         elif geoid in geoids:
             fault = f"duplicate GEOID {geoid}"
         else:
-            fault = _add_rings(feat.get("geometry") or {}, rings, rings_per_part)
+            fault = _add_rings(geometry, rings, rings_per_part)
         if fault is not None:
             fault = f"feature {idx}: {fault}"
             break
@@ -551,10 +566,9 @@ def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer
     """Parse a hazard CSV into a values-only layer (mask left empty)."""
     if hazard_type not in HAZARD_TYPES:
         raise IngestError(f"unknown hazard type {hazard_type!r}")
-    handle, owned = _open_text(source)
     report = IngestReport()
     values: dict[str, float] = {}
-    try:
+    with _text(source) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -591,9 +605,6 @@ def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer
                     continue
                 values[geoid] = value
                 report.rows_accepted += 1
-    finally:
-        if owned:
-            handle.close()
     return HazardLayer(hazard_type=hazard_type, values=values), report
 
 
@@ -703,8 +714,7 @@ def read_mei_rows(source: str | Path | IO) -> list[MeiRow]:
     Any malformed row is fatal and named by its line number. A repeated
     geoid keeps the place of its first row and the values of its last.
     """
-    handle, owned = _open_text(source)
-    try:
+    with _text(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != MEI_HEADER:
@@ -736,6 +746,3 @@ def read_mei_rows(source: str | Path | IO) -> list[MeiRow]:
                 raise IngestError(f"line {line_no}: {violations[0]}")
             rows[geoid] = mei_row
         return list(rows.values())
-    finally:
-        if owned:
-            handle.close()

@@ -123,6 +123,48 @@ def test_run_bad_tract_vertex_names_ingest_and_feature(fixture_dir, tmp_path, ca
     assert f"feature 3: {message}" in err
 
 
+def test_run_feature_not_an_object_prints_one_exact_line(fixture_dir, tmp_path, capsys):
+    bad = tmp_path / "tracts.geojson"
+    bad.write_text(json.dumps({"type": "FeatureCollection", "features": [1]}))
+    args = run_args(fixture_dir, tmp_path / "out")
+    args[args.index("--tracts") + 1] = str(bad)
+    assert main(args) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error in ingest: feature 0: not a JSON object\n"
+
+
+def _not_utf8(tmp_path: Path, source: Path) -> Path:
+    """A copy of source with a byte 0xff in its second line."""
+    lines = source.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    bad = tmp_path / f"not_utf8_{source.name}"
+    bad.write_bytes(b"\n".join(lines))
+    return bad
+
+
+def test_validate_stops_not_utf8_exits_1_naming_the_file(fixture_dir, tmp_path, capsys):
+    bad = _not_utf8(tmp_path, fixture_dir / "stops.csv")
+    assert main(["validate", "--stops", str(bad)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"stops: fatal: {bad}: not UTF-8 text (byte 0xff")
+
+
+def test_report_mei_not_utf8_exits_1_naming_the_file(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "for_report"
+    assert main(run_args(fixture_dir, out)) == EXIT_OK
+    bad = _not_utf8(tmp_path, out / "mei.csv")
+    capsys.readouterr()
+    assert main(["report", "--mei", str(bad),
+                 "--tracts", str(fixture_dir / "tracts.geojson")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"error in ingest: {bad}: not UTF-8 text (byte 0xff")
+
+
+def test_run_stops_not_utf8_exits_1_naming_the_file(fixture_dir, tmp_path, capsys):
+    bad = _not_utf8(tmp_path, fixture_dir / "stops.csv")
+    args = run_args(fixture_dir, tmp_path / "out")
+    args[args.index("--stops") + 1] = str(bad)
+    assert main(args) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith(f"error in ingest: {bad}: not UTF-8 text (byte 0xff")
+
+
 def test_run_missing_input_exits_2(fixture_dir, tmp_path, capsys):
     args = run_args(fixture_dir, tmp_path / "out")
     args[args.index("--stops") + 1] = str(tmp_path / "nope.csv")
@@ -131,7 +173,7 @@ def test_run_missing_input_exits_2(fixture_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--eps", "nan"), ("--eps", "inf"),
+    ("--eps", "nan"), ("--eps", "inf"), ("--eps", "1e-200"), ("--eps", "1e200"),
     ("--curve-thresholds", "abc"), ("--curve-thresholds", "0.5,0.1"),
     ("--curve-thresholds", "0.1,nan"), ("--curve-thresholds", "0.1,1.5"),
     ("--cell-size", "nan"), ("--cell-size", "inf"),

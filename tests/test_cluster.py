@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 import random
 import tracemalloc
 
@@ -14,7 +15,9 @@ from hazmob import synth
 from hazmob.cluster import (
     NOISE,
     ClusterConfig,
-    _neighbor_lists,
+    ClusterPoints,
+    _cell_side,
+    _cells,
     _summary_rows,
     apply_labels,
     cluster_points,
@@ -145,9 +148,11 @@ def test_empty_input():
 
 
 def test_config_validation():
-    for eps in (0.0, math.nan, math.inf):
+    for eps in (0.0, math.nan, math.inf, 2.0**-512, 2.0**512):  # eps * eps not a normal float
         with pytest.raises(ValueError):
             dbscan([], ClusterConfig(eps=eps, min_pts=3))
+    for eps in (2.0**-511, 2.0**511):
+        assert dbscan(points_from([(0.0, 0.0, 0.0)]), ClusterConfig(eps=eps, min_pts=1)).label.tolist() == [0]
     with pytest.raises(ValueError):
         dbscan([], ClusterConfig(eps=0.1, min_pts=0))
 
@@ -156,6 +161,13 @@ def test_non_finite_coordinates_rejected():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             dbscan(points_from([(0.1, 0.2, 0.3), (0.1, bad, 0.3)]), ClusterConfig(eps=0.1, min_pts=1))
+
+
+def test_coordinates_beyond_2_53_cells_rejected():
+    """Cells are exact integers in float64 keys: the spread must stay below 2**53 cells."""
+    points = points_from([(0.0, 0.0, 0.0), (1e300, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="2\\*\\*53 cells"):
+        dbscan(points, ClusterConfig(eps=1e-9, min_pts=1))
 
 
 def test_partition_property_every_point_labeled():
@@ -190,6 +202,31 @@ def all_pairs_neighbors(coords, eps):
     return [np.nonzero(((coords - c) ** 2).sum(axis=1) <= eps2)[0] for c in coords]
 
 
+def all_pairs_labels(coords, eps, min_pts):
+    """DBSCAN labels from all_pairs_neighbors(): clusters numbered by a
+    breadth-first scan of the core points seeded in point order, and each
+    border point in the lowest-numbered cluster among its core neighbors."""
+    neighbors = [row.tolist() for row in all_pairs_neighbors(coords, eps)]
+    core = [len(row) >= min_pts for row in neighbors]
+    labels = [NOISE] * len(coords)
+    number = 0
+    for seed in range(len(coords)):
+        if not core[seed] or labels[seed] != NOISE:
+            continue
+        labels[seed] = number
+        queue = [seed]
+        for i in queue:  # grows while it is read
+            for j in neighbors[i]:
+                if core[j] and labels[j] == NOISE:
+                    labels[j] = number
+                    queue.append(j)
+        number += 1
+    for i, row in enumerate(neighbors):
+        if not core[i]:
+            labels[i] = min((labels[j] for j in row if core[j]), default=NOISE)
+    return labels
+
+
 def _nudge_ulps(values, ulps):
     """Move each value by its own count of units in the last place."""
     for _ in range(int(np.abs(ulps).max(initial=0))):
@@ -204,21 +241,28 @@ def _nudge_ulps(values, ulps):
 def grid_cases(draw):
     """(coords, eps) on the inputs a uniform grid gets wrong most easily.
 
-    Lattices fill a k x k x k block of exact multiples of eps, each coordinate
-    jittered by up to 3 ulp, so many pairs at distance ~eps straddle cell
-    borders; shifting the block by many eps reaches large and negative
-    coordinates. Random points reach scales up to 1e6 while eps goes down
-    to 1e-9, which puts cell indices near 1e15; "one cell" keeps every
-    point inside a single cell.
+    Lattices fill a k x k x k block of exact multiples of a step, each
+    coordinate jittered by up to 3 ulp: with a step of eps, many pairs at
+    distance ~eps straddle cell borders; with a step of the cell side (just
+    under eps / sqrt(3)), points sit on the borders themselves and pairs at
+    two sides lie ~eps * 2 / sqrt(3) apart. Shifting the block by many
+    steps reaches large and negative coordinates; a point at the origin
+    then puts the block ~1e9 cells from the lowest coordinates, where
+    coordinate / side rounds by more than the jitter. Random points reach
+    scales up to 1e6 while eps goes down to 1e-9, which puts cell indices
+    near 1e15; "one cell" keeps every point within a box of side eps.
     """
     eps = draw(st.sampled_from([0.1, 0.3, 0.07, 1 / 3, 1e-9]) | st.floats(1e-9, 10.0))
-    kind = draw(st.sampled_from(["lattice", "random", "one_cell"]))
-    if kind == "lattice":
+    kind = draw(st.sampled_from(["lattice", "side_lattice", "random", "one_cell"]))
+    if kind in ("lattice", "side_lattice"):
         k = draw(st.integers(1, 4))
         shift = draw(st.sampled_from([0, -7, 12_345, -10**7, 10**9]))
         steps = np.asarray(list(itertools.product(range(k), repeat=3)), dtype=float) + shift
         jitter = draw(st.lists(st.integers(-3, 3), min_size=steps.size, max_size=steps.size))
-        coords = _nudge_ulps(steps * eps, np.asarray(jitter).reshape(steps.shape))
+        step = eps if kind == "lattice" else _cell_side(eps)
+        coords = _nudge_ulps(steps * step, np.asarray(jitter).reshape(steps.shape))
+        if draw(st.booleans()):  # cells counted from the origin, far from a shifted block
+            coords = np.vstack([coords, np.zeros((1, 3))])
     else:
         n = draw(st.integers(1, 40))
         unit = st.floats(-1.0, 1.0) if kind == "random" else st.floats(0.0, 0.5)
@@ -235,44 +279,77 @@ def grid_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(grid_cases(), st.integers(1, 6))
 def test_grid_neighbors_equal_all_pairs_scan(case, min_pts):
+    """The grid DBSCAN's labels are exactly those of an all-pairs scan."""
     coords, eps = case
-    order, indptr, indices = _neighbor_lists(coords, eps)
-    assert sorted(order.tolist()) == list(range(len(coords)))
-    assert indptr[0] == 0 and indptr[-1] == len(indices)
-    rows = np.split(indices, indptr[1:-1])
-    assert all((np.diff(row) > 0).all() for row in rows)
-    got = [None] * len(coords)
-    for point, row in zip(order.tolist(), rows):
-        got[point] = np.sort(order[row])
-    want = all_pairs_neighbors(coords, eps)
-    assert len(got) == len(want)
-    for i, (g, w) in enumerate(zip(got, want)):
-        assert g.tolist() == w.tolist(), f"point {i}"
-    triples = [tuple(c) for c in coords]
-    by_dist = [[j for j, u in enumerate(triples) if math.dist(t, u) <= eps] for t in triples]
-    if by_dist != [w.tolist() for w in want]:
-        return  # a pair within rounding of eps: the oracle's math.dist rounds otherwise
-    pts = points_from(coords)
-    mine = dbscan(pts, ClusterConfig(eps=eps, min_pts=min_pts))
-    ref = reference_dbscan(triples, eps, min_pts)
-    assert same_partition_on_cores_and_noise(
-        [mine.labels[g] for g, _ in pts], ref, triples, eps, min_pts
-    )
+    mine = dbscan(points_from(coords), ClusterConfig(eps=eps, min_pts=min_pts))
+    assert mine.label.tolist() == all_pairs_labels(coords, eps, min_pts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_cases())
+def test_same_cell_pairs_pass_and_neighbors_are_two_cells_apart(case):
+    """The in-cell margin: every pair of one cell passes the exact test, and
+    every pair that passes it lies in cells at most two apart on each axis."""
+    coords, eps = case
+    cells = _cells(coords, _cell_side(eps))
+    within = np.zeros((len(coords), len(coords)), dtype=bool)
+    for i, row in enumerate(all_pairs_neighbors(coords, eps)):
+        within[i, row] = True
+    same = (cells[:, None, :] == cells[None, :, :]).all(axis=2)
+    reach = (np.abs(cells[:, None, :] - cells[None, :, :]) <= 2).all(axis=2)
+    assert within[same].all()
+    assert reach[within].all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.1, 1 / 3, 1e-9, 7.0]) | st.floats(1e-9, 10.0),
+       st.sampled_from([0, 1, 17, 2**20, 10**9, 2**40]) | st.integers(0, 10**12),
+       st.sampled_from([0.0, -1 / 3, -1e-7, -12_345.678]))
+def test_cell_corners_pass_the_exact_test(eps, k, low):
+    """The in-cell margin at its tightest: the lowest and the highest
+    coordinate of cell k on every axis, with cells counted from a point at
+    low, pass the exact test, and each point's cell is its exact floor."""
+    side = _cell_side(eps)
+    def cell(x):
+        return (Fraction(x) - Fraction(low)) // Fraction(side)
+    near = [low + k * side, low + (k + 1) * side]
+    candidates = sorted({x for v in near for x in _nudge_ulps(np.full(9, v), np.arange(-4, 5))
+                         if x >= low})
+    coords = np.array([[low] * 3] + [[x] * 3 for x in candidates])
+    assert _cells(coords, side)[1:, 0].tolist() == [cell(x) for x in candidates]
+    inside = [x for x in candidates if cell(x) == k]
+    d = np.full(3, max(inside)) - np.full(3, min(inside))
+    assert (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2] <= eps * eps
+
+
+def _traced_peak(points, config):
+    """dbscan's tracemalloc peak on points, in MB."""
+    tracemalloc.start()
+    try:
+        dbscan(points, config)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def test_coincident_points_memory_bounded():
-    """3,000 identical triples share one cell; its distances go in blocks."""
-    coords = np.full((3000, 3), 0.5)
-    result = dbscan(points_from(coords), ClusterConfig(eps=0.1, min_pts=10))
-    assert set(result.labels.values()) == {0}
-    tracemalloc.start()
-    try:
-        _, indptr, indices = _neighbor_lists(coords, 0.1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (np.diff(indptr) == 3000).all() and len(indices) == 3000 * 3000
-    assert peak < 150 * 2**20, f"peak {peak / 2**20:.0f} MB"
+    """3,000 identical triples share one cell, which is all core with no pair tested."""
+    points = ClusterPoints.of(points_from(np.full((3000, 3), 0.5)))
+    config = ClusterConfig(eps=0.1, min_pts=10)
+    assert set(dbscan(points, config).labels.values()) == {0}
+    peak = _traced_peak(points, config)
+    assert peak < 2, f"peak {peak:.1f} MB"
+
+
+def test_dense_cloud_memory_bounded():
+    """20,000 triples, nearly all 4e8 ordered pairs within eps: stored as int32
+    neighbor lists they would take 1.6 GB; dbscan holds none of them."""
+    coords = 0.5 + np.random.default_rng(29).normal(0, 0.01, (20_000, 3))
+    points = ClusterPoints.of(points_from(coords))
+    config = ClusterConfig(eps=0.1, min_pts=10)
+    assert set(dbscan(points, config).labels.values()) == {0}
+    peak = _traced_peak(points, config)
+    assert peak < 8, f"peak {peak:.1f} MB"
 
 
 def test_scan_order_insensitive_core_sets():

@@ -435,6 +435,35 @@ def test_parse_tracts_rejects_bad_values_naming_the_feature(where, value, messag
             parse_tracts(io.StringIO(text))
 
 
+@pytest.mark.parametrize("feature, message", [
+    (1, "feature 1: not a JSON object"),
+    (["Feature"], "feature 1: not a JSON object"),
+    ({"type": "Feature", "properties": [1], "geometry": {}}, "feature 1: properties: not a JSON object"),
+    ({"type": "Feature", "properties": {"GEOID": "48001950200"}, "geometry": "Polygon"},
+     "feature 1: geometry: not a JSON object"),
+])
+def test_parse_tracts_names_a_feature_that_is_not_an_object(feature, message):
+    doc = {"type": "FeatureCollection", "features": [tract_feature("48001950100"), feature]}
+    with pytest.raises(IngestError) as info:
+        parse_tracts(io.StringIO(json.dumps(doc)))
+    assert str(info.value) == message
+
+
+def test_parse_tracts_rejects_features_that_are_not_an_array():
+    with pytest.raises(IngestError, match="features is not an array"):
+        parse_tracts(io.StringIO(json.dumps({"type": "FeatureCollection", "features": {"a": 1}})))
+
+
+@pytest.mark.parametrize("parse", [
+    parse_stops, parse_tracts, lambda source: parse_hazard(source, "toxic"), ingest.read_mei_rows,
+])
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, parse):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"user_id,lon,lat\n\xff\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: not UTF-8 text (byte 0xff")):
+        parse(path)
+
+
 def test_parse_tracts_rejects_geoid_with_carriage_return():
     # It would pass an 11-character check, and write_report writes it unquoted.
     feature = tract_feature("48001950100")
