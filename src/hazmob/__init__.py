@@ -3,7 +3,6 @@
 from .model import (
     HAZARD_TYPES,
     CensusTract,
-    ExposureAccumulator,
     HazardLayer,
     MeiRow,
     MeiTable,
@@ -14,7 +13,6 @@ from .model import (
 __all__ = [
     "HAZARD_TYPES",
     "CensusTract",
-    "ExposureAccumulator",
     "HazardLayer",
     "MeiRow",
     "MeiTable",

@@ -15,10 +15,14 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
-from contextlib import contextmanager, suppress
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import cluster, exposure, hazardclass, homeloc, ingest, stats
 from .geoindex import build_index, locate_stops
@@ -259,34 +263,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_inputs(config: RunConfig):
-    with _stage("ingest"):
-        stops, stop_report = ingest.parse_stops(config.stops)
-        tracts = ingest.parse_tracts(config.tracts)
-        layers = {}
-        hazard_reports = {}
-        for hazard, key in _HAZARD_KEYS.items():
-            path = getattr(config, key)
-            layers[hazard], hazard_reports[hazard] = ingest.parse_hazard(path, hazard)
-    return stops, stop_report, tracts, layers, hazard_reports
-
-
-def _classify_masks(config: RunConfig, layers, tracts):
-    with _stage("hazardclass"):
-        masks = {
-            "air_pollution": hazardclass.classify_percentile(
-                layers["air_pollution"], config.air_threshold
-            ),
-            "toxic": hazardclass.classify_percentile(layers["toxic"], config.toxic_threshold),
-        }
-        if config.heat_quartile:
-            masks["heat"] = hazardclass.classify_heat_quartile(layers["heat"], tracts)
-        else:
-            # Toggle off: heat stays unmasked and contributes no exposure.
-            masks["heat"] = layers["heat"]
-        return masks
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = build_run_config(args)
@@ -297,113 +273,120 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(config.out_dir)
-    written: list[Path] = []
     try:
         with _stage("output"):
             out_dir.mkdir(parents=True, exist_ok=True)
-
-        stops, stop_report, tracts, layers, hazard_reports = _parse_inputs(config)
-
-        with _stage("geoindex"):
-            index = build_index(tracts, config.cell_size_deg)
-            where = locate_stops(index, stops)
-
-        with _stage("homeloc"):
-            home_map = homeloc.infer_homes(
-                stops, where, index.geoids,
-                night_start=config.night_start,
-                night_end=config.night_end,
-                min_nights=config.min_nights,
-            )
-
-        masks = _classify_masks(config, layers, tracts)
-
-        with _stage("exposure"):
-            acc = exposure.accumulate(stops, where, index.geoids, home_map, masks)
-            table = exposure.compute_mei(acc)
-            table = exposure.classify_regions(table, masks)
-            curves = [
-                exposure.population_curve(table, tracts, h, list(config.curve_thresholds))
-                for h in HAZARD_TYPES
-            ]
-            compound_tracts, compound_pop = exposure.compound_latent(
-                table, tracts, config.compound_threshold
-            )
-
-        with _stage("cluster"):
-            points = cluster.cluster_points(table)
-            result = cluster.dbscan(points, cluster.ClusterConfig(eps=config.eps, min_pts=config.min_pts))
-            table = cluster.apply_labels(table, result)
-            summary = cluster.summarize(result, table)
-
-        with _stage("stats"):
-            disparity = stats.disparity_table(table, tracts)
-            correlations = stats.hazard_pair_correlations(table)
-            scatter = stats.scatter_export(table, tracts)
-
-        config_hash = config.config_hash()
-
-        def emit(obj, name: str) -> None:
-            path = out_dir / name
-            written.append(path)
-            written.append(Path(f"{path}.meta.json"))
+            staging = Path(tempfile.mkdtemp(prefix=".hazmob-run-", dir=out_dir))
+        try:
+            names = _run_into(config, staging)
             with _stage("output"):
-                ingest.write_report(obj, path, config_hash)
-
-        emit(table, "mei.csv")
-        emit(result, "clusters.csv")
-        emit(summary, "cluster_summary.csv")
-        emit(disparity, "disparity.csv")
-        emit(correlations, "correlations.csv")
-        emit(scatter, "scatter.csv")
-        emit(curves, "curves.csv")
-
-        metadata = {
-            "config": config.as_dict(),
-            "config_hash": config_hash,
-            "counts": {
-                "stops_read": stop_report.rows_read,
-                "stops_accepted": stop_report.rows_accepted,
-                "stops_rejected": stop_report.rows_rejected,
-                "hazard_rows_rejected": {
-                    h: hazard_reports[h].rows_rejected for h in HAZARD_TYPES
-                },
-                "tracts": len(tracts),
-                "users_assigned": len(home_map.assignments),
-                "users_unassigned": len(home_map.unassigned),
-                "tracts_with_mei": int((~table.excluded).sum()),
-                "clusters": sum(1 for r in summary.rows if r.label != cluster.NOISE),
-            },
-            "diagnostics": {
-                "unresolved_dwell_s": acc.unresolved_dwell_s,
-                "dropped_stops": acc.dropped_stops,
-                "dropped_dwell_s": acc.dropped_dwell_s,
-                "dropped_users": len(acc.dropped_users),
-                "users_no_night_dwell": home_map.no_night_dwell,
-                "users_below_min_nights": len(home_map.unassigned) - home_map.no_night_dwell,
-            },
-            "compound_latent": {
-                "threshold": config.compound_threshold,
-                "n_tracts": len(compound_tracts),
-                "population": compound_pop,
-            },
-        }
-        meta_path = out_dir / "run_metadata.json"
-        written.append(meta_path)
-        with _stage("output"), open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(metadata, fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
+                for name in names:
+                    if (out_dir / name).is_dir():
+                        raise StageError("output", f"cannot replace {out_dir / name}: is a directory")
+                for name in names:
+                    os.replace(staging / name, out_dir / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
     except StageError as exc:
-        for path in written:
-            # A directory standing where an output goes is not ours to remove,
-            # and failing on it would hide the error being reported.
-            with suppress(OSError):
-                path.unlink(missing_ok=True)
         print(f"error in {exc.stage}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    print(f"run complete: {len(written)} files in {out_dir}")
+    print(f"run complete: {len(names)} files in {out_dir}")
     return EXIT_OK
+
+
+def _run_into(config: RunConfig, staging: Path) -> list[str]:
+    """Run every stage and write every output into staging; returns the file names."""
+    with _stage("ingest"):
+        stops, stop_report = ingest.parse_stops(config.stops)
+        tracts = ingest.parse_tracts(config.tracts)
+        hazards = {h: ingest.parse_hazard(getattr(config, key), h) for h, key in _HAZARD_KEYS.items()}
+
+    with _stage("geoindex"):
+        index = build_index(tracts, config.cell_size_deg)
+        where = locate_stops(index, stops)
+
+    with _stage("homeloc"):
+        home_map = homeloc.infer_homes(stops, where, index.geoids, config.night_start,
+                                       config.night_end, config.min_nights)
+
+    with _stage("hazardclass"):
+        # One mask row per tract code, in HAZARD_TYPES order. Toggle off:
+        # heat stays unmasked and contributes no exposure.
+        masks = np.stack([
+            hazardclass.classify_percentile(hazards["air_pollution"][0], index.geoids, config.air_threshold),
+            hazardclass.classify_percentile(hazards["toxic"][0], index.geoids, config.toxic_threshold),
+            hazardclass.classify_heat_quartile(hazards["heat"][0], index.geoids) if config.heat_quartile
+            else np.zeros(len(index.geoids), dtype=bool),
+        ], axis=1)
+
+    with _stage("exposure"):
+        acc = exposure.accumulate(stops, where, index.geoids, home_map, masks)
+        table = exposure.compute_mei(acc)
+        table = exposure.classify_regions(table, masks, index.geoids)
+        thresholds = list(config.curve_thresholds)
+        curves = [exposure.population_curve(table, tracts, h, thresholds) for h in HAZARD_TYPES]
+        compound_tracts, compound_pop = exposure.compound_latent(table, tracts, config.compound_threshold)
+
+    with _stage("cluster"):
+        points = cluster.cluster_points(table)
+        result = cluster.dbscan(points, cluster.ClusterConfig(eps=config.eps, min_pts=config.min_pts))
+        table = cluster.apply_labels(table, result)
+        summary = cluster.summarize(result, table)
+
+    with _stage("stats"):
+        disparity = stats.disparity_table(table, tracts)
+        correlations = stats.hazard_pair_correlations(table)
+        scatter = stats.scatter_export(table, tracts)
+
+    config_hash = config.config_hash()
+    reports = {
+        "mei.csv": table,
+        "clusters.csv": result,
+        "cluster_summary.csv": summary,
+        "disparity.csv": disparity,
+        "correlations.csv": correlations,
+        "scatter.csv": scatter,
+        "curves.csv": curves,
+    }
+    with _stage("output"):
+        for name, report in reports.items():
+            ingest.write_report(report, staging / name, config_hash)
+
+    users_assigned = int((home_map.home >= 0).sum())
+    users_unassigned = len(home_map.home) - users_assigned
+    metadata = {
+        "config": config.as_dict(),
+        "config_hash": config_hash,
+        "counts": {
+            "stops_read": stop_report.rows_read,
+            "stops_accepted": stop_report.rows_accepted,
+            "stops_rejected": stop_report.rows_rejected,
+            "hazard_rows_rejected": {h: hazards[h][1].rows_rejected for h in HAZARD_TYPES},
+            "tracts": len(tracts),
+            "users_assigned": users_assigned,
+            "users_unassigned": users_unassigned,
+            "tracts_with_mei": int((~table.excluded).sum()),
+            "clusters": sum(1 for r in summary.rows if r.label != cluster.NOISE),
+        },
+        "diagnostics": {
+            "unresolved_dwell_s": int(acc.unresolved_s.sum()),
+            "dropped_stops": acc.dropped_stops,
+            "dropped_dwell_s": acc.dropped_dwell_s,
+            "dropped_users": acc.dropped_users,
+            "users_no_night_dwell": home_map.no_night_dwell,
+            "users_below_min_nights": users_unassigned - home_map.no_night_dwell,
+        },
+        "compound_latent": {
+            "threshold": config.compound_threshold,
+            "n_tracts": len(compound_tracts),
+            "population": compound_pop,
+        },
+    }
+    with _stage("output"), open(staging / "run_metadata.json", "w", encoding="utf-8") as fh:
+        json.dump(metadata, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+    return [name for report in reports for name in (report, f"{report}.meta.json")] + ["run_metadata.json"]
 
 
 def _class_means(rows: list[MeiRow], hazard: str) -> dict[str, tuple[int, float | None]]:

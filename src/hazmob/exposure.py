@@ -4,8 +4,10 @@ For each tract, total dwell time (TDT) sums every stop made by the
 tract's residents; hazard dwell time (HDT) sums the part spent at stops
 inside high-hazard tracts. The exposure index is HDT / TDT per hazard.
 accumulate() sums a Stops frame's dwell per home tract as int64
-reductions over (home, tract) codes, so every sum is exact (dwell is at
-most model.MAX_DWELL_S per stop) and independent of stop order.
+reductions over tract codes: each stop's home is the home column's entry
+for its user and its hazards are the mask row of its tract, so every sum
+is exact (dwell is at most model.MAX_DWELL_S per stop) and independent of
+stop order.
 compute_mei() turns those columns into a MeiTable with whole-column
 divisions, and the region classes, population curves and compound count
 are numpy passes over it.
@@ -13,8 +15,8 @@ are numpy passes over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, repeat
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,11 +27,11 @@ from .model import (
     HAZARD_TYPES,
     LATENT_CODE,
     NONE_CODE,
-    HazardLayer,
     MeiTable,
     Stops,
     TractTable,
     format6,
+    positions,
 )
 
 
@@ -76,7 +78,8 @@ class AccumulateResult:
     hdt_s[:, k] the part of it spent at stops inside tracts masked for
     hazard HAZARD_TYPES[k]. The nonhome columns cover only stops outside
     the home tract; unresolved_s is dwell at stops outside every known
-    tract (counted in tdt_s, never in hdt_s).
+    tract (counted in tdt_s, never in hdt_s). The dropped counts cover the
+    stops of users without a home.
     """
 
     geoids: np.ndarray
@@ -87,11 +90,12 @@ class AccumulateResult:
     unresolved_s: np.ndarray
     dropped_stops: int = 0
     dropped_dwell_s: int = 0
-    dropped_users: set[str] = field(default_factory=set)
+    dropped_users: int = 0
 
-    @property
-    def unresolved_dwell_s(self) -> int:
-        return int(self.unresolved_s.sum())
+
+def _mask_rows(masks: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The mask row of each tract code; an unmasked row for code -1 (no tract)."""
+    return np.vstack([masks, np.zeros((1, len(HAZARD_TYPES)), dtype=bool)])[codes]
 
 
 def accumulate(
@@ -99,12 +103,14 @@ def accumulate(
     where: np.ndarray,
     geoids: Sequence[str],
     home_map: HomeMap,
-    masks: dict[str, HazardLayer],
+    masks: np.ndarray,
 ) -> AccumulateResult:
     """Accumulate dwell sums for every stop made by a user with a home.
 
     where[i] is the tract of stop i (geoindex.locate_stops): a position in
-    geoids, or -1 when the stop lies outside every tract.
+    geoids (sorted), or -1 when the stop lies outside every tract.
+    home_map.home holds such a position per user code, and masks[t, k]
+    whether tract t is masked for hazard HAZARD_TYPES[k].
 
     A stop's dwell always counts toward the home tract's TDT. It counts
     toward HDT for hazard h when the stop lies in a tract masked for h.
@@ -112,40 +118,25 @@ def accumulate(
     diagnostic only. Stops by users without a home are dropped and
     reported in the diagnostics.
     """
-    homes = home_map.assignments
-    home_geoids = sorted(set(homes.values()))
-    home_code = {g: i for i, g in enumerate(home_geoids)}
-    user_home = np.array([home_code.get(homes.get(u), -1) for u in stops.user_ids.tolist()],
-                         dtype=np.int64)
-    home = user_home[stops.user]
-    dwell = stops.dwell_s
+    home = home_map.home[stops.user]
     dropped = np.flatnonzero(home < 0)
-    dropped_users = np.bincount(stops.user[dropped], minlength=len(stops.user_ids))
-
     kept = np.flatnonzero(home >= 0)
-    home, tract, dwell = home[kept], where[kept], dwell[kept]
-    # Tract codes of the homes; -2 for a home outside geoids, which no stop has.
-    tract_code = {g: i for i, g in enumerate(geoids)}
-    home_tract = np.array([tract_code.get(g, -2) for g in home_geoids], dtype=np.int64)
-    nonhome = (tract >= 0) & (tract != home_tract[home])
+    home, tract, dwell = home[kept], where[kept], stops.dwell_s[kept]
+    nonhome = (tract >= 0) & (tract != home)
+    masked = _mask_rows(masks, tract)
 
     def sums(rows) -> np.ndarray:
-        """Exact int64 dwell sums per home over the selected stops."""
-        out = np.zeros(len(home_geoids), dtype=np.int64)
+        """Exact int64 dwell sums per home tract over the selected stops."""
+        out = np.zeros(len(geoids), dtype=np.int64)
         np.add.at(out, home[rows], dwell[rows])
         return out
 
-    hdt, hdt_nonhome = [], []
-    for h in HAZARD_TYPES:
-        masked_set = masks[h].masked_geoids() if h in masks else frozenset()
-        # One flag per tract code, plus a False for code -1 (no tract).
-        masked = np.array([g in masked_set for g in geoids] + [False])[tract]
-        hdt.append(sums(masked))
-        hdt_nonhome.append(sums(masked & nonhome))
+    hdt = [sums(masked[:, k]) for k in range(len(HAZARD_TYPES))]
+    hdt_nonhome = [sums(masked[:, k] & nonhome) for k in range(len(HAZARD_TYPES))]
     # Homes with at least one kept stop.
-    present = np.flatnonzero(np.bincount(home, minlength=len(home_geoids)))
+    present = np.flatnonzero(np.bincount(home, minlength=len(geoids)))
     return AccumulateResult(
-        geoids=np.array(home_geoids, dtype=str)[present],
+        geoids=np.array(geoids, dtype=str)[present],
         tdt_s=sums(slice(None))[present],
         hdt_s=np.stack(hdt, axis=1)[present],
         tdt_nonhome_s=sums(nonhome)[present],
@@ -153,7 +144,7 @@ def accumulate(
         unresolved_s=sums(tract < 0)[present],
         dropped_stops=len(dropped),
         dropped_dwell_s=int(stops.dwell_s[dropped].sum()),
-        dropped_users=set(stops.user_ids[np.flatnonzero(dropped_users)].tolist()),
+        dropped_users=int(np.count_nonzero(np.bincount(stops.user[dropped], minlength=len(stops.user_ids)))),
     )
 
 
@@ -190,18 +181,16 @@ def compute_mei(result: AccumulateResult) -> MeiTable:
     )
 
 
-def classify_regions(table: MeiTable, masks: dict[str, HazardLayer]) -> MeiTable:
+def classify_regions(table: MeiTable, masks: np.ndarray, geoids: Sequence[str]) -> MeiTable:
     """Set the direct/latent/none region class per hazard on every tract.
 
+    masks[t, k] tells whether tract geoids[t] is masked for hazard
+    HAZARD_TYPES[k]; a table tract absent from geoids is unmasked.
     Direct: the tract is masked for the hazard. Latent: not masked, with a
     positive index. None: everything else.
     """
     region = np.where(table.mei > 0, LATENT_CODE, NONE_CODE).astype(np.int8)
-    geoids = table.geoids.tolist()
-    for k, h in enumerate(HAZARD_TYPES):
-        if h in masks:
-            masked = masks[h].masked_geoids()
-            region[np.fromiter(map(masked.__contains__, geoids), bool, len(geoids)), k] = DIRECT_CODE
+    region[_mask_rows(masks, positions(table.geoids, geoids))] = DIRECT_CODE
     return table.with_columns(region=region)
 
 
@@ -213,7 +202,7 @@ def tract_columns(geoids: np.ndarray, tracts: TractTable, *names: str):
     """
     if not isinstance(tracts, TractTable):
         raise TypeError(f"tracts must be a TractTable, not {type(tracts).__name__}")
-    at = np.fromiter(map(tracts.position.get, geoids.tolist(), repeat(-1)), np.int64, len(geoids))
+    at = positions(geoids, tracts.geoids)
     return (at >= 0, *(tracts.columns[name][at] for name in names))
 
 

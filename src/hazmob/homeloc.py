@@ -5,6 +5,7 @@ largest total nighttime dwell (stop intervals clipped to the night
 window), provided the user has nighttime dwell on at least min_nights
 distinct nights. Ties break by larger all-day dwell, then smallest geoid.
 The result is a pure function of the stop set; input order is irrelevant.
+It is a column: one tract code per user code (HomeMap.home).
 
 infer_homes() works on whole columns in closed form, with no per-night
 loop: a stop's night seconds are a difference of a cumulative night-time
@@ -16,7 +17,7 @@ test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,17 +27,18 @@ from .model import Stops
 DAY_S = 86400
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class HomeMap:
-    """Home assignments plus the users that could not be assigned.
+    """Each user's home tract, plus why users could not be assigned one.
 
-    no_night_dwell counts the unassigned users with no nighttime dwell at
-    any located stop; the other unassigned users have dwell on fewer than
+    home holds one int32 tract code per user code of the Stops frame: a
+    position in the tract index's geoids, or -1 for a user without a home.
+    no_night_dwell counts the users without a home that have no nighttime
+    dwell at any located stop; the others have dwell on fewer than
     min_nights nights.
     """
 
-    assignments: dict[str, str]
-    unassigned: list[str] = field(default_factory=list)
+    home: np.ndarray
     no_night_dwell: int = 0
 
 
@@ -136,8 +138,8 @@ def infer_homes(
     """Infer each user's home tract from nighttime dwell.
 
     where[i] is the tract of stop i (geoindex.locate_stops): a position in
-    geoids, or -1 when the stop lies outside every tract. Such stops count
-    toward nothing.
+    geoids (sorted, so the smallest code is the smallest geoid), or -1 when
+    the stop lies outside every tract. Such stops count toward nothing.
     """
     n_users = len(stops.user_ids)
     located = np.flatnonzero(where >= 0)
@@ -166,11 +168,4 @@ def infer_homes(
     first, last = _night_range(start[sel], dwell[sel], night_start, night_end)
     home[_count_nights(user[sel], first, last, n_users) < min_nights] = -1
 
-    by_name = np.argsort(stops.user_ids, kind="stable")
-    names = stops.user_ids[by_name].tolist()
-    homes = home[by_name].tolist()
-    return HomeMap(
-        assignments={u: geoids[h] for u, h in zip(names, homes) if h >= 0},
-        unassigned=[u for u, h in zip(names, homes) if h < 0],
-        no_night_dwell=n_users - len(best),
-    )
+    return HomeMap(home=home.astype(np.int32), no_night_dwell=n_users - len(best))

@@ -72,8 +72,8 @@ class IngestReport:
 @contextmanager
 def _text(source: str | Path | IO) -> Iterator[IO]:
     """A text-mode handle on a path, text stream or byte stream, closed on
-    exit if opened here. Bytes that are not UTF-8 are an IngestError that
-    names the source."""
+    exit if opened here; a caller's byte stream is left open. Bytes that
+    are not UTF-8 are an IngestError that names the source."""
     owned = isinstance(source, (str, Path))
     if owned:
         try:
@@ -95,6 +95,9 @@ def _text(source: str | Path | IO) -> Iterator[IO]:
     finally:
         if owned:
             handle.close()
+        elif handle is not source:
+            # A collected wrapper would close the stream it wraps.
+            handle.detach()
 
 
 _EPOCH_BY_DATE: dict[str, int] = {}
@@ -563,11 +566,11 @@ def _demographic_fault(demographics: list[tuple]) -> str | None:
 
 
 def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer, IngestReport]:
-    """Parse a hazard CSV into a values-only layer (mask left empty)."""
+    """Parse a hazard CSV into a layer of geoid and value columns, in file order."""
     if hazard_type not in HAZARD_TYPES:
         raise IngestError(f"unknown hazard type {hazard_type!r}")
     report = IngestReport()
-    values: dict[str, float] = {}
+    values: dict[str, float] = {}  # accepted rows, for the duplicate rule; returned as columns
     with _text(source) as handle:
         reader = csv.reader(handle)
         try:
@@ -588,11 +591,12 @@ def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer
                 geoid, raw = row
                 if geoid in values:
                     raise IngestError(f"line {line_no}: duplicate geoid {geoid}")
+                # The str column drops trailing NULs, which would make it another geoid.
+                if geoid.endswith("\0"):
+                    report.reject(line_no, "geoid ends in a NUL character")
+                    continue
                 try:
-                    if hazard_type == "heat":
-                        value: float = int(raw)
-                    else:
-                        value = float(raw)
+                    value = int(raw) if hazard_type == "heat" else float(raw)
                 except ValueError:
                     report.reject(line_no, f"unparseable value {raw!r}")
                     continue
@@ -600,12 +604,18 @@ def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer
                     if value < 0:
                         report.reject(line_no, "heat-day count must be >= 0")
                         continue
+                    # Above 2**53 the float64 column would round the count.
+                    if value > 2**53:
+                        report.reject(line_no, "heat-day count out of range")
+                        continue
                 elif not 0.0 <= value <= 1.0:
                     report.reject(line_no, "percentile rank outside [0, 1]")
                     continue
                 values[geoid] = value
                 report.rows_accepted += 1
-    return HazardLayer(hazard_type=hazard_type, values=values), report
+    layer = HazardLayer(hazard_type=hazard_type, geoids=np.array(list(values), dtype=str),
+                        values=np.fromiter(values.values(), np.float64, len(values)))
+    return layer, report
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +683,9 @@ def write_tracts(tracts: Iterable[CensusTract], dest: str | Path) -> int:
 
 
 def write_hazard(layer: HazardLayer, dest: str | Path) -> int:
-    if layer.hazard_type == "heat":
-        rows = ([g, str(int(layer.values[g]))] for g in sorted(layer.values))
-    else:
-        rows = ([g, repr(layer.values[g])] for g in sorted(layer.values))
+    order = np.argsort(layer.geoids, kind="stable")
+    text = (lambda v: str(int(v))) if layer.hazard_type == "heat" else repr
+    rows = zip(layer.geoids[order].tolist(), map(text, layer.values[order].tolist()))
     return _write_csv(dest, HAZARD_HEADER, rows)
 
 

@@ -6,14 +6,18 @@ Instances are treated as immutable once constructed; mapping fields are
 never mutated after the owning object is returned to a caller.
 
 The pipeline holds its stops in one Stops frame of numpy columns, its
-tracts in one TractTable and its per-tract results in one MeiTable;
-StopRecord, CensusTract and MeiRow are the row views of those frames.
+tracts in one TractTable, each hazard in one HazardLayer and its
+per-tract results in one MeiTable; StopRecord, CensusTract and MeiRow
+are the row views of those frames. A tract's code is its position in the
+tract index's sorted geoids: the hazard masks are one bool row per tract
+code and each user's home is a tract code, so no mapping keyed by geoid
+or user id runs between the parse and the index table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
@@ -87,11 +91,6 @@ class Stops:
         ))
 
 
-def county_fips(geoid: str) -> str:
-    """The county of a tract: the state and county digits that begin its GEOID."""
-    return geoid[:5]
-
-
 @dataclass(frozen=True, slots=True)
 class CensusTract:
     """Tract polygon plus the demographic fields used downstream; the row view of a TractTable."""
@@ -104,7 +103,8 @@ class CensusTract:
 
     @property
     def county_fips(self) -> str:
-        return county_fips(self.geoid)
+        """The state and county digits that begin the GEOID."""
+        return self.geoid[:5]
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +205,7 @@ class TractTable:
 
     @cached_property
     def position(self) -> dict[str, int]:
+        """Each geoid's row, for the scalar lookups that read the row view."""
         return {geoid: i for i, geoid in enumerate(self.geoids.tolist())}
 
     @cached_property
@@ -226,40 +227,29 @@ def csr_offsets(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
-@dataclass(frozen=True, slots=True)
-class HazardLayer:
-    """Per-tract raw hazard values and the derived binary high-hazard mask.
+def positions(names, geoids) -> np.ndarray:
+    """The int64 position in geoids (distinct, in any order) of each of names; -1 where absent."""
+    names, geoids = np.asarray(names, dtype=str), np.asarray(geoids, dtype=str)
+    if not len(geoids):
+        return np.full(len(names), -1, dtype=np.int64)
+    order = np.argsort(geoids, kind="stable")
+    at = order[np.minimum(np.searchsorted(geoids, names, sorter=order), len(order) - 1)]
+    return np.where(geoids[at] == names, at, -1)
 
-    values holds percentile ranks in [0, 1] for air_pollution/toxic and
-    non-negative heat-day counts for heat. mask is empty until the layer
-    is classified; tracts absent from mask are treated as not masked.
+
+@dataclass(frozen=True, eq=False)
+class HazardLayer:
+    """One hazard's raw per-tract values as columns, in source order.
+
+    geoids is a str array; values is float64: percentile ranks in [0, 1]
+    for air_pollution and toxic, non-negative whole heat-day counts up to
+    2**53 for heat. hazardclass turns a layer into a bool mask column
+    aligned with the tract index.
     """
 
     hazard_type: str
-    values: dict[str, float]
-    mask: dict[str, bool] = field(default_factory=dict)
-
-    def masked_geoids(self) -> frozenset[str]:
-        return frozenset(g for g, m in self.mask.items() if m)
-
-
-@dataclass(slots=True)
-class ExposureAccumulator:
-    """Running dwell-time sums for one home tract.
-
-    tdt_s is the total dwell of the tract's residents; hdt_s[h] the part
-    of it spent at stops inside tracts masked for hazard h. The nonhome
-    fields cover only stops outside the home tract. unresolved_dwell_s is
-    dwell at stops that fall outside every known tract (counted in tdt_s,
-    never in hdt_s).
-    """
-
-    geoid: str
-    tdt_s: int = 0
-    hdt_s: dict[str, int] = field(default_factory=lambda: dict.fromkeys(HAZARD_TYPES, 0))
-    tdt_nonhome_s: int = 0
-    hdt_nonhome_s: dict[str, int] = field(default_factory=lambda: dict.fromkeys(HAZARD_TYPES, 0))
-    unresolved_dwell_s: int = 0
+    geoids: np.ndarray
+    values: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,70 +411,6 @@ def _validate_stop(rec: StopRecord) -> list[str]:
     return out
 
 
-def _validate_ring(ring: Ring, where: str) -> list[str]:
-    out = []
-    if len(ring) < 4:
-        out.append(f"{where}: ring has fewer than 4 vertices")
-        return out
-    if ring[0] != ring[-1]:
-        out.append(f"{where}: ring is not closed (first vertex != last)")
-    return out
-
-
-def _validate_tract(tract: CensusTract) -> list[str]:
-    out = []
-    if not is_geoid(tract.geoid):
-        out.append("geoid: must be 11 ASCII digits")
-    if not tract.geometry:
-        out.append("geometry: must have at least one polygon part")
-    for pi, part in enumerate(tract.geometry):
-        if not part:
-            out.append(f"geometry[{pi}]: polygon has no rings")
-            continue
-        for ri, ring in enumerate(part):
-            out.extend(_validate_ring(ring, f"geometry[{pi}].ring[{ri}]"))
-    if type(tract.population) is not int or tract.population < 0:
-        out.append("population: must be a non-negative integer")
-    for name in ("pct_minority", "pct_below_poverty200"):
-        v = getattr(tract, name)
-        if not _num(v) or not 0.0 <= v <= 1.0:
-            out.append(f"{name}: must be a fraction in [0, 1]")
-    return out
-
-
-def _validate_layer(layer: HazardLayer) -> list[str]:
-    out = []
-    if layer.hazard_type not in HAZARD_TYPES:
-        out.append(f"hazard_type: unknown type {layer.hazard_type!r}")
-        return out
-    for g, v in layer.values.items():
-        if layer.hazard_type == "heat":
-            if not _num(v) or v < 0:
-                out.append(f"values[{g}]: heat-day count must be >= 0")
-        elif not _num(v) or not 0.0 <= v <= 1.0:
-            out.append(f"values[{g}]: percentile rank must be in [0, 1]")
-    for g in layer.mask:
-        if g not in layer.values:
-            out.append(f"mask[{g}]: geoid missing from values")
-    return out
-
-
-def _validate_accumulator(acc: ExposureAccumulator) -> list[str]:
-    out = []
-    for name in ("tdt_s", "tdt_nonhome_s", "unresolved_dwell_s"):
-        v = getattr(acc, name)
-        if not isinstance(v, int) or v < 0:
-            out.append(f"{name}: must be a non-negative integer")
-    for h in HAZARD_TYPES:
-        if acc.hdt_s.get(h, 0) > acc.tdt_s:
-            out.append(f"hdt_s[{h}]: exceeds tdt_s")
-        if acc.hdt_nonhome_s.get(h, 0) > acc.tdt_nonhome_s:
-            out.append(f"hdt_nonhome_s[{h}]: exceeds tdt_nonhome_s")
-    if acc.tdt_nonhome_s > acc.tdt_s:
-        out.append("tdt_nonhome_s: exceeds tdt_s")
-    return out
-
-
 def _validate_mei_row(row: MeiRow) -> list[str]:
     out = []
     for h in HAZARD_TYPES:
@@ -509,17 +435,6 @@ def validate(value) -> list[str]:
     """
     if isinstance(value, StopRecord):
         return _validate_stop(value)
-    if isinstance(value, CensusTract):
-        return _validate_tract(value)
-    if isinstance(value, HazardLayer):
-        return _validate_layer(value)
-    if isinstance(value, ExposureAccumulator):
-        return _validate_accumulator(value)
     if isinstance(value, MeiRow):
         return _validate_mei_row(value)
-    if isinstance(value, MeiTable):
-        out = []
-        for g, row in value.rows.items():
-            out.extend(f"rows[{g}].{v}" for v in _validate_mei_row(row))
-        return out
     raise TypeError(f"validate() does not handle {type(value).__name__}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hazardclass import classify_heat_quartile, classify_percentile, percentile_interpolated
+from .hazardclass import classify_heat_quartile, classify_percentile
 from .model import HAZARD_TYPES, CensusTract, HazardLayer, Stops, TractTable
 
 # 2019-04-01T00:00:00Z; the synthetic month spans 30 days from here.
@@ -219,21 +219,7 @@ def _hazard_layers(config: WorldConfig, rng: np.random.Generator, bits: np.ndarr
     return values
 
 
-def _heat_quartile_bits(heat: np.ndarray, n: int) -> np.ndarray:
-    """Per-county (grid row) top-quartile heat bits, mirroring classification."""
-    bits = np.zeros(n * n)
-    for row in range(n):
-        county = heat[row * n : (row + 1) * n]
-        if n < 4:
-            top = int(np.argmax(county))  # ties resolve to the lowest index,
-            bits[row * n + top] = 1.0  # matching the smallest-geoid rule
-            continue
-        cutoff = percentile_interpolated(sorted(county.tolist()), 0.75)
-        bits[row * n : (row + 1) * n] = county >= cutoff
-    return bits
-
-
-def _demo_exposure_score(config, value_fields, geoids, weights, bits, n) -> np.ndarray:
+def _demo_exposure_score(config, value_fields, heat_mask, weights, bits, n) -> np.ndarray:
     """Structural exposure score in [0, 1] for the demographic plant.
 
     High-hazard tracts score 1; everything else scores by its decay-law
@@ -249,7 +235,7 @@ def _demo_exposure_score(config, value_fields, geoids, weights, bits, n) -> np.n
         mask_vecs = [
             (value_fields["air_pollution"] > DEMO_PLANT_QUANTILE).astype(float),
             (value_fields["toxic"] > DEMO_PLANT_QUANTILE).astype(float),
-            _heat_quartile_bits(value_fields["heat"], n),
+            heat_mask.astype(float),
         ]
     probs = weights / weights.sum(axis=1, keepdims=True)
     parts = []
@@ -303,9 +289,17 @@ def gen_world(config: WorldConfig) -> World:
 
     geoids = [_geoid(i // n, i % n) for i in range(total)]
     layers = {
-        h: HazardLayer(hazard_type=h, values={geoids[i]: float(value_fields[h][i]) for i in range(total)})
+        h: HazardLayer(hazard_type=h, geoids=np.array(geoids, dtype=str),
+                       values=np.asarray(value_fields[h], dtype=np.float64))
         for h in HAZARD_TYPES
     }
+    # Masks the pipeline is expected to reproduce from the value layers.
+    mask_columns = {
+        "air_pollution": classify_percentile(layers["air_pollution"], geoids),
+        "toxic": classify_percentile(layers["toxic"], geoids),
+        "heat": classify_heat_quartile(layers["heat"], geoids),
+    }
+    masks = {h: frozenset(layers[h].geoids[column].tolist()) for h, column in mask_columns.items()}
 
     weights = _archetype_weights(config) if config.archetype_mode else _decay_weights(config)
     cum_weights = np.cumsum(weights, axis=1)
@@ -315,7 +309,7 @@ def gen_world(config: WorldConfig) -> World:
     # tracts for everyone else), so vulnerability concentrates in and
     # around hazard clusters.
     demo_rng = _rng(config.seed, _STREAM_DEMO)
-    score = _demo_exposure_score(config, value_fields, geoids, weights, bits, n)
+    score = _demo_exposure_score(config, value_fields, mask_columns["heat"], weights, bits, n)
     minority = np.clip(0.2 + config.demo_hazard_gain * score + 0.05 * demo_rng.standard_normal(total), 0.01, 0.99)
     poverty = np.clip(0.12 + 0.75 * config.demo_hazard_gain * score + 0.05 * demo_rng.standard_normal(total), 0.01, 0.99)
     population = demo_rng.integers(500, 5001, total)
@@ -331,20 +325,8 @@ def gen_world(config: WorldConfig) -> World:
         for i in range(total)
     )
 
-    # Masks the pipeline is expected to reproduce from the value layers.
-    masks = {
-        "air_pollution": classify_percentile(layers["air_pollution"]).masked_geoids(),
-        "toxic": classify_percentile(layers["toxic"]).masked_geoids(),
-        "heat": classify_heat_quartile(layers["heat"], tracts).masked_geoids(),
-    }
-    if config.archetype_mode:
-        planted = {
-            "air_pollution": frozenset(geoids[i] for i in range(total) if bits[i, 0]),
-            "toxic": frozenset(geoids[i] for i in range(total) if bits[i, 1]),
-            "heat": frozenset(geoids[i] for i in range(total) if bits[i, 2]),
-        }
-        if planted != masks:
-            raise AssertionError("archetype mask plant does not survive classification")
+    if config.archetype_mode and not np.array_equal(bits == 1, np.stack(list(mask_columns.values()), 1)):
+        raise AssertionError("archetype mask plant does not survive classification")
 
     stops_rng = _rng(config.seed, _STREAM_STOPS)
     columns: list[tuple[np.ndarray, ...]] = []  # (lon, lat, start_ts, dwell_s) per batch of stops
@@ -390,7 +372,7 @@ def gen_world(config: WorldConfig) -> World:
         line=np.arange(2, len(lon) + 2, dtype=np.int64),
     )
 
-    expected = _expected_mei(config, geoids, weights, masks)
+    expected = _expected_mei(config, geoids, weights, mask_columns)
     labels = None
     if config.archetype_mode:
         labels = {
@@ -404,14 +386,12 @@ def _expected_mei(
     config: WorldConfig,
     geoids: list[str],
     weights: np.ndarray,
-    masks: dict[str, frozenset[str]],
+    masks: dict[str, np.ndarray],
 ) -> dict[str, dict[str, float]]:
     """Exact expected index per home tract from the destination law."""
     night_total = NIGHTS_PER_USER * (NIGHT_DWELL[0] + NIGHT_DWELL[1] - 1) / 2.0
     day_total = config.stops_per_user * (DAY_DWELL[0] + DAY_DWELL[1] - 1) / 2.0
-    mask_vec = {
-        h: np.array([1.0 if g in masks[h] else 0.0 for g in geoids]) for h in HAZARD_TYPES
-    }
+    mask_vec = {h: masks[h].astype(float) for h in HAZARD_TYPES}
     probs = weights / weights.sum(axis=1, keepdims=True)
     out: dict[str, dict[str, float]] = {}
     for i, geoid in enumerate(geoids):

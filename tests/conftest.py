@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -8,7 +9,18 @@ from hypothesis import strategies as st
 from hazmob import synth
 from hazmob.geoindex import build_index
 from hazmob.hazardclass import classify_heat_quartile, classify_percentile
-from hazmob.model import CensusTract, StopRecord, Stops, TractTable
+from hazmob.homeloc import HomeMap
+from hazmob.model import (
+    HAZARD_TYPES,
+    CensusTract,
+    HazardLayer,
+    MeiTable,
+    StopRecord,
+    Stops,
+    TractTable,
+    is_geoid,
+    validate,
+)
 
 
 def unit_square_tract(geoid: str, col: float, row: float, population: int = 1000,
@@ -51,13 +63,55 @@ def geoids_of(index, where) -> list:
     return [index.geoids[code] if code >= 0 else None for code in where.tolist()]
 
 
-def classify_world_masks(world):
-    """Run the real classifiers over a synthetic world's value layers."""
-    return {
-        "air_pollution": classify_percentile(world.layers["air_pollution"]),
-        "toxic": classify_percentile(world.layers["toxic"]),
-        "heat": classify_heat_quartile(world.layers["heat"], world.tracts),
-    }
+def classify_world_masks(world, geoids):
+    """Run the real classifiers over a synthetic world's value layers: the
+    (len(geoids), 3) masks, in HAZARD_TYPES order, that the pipeline builds."""
+    return np.stack([
+        classify_percentile(world.layers["air_pollution"], geoids),
+        classify_percentile(world.layers["toxic"], geoids),
+        classify_heat_quartile(world.layers["heat"], geoids),
+    ], axis=1)
+
+
+def layer_of(hazard_type: str, values: dict) -> HazardLayer:
+    """The HazardLayer of a geoid -> value map, in the map's order."""
+    return HazardLayer(hazard_type, np.array(list(values), dtype=str),
+                       np.array(list(values.values()), dtype=np.float64))
+
+
+def values_of(layer: HazardLayer) -> dict:
+    """A layer's geoid -> value map, in file order."""
+    return dict(zip(layer.geoids.tolist(), layer.values.tolist()))
+
+
+def masked_set(mask, geoids) -> frozenset:
+    """The geoids whose entry of a mask column is set."""
+    return frozenset(g for g, m in zip(geoids, np.asarray(mask).tolist()) if m)
+
+
+def masks_of(masked_by_hazard: dict, geoids) -> np.ndarray:
+    """The (len(geoids), 3) masks setting, per hazard, the given geoids."""
+    return np.array([[g in masked_by_hazard.get(h, ()) for h in HAZARD_TYPES] for g in geoids],
+                    dtype=bool).reshape(len(geoids), 3)
+
+
+def assignments_of(home_map: HomeMap, stops: Stops, geoids) -> dict:
+    """User id -> home geoid for the users with a home, ordered by user id."""
+    homes = home_map.home.tolist()
+    return {u: geoids[homes[c]] for c, u in sorted(enumerate(stops.user_ids.tolist()), key=lambda p: p[1])
+            if homes[c] >= 0}
+
+
+def unassigned_of(home_map: HomeMap, stops: Stops) -> list:
+    """The user ids without a home, sorted."""
+    return sorted(u for u, h in zip(stops.user_ids.tolist(), home_map.home.tolist()) if h < 0)
+
+
+def home_map_of(assignments: dict, stops: Stops, geoids) -> HomeMap:
+    """The HomeMap giving each user of stops its home in assignments, if any."""
+    code = {g: i for i, g in enumerate(geoids)}
+    return HomeMap(np.array([code[assignments[u]] if u in assignments else -1
+                             for u in stops.user_ids.tolist()], dtype=np.int32))
 
 
 @pytest.fixture(scope="session")
@@ -139,3 +193,110 @@ def tract_worlds(draw) -> TractTable:
                     pct_below_poverty200=draw(st.floats(0.0, 1.0)))
         for code, geometry in zip(codes, geometries)
     )
+
+
+# ---------------------------------------------------------------------------
+# Oracles for values the pipeline does not build: one tract's dwell sums,
+# and the invariants of those, of CensusTracts, HazardLayers and MeiTables
+# that model.validate() checks only for StopRecords and MeiRows.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class ExposureAccumulator:
+    """Running dwell-time sums for one home tract: one row of an AccumulateResult.
+
+    tdt_s is the total dwell of the tract's residents; hdt_s[h] the part
+    of it spent at stops inside tracts masked for hazard h. The nonhome
+    fields cover only stops outside the home tract. unresolved_dwell_s is
+    dwell at stops that fall outside every known tract (counted in tdt_s,
+    never in hdt_s).
+    """
+
+    geoid: str
+    tdt_s: int = 0
+    hdt_s: dict[str, int] = field(default_factory=lambda: dict.fromkeys(HAZARD_TYPES, 0))
+    tdt_nonhome_s: int = 0
+    hdt_nonhome_s: dict[str, int] = field(default_factory=lambda: dict.fromkeys(HAZARD_TYPES, 0))
+    unresolved_dwell_s: int = 0
+
+
+def _num(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _validate_ring(ring, where: str) -> list[str]:
+    out = []
+    if len(ring) < 4:
+        out.append(f"{where}: ring has fewer than 4 vertices")
+        return out
+    if ring[0] != ring[-1]:
+        out.append(f"{where}: ring is not closed (first vertex != last)")
+    return out
+
+
+def _validate_tract(tract: CensusTract) -> list[str]:
+    out = []
+    if not is_geoid(tract.geoid):
+        out.append("geoid: must be 11 ASCII digits")
+    if not tract.geometry:
+        out.append("geometry: must have at least one polygon part")
+    for pi, part in enumerate(tract.geometry):
+        if not part:
+            out.append(f"geometry[{pi}]: polygon has no rings")
+            continue
+        for ri, ring in enumerate(part):
+            out.extend(_validate_ring(ring, f"geometry[{pi}].ring[{ri}]"))
+    if type(tract.population) is not int or tract.population < 0:
+        out.append("population: must be a non-negative integer")
+    for name in ("pct_minority", "pct_below_poverty200"):
+        v = getattr(tract, name)
+        if not _num(v) or not 0.0 <= v <= 1.0:
+            out.append(f"{name}: must be a fraction in [0, 1]")
+    return out
+
+
+def _validate_layer(layer: HazardLayer) -> list[str]:
+    out = []
+    if layer.hazard_type not in HAZARD_TYPES:
+        out.append(f"hazard_type: unknown type {layer.hazard_type!r}")
+        return out
+    if len(layer.geoids) != len(layer.values):
+        out.append("values: must hold one value per geoid")
+    for g, v in zip(layer.geoids.tolist(), layer.values.tolist()):
+        if layer.hazard_type == "heat":
+            if not _num(v) or v < 0:
+                out.append(f"values[{g}]: heat-day count must be >= 0")
+        elif not _num(v) or not 0.0 <= v <= 1.0:
+            out.append(f"values[{g}]: percentile rank must be in [0, 1]")
+    return out
+
+
+def _validate_accumulator(acc: ExposureAccumulator) -> list[str]:
+    out = []
+    for name in ("tdt_s", "tdt_nonhome_s", "unresolved_dwell_s"):
+        v = getattr(acc, name)
+        if not isinstance(v, int) or v < 0:
+            out.append(f"{name}: must be a non-negative integer")
+    for h in HAZARD_TYPES:
+        if acc.hdt_s.get(h, 0) > acc.tdt_s:
+            out.append(f"hdt_s[{h}]: exceeds tdt_s")
+        if acc.hdt_nonhome_s.get(h, 0) > acc.tdt_nonhome_s:
+            out.append(f"hdt_nonhome_s[{h}]: exceeds tdt_nonhome_s")
+    if acc.tdt_nonhome_s > acc.tdt_s:
+        out.append("tdt_nonhome_s: exceeds tdt_s")
+    return out
+
+
+def check(value) -> list[str]:
+    """model.validate(), extended to CensusTracts, HazardLayers,
+    ExposureAccumulators and MeiTables: one violation per broken rule."""
+    if isinstance(value, CensusTract):
+        return _validate_tract(value)
+    if isinstance(value, HazardLayer):
+        return _validate_layer(value)
+    if isinstance(value, ExposureAccumulator):
+        return _validate_accumulator(value)
+    if isinstance(value, MeiTable):
+        return [f"rows[{g}].{v}" for g, row in value.rows.items() for v in validate(row)]
+    return validate(value)

@@ -19,6 +19,7 @@ from hazmob.geoindex import build_index, contains, locate, locate_stops
 from hazmob.homeloc import infer_homes
 from hazmob.model import HAZARD_TYPES
 
+from conftest import assignments_of, masked_set, values_of
 from test_stats import WELCH_ORACLE, X20, Y20, R20
 
 
@@ -33,13 +34,13 @@ def run_pipeline(world, cell_size=0.5, air_thr=0.5, toxic_thr=0.5):
     index = build_index(world.tracts, cell_size_deg=cell_size)
     where = locate_stops(index, world.stops)
     home_map = infer_homes(world.stops, where, index.geoids)
-    masks = {
-        "air_pollution": hazardclass.classify_percentile(world.layers["air_pollution"], air_thr),
-        "toxic": hazardclass.classify_percentile(world.layers["toxic"], toxic_thr),
-        "heat": hazardclass.classify_heat_quartile(world.layers["heat"], world.tracts),
-    }
+    masks = np.stack([
+        hazardclass.classify_percentile(world.layers["air_pollution"], index.geoids, air_thr),
+        hazardclass.classify_percentile(world.layers["toxic"], index.geoids, toxic_thr),
+        hazardclass.classify_heat_quartile(world.layers["heat"], index.geoids),
+    ], axis=1)
     acc = exposure.accumulate(world.stops, where, index.geoids, home_map, masks)
-    table = exposure.classify_regions(exposure.compute_mei(acc), masks)
+    table = exposure.classify_regions(exposure.compute_mei(acc), masks, index.geoids)
     return index, home_map, masks, acc, table
 
 
@@ -60,11 +61,12 @@ def test_c01_exposure_equals_reference_loop():
     index, home_map, masks, acc, table = run_pipeline(world)
 
     # Independent oracle: integer dwell sums per home tract, one division.
-    masked = {h: masks[h].masked_geoids() for h in HAZARD_TYPES}
+    masked = {h: masked_set(masks[:, k], index.geoids) for k, h in enumerate(HAZARD_TYPES)}
+    homes = assignments_of(home_map, world.stops, index.geoids)
     tdt: dict[str, int] = {}
     hdt: dict[str, dict[str, int]] = {h: {} for h in HAZARD_TYPES}
     for s in world.stops.records():
-        home = home_map.assignments.get(s.user_id)
+        home = homes.get(s.user_id)
         if home is None:
             continue
         tdt[home] = tdt.get(home, 0) + s.dwell_s
@@ -355,13 +357,13 @@ def test_c09_million_stop_performance_floor(tmp_path):
     index = build_index(tracts)
     where = locate_stops(index, stops)
     home_map = infer_homes(stops, where, index.geoids)
-    masks = {
-        "air_pollution": hazardclass.classify_percentile(layers["air_pollution"]),
-        "toxic": hazardclass.classify_percentile(layers["toxic"]),
-        "heat": hazardclass.classify_heat_quartile(layers["heat"], tracts),
-    }
+    masks = np.stack([
+        hazardclass.classify_percentile(layers["air_pollution"], index.geoids),
+        hazardclass.classify_percentile(layers["toxic"], index.geoids),
+        hazardclass.classify_heat_quartile(layers["heat"], index.geoids),
+    ], axis=1)
     acc = exposure.accumulate(stops, where, index.geoids, home_map, masks)
-    table = exposure.classify_regions(exposure.compute_mei(acc), masks)
+    table = exposure.classify_regions(exposure.compute_mei(acc), masks, index.geoids)
     curves = [exposure.population_curve(table, tracts, h, [0.05, 0.10]) for h in HAZARD_TYPES]
     result = cluster.dbscan(cluster.cluster_points(table), cluster.ClusterConfig())
     table = cluster.apply_labels(table, result)
@@ -393,17 +395,15 @@ def test_c10_monotonicity_suite(bimodal_world):
     previous = None
     masks_ok = True
     for threshold in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]:
-        masked = hazardclass.classify_percentile(layer, threshold).masked_geoids()
+        masked = masked_set(hazardclass.classify_percentile(layer, index.geoids, threshold), index.geoids)
         if previous is not None and not masked <= previous:
             masks_ok = False
         previous = masked
 
-    heat = masks["heat"]
-    extra = sorted(set(heat.values) - heat.masked_geoids())[:40]
-    grown = dict(heat.mask)
-    grown.update({g: True for g in extra})
-    bigger = dict(masks)
-    bigger["heat"] = type(heat)(hazard_type="heat", values=heat.values, mask=grown)
+    masked = masked_set(masks[:, 2], index.geoids)
+    extra = sorted(set(values_of(world.layers["heat"])) - masked)[:40]
+    bigger = masks.copy()
+    bigger[[index.geoids.index(g) for g in extra], 2] = True
     grown_table = exposure.compute_mei(
         exposure.accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, bigger)
     )

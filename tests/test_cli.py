@@ -476,13 +476,51 @@ def test_output_cleanup_skips_a_directory_in_the_way(fixture_dir, tmp_path, caps
     assert main(run_args(fixture_dir, out)) == EXIT_OK
     (out / "scatter.csv").unlink()
     (out / "scatter.csv").mkdir()
+    earlier = (out / "mei.csv").read_bytes()
     capsys.readouterr()
     assert main(run_args(fixture_dir, out)) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error in output:")
     assert "scatter.csv" in err
     assert (out / "scatter.csv").is_dir()
-    assert not (out / "mei.csv").exists()  # written by the failed run, then removed
+    assert (out / "mei.csv").read_bytes() == earlier  # the failed run replaced nothing
+
+
+def snapshot(out: Path) -> dict:
+    """Every entry of a directory: a file's bytes, or None for a directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("fault", ["non-finite metadata", "scatter.csv is a directory"])
+def test_failed_rerun_keeps_the_earlier_outputs(fixture_dir, tmp_path, capsys, monkeypatch, fault):
+    from hazmob import exposure
+
+    out = tmp_path / "out"
+    assert main(run_args(fixture_dir, out, "--min-pts", "4")) == EXIT_OK
+    if fault == "scatter.csv is a directory":
+        (out / "scatter.csv").unlink()
+        (out / "scatter.csv").mkdir()
+    else:
+        monkeypatch.setattr(exposure, "compound_latent", lambda *args: ([], float("nan")))
+    earlier = snapshot(out)
+    assert len(earlier) == 15
+    capsys.readouterr()
+    # Another config: had any output been replaced, its sidecar's hash would differ.
+    assert main(run_args(fixture_dir, out, "--min-pts", "5", "--air-threshold", "0.6")) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error in output:")
+    assert snapshot(out) == earlier
+
+
+def test_rerun_replaces_every_output(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(run_args(fixture_dir, out, "--air-threshold", "0.6")) == EXIT_OK
+    assert main(run_args(fixture_dir, tmp_path / "fresh")) == EXIT_OK
+    capsys.readouterr()
+    assert main(run_args(fixture_dir, out)) == EXIT_OK
+    assert capsys.readouterr().out == f"run complete: 15 files in {out}\n"
+    fresh = snapshot(tmp_path / "fresh")
+    fresh["run_metadata.json"] = fresh["run_metadata.json"].replace(b"fresh", b"out")
+    assert snapshot(out) == fresh
 
 
 def test_non_finite_metadata_is_an_output_error(fixture_dir, tmp_path, capsys, monkeypatch):
@@ -543,6 +581,21 @@ def test_overlong_hazard_field_is_rejected_and_counted(fixture_dir, tmp_path, ca
     capsys.readouterr()
     assert main(["validate", "--hazard-air", str(hazard)]) == EXIT_OK
     assert f"hazard_air_pollution: read={len(lines)} accepted={len(lines) - 1} rejected=1" in (
+        capsys.readouterr().out)
+
+
+def test_heat_count_a_float64_would_round_is_rejected_and_counted(fixture_dir, tmp_path, capsys):
+    lines = (fixture_dir / "hazard_heat.csv").read_text().splitlines(keepends=True)
+    hazard = tmp_path / "hazard_heat.csv"
+    hazard.write_text("".join(lines) + "48999000001,9007199254740993\n48999000002,9007199254740992\n")
+    args = run_args(fixture_dir, tmp_path / "out")
+    args[args.index("--hazard-heat") + 1] = str(hazard)
+    assert main(args) == EXIT_OK
+    counts = json.loads((tmp_path / "out" / "run_metadata.json").read_text())["counts"]
+    assert counts["hazard_rows_rejected"]["heat"] == 1
+    capsys.readouterr()
+    assert main(["validate", "--hazard-heat", str(hazard)]) == EXIT_OK
+    assert f"hazard_heat: read={len(lines) + 1} accepted={len(lines)} rejected=1" in (
         capsys.readouterr().out)
 
 

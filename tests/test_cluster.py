@@ -427,8 +427,8 @@ def test_archetype_world_largest_cluster_is_all_high():
     )
     index = build_index(world.tracts, cell_size_deg=0.5)
     home_map = infer_homes(world.stops, locate_stops(index, world.stops), index.geoids)
-    masks = classify_world_masks(world)
-    table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, masks)), masks)
+    masks = classify_world_masks(world, index.geoids)
+    table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, masks)), masks, index.geoids)
     points = cluster_points(table)
     result = dbscan(points, ClusterConfig(eps=0.1, min_pts=4))
     clusters = [r for r in summarize(result, table).rows if r.label != NOISE]

@@ -20,9 +20,19 @@ from hazmob.exposure import (
 )
 from hazmob.geoindex import build_index, locate, locate_stops
 from hazmob.homeloc import HomeMap, infer_homes
-from hazmob.model import HAZARD_TYPES, ExposureAccumulator, HazardLayer, StopRecord, Stops, TractTable
+from hazmob.model import HAZARD_TYPES, StopRecord, Stops, TractTable
 
-from conftest import classify_world_masks, frame_of, unit_square_tract
+from conftest import (
+    ExposureAccumulator,
+    assignments_of,
+    classify_world_masks,
+    frame_of,
+    home_map_of,
+    masked_set,
+    masks_of,
+    unit_square_tract,
+    values_of,
+)
 
 APR1 = 1554076800
 
@@ -31,11 +41,19 @@ def stop(user, lon, lat, dwell, start=APR1 + 9 * 3600):
     return StopRecord(user_id=user, lon=lon, lat=lat, start_ts=start, dwell_s=dwell)
 
 
-def accumulate_at(stops, index, home_map, masks):
-    """accumulate() over a frame (or a list of StopRecords) located in index."""
+def accumulate_at(stops, index, homes, masks):
+    """accumulate() over a frame (or a list of StopRecords) located in index.
+
+    homes is the frame's HomeMap or a user id -> home geoid map; masks are
+    the (tract, hazard) masks or, per hazard, the set of masked geoids.
+    """
     if not isinstance(stops, Stops):
         stops = frame_of(stops)
-    return accumulate(stops, locate_stops(index, stops), index.geoids, home_map, masks)
+    if not isinstance(homes, HomeMap):
+        homes = home_map_of(homes, stops, index.geoids)
+    if isinstance(masks, dict):
+        masks = masks_of(masks, index.geoids)
+    return accumulate(stops, locate_stops(index, stops), index.geoids, homes, masks)
 
 
 def sums_of(accumulators) -> AccumulateResult:
@@ -68,15 +86,6 @@ def by_tract(result: AccumulateResult) -> dict[str, ExposureAccumulator]:
     }
 
 
-def masks_for(geoids_by_hazard: dict) -> dict:
-    masks = {}
-    for h in HAZARD_TYPES:
-        masked = geoids_by_hazard.get(h, set())
-        values = {g: (1.0 if h != "heat" else 50) for g in masked}
-        masks[h] = HazardLayer(hazard_type=h, values=values, mask={g: True for g in masked})
-    return masks
-
-
 @pytest.fixture(scope="module")
 def two_tract_setup():
     tracts = TractTable.from_rows([unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0)])
@@ -91,10 +100,10 @@ def test_tract_without_residents_has_no_index_even_when_masked(two_tract_setup):
     from hazmob.stats import disparity_table, scatter_export
 
     tracts, index = two_tract_setup
-    home_map = HomeMap(assignments={"u1": "48001000001"})
     stops = [stop("u1", 0.5, 0.5, 30), stop("u1", 1.5, 0.5, 70)]
-    masks = masks_for({"heat": {"48001000002"}})
-    table = classify_regions(compute_mei(accumulate_at(stops, index, home_map, masks)), masks)
+    masks = masks_of({"heat": {"48001000002"}}, index.geoids)
+    table = classify_regions(compute_mei(accumulate_at(stops, index, {"u1": "48001000001"}, masks)),
+                             masks, index.geoids)
     assert table.geoids.tolist() == ["48001000001"]
     assert table.rows["48001000001"].mei["heat"] == pytest.approx(0.7)
     assert scatter_export(table, tracts).geoids.tolist() == ["48001000001"]
@@ -103,9 +112,9 @@ def test_tract_without_residents_has_no_index_even_when_masked(two_tract_setup):
 
 def test_all_dwell_in_masked_home_tract(two_tract_setup):
     _, index = two_tract_setup
-    home_map = HomeMap(assignments={"u1": "48001000001"})
+    home_map = {"u1": "48001000001"}
     stops = [stop("u1", 0.5, 0.5, 30), stop("u1", 0.6, 0.5, 70)]
-    result = accumulate_at(stops, index, home_map, masks_for({"heat": {"48001000001"}}))
+    result = accumulate_at(stops, index, home_map, {"heat": {"48001000001"}})
     acc = by_tract(result)["48001000001"]
     assert acc.tdt_s == 100
     assert acc.hdt_s["heat"] == 100
@@ -115,9 +124,9 @@ def test_all_dwell_in_masked_home_tract(two_tract_setup):
 
 def test_nonhome_stop_in_unmasked_tract(two_tract_setup):
     _, index = two_tract_setup
-    home_map = HomeMap(assignments={"u1": "48001000001"})
+    home_map = {"u1": "48001000001"}
     stops = [stop("u1", 0.5, 0.5, 30), stop("u1", 1.5, 0.5, 70)]
-    result = accumulate_at(stops, index, home_map, masks_for({"heat": {"48001000001"}}))
+    result = accumulate_at(stops, index, home_map, {"heat": {"48001000001"}})
     acc = by_tract(result)["48001000001"]
     assert acc.tdt_s == 100
     assert acc.hdt_s["heat"] == 30
@@ -127,9 +136,9 @@ def test_nonhome_stop_in_unmasked_tract(two_tract_setup):
 
 def test_unlocated_stop_counts_in_tdt_and_unresolved(two_tract_setup):
     _, index = two_tract_setup
-    home_map = HomeMap(assignments={"u1": "48001000001"})
+    home_map = {"u1": "48001000001"}
     stops = [stop("u1", 0.5, 0.5, 40), stop("u1", 9.0, 9.0, 25)]
-    result = accumulate_at(stops, index, home_map, masks_for({"heat": {"48001000001"}}))
+    result = accumulate_at(stops, index, home_map, {"heat": {"48001000001"}})
     acc = by_tract(result)["48001000001"]
     assert acc.tdt_s == 65
     assert acc.unresolved_dwell_s == 25
@@ -139,20 +148,33 @@ def test_unlocated_stop_counts_in_tdt_and_unresolved(two_tract_setup):
 
 def test_stops_by_homeless_users_dropped_with_diagnostics(two_tract_setup):
     _, index = two_tract_setup
-    home_map = HomeMap(assignments={"u1": "48001000001"}, unassigned=["u2"])
+    home_map = {"u1": "48001000001"}
     stops = [stop("u1", 0.5, 0.5, 40), stop("u2", 0.5, 0.5, 99)]
-    result = accumulate_at(stops, index, home_map, masks_for({}))
+    result = accumulate_at(stops, index, home_map, {})
     assert result.dropped_stops == 1
     assert result.dropped_dwell_s == 99
-    assert result.dropped_users == {"u2"}
+    assert result.dropped_users == 1
     # conservation: located tdt + dropped = total dwell
     total = sum(s.dwell_s for s in stops)
     assert sum(a.tdt_s for a in by_tract(result).values()) + result.dropped_dwell_s == total
 
 
-def test_compute_mei_basic_ratios():
-    from hazmob.model import ExposureAccumulator
+def test_home_column_indexes_stops_by_user_code(two_tract_setup):
+    """Each stop takes the home of its user code; dropped users are counted once."""
+    _, index = two_tract_setup
+    frame = frame_of([stop("u2", 0.5, 0.5, 7), stop("u1", 0.5, 0.5, 40), stop("u3", 1.5, 0.5, 99),
+                      stop("u3", 0.5, 0.5, 1), stop("u1", 1.5, 0.5, 5)])
+    home_map = HomeMap(np.array([1, -1, 0], dtype=np.int32))  # u2, u1, u3
+    result = accumulate_at(frame, index, home_map, {"toxic": {"48001000002"}})
+    assert result.geoids.tolist() == ["48001000001", "48001000002"]
+    assert result.tdt_s.tolist() == [100, 7]
+    assert result.tdt_nonhome_s.tolist() == [99, 7]
+    assert result.hdt_s[:, 1].tolist() == [99, 0]
+    assert result.hdt_nonhome_s[:, 1].tolist() == [99, 0]
+    assert (result.dropped_stops, result.dropped_dwell_s, result.dropped_users) == (2, 45, 1)
 
+
+def test_compute_mei_basic_ratios():
     acc = ExposureAccumulator(geoid="G1", tdt_s=100)
     acc.hdt_s["heat"] = 70
     acc.tdt_nonhome_s = 40
@@ -206,8 +228,6 @@ def test_compute_mei_bits_equal_python_int_division(sums):
 
 
 def test_compute_mei_zero_dwell_undefined():
-    from hazmob.model import ExposureAccumulator
-
     table = compute_mei(sums_of([ExposureAccumulator(geoid="G1")]))
     row = table.rows["G1"]
     assert row.mei["heat"] is None
@@ -216,9 +236,9 @@ def test_compute_mei_zero_dwell_undefined():
 
 def test_mei_upper_bound_all_masked(two_tract_setup):
     _, index = two_tract_setup
-    home_map = HomeMap(assignments={"u1": "48001000001"})
+    home_map = {"u1": "48001000001"}
     stops = [stop("u1", 0.5, 0.5, 50)]
-    result = accumulate_at(stops, index, home_map, masks_for({"air_pollution": {"48001000001"}}))
+    result = accumulate_at(stops, index, home_map, {"air_pollution": {"48001000001"}})
     table = compute_mei(result)
     row = table.rows["48001000001"]
     assert row.mei["air_pollution"] == 1.0
@@ -226,41 +246,35 @@ def test_mei_upper_bound_all_masked(two_tract_setup):
 
 
 def test_classify_regions_rules(two_tract_setup):
-    from hazmob.model import ExposureAccumulator
-
-    masks = masks_for({"heat": {"G1"}})
+    masks = masks_of({"heat": {"G1"}}, ["G1", "G2", "G3"])
     accs = {}
     for geoid, hdt in (("G1", 99), ("G2", 8), ("G3", 0)):
         acc = ExposureAccumulator(geoid=geoid, tdt_s=100)
         acc.hdt_s["heat"] = hdt
         accs[geoid] = acc
-    table = classify_regions(compute_mei(sums_of(accs.values())), masks)
+    table = classify_regions(compute_mei(sums_of(accs.values())), masks, ["G1", "G2", "G3"])
     assert table.rows["G1"].region_class["heat"] == "direct"
     assert table.rows["G2"].region_class["heat"] == "latent"
     assert table.rows["G3"].region_class["heat"] == "none"
 
 
 def test_population_curve_definition(two_tract_setup):
-    from hazmob.model import ExposureAccumulator
-
     tracts = TractTable.from_rows([unit_square_tract("48001000001", 0, 0, population=1000)])
     acc = ExposureAccumulator(geoid="48001000001", tdt_s=100)
     acc.hdt_s["heat"] = 7
-    table = classify_regions(compute_mei(sums_of([acc])), masks_for({}))
+    table = classify_regions(compute_mei(sums_of([acc])), masks_of({}, []), [])
     curve = population_curve(table, tracts, "heat", [0.05, 0.10])
     assert curve.points == [(0.05, 1000), (0.10, 0)]
 
 
 def test_population_curve_empty_latent_class():
 
-    table = classify_regions(compute_mei(sums_of([])), masks_for({}))
+    table = classify_regions(compute_mei(sums_of([])), masks_of({}, []), [])
     curve = population_curve(table, TractTable.from_rows([]), "heat", [0.0, 0.5])
     assert curve.points == [(0.0, 0), (0.5, 0)]
 
 
 def test_compound_latent_rules():
-    from hazmob.model import ExposureAccumulator
-
     tracts = TractTable.from_rows([
         unit_square_tract("48001000001", 0, 0, population=500),
         unit_square_tract("48001000002", 1, 0, population=700),
@@ -272,8 +286,8 @@ def test_compound_latent_rules():
             acc.hdt_s[h] = r
         accs[geoid] = acc
     # second tract is direct in heat, so it cannot be compound-latent
-    masks = masks_for({"heat": {"48001000002"}})
-    table = classify_regions(compute_mei(sums_of(accs.values())), masks)
+    masks = masks_of({"heat": {"48001000002"}}, tracts.geoids.tolist())
+    table = classify_regions(compute_mei(sums_of(accs.values())), masks, tracts.geoids)
     geoids, population = compound_latent(table, tracts, 0.05)
     assert geoids == ["48001000001"]
     assert population == 500
@@ -288,7 +302,7 @@ def test_population_sums_are_exact_past_int64(populations):
                         for i, p in enumerate(populations))
     accs = [ExposureAccumulator(geoid=t.geoid, tdt_s=100, hdt_s=dict.fromkeys(HAZARD_TYPES, 50))
             for t in tracts]
-    table = classify_regions(compute_mei(sums_of(accs)), masks_for({}))
+    table = classify_regions(compute_mei(sums_of(accs)), masks_of({}, []), [])
     total = sum(populations)
     assert population_curve(table, tracts, "heat", [0.1, 0.9]).points == [(0.1, total), (0.9, 0)]
     assert compound_latent(table, tracts, 0.1) == ([t.geoid for t in tracts], total)
@@ -338,7 +352,7 @@ def oracle_world():
     )
     index = build_index(world.tracts, cell_size_deg=0.5)
     home_map = infer_homes(world.stops, locate_stops(index, world.stops), index.geoids)
-    masks = classify_world_masks(world)
+    masks = classify_world_masks(world, index.geoids)
     return world, index, home_map, masks
 
 
@@ -346,9 +360,9 @@ def test_accumulate_matches_reference_loop(oracle_world):
     world, index, home_map, masks = oracle_world
     assert len(world.stops) == 100000
     result = accumulate_at(world.stops, index, home_map, masks)
-    masked_sets = {h: masks[h].masked_geoids() for h in HAZARD_TYPES}
+    masked_sets = {h: masked_set(masks[:, k], index.geoids) for k, h in enumerate(HAZARD_TYPES)}
     tdt, hdt, tdt_nh, hdt_nh, unresolved = reference_exposure(
-        world.stops.records(), home_map.assignments, index, masked_sets
+        world.stops.records(), assignments_of(home_map, world.stops, index.geoids), index, masked_sets
     )
     assert set(by_tract(result)) == set(tdt)
     for geoid, acc in by_tract(result).items():
@@ -372,7 +386,8 @@ def test_stop_order_shuffle_leaves_results_unchanged(oracle_world):
     baseline = compute_mei(accumulate_at(world.stops, index, home_map, masks))
     shuffled = world.stops.records()
     random.Random(1).shuffle(shuffled)
-    again = compute_mei(accumulate_at(shuffled, index, home_map, masks))
+    homes = assignments_of(home_map, world.stops, index.geoids)
+    again = compute_mei(accumulate_at(shuffled, index, homes, masks))
     assert baseline.rows == again.rows
 
 
@@ -388,7 +403,8 @@ def test_nonhome_share_never_exceeds_mei(oracle_world):
 
 def test_population_curve_matches_brute_force_on_world(oracle_world):
     world, index, home_map, masks = oracle_world
-    table = classify_regions(compute_mei(accumulate_at(world.stops, index, home_map, masks)), masks)
+    table = classify_regions(compute_mei(accumulate_at(world.stops, index, home_map, masks)), masks,
+                             index.geoids)
     pop = {t.geoid: t.population for t in world.tracts}
     thresholds = [0.0, 0.02, 0.05, 0.1, 0.2, 0.5]
     for h in HAZARD_TYPES:
@@ -404,7 +420,8 @@ def test_population_curve_matches_brute_force_on_world(oracle_world):
 
 def test_compound_latent_matches_brute_force_on_world(oracle_world):
     world, index, home_map, masks = oracle_world
-    table = classify_regions(compute_mei(accumulate_at(world.stops, index, home_map, masks)), masks)
+    table = classify_regions(compute_mei(accumulate_at(world.stops, index, home_map, masks)), masks,
+                             index.geoids)
     pop = {t.geoid: t.population for t in world.tracts}
     geoids, total = compound_latent(table, world.tracts, 0.02)
     expected = sorted(
@@ -419,12 +436,10 @@ def test_compound_latent_matches_brute_force_on_world(oracle_world):
 def test_enlarging_mask_never_decreases_mei(oracle_world):
     world, index, home_map, masks = oracle_world
     base_table = compute_mei(accumulate_at(world.stops, index, home_map, masks))
-    bigger = dict(masks)
-    heat = masks["heat"]
-    extra = sorted(set(heat.values) - heat.masked_geoids())[:20]
-    mask = dict(heat.mask)
-    mask.update({g: True for g in extra})
-    bigger["heat"] = HazardLayer(hazard_type="heat", values=heat.values, mask=mask)
+    masked = masked_set(masks[:, 2], index.geoids)
+    extra = sorted(set(values_of(world.layers["heat"])) - masked)[:20]
+    bigger = masks.copy()
+    bigger[[index.geoids.index(g) for g in extra], 2] = True
     grown_table = compute_mei(accumulate_at(world.stops, index, home_map, bigger))
     for geoid, row in base_table.rows.items():
         before = row.mei["heat"]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -9,7 +10,7 @@ from hazmob.geoindex import build_index, locate, locate_stops
 from hazmob.homeloc import infer_homes, night_overlaps
 from hazmob.model import StopRecord, Stops, TractTable
 
-from conftest import frame_of, unit_square_tract
+from conftest import assignments_of, frame_of, unassigned_of, unit_square_tract
 
 APR1 = 1554076800  # 2019-04-01T00:00:00Z
 
@@ -22,11 +23,23 @@ def stop(user: str, lon: float, lat: float, start: int, dwell: int) -> StopRecor
     return StopRecord(user_id=user, lon=lon, lat=lat, start_ts=start, dwell_s=dwell)
 
 
-def homes_of(stops, index, **kwargs):
+@dataclass
+class Homes:
+    """infer_homes()'s HomeMap with its home column read back by user id."""
+
+    assignments: dict[str, str]
+    unassigned: list[str]
+    no_night_dwell: int
+
+
+def homes_of(stops, index, **kwargs) -> Homes:
     """infer_homes() over a frame (or a list of StopRecords) located in index."""
     if not isinstance(stops, Stops):
         stops = frame_of(stops)
-    return infer_homes(stops, locate_stops(index, stops), index.geoids, **kwargs)
+    home_map = infer_homes(stops, locate_stops(index, stops), index.geoids, **kwargs)
+    assert home_map.home.dtype == np.int32 and home_map.home.shape == stops.user_ids.shape
+    return Homes(assignments_of(home_map, stops, index.geoids), unassigned_of(home_map, stops),
+                 home_map.no_night_dwell)
 
 
 def two_tract_index():
@@ -35,6 +48,18 @@ def two_tract_index():
                               unit_square_tract("48001000002", 1, 0)]),
         cell_size_deg=0.5,
     )
+
+
+def test_home_column_holds_a_tract_code_per_user_code():
+    index = two_tract_index()
+    stops = [stop("u2", 1.5, 0.5, ts(d, 23), 6 * 3600) for d in range(3)]
+    stops.append(stop("u3", 0.5, 0.5, ts(0, 9), 3600))  # daytime only
+    stops += [stop("u1", 0.5, 0.5, ts(d, 23), 6 * 3600) for d in range(3)]
+    frame = frame_of(stops)
+    home_map = infer_homes(frame, locate_stops(index, frame), index.geoids)
+    assert frame.user_ids.tolist() == ["u2", "u3", "u1"]
+    assert home_map.home.tolist() == [1, -1, 0]
+    assert home_map.no_night_dwell == 1
 
 
 def test_night_overlap_clips_to_window():

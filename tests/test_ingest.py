@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 from hazmob import ingest, synth
 from hazmob.exposure import PopulationCurve
 from hazmob.ingest import IngestError, parse_hazard, parse_stops, parse_tracts
+from hazmob.hazardclass import classify_percentile
 from hazmob.model import HAZARD_TYPES, HazardLayer, MeiRow, MeiTable, StopRecord, format6, validate
 
-from conftest import tract_worlds, unit_square_tract
+from conftest import layer_of, masked_set, tract_worlds, unit_square_tract, values_of
 
 STOPS_HEADER = "user_id,lon,lat,start_ts,dwell_s\n"
 
@@ -536,20 +537,20 @@ def test_rejects_are_numbered_by_file_line_after_a_quoted_line_break():
 
 def test_parse_hazard_air_accepts_percentile():
     layer, report = parse_hazard(hazard_stream("G1,0.73"), "air_pollution")
-    assert layer.values == {"G1": 0.73}
-    assert layer.mask == {}
+    assert values_of(layer) == {"G1": 0.73}
+    assert layer.geoids.dtype.kind == "U" and layer.values.dtype == np.float64
     assert report.rows_accepted == 1
 
 
 def test_parse_hazard_toxic_rejects_out_of_range():
     layer, report = parse_hazard(hazard_stream("G1,1.2"), "toxic")
-    assert layer.values == {}
+    assert values_of(layer) == {}
     assert report.rows_rejected == 1
 
 
 def test_parse_hazard_heat_accepts_counts():
     layer, report = parse_hazard(hazard_stream("G1,41"), "heat")
-    assert layer.values == {"G1": 41}
+    assert values_of(layer) == {"G1": 41}
     layer, report = parse_hazard(hazard_stream("G1,-3"), "heat")
     assert report.rows_rejected == 1
 
@@ -560,7 +561,7 @@ def test_parse_hazard_rejects_overlong_field_and_continues():
         with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
             layer, report = parse_hazard(
                 hazard_stream("G1,0.5", "G" * 200_000 + ",0.6", "G3,0.7"), "air_pollution")
-        assert layer.values == {"G1": 0.5, "G3": 0.7}
+        assert values_of(layer) == {"G1": 0.5, "G3": 0.7}
         assert (report.rows_read, report.rows_accepted, report.rows_rejected) == (3, 2, 1)
         line_no, reason = report.first_10_rejects[0]
         assert line_no == 3
@@ -570,6 +571,48 @@ def test_parse_hazard_rejects_overlong_field_and_continues():
 def test_parse_hazard_duplicate_geoid_fatal():
     with pytest.raises(IngestError, match="duplicate"):
         parse_hazard(hazard_stream("G1,0.5", "G1,0.6"), "air_pollution")
+
+
+def test_parse_hazard_rejects_heat_counts_a_float64_would_round():
+    layer, report = parse_hazard(
+        hazard_stream("G1,9007199254740992", "G2,9007199254740993", "G3,7", f"G4,{10**30}"), "heat")
+    assert values_of(layer) == {"G1": 2**53, "G3": 7}
+    assert layer.values.tolist() == [2.0**53, 7.0]
+    assert (report.rows_read, report.rows_accepted, report.rows_rejected) == (4, 2, 2)
+    assert report.first_10_rejects == [(3, "heat-day count out of range"),
+                                       (5, "heat-day count out of range")]
+
+
+def test_parse_hazard_rejects_geoid_ending_in_nul():
+    """The str column would drop the NUL and read the row as another geoid's."""
+    layer, report = parse_hazard(hazard_stream("G1\0,0.5", "G1,0.6", "G\0 2,0.7"), "toxic")
+    assert values_of(layer) == {"G1": 0.6, "G\0 2": 0.7}
+    assert report.first_10_rejects == [(2, "geoid ends in a NUL character")]
+
+
+# One valid input per parser that reads a caller's stream.
+STREAM_PARSERS = [
+    (parse_stops, STOPS_HEADER + "u1,-73.9,40.7,2019-04-01T08:00:00Z,60\n"),
+    (lambda source: parse_hazard(source, "toxic"), "geoid,value\nG1,0.5\n"),
+    (parse_tracts, json.dumps({"type": "FeatureCollection", "features": []})),
+    (ingest.read_mei, ",".join(ingest.MEI_HEADER) + "\n"),
+]
+
+
+@pytest.mark.parametrize("parse, text", STREAM_PARSERS)
+def test_parsing_leaves_the_callers_byte_stream_open(parse, text):
+    import gc
+
+    stream = io.BytesIO(text.encode())
+    parse(stream)
+    gc.collect()
+    assert not stream.closed
+    assert stream.tell() == len(text.encode())
+    bad = io.BytesIO(text.encode() + b"\xff\n")
+    with pytest.raises(IngestError, match=re.escape("input: not UTF-8 text (byte 0xff")):
+        parse(bad)
+    gc.collect()
+    assert not bad.closed
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +675,7 @@ def test_hazard_round_trip_through_writer(roundtrip_world, tmp_path):
         ingest.write_hazard(layer, path)
         parsed, report = parse_hazard(path, hazard)
         assert report.rows_rejected == 0
-        assert parsed.values == layer.values
+        assert values_of(parsed) == values_of(layer)
 
 
 def mei_table(rows: int = 3) -> MeiTable:
@@ -821,11 +864,9 @@ def test_write_report_unwritable_destination_fatal(tmp_path):
         ingest.write_report(mei_table(), tmp_path / "missing_dir" / "mei.csv")
 
 
-def write_mask(layer: HazardLayer, dest) -> int:
-    rows = (
-        [g, repr(layer.values[g]), str(int(bool(layer.mask.get(g, False))))]
-        for g in sorted(layer.values)
-    )
+def write_mask(layer: HazardLayer, masked: frozenset, dest) -> int:
+    values = values_of(layer)
+    rows = ([g, repr(values[g]), str(int(g in masked))] for g in sorted(values))
     return ingest._write_csv(dest, ["geoid", "value", "high_hazard"], rows)
 
 
@@ -835,8 +876,8 @@ def write_homes(assignments: dict[str, str], dest) -> int:
 
 
 def test_write_mask_and_homes(tmp_path):
-    layer = HazardLayer(hazard_type="toxic", values={"G2": 0.8, "G1": 0.2}, mask={"G2": True, "G1": False})
-    write_mask(layer, tmp_path / "mask.csv")
+    layer = layer_of("toxic", {"G2": 0.8, "G1": 0.2})
+    write_mask(layer, masked_set(classify_percentile(layer, ["G1", "G2"]), ["G1", "G2"]), tmp_path / "mask.csv")
     assert (tmp_path / "mask.csv").read_text() == "geoid,value,high_hazard\nG1,0.2,0\nG2,0.8,1\n"
     write_homes({"u2": "G1", "u1": "G2"}, tmp_path / "homes.csv")
     assert (tmp_path / "homes.csv").read_text() == "user_id,geoid\nu1,G2\nu2,G1\n"

@@ -1,12 +1,12 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from hazmob.model import (
     HAZARD_TYPES,
     MAX_DWELL_S,
     CensusTract,
-    ExposureAccumulator,
     HazardLayer,
     MeiRow,
     MeiTable,
@@ -14,7 +14,7 @@ from hazmob.model import (
     validate,
 )
 
-from conftest import unit_square_tract
+from conftest import ExposureAccumulator, check, layer_of, unit_square_tract
 
 
 def make_stop(**overrides) -> StopRecord:
@@ -55,7 +55,7 @@ def test_stop_lon_boundaries_accepted():
 def test_tract_county_fips_is_geoid_prefix():
     tract = unit_square_tract("48001950100", 0, 0)
     assert tract.county_fips == "48001"
-    assert validate(tract) == []
+    assert check(tract) == []
 
 
 def test_tract_unclosed_ring_reported():
@@ -64,44 +64,51 @@ def test_tract_unclosed_ring_reported():
         geoid="48001950100", geometry=((ring,),), population=10,
         pct_minority=0.1, pct_below_poverty200=0.1,
     )
-    assert any("not closed" in v for v in validate(tract))
+    assert any("not closed" in v for v in check(tract))
 
 
 def test_tract_bad_geoid_and_demographics():
     tract = dataclasses.replace(unit_square_tract("48001950100", 0, 0), geoid="123")
-    assert any("geoid" in v for v in validate(tract))
+    assert any("geoid" in v for v in check(tract))
     tract = dataclasses.replace(unit_square_tract("48001950100", 0, 0), pct_minority=1.5)
-    assert any("pct_minority" in v for v in validate(tract))
+    assert any("pct_minority" in v for v in check(tract))
     tract = dataclasses.replace(unit_square_tract("48001950100", 0, 0), geoid="4800195010\r")
-    assert "geoid: must be 11 ASCII digits" in validate(tract)
+    assert "geoid: must be 11 ASCII digits" in check(tract)
     tract = dataclasses.replace(unit_square_tract("48001950100", 0, 0), population=True)
-    assert "population: must be a non-negative integer" in validate(tract)
+    assert "population: must be a non-negative integer" in check(tract)
 
 
 def test_hazard_layer_percentile_bound():
-    layer = HazardLayer(hazard_type="air_pollution", values={"G1": 1.3})
-    violations = validate(layer)
+    layer = layer_of("air_pollution", {"G1": 1.3})
+    violations = check(layer)
     assert len(violations) == 1
     assert "values[G1]" in violations[0]
 
 
 def test_hazard_layer_heat_counts_allowed():
-    layer = HazardLayer(hazard_type="heat", values={"G1": 41, "G2": 0})
-    assert validate(layer) == []
-    assert validate(HazardLayer(hazard_type="heat", values={"G1": -1})) != []
+    layer = layer_of("heat", {"G1": 41, "G2": 0})
+    assert check(layer) == []
+    assert check(layer_of("heat", {"G1": -1})) != []
 
 
-def test_hazard_layer_mask_must_cover_values():
-    layer = HazardLayer(hazard_type="toxic", values={"G1": 0.7}, mask={"G2": True})
-    assert any("mask[G2]" in v for v in validate(layer))
+def test_hazard_layer_columns_must_align():
+    layer = HazardLayer("toxic", np.array(["G1", "G2"]), np.array([0.7]))
+    assert "values: must hold one value per geoid" in check(layer)
+
+
+def test_validate_leaves_the_test_only_types_to_the_oracle():
+    for value in (unit_square_tract("48001950100", 0, 0), layer_of("toxic", {"G1": 0.7}),
+                  ExposureAccumulator(geoid="G1"), MeiTable.from_rows([])):
+        with pytest.raises(TypeError):
+            validate(value)
 
 
 def test_accumulator_invariants():
     acc = ExposureAccumulator(geoid="G1", tdt_s=100)
     acc.hdt_s["heat"] = 70
-    assert validate(acc) == []
+    assert check(acc) == []
     acc.hdt_s["heat"] = 170
-    assert any("hdt_s[heat]" in v for v in validate(acc))
+    assert any("hdt_s[heat]" in v for v in check(acc))
 
 
 def test_mei_row_bounds_checked():
@@ -127,7 +134,7 @@ def test_mei_table_validation_prefixes_geoid():
         nonhome_conditional={h: None for h in HAZARD_TYPES},
         region_class={h: "none" for h in HAZARD_TYPES},
     )
-    violations = validate(MeiTable.from_rows([row]))
+    violations = check(MeiTable.from_rows([row]))
     assert violations and all(v.startswith("rows[G1].") for v in violations)
 
 

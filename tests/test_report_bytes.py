@@ -110,11 +110,11 @@ def test_cluster_world_exercises_border_rule():
     world = synth.gen_world(CLUSTER_WORLD)
     index = build_index(world.tracts, 0.5)
     where = locate_stops(index, world.stops)
-    masks = {
-        "air_pollution": hazardclass.classify_percentile(world.layers["air_pollution"]),
-        "toxic": hazardclass.classify_percentile(world.layers["toxic"]),
-        "heat": hazardclass.classify_heat_quartile(world.layers["heat"], world.tracts),
-    }
+    masks = np.stack([
+        hazardclass.classify_percentile(world.layers["air_pollution"], index.geoids),
+        hazardclass.classify_percentile(world.layers["toxic"], index.geoids),
+        hazardclass.classify_heat_quartile(world.layers["heat"], index.geoids),
+    ], axis=1)
     acc = exposure.accumulate(world.stops, where, index.geoids,
                               infer_homes(world.stops, where, index.geoids), masks)
     coords = cluster.cluster_points(exposure.compute_mei(acc)).coords

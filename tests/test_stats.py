@@ -251,8 +251,8 @@ def test_disparity_empty_class_has_blank_cells():
 def test_disparity_means_match_brute_force(small_world, small_world_index):
     world = small_world
     home_map = infer_homes(world.stops, locate_stops(small_world_index, world.stops), small_world_index.geoids)
-    masks = classify_world_masks(world)
-    table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(small_world_index, world.stops), small_world_index.geoids, home_map, masks)), masks)
+    masks = classify_world_masks(world, small_world_index.geoids)
+    table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(small_world_index, world.stops), small_world_index.geoids, home_map, masks)), masks, small_world_index.geoids)
     result = disparity_table(table, world.tracts)
     by_geoid = {t.geoid: t for t in world.tracts}
     for row in result.rows[1:]:
@@ -275,7 +275,7 @@ def test_disparity_means_match_brute_force(small_world, small_world_index):
 def test_hazard_pair_correlations_all_pairs(small_world, small_world_index):
     world = small_world
     home_map = infer_homes(world.stops, locate_stops(small_world_index, world.stops), small_world_index.geoids)
-    masks = classify_world_masks(world)
+    masks = classify_world_masks(world, small_world_index.geoids)
     table = compute_mei(accumulate(world.stops, locate_stops(small_world_index, world.stops), small_world_index.geoids, home_map, masks))
     correlations = hazard_pair_correlations(table)
     pairs = {(a, b) for a, b, _ in correlations.rows}

@@ -12,6 +12,8 @@ from hazmob.geoindex import build_index, locate, locate_stops
 from hazmob.model import HAZARD_TYPES
 from hazmob.synth import SynthConfigError, WorldConfig, gen_world, planted_truth, write_world
 
+from conftest import masks_of, values_of
+
 
 def test_config_validation():
     with pytest.raises(SynthConfigError):
@@ -31,7 +33,7 @@ def test_same_seed_identical_world():
     assert a.stops == b.stops
     assert a.tracts == b.tracts
     for h in HAZARD_TYPES:
-        assert a.layers[h].values == b.layers[h].values
+        assert values_of(a.layers[h]) == values_of(b.layers[h])
     assert a.truth.homes == b.truth.homes
     assert a.truth.expected_mei == b.truth.expected_mei
 
@@ -49,7 +51,7 @@ def test_user_count_does_not_perturb_hazard_fields():
     small = gen_world(WorldConfig(seed=5, grid_n=6, users=10, stops_per_user=5))
     large = gen_world(WorldConfig(seed=5, grid_n=6, users=50, stops_per_user=5))
     for h in HAZARD_TYPES:
-        assert small.layers[h].values == large.layers[h].values
+        assert values_of(small.layers[h]) == values_of(large.layers[h])
     assert [t.pct_minority for t in small.tracts] == [t.pct_minority for t in large.tracts]
 
 
@@ -186,8 +188,8 @@ def test_demographic_gain_plants_hazard_correlation():
 
     def hazard_gap(world):
         """Minority lift of plant-masked tracts over the global mean."""
-        air = world.layers["air_pollution"].values
-        toxic = world.layers["toxic"].values
+        air = values_of(world.layers["air_pollution"])
+        toxic = values_of(world.layers["toxic"])
         masked = [t.pct_minority for t in world.tracts
                   if air[t.geoid] > 0.8 or toxic[t.geoid] > 0.8]
         everyone = [t.pct_minority for t in world.tracts]
@@ -202,8 +204,8 @@ def test_hazard_overlap_correlates_fields():
     joined = gen_world(WorldConfig(seed=14, grid_n=16, users=1, stops_per_user=0, hazard_overlap=0.8))
 
     def field_corr(world):
-        air = [world.layers["air_pollution"].values[t.geoid] for t in world.tracts]
-        toxic = [world.layers["toxic"].values[t.geoid] for t in world.tracts]
+        air = [values_of(world.layers["air_pollution"])[t.geoid] for t in world.tracts]
+        toxic = [values_of(world.layers["toxic"])[t.geoid] for t in world.tracts]
         return np.corrcoef(air, toxic)[0, 1]
 
     assert abs(field_corr(split)) < 0.45
@@ -220,14 +222,7 @@ def test_empirical_mei_tracks_expected_on_moderate_world():
     world = gen_world(config)
     index = build_index(world.tracts, cell_size_deg=0.5)
     home_map = infer_homes(world.stops, locate_stops(index, world.stops), index.geoids)
-    masks = {
-        h: type(world.layers[h])(
-            hazard_type=h,
-            values=world.layers[h].values,
-            mask={g: g in world.truth.masks[h] for g in world.layers[h].values},
-        )
-        for h in HAZARD_TYPES
-    }
+    masks = masks_of(world.truth.masks, index.geoids)
     table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, masks))
     truth = planted_truth(world)
     worst = 0.0
