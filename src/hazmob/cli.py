@@ -5,7 +5,9 @@ report directory), report (human-readable summary of a prior run), and
 validate (dry-run ingest). Runs are config-driven: a plain key=value
 file plus flag overrides, flags winning; every output carries a sidecar
 naming the resolved config hash. Exit codes: 0 success, 1 runtime
-failure, 2 config/usage error.
+failure, 2 config/usage error. Every failure is printed by one printer,
+in one wording: `config error: ...`, or `error in <stage>: ...` naming the
+pipeline stage; validate adds the input, as in `error in ingest: stops: ...`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +230,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from . import synth
+    from . import synth  # imported here so that the other commands start without it
 
     try:
         config = synth.WorldConfig(
@@ -241,55 +244,43 @@ def cmd_synth(args: argparse.Namespace) -> int:
             demo_hazard_gain=args.demo_gain,
         )
         config.check()
+        world = synth.gen_world(config)
     except synth.SynthConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    world = synth.gen_world(config)
+        raise ConfigError(str(exc)) from exc
     meta = {
         "config": {f.name: getattr(config, f.name) for f in fields(config)},
         "tracts": len(world.tracts),
         "stops": len(world.stops),
     }
-    try:
+    with _stage("output"):
         paths = synth.write_world(world, args.out)
         with open(Path(args.out) / "world_meta.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    except (OSError, ingest.IngestError) as exc:
-        print(f"error in output: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     for name, path in sorted(paths.items()):
         print(f"wrote {name}: {path}")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = build_run_config(args)
-        config.check()
-        config.resolved_threads()  # validates HAZMOB_THREADS
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = build_run_config(args)
+    config.check()
+    config.resolved_threads()  # validates HAZMOB_THREADS
 
     out_dir = Path(config.out_dir)
+    with _stage("output"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".hazmob-run-", dir=out_dir))
     try:
+        names = _run_into(config, staging)
         with _stage("output"):
-            out_dir.mkdir(parents=True, exist_ok=True)
-            staging = Path(tempfile.mkdtemp(prefix=".hazmob-run-", dir=out_dir))
-        try:
-            names = _run_into(config, staging)
-            with _stage("output"):
-                for name in names:
-                    if (out_dir / name).is_dir():
-                        raise StageError("output", f"cannot replace {out_dir / name}: is a directory")
-                for name in names:
-                    os.replace(staging / name, out_dir / name)
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-    except StageError as exc:
-        print(f"error in {exc.stage}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+            for name in names:
+                if (out_dir / name).is_dir():
+                    raise StageError("output", f"cannot replace {out_dir / name}: is a directory")
+            for name in names:
+                os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     print(f"run complete: {len(names)} files in {out_dir}")
     return EXIT_OK
@@ -405,73 +396,62 @@ def _class_means(rows: list[MeiRow], hazard: str) -> dict[str, tuple[int, float 
 def cmd_report(args: argparse.Namespace) -> int:
     config = RunConfig(**_flag_values(args, _REPORT_KEYS))
     config.check(*_REPORT_KEYS)
-    try:
+    with _stage("ingest"):
         rows = ingest.read_mei_rows(args.mei)
         tracts = ingest.parse_tracts(args.tracts)
-    except ingest.IngestError as exc:
-        print(f"error in ingest: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
-    table = MeiTable.from_rows(rows)
-    defined = sum(1 for row in rows if not row.excluded)
-    print(f"tracts with defined MEI: {defined}")
-    for hazard in HAZARD_TYPES:
-        means = _class_means(rows, hazard)
-        parts = []
-        for region in (REGION_DIRECT, REGION_LATENT, REGION_NONE):
-            n, mean = means[region]
-            if mean is None:
-                parts.append(f"{region}: {n} tracts")
-            else:
-                parts.append(f"{region}: {n} tracts mean_mei={mean:.6f}")
-        print(f"{hazard} " + " | ".join(parts))
-    for hazard in HAZARD_TYPES:
-        curve = exposure.population_curve(table, tracts, hazard, list(config.curve_thresholds))
-        for threshold, population in curve.points:
-            print(f"latent_population {hazard} above {threshold:.6f}: {population}")
-    geoids, population = exposure.compound_latent(table, tracts, config.compound_threshold)
-    print(
-        f"compound_latent above {config.compound_threshold:.6f}: "
-        f"{len(geoids)} tracts population={population}"
-    )
+    with _stage("exposure"):
+        table = MeiTable.from_rows(rows)
+        lines = [f"tracts with defined MEI: {sum(1 for row in rows if not row.excluded)}"]
+        for hazard in HAZARD_TYPES:
+            parts = [f"{region}: {n} tracts" + ("" if mean is None else f" mean_mei={mean:.6f}")
+                     for region, (n, mean) in _class_means(rows, hazard).items()]
+            lines.append(f"{hazard} " + " | ".join(parts))
+        for hazard in HAZARD_TYPES:
+            curve = exposure.population_curve(table, tracts, hazard, list(config.curve_thresholds))
+            lines += [f"latent_population {hazard} above {threshold:.6f}: {population}"
+                      for threshold, population in curve.points]
+        geoids, population = exposure.compound_latent(table, tracts, config.compound_threshold)
+        lines.append(f"compound_latent above {config.compound_threshold:.6f}: "
+                     f"{len(geoids)} tracts population={population}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    """Parse each given input and print its counts. A fatal fault in one
+    input is printed, and the other inputs are still checked."""
+    inputs = [("stops", args.stops, ingest.parse_stops), ("tracts", args.tracts, ingest.parse_tracts)]
+    inputs += [(f"hazard_{h}", getattr(args, key), partial(ingest.parse_hazard, hazard_type=h))
+               for h, key in _HAZARD_KEYS.items()]
     status = EXIT_OK
-    if args.stops:
-        try:
-            _, report = ingest.parse_stops(args.stops)
-            print(
-                f"stops: read={report.rows_read} accepted={report.rows_accepted} "
-                f"rejected={report.rows_rejected}"
-            )
-            for line_no, reason in report.first_10_rejects:
-                print(f"  stops line {line_no}: {reason}")
-        except ingest.IngestError as exc:
-            print(f"stops: fatal: {exc}", file=sys.stderr)
-            status = EXIT_RUNTIME
-    if args.tracts:
-        try:
-            tracts = ingest.parse_tracts(args.tracts)
-            print(f"tracts: {len(tracts)} features")
-        except ingest.IngestError as exc:
-            print(f"tracts: fatal: {exc}", file=sys.stderr)
-            status = EXIT_RUNTIME
-    for hazard, key in _HAZARD_KEYS.items():
-        path = getattr(args, key)
+    for kind, path, parse in inputs:
         if not path:
             continue
         try:
-            _, report = ingest.parse_hazard(path, hazard)
-            print(
-                f"hazard_{hazard}: read={report.rows_read} accepted={report.rows_accepted} "
-                f"rejected={report.rows_rejected}"
-            )
-        except ingest.IngestError as exc:
-            print(f"hazard_{hazard}: fatal: {exc}", file=sys.stderr)
-            status = EXIT_RUNTIME
+            with _stage("ingest"):
+                parsed = parse(path)
+        except StageError as exc:
+            status = _print_failure(StageError(exc.stage, f"{kind}: {exc}"))
+            continue
+        if kind == "tracts":
+            print(f"tracts: {len(parsed)} features")
+            continue
+        report = parsed[1]
+        print(f"{kind}: read={report.rows_read} accepted={report.rows_accepted} rejected={report.rows_rejected}")
+        if kind == "stops":
+            for line_no, reason in report.first_10_rejects:
+                print(f"  stops line {line_no}: {reason}")
     return status
+
+
+def _print_failure(exc: ConfigError | StageError) -> int:
+    """Print a failure in the one wording of every subcommand; return its exit code."""
+    if isinstance(exc, StageError):
+        print(f"error in {exc.stage}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -516,9 +496,8 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ConfigError, StageError) as exc:
+        return _print_failure(exc)
 
 
 if __name__ == "__main__":

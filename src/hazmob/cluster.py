@@ -45,7 +45,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import HAZARD_SHORT, HAZARD_TYPES, MeiTable, format6
+from .model import HAZARD_SHORT, HAZARD_TYPES, MeiTable, format6, positions
 
 NOISE = -1
 
@@ -413,23 +413,15 @@ def _summary_rows(label: np.ndarray, coords: np.ndarray) -> list[ClusterSummaryR
     return rows
 
 
-def _positions(table: MeiTable, geoids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of table holding each geoid, and which geoids it holds."""
-    at = np.searchsorted(table.geoids, geoids)
-    found = at < len(table.geoids)
-    found[found] = table.geoids[at[found]] == geoids[found]
-    return at, found
-
-
 def summarize(result: ClusterResult, table: MeiTable) -> ClusterSummary:
     """Per-cluster tract counts, shares, and mean index triples.
 
     Means are recomputed from the exposure table so the summary reflects
     exactly the rows that were clustered.
     """
-    at, found = _positions(table, result.geoids)
-    if not found.all():
-        raise KeyError(result.geoids[~found][0].item())
+    at = positions(result.geoids, table.geoids)
+    if (at < 0).any():
+        raise KeyError(result.geoids[at < 0][0].item())
     return ClusterSummary(rows=_summary_rows(result.label, table.mei[at]))
 
 
@@ -441,7 +433,7 @@ def cluster_points(table: MeiTable) -> ClusterPoints:
 
 def apply_labels(table: MeiTable, result: ClusterResult) -> MeiTable:
     """Return a table with cluster labels attached to clustered rows."""
-    at, found = _positions(table, result.geoids)
+    at = positions(result.geoids, table.geoids)
     label = np.full(len(table), NOISE, dtype=np.int32)
-    label[at[found]] = result.label[found]
+    label[at[at >= 0]] = result.label[at >= 0]
     return table.with_columns(label=label)

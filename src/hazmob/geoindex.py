@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import Geometry, Polygon, Stops, TractTable
+from .model import Geometry, Polygon, Stops, TractTable, run_heads
 
 DEFAULT_CELL_SIZE_DEG = 0.05
 
@@ -105,7 +105,7 @@ def build_index(tracts: TractTable, cell_size_deg: float = DEFAULT_CELL_SIZE_DEG
     rank[np.argsort(part_code, kind="stable")] = np.arange(len(part_code))
     order = np.lexsort((rank[part], ky, kx))
     keys = _complex_points(kx[order], ky[order])
-    new_cell = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    new_cell = run_heads(keys)
     return TractIndex(
         cell_size_deg=cell_size_deg, tracts=tracts,
         geoids=tuple(tracts.geoids[by_geoid].tolist()), part_code=part_code,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import HazardLayer, positions
+from .model import HazardLayer, positions, run_heads
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +73,7 @@ def classify_heat_quartile(layer: HazardLayer, geoids: Sequence[str]) -> np.ndar
     county = names.astype("U5")
     order = np.lexsort((names, -values, county))
     county, values, code = county[order], values[order], code[order]
-    head = np.flatnonzero(np.r_[True, county[1:] != county[:-1]][: len(county)])
+    head = run_heads(county)
     n = np.diff(np.r_[head, len(county)])
     # Plotting position h = 0.75 (n + 1) between the ascending order
     # statistics k and k + 1 (1-based), at head + n - k and head + n - k - 1

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Stops
+from .model import Stops, run_heads
 
 DAY_S = 86400
 
@@ -122,11 +122,6 @@ def _count_nights(user: np.ndarray, first: np.ndarray, last: np.ndarray, n_users
     return nights
 
 
-def _heads(keys: np.ndarray) -> np.ndarray:
-    """Index of the first entry of each run of equal keys."""
-    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: len(keys)])
-
-
 def infer_homes(
     stops: Stops,
     where: np.ndarray,
@@ -154,13 +149,13 @@ def infer_homes(
     pair = user * n_tracts + where[located]
     order = np.argsort(pair, kind="stable")
     pair = pair[order]
-    head = _heads(pair)
+    head = run_heads(pair)
     pair_user, pair_tract = np.divmod(pair[head], n_tracts)
     pair_total = np.add.reduceat(dwell[order], head)
     pair_night = np.add.reduceat(night[order], head)
     cand = np.flatnonzero(pair_night > 0)
     cand = cand[np.lexsort((pair_tract[cand], -pair_total[cand], -pair_night[cand], pair_user[cand]))]
-    best = cand[_heads(pair_user[cand])]
+    best = cand[run_heads(pair_user[cand])]
     home = np.full(n_users, -1, dtype=np.int64)
     home[pair_user[best]] = pair_tract[best]
 

@@ -6,6 +6,13 @@ metadata sidecars. Data-row problems are rejected row by row and counted;
 structural problems (bad header, duplicate keys, broken geometry) abort
 with IngestError.
 
+The three CSV inputs (stops, hazard layers, mei.csv) share one reader,
+_csv_chunks(), which checks the header with one wording and yields rows
+with the file line each starts on. Each input rule is stated once: stop
+bounds in model.STOP_BOUNDS, the canonical timestamp layout in
+_canonical_epochs(), hazard rows in parse_hazard(), mei.csv values in
+model.validate().
+
 parse_stops() returns one model.Stops frame of numpy columns. It checks
 and converts whole chunks of rows at once; only rows those checks do not
 accept take the scalar row path, which words each reject exactly as a
@@ -19,7 +26,6 @@ import gc
 import io
 import json
 import math
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -32,8 +38,8 @@ import numpy as np
 
 from .model import (
     HAZARD_TYPES,
-    MAX_DWELL_S,
     MEI_HEADER,
+    STOP_BOUNDS,
     CensusTract,
     HazardLayer,
     MeiRow,
@@ -85,7 +91,7 @@ def _text(source: str | Path | IO) -> Iterator[IO]:
         if isinstance(source.read(0), bytes):
             handle = io.TextIOWrapper(source, encoding="utf-8", newline="")
     else:
-        raise IngestError(f"unreadable stops source: {type(source).__name__}")
+        raise IngestError(f"unreadable source: {type(source).__name__}")
     try:
         yield handle
     except UnicodeDecodeError as exc:
@@ -100,27 +106,12 @@ def _text(source: str | Path | IO) -> Iterator[IO]:
             handle.detach()
 
 
-_EPOCH_BY_DATE: dict[str, int] = {}
-# The canonical YYYY-MM-DDTHH:MM:SSZ layout with ASCII digits and in-range
-# time fields; the date is range-checked by datetime() on first sight.
-_CANONICAL_UTC = re.compile(
-    r"(\d{4}-\d\d-\d\d)T([01]\d|2[0-3]):([0-5]\d):([0-5]\d)Z", re.ASCII
-)
-
-
 def parse_iso_utc(text: str) -> int:
-    """Parse an ISO 8601 UTC timestamp to integer epoch seconds.
+    """Parse an ISO 8601 timestamp to integer epoch seconds; one without an
+    offset is UTC.
 
     Raises ValueError on anything datetime.fromisoformat rejects.
     """
-    canonical = _CANONICAL_UTC.fullmatch(text)
-    if canonical is not None:
-        date, hh, mm, ss = canonical.groups()
-        day = _EPOCH_BY_DATE.get(date)
-        if day is None:
-            dt = datetime(int(date[:4]), int(date[5:7]), int(date[8:10]), tzinfo=timezone.utc)
-            day = _EPOCH_BY_DATE[date] = int(dt.timestamp())
-        return day + int(hh) * 3600 + int(mm) * 60 + int(ss)
     dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
@@ -131,8 +122,8 @@ def format_iso_utc(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-# parse_stops() and parse_hazard() read this many CSV rows at a time; it
-# bounds the rows held as Python strings. Results do not depend on it.
+# The CSV readers read this many rows at a time; it bounds the rows held
+# as Python strings. Results do not depend on it.
 _CHUNK_ROWS = 4096
 _STOP_DTYPES = (np.int32, np.float64, np.float64, np.int64, np.int64, np.int64)
 _UNREAD = -(2**63)  # below every epoch parse_iso_utc() returns
@@ -151,19 +142,10 @@ def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
     """
     report = IngestReport()
     users: dict[str, int] = {}
-    chunks = []
-    with _text(source) as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("stops file is empty (missing header)") from None
-        if header != STOPS_HEADER:
-            raise IngestError(f"bad stops header: expected {STOPS_HEADER}, got {header}")
-        for rows, lines in _chunks(reader):
-            chunks.append(_parse_chunk(rows, lines, report, users))
-    if chunks:
-        columns = [np.concatenate(column) for column in zip(*chunks)]
+    with _csv_chunks(source, "stops", STOPS_HEADER) as chunks:
+        parsed = [_parse_chunk(rows, lines, report, users) for rows, lines in chunks]
+    if parsed:
+        columns = [np.concatenate(column) for column in zip(*parsed)]
     else:
         columns = [np.empty(0, dtype) for dtype in _STOP_DTYPES]
     user, lon, lat, start_ts, dwell_s, lines = columns
@@ -221,6 +203,25 @@ def _chunks(reader):
         yield rows, np.array(lines, dtype=np.int64)
 
 
+@contextmanager
+def _csv_chunks(source: str | Path | IO, what: str, header: list[str]) -> Iterator[Iterator]:
+    """The data rows of a CSV source, as _chunks() yields them.
+
+    The source is opened with _text(). Its first row must be header: a
+    source without one, or with another, is an IngestError worded
+    `<what> file is empty (missing header)` or `bad <what> header: ...`.
+    """
+    with _text(source) as handle:
+        reader = csv.reader(handle)
+        first = _read_rows(reader, 1)
+        if not first:
+            raise IngestError(f"{what} file is empty (missing header)")
+        got = first[0].reason if isinstance(first[0], _Unreadable) else first[0]
+        if got != header:
+            raise IngestError(f"bad {what} header: expected {header}, got {got}")
+        yield _chunks(reader)
+
+
 def _parse_chunk(rows: list[list[str]], lines: np.ndarray, report: IngestReport,
                  users: dict[str, int]) -> tuple[np.ndarray, ...]:
     """Columns (user code, lon, lat, start_ts, dwell_s, line) of a chunk's accepted rows.
@@ -236,17 +237,18 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray, report: IngestReport,
     if len(five):
         good = rows if len(five) == n else list(map(rows.__getitem__, five.tolist()))
         m = len(good)
-        ok = np.fromiter(map(bool, map(itemgetter(0), good)), bool, m)
-        for column, k, low, high in ((lon, 1, -180.0, 180.0), (lat, 2, -90.0, 90.0)):
+        ok = _within("user_id", np.fromiter(map(len, map(itemgetter(0), good)), np.int64, m))
+        for column, k, name in ((lon, 1, "lon"), (lat, 2, "lat")):
             values = np.fromiter(_map_lenient(float, map(itemgetter(k), good), math.nan), np.float64, m)
-            ok &= (low <= values) & (values <= high)  # NaN and failures fail both
+            ok &= _within(name, values)
             column[five] = values
-        values = _map_lenient(int, map(itemgetter(4), good), -1)
+        low, high, *_ = STOP_BOUNDS["dwell_s"]
+        values = _map_lenient(int, map(itemgetter(4), good), low - 1)
         try:
             values = np.array(values, dtype=np.int64)
-        except OverflowError:  # beyond int64, so beyond MAX_DWELL_S
-            values = np.array([v if 0 <= v <= MAX_DWELL_S else -1 for v in values], dtype=np.int64)
-        ok &= (0 <= values) & (values <= MAX_DWELL_S)
+        except OverflowError:  # beyond int64, so beyond the bounds
+            values = np.array([v if low <= v <= high else low - 1 for v in values], dtype=np.int64)
+        ok &= _within("dwell_s", values)
         dwell_s[five] = values
         canonical, start_ts[five] = _canonical_epochs(list(map(itemgetter(3), good)))
         accepted[five] = ok & canonical
@@ -275,6 +277,12 @@ def _parse_chunk(rows: list[list[str]], lines: np.ndarray, report: IngestReport,
     users.update(zip(fresh, range(len(users), len(users) + len(fresh))))
     user = np.fromiter(map(users.__getitem__, names), np.int32, len(names))
     return user, lon[keep], lat[keep], start_ts[keep], dwell_s[keep], lines[keep]
+
+
+def _within(name: str, values: np.ndarray) -> np.ndarray:
+    """Which values lie within the stop field's bounds (model.STOP_BOUNDS); NaN does not."""
+    low, high, *_ = STOP_BOUNDS[name]
+    return (low <= values) & (values <= high)
 
 
 def _map_lenient(convert, texts, fill) -> list:
@@ -322,11 +330,12 @@ _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 def _canonical_epochs(texts) -> tuple[np.ndarray, np.ndarray]:
     """Which texts are valid canonical UTC timestamps, and their epoch seconds.
 
-    Accepts exactly the ASCII YYYY-MM-DDTHH:MM:SSZ strings that
-    parse_iso_utc() accepts through its fast path (a real date in years
-    1-9999, hour 00-23, minute and second 00-59), with the same value;
-    other entries are False with epoch 0. Dates become days with H.
-    Hinnant's days_from_civil.
+    This is the one statement of the canonical layout: ASCII
+    YYYY-MM-DDTHH:MM:SSZ with a real date in years 1-9999, hour 00-23,
+    minute and second 00-59. Each such string gets the value
+    parse_iso_utc() gives it; other entries are False with epoch 0, and
+    parse_stops() retries them with parse_iso_utc(). Dates become days with
+    H. Hinnant's days_from_civil.
     """
     n = len(texts)
     ok = np.fromiter(map(len, texts), np.int64, n) == 20
@@ -571,15 +580,8 @@ def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer
         raise IngestError(f"unknown hazard type {hazard_type!r}")
     report = IngestReport()
     values: dict[str, float] = {}  # accepted rows, for the duplicate rule; returned as columns
-    with _text(source) as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("hazard file is empty (missing header)") from None
-        if header != HAZARD_HEADER:
-            raise IngestError(f"bad hazard header: expected {HAZARD_HEADER}, got {header}")
-        for rows, lines in _chunks(reader):
+    with _csv_chunks(source, "hazard", HAZARD_HEADER) as chunks:
+        for rows, lines in chunks:
             for line_no, row in zip(lines.tolist(), rows):
                 report.rows_read += 1
                 if isinstance(row, _Unreadable):
@@ -723,35 +725,36 @@ def read_mei_rows(source: str | Path | IO) -> list[MeiRow]:
     Any malformed row is fatal and named by its line number. A repeated
     geoid keeps the place of its first row and the values of its last.
     """
-    with _text(source) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != MEI_HEADER:
-            raise IngestError(f"bad mei.csv header: {header}")
-        rows: dict[str, MeiRow] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(MEI_HEADER):
-                raise IngestError(f"line {line_no}: expected {len(MEI_HEADER)} fields, got {len(row)}")
-            geoid = row[0]
+    rows: dict[str, MeiRow] = {}
+    with _csv_chunks(source, "mei.csv", MEI_HEADER) as chunks:
+        for chunk, lines in chunks:
+            for line_no, row in zip(lines.tolist(), chunk):
+                mei_row = _mei_row(row, line_no)
+                rows[mei_row.geoid] = mei_row
+    return list(rows.values())
 
-            def triplet(offset: int) -> dict[str, float | None]:
-                return {
-                    h: (float(row[offset + i]) if row[offset + i] else None)
-                    for i, h in enumerate(HAZARD_TYPES)
-                }
 
-            try:
-                mei_row = MeiRow(
-                    geoid=geoid,
-                    mei=triplet(1),
-                    nonhome_share=triplet(4),
-                    nonhome_conditional=triplet(7),
-                    region_class={h: row[10 + i] for i, h in enumerate(HAZARD_TYPES)},
-                )
-            except ValueError as exc:
-                raise IngestError(f"line {line_no}: unparseable field: {exc}") from exc
-            violations = validate(mei_row)
-            if violations:
-                raise IngestError(f"line {line_no}: {violations[0]}")
-            rows[geoid] = mei_row
-        return list(rows.values())
+def _mei_row(row: list[str], line_no: int) -> MeiRow:
+    """The MeiRow of a mei.csv row; any fault is an IngestError naming line_no."""
+    if isinstance(row, _Unreadable):
+        raise IngestError(f"line {line_no}: {row.reason}")
+    if len(row) != len(MEI_HEADER):
+        raise IngestError(f"line {line_no}: expected {len(MEI_HEADER)} fields, got {len(row)}")
+
+    def triplet(offset: int) -> dict[str, float | None]:
+        return {h: (float(row[offset + i]) if row[offset + i] else None) for i, h in enumerate(HAZARD_TYPES)}
+
+    try:
+        mei_row = MeiRow(
+            geoid=row[0],
+            mei=triplet(1),
+            nonhome_share=triplet(4),
+            nonhome_conditional=triplet(7),
+            region_class={h: row[10 + i] for i, h in enumerate(HAZARD_TYPES)},
+        )
+    except ValueError as exc:
+        raise IngestError(f"line {line_no}: unparseable field: {exc}") from exc
+    violations = validate(mei_row)
+    if violations:
+        raise IngestError(f"line {line_no}: {violations[0]}")
+    return mei_row

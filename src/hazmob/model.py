@@ -12,6 +12,9 @@ are the row views of those frames. A tract's code is its position in the
 tract index's sorted geoids: the hazard masks are one bool row per tract
 code and each user's home is a tract code, so no mapping keyed by geoid
 or user id runs between the parse and the index table.
+
+STOP_BOUNDS states each stop field's bounds and reject reasons once, for
+validate() and ingest.parse_stops() alike.
 """
 
 from __future__ import annotations
@@ -55,6 +58,15 @@ class StopRecord:
 # The longest accepted stop, about 68 years. It keeps every int64 dwell sum
 # exact for fewer than 2**32 stops.
 MAX_DWELL_S = 2**31 - 1
+
+# Each stop field's inclusive bounds (on its length, for user_id) and its
+# reject reasons below and above them, in the order validate() checks them.
+STOP_BOUNDS = {
+    "user_id": (1, math.inf, "user_id: must be non-empty", ""),
+    "lon": (-180.0, 180.0, "lon: out of range [-180, 180]", "lon: out of range [-180, 180]"),
+    "lat": (-90.0, 90.0, "lat: out of range [-90, 90]", "lat: out of range [-90, 90]"),
+    "dwell_s": (0, MAX_DWELL_S, "dwell_s: must be a non-negative integer", "dwell_s: out of range"),
+}
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -227,6 +239,11 @@ def csr_offsets(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
+def run_heads(keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal keys."""
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: len(keys)])
+
+
 def positions(names, geoids) -> np.ndarray:
     """The int64 position in geoids (distinct, in any order) of each of names; -1 where absent."""
     names, geoids = np.asarray(names, dtype=str), np.asarray(geoids, dtype=str)
@@ -396,16 +413,15 @@ def _num(x) -> bool:
 
 def _validate_stop(rec: StopRecord) -> list[str]:
     out = []
-    if not rec.user_id:
-        out.append("user_id: must be non-empty")
-    if not _num(rec.lon) or not -180.0 <= rec.lon <= 180.0:
-        out.append("lon: out of range [-180, 180]")
-    if not _num(rec.lat) or not -90.0 <= rec.lat <= 90.0:
-        out.append("lat: out of range [-90, 90]")
-    if not isinstance(rec.dwell_s, int) or rec.dwell_s < 0:
-        out.append("dwell_s: must be a non-negative integer")
-    elif rec.dwell_s > MAX_DWELL_S:
-        out.append("dwell_s: out of range")
+    for name, (low, high, below, above) in STOP_BOUNDS.items():
+        value = getattr(rec, name)
+        if name == "user_id" and isinstance(value, str):
+            value = len(value)
+        # Dwell times are integer seconds; NaN fails every comparison.
+        if not _num(value) or (name == "dwell_s" and not isinstance(value, int)) or not low <= value:
+            out.append(below)
+        elif not value <= high:
+            out.append(above)
     if not isinstance(rec.start_ts, int):
         out.append("start_ts: must be integer epoch seconds")
     return out

@@ -144,7 +144,7 @@ def _not_utf8(tmp_path: Path, source: Path) -> Path:
 def test_validate_stops_not_utf8_exits_1_naming_the_file(fixture_dir, tmp_path, capsys):
     bad = _not_utf8(tmp_path, fixture_dir / "stops.csv")
     assert main(["validate", "--stops", str(bad)]) == EXIT_RUNTIME
-    assert capsys.readouterr().err.startswith(f"stops: fatal: {bad}: not UTF-8 text (byte 0xff")
+    assert capsys.readouterr().err.startswith(f"error in ingest: stops: {bad}: not UTF-8 text (byte 0xff")
 
 
 def test_report_mei_not_utf8_exits_1_naming_the_file(fixture_dir, tmp_path, capsys):
@@ -631,3 +631,129 @@ def test_run_metadata_says_why_users_got_no_home(fixture_dir, tmp_path, extra, n
     else:
         assert diagnostics["users_no_night_dwell"] == no_night_dwell
         assert diagnostics["users_below_min_nights"] == below_min_nights
+
+
+@pytest.fixture(scope="module")
+def report_dir(fixture_dir, tmp_path_factory):
+    """The outputs of one good run over the fixture world."""
+    out = tmp_path_factory.mktemp("report")
+    assert main(run_args(fixture_dir, out)) == EXIT_OK
+    return out
+
+
+def _mei_with(report_dir: Path, row: int, column: str, cell: str) -> str:
+    """mei.csv's text with one cell of data row `row` (0 is the first) replaced."""
+    lines = (report_dir / "mei.csv").read_text().splitlines()
+    k = lines[0].split(",").index(column)
+    cells = lines[1 + row].split(",")
+    cells[k] = cell
+    lines[1 + row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("first_geoid, bad_cell, message", [
+    # A quoted line break puts the second data row on file line 4.
+    ('"48001\n000001"', "abc", "line 4: unparseable field: could not convert string to float: 'abc'"),
+    ("48001000001", "9" * 200_000, "line 3: unreadable row: field larger than field limit (131072)"),
+], ids=["quoted-line-break", "overlong-cell"])
+def test_report_numbers_mei_rows_by_file_line(fixture_dir, report_dir, tmp_path, capsys,
+                                              first_geoid, bad_cell, message):
+    lines = _mei_with(report_dir, 1, "mei_air", bad_cell).splitlines(keepends=True)
+    lines[1] = first_geoid + lines[1][lines[1].index(","):]
+    bad = tmp_path / "mei.csv"
+    bad.write_text("".join(lines))
+    assert main(["report", "--mei", str(bad), "--tracts", str(fixture_dir / "tracts.geojson")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error in ingest: {message}\n"
+
+
+OVERLONG = "x" * 200_000  # longer than csv.field_size_limit(), 131,072
+# Each input: its flag, and the good file that a faulty one is made from.
+INPUTS = {"stops": ("--stops", "stops.csv"), "tracts": ("--tracts", "tracts.geojson"),
+          "hazard_air_pollution": ("--hazard-air", "hazard_air_pollution.csv"), "mei": ("--mei", "mei.csv")}
+
+
+def _bad_input(kind: str, source: Path, report_dir: Path) -> bytes:
+    text = source.read_bytes()
+    if kind == "empty":
+        return b""
+    if kind == "header-only":
+        if source.suffix == ".geojson":
+            return json.dumps({"type": "FeatureCollection", "features": []}).encode()
+        return text.partition(b"\n")[0] + b"\n"
+    if kind == "nested":
+        return b"[" * 200_000
+    if kind == "overlong-header":
+        return (OVERLONG + "\n").encode() + text.partition(b"\n")[2]
+    if kind == "overlong-cell":
+        return _mei_with(report_dir, 0, "geoid", OVERLONG).encode()
+    assert kind == "bad-cell"
+    return _mei_with(report_dir, 0, "class_air", "bogus").encode()
+
+
+# Each command over a faulty input: the exit code and how stderr starts.
+# A header-only CSV is a valid, empty input; a tract file without a tract
+# fails when the index is built.
+FAULTS = [
+    *[(command, key, kind, EXIT_RUNTIME, f"error in ingest: {prefix}{start}")
+      for command, prefix in (("run", ""), ("validate", "{key}: "))
+      for key, kind, start in [
+          ("stops", "not-utf8", "{path}: not UTF-8 text (byte 0xff"),
+          ("stops", "empty", "stops file is empty (missing header)"),
+          ("stops", "overlong-header", "bad stops header: expected ['user_id', 'lon', 'lat', "
+                                       "'start_ts', 'dwell_s'], got unreadable row: field larger"),
+          ("hazard_air_pollution", "not-utf8", "{path}: not UTF-8 text (byte 0xff"),
+          ("hazard_air_pollution", "empty", "hazard file is empty (missing header)"),
+          ("hazard_air_pollution", "overlong-header",
+           "bad hazard header: expected ['geoid', 'value'], got unreadable row: field larger"),
+          ("tracts", "not-utf8", "{path}: not UTF-8 text (byte 0xff"),
+          ("tracts", "empty", "invalid GeoJSON"),
+          ("tracts", "nested", "maximum recursion depth exceeded"),
+      ]],
+    ("run", "stops", "header-only", EXIT_OK, ""),
+    ("run", "hazard_air_pollution", "header-only", EXIT_OK, ""),
+    ("run", "tracts", "header-only", EXIT_RUNTIME, "error in geoindex: cannot build an index over an empty"),
+    ("validate", "stops", "header-only", EXIT_OK, ""),
+    ("validate", "tracts", "header-only", EXIT_OK, ""),
+    ("report", "mei", "not-utf8", EXIT_RUNTIME, "error in ingest: {path}: not UTF-8 text (byte 0xff"),
+    ("report", "mei", "empty", EXIT_RUNTIME, "error in ingest: mei.csv file is empty (missing header)"),
+    ("report", "mei", "header-only", EXIT_OK, ""),
+    ("report", "mei", "overlong-header", EXIT_RUNTIME, "error in ingest: bad mei.csv header: expected"),
+    ("report", "mei", "overlong-cell", EXIT_RUNTIME,
+     "error in ingest: line 2: unreadable row: field larger than field limit (131072)"),
+    ("report", "mei", "bad-cell", EXIT_RUNTIME, "error in ingest: line 2: region_class[air_pollution]"),
+    ("report", "tracts", "nested", EXIT_RUNTIME, "error in ingest: maximum recursion depth exceeded"),
+    ("report", "tracts", "empty", EXIT_RUNTIME, "error in ingest: invalid GeoJSON"),
+    ("run", "out", "below-a-file", EXIT_RUNTIME, "error in output: "),
+    ("synth", "out", "below-a-file", EXIT_RUNTIME, "error in output: "),
+    ("synth", "grid", "0", EXIT_CONFIG, "config error: grid_n must be in [1, 64]"),
+]
+
+
+@pytest.mark.parametrize("command, key, kind, code, start", FAULTS,
+                         ids=["-".join(case[:3]) for case in FAULTS])
+def test_each_command_words_a_failure_once_without_a_traceback(fixture_dir, report_dir, tmp_path, capsys,
+                                                               command, key, kind, code, start):
+    (tmp_path / "file").write_text("not a directory\n")
+    path = tmp_path / "file" / "out"
+    flag = f"--{key}"
+    if key in INPUTS:
+        flag, name = INPUTS[key]
+        source = (report_dir if key == "mei" else fixture_dir) / name
+        if kind == "not-utf8":
+            path = _not_utf8(tmp_path, source)
+        else:
+            path = tmp_path / f"{kind}{source.suffix}"
+            path.write_bytes(_bad_input(kind, source, report_dir))
+    args = {
+        "run": run_args(fixture_dir, tmp_path / "out"),
+        "validate": ["validate", flag, str(path)],
+        "report": ["report", "--mei", str(report_dir / "mei.csv"), "--tracts", str(fixture_dir / "tracts.geojson")],
+        "synth": ["synth", "--seed", "1", "--grid", "2", "--users", "4", "--stops-per-user", "3",
+                  "--out", str(tmp_path / "world")],
+    }[command]
+    args[args.index(flag) + 1] = kind if key == "grid" else str(path)
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start.format(key=key, path=path))
+    assert "Traceback" not in err
+    assert (code == EXIT_OK) == (err == "")

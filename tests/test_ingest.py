@@ -19,7 +19,8 @@ from hazmob import ingest, synth
 from hazmob.exposure import PopulationCurve
 from hazmob.ingest import IngestError, parse_hazard, parse_stops, parse_tracts
 from hazmob.hazardclass import classify_percentile
-from hazmob.model import HAZARD_TYPES, HazardLayer, MeiRow, MeiTable, StopRecord, format6, validate
+from hazmob.model import (HAZARD_TYPES, MAX_DWELL_S, HazardLayer, MeiRow, MeiTable, StopRecord, format6,
+                          validate)
 
 from conftest import layer_of, masked_set, tract_worlds, unit_square_tract, values_of
 
@@ -93,6 +94,49 @@ def test_parse_stops_bad_header_is_fatal():
         parse_stops(io.StringIO("user,lon,lat,ts,dwell\n"))
     with pytest.raises(IngestError):
         parse_stops(io.StringIO(""))
+
+
+# Each CSV reader: its file's name in the header wording and its header.
+CSV_READERS = [
+    (parse_stops, "stops", ["user_id", "lon", "lat", "start_ts", "dwell_s"]),
+    (lambda source: parse_hazard(source, "heat"), "hazard", ["geoid", "value"]),
+    (ingest.read_mei_rows, "mei.csv", ingest.MEI_HEADER),
+]
+
+
+@pytest.mark.parametrize("parse, what, header", CSV_READERS, ids=["stops", "hazard", "mei.csv"])
+def test_csv_readers_word_a_missing_or_wrong_header_alike(parse, what, header):
+    with pytest.raises(IngestError) as info:
+        parse(io.StringIO(""))
+    assert str(info.value) == f"{what} file is empty (missing header)"
+    with pytest.raises(IngestError) as info:
+        parse(io.StringIO("geoid,lon,value\n1,2,3\n"))
+    assert str(info.value) == f"bad {what} header: expected {header}, got ['geoid', 'lon', 'value']"
+
+
+@pytest.mark.parametrize("field, text, reason", [
+    ("user_id", "", "user_id: must be non-empty"),
+    ("lon", "180.0001", "lon: out of range [-180, 180]"),
+    ("lon", "-180.0001", "lon: out of range [-180, 180]"),
+    ("lat", "90.0001", "lat: out of range [-90, 90]"),
+    ("lat", "-90.0001", "lat: out of range [-90, 90]"),
+    ("dwell_s", "-1", "dwell_s: must be a non-negative integer"),
+    ("dwell_s", str(MAX_DWELL_S + 1), "dwell_s: out of range"),
+    ("lon", "180", None), ("lon", "-180", None), ("lat", "90", None), ("lat", "-90", None),
+    ("dwell_s", "0", None), ("dwell_s", str(MAX_DWELL_S), None),
+])
+def test_validate_and_parse_stops_draw_a_stop_bound_alike(field, text, reason):
+    cells = {"user_id": "u1", "lon": "-73.9", "lat": "40.7", "start_ts": "2019-04-01T08:00:00Z", "dwell_s": "60"}
+    cells[field] = text
+    rec = StopRecord(user_id=cells["user_id"], lon=float(cells["lon"]), lat=float(cells["lat"]),
+                     start_ts=1554105600, dwell_s=int(cells["dwell_s"]))
+    assert validate(rec) == ([] if reason is None else [reason])
+    # A chunk of good rows around it, so the column checks decide.
+    good = "u2,-73.9,40.7,2019-04-01T08:00:00Z,60"
+    stops, report = parse_stops(stops_stream(good, ",".join(cells.values()), good))
+    assert report.first_10_rejects == ([] if reason is None else [(3, reason)])
+    if reason is None:
+        assert stops.records()[1] == rec
 
 
 def test_parse_stops_accepts_byte_stream():
