@@ -4,7 +4,6 @@ from .model import (
     HAZARD_TYPES,
     CensusTract,
     HazardLayer,
-    MeiRow,
     MeiTable,
     StopRecord,
     validate,
@@ -14,7 +13,6 @@ __all__ = [
     "HAZARD_TYPES",
     "CensusTract",
     "HazardLayer",
-    "MeiRow",
     "MeiTable",
     "StopRecord",
     "validate",

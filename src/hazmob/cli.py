@@ -29,7 +29,7 @@ import numpy as np
 
 from . import cluster, exposure, hazardclass, homeloc, ingest, stats
 from .geoindex import build_index, locate_stops
-from .model import HAZARD_TYPES, REGION_DIRECT, REGION_LATENT, REGION_NONE, MeiRow, MeiTable
+from .model import DIRECT_CODE, HAZARD_TYPES, LATENT_CODE, NONE_CODE, REGIONS, MeiTable
 
 THREADS_ENV = "HAZMOB_THREADS"
 
@@ -338,7 +338,7 @@ def _run_into(config: RunConfig, staging: Path) -> list[str]:
         "disparity.csv": disparity,
         "correlations.csv": correlations,
         "scatter.csv": scatter,
-        "curves.csv": curves,
+        "curves.csv": exposure.CurveTable(curves),
     }
     with _stage("output"):
         for name, report in reports.items():
@@ -380,16 +380,13 @@ def _run_into(config: RunConfig, staging: Path) -> list[str]:
     return [name for report in reports for name in (report, f"{report}.meta.json")] + ["run_metadata.json"]
 
 
-def _class_means(rows: list[MeiRow], hazard: str) -> dict[str, tuple[int, float | None]]:
+def _class_means(table: MeiTable, k: int) -> dict[str, tuple[int, float | None]]:
+    """Per region class, in direct, latent, none order: the number of tracts with
+    a defined index for hazard k and that index's mean, summed in geoid order."""
     out = {}
-    for region in (REGION_DIRECT, REGION_LATENT, REGION_NONE):
-        values = [
-            row.mei[hazard]
-            for row in rows
-            if row.region_class[hazard] == region and row.mei[hazard] is not None
-        ]
-        mean = sum(values) / len(values) if values else None
-        out[region] = (len(values), mean)
+    for code in (DIRECT_CODE, LATENT_CODE, NONE_CODE):
+        values = table.mei[(table.region[:, k] == code) & ~np.isnan(table.mei[:, k]), k].tolist()
+        out[REGIONS[code]] = (len(values), sum(values) / len(values) if values else None)
     return out
 
 
@@ -397,15 +394,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     config = RunConfig(**_flag_values(args, _REPORT_KEYS))
     config.check(*_REPORT_KEYS)
     with _stage("ingest"):
-        rows = ingest.read_mei_rows(args.mei)
+        table = ingest.read_mei(args.mei)
         tracts = ingest.parse_tracts(args.tracts)
 
     with _stage("exposure"):
-        table = MeiTable.from_rows(rows)
-        lines = [f"tracts with defined MEI: {sum(1 for row in rows if not row.excluded)}"]
-        for hazard in HAZARD_TYPES:
+        lines = [f"tracts with defined MEI: {int((~table.excluded).sum())}"]
+        for k, hazard in enumerate(HAZARD_TYPES):
             parts = [f"{region}: {n} tracts" + ("" if mean is None else f" mean_mei={mean:.6f}")
-                     for region, (n, mean) in _class_means(rows, hazard).items()]
+                     for region, (n, mean) in _class_means(table, k).items()]
             lines.append(f"{hazard} " + " | ".join(parts))
         for hazard in HAZARD_TYPES:
             curve = exposure.population_curve(table, tracts, hazard, list(config.curve_thresholds))

@@ -16,7 +16,6 @@ are numpy passes over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,15 +41,6 @@ class PopulationCurve:
     hazard_type: str
     points: list[tuple[float, int]]
 
-    header = ("hazard", "threshold", "population")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.points)
-
-    def csv_rows(self) -> Iterator[tuple]:
-        return ((self.hazard_type, format6(t), str(population)) for t, population in self.points)
-
 
 @dataclass(frozen=True, slots=True)
 class CurveTable:
@@ -58,15 +48,15 @@ class CurveTable:
 
     curves: list[PopulationCurve]
 
-    header = PopulationCurve.header
+    header = ("hazard", "threshold", "population")
 
     @property
     def n_rows(self) -> int:
-        return sum(c.n_rows for c in self.curves)
+        return sum(len(c.points) for c in self.curves)
 
     def csv_rows(self) -> Iterator[tuple]:
         ordered = sorted(self.curves, key=lambda c: HAZARD_TYPES.index(c.hazard_type))
-        return chain.from_iterable(c.csv_rows() for c in ordered)
+        return ((c.hazard_type, format6(t), str(population)) for c in ordered for t, population in c.points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,16 +184,19 @@ def classify_regions(table: MeiTable, masks: np.ndarray, geoids: Sequence[str]) 
     return table.with_columns(region=region)
 
 
-def tract_columns(geoids: np.ndarray, tracts: TractTable, *names: str):
-    """The tracts named by geoids and the named CensusTract fields.
+def tract_columns(geoids: np.ndarray, tracts: TractTable, *names: str) -> tuple[np.ndarray, ...]:
+    """The named TractTable columns (population, pct_minority,
+    pct_below_poverty200), one entry per geoid.
 
-    Returns (found, *columns), one entry per geoid. A geoid without a tract
-    has found False, population 0 and NaN fractions.
+    Every geoid must name a tract: the first that does not is a ValueError.
     """
     if not isinstance(tracts, TractTable):
         raise TypeError(f"tracts must be a TractTable, not {type(tracts).__name__}")
     at = positions(geoids, tracts.geoids)
-    return (at >= 0, *(tracts.columns[name][at] for name in names))
+    missing = np.flatnonzero(at < 0)
+    if len(missing):
+        raise ValueError(f"geoid {geoids[missing[0]]} has no tract in the tract file")
+    return tuple(getattr(tracts, name)[at] for name in names)
 
 
 def population_curve(
@@ -214,7 +207,7 @@ def population_curve(
 ) -> PopulationCurve:
     """Population in latent tracts with index above each threshold."""
     k = HAZARD_TYPES.index(hazard_type)
-    _, population = tract_columns(table.geoids, tracts, "population")
+    (population,) = tract_columns(table.geoids, tracts, "population")
     latent = table.region[:, k] == LATENT_CODE
     mei = table.mei[:, k]
     points = [(t, sum(population[latent & (mei > t)].tolist())) for t in thresholds]
@@ -228,5 +221,5 @@ def compound_latent(
 ) -> tuple[list[str], int]:
     """Tracts latent in all three hazards with index above threshold in each."""
     chosen = ((table.region == LATENT_CODE) & (table.mei > threshold)).all(axis=1)
-    _, population = tract_columns(table.geoids, tracts, "population")
+    (population,) = tract_columns(table.geoids, tracts, "population")
     return table.geoids[chosen].tolist(), sum(population[chosen].tolist())

@@ -10,8 +10,8 @@ The three CSV inputs (stops, hazard layers, mei.csv) share one reader,
 _csv_chunks(), which checks the header with one wording and yields rows
 with the file line each starts on. Each input rule is stated once: stop
 bounds in model.STOP_BOUNDS, the canonical timestamp layout in
-_canonical_epochs(), hazard rows in parse_hazard(), mei.csv values in
-model.validate().
+_canonical_epochs(), hazard rows in parse_hazard(), mei.csv rows in
+read_mei().
 
 parse_stops() returns one model.Stops frame of numpy columns. It checks
 and converts whole chunks of rows at once; only rows those checks do not
@@ -39,10 +39,10 @@ import numpy as np
 from .model import (
     HAZARD_TYPES,
     MEI_HEADER,
+    REGIONS,
     STOP_BOUNDS,
     CensusTract,
     HazardLayer,
-    MeiRow,
     MeiTable,
     StopRecord,
     Stops,
@@ -695,14 +695,8 @@ def write_report(table, dest: str | Path, config_hash: str = "") -> int:
     """Write a report as a deterministic CSV plus metadata sidecar; returns the CSV byte count.
 
     A report exposes its column names (header), its data rows as cells
-    (csv_rows()) and its row count (n_rows). A list of population curves
-    is written as one exposure.CurveTable.
+    (csv_rows()) and its row count (n_rows).
     """
-    if isinstance(table, list):
-        from .exposure import CurveTable, PopulationCurve
-
-        if all(isinstance(c, PopulationCurve) for c in table):
-            table = CurveTable(table)
     if not all(hasattr(table, name) for name in ("header", "csv_rows", "n_rows")):
         raise IngestError(f"write_report does not handle {type(table).__name__}")
     n = _write_csv(dest, table.header, table.csv_rows())
@@ -711,50 +705,50 @@ def write_report(table, dest: str | Path, config_hash: str = "") -> int:
 
 
 def read_mei(source: str | Path | IO) -> MeiTable:
-    """Parse a mei.csv report back into a MeiTable (6-decimal precision).
+    """Parse a mei.csv report into a MeiTable (6-decimal precision).
 
     The table is sorted by geoid whatever the file's row order; every
-    cluster label reads -1 (mei.csv has no labels).
+    cluster label reads -1 (mei.csv has no labels). An empty index cell is
+    undefined. Any malformed row or repeated geoid is fatal and named by its
+    file line; of several faults in a row, the first in field order is named,
+    with the indices and class of one hazard checked before the next.
     """
-    return MeiTable.from_rows(read_mei_rows(source))
-
-
-def read_mei_rows(source: str | Path | IO) -> list[MeiRow]:
-    """Parse a mei.csv report into MeiRows, in file order (6-decimal precision).
-
-    Any malformed row is fatal and named by its line number. A repeated
-    geoid keeps the place of its first row and the values of its last.
-    """
-    rows: dict[str, MeiRow] = {}
+    geoids: list[str] = []
+    values: list[float] = []
+    codes: list[int] = []
+    seen: set[str] = set()
     with _csv_chunks(source, "mei.csv", MEI_HEADER) as chunks:
         for chunk, lines in chunks:
             for line_no, row in zip(lines.tolist(), chunk):
-                mei_row = _mei_row(row, line_no)
-                rows[mei_row.geoid] = mei_row
-    return list(rows.values())
-
-
-def _mei_row(row: list[str], line_no: int) -> MeiRow:
-    """The MeiRow of a mei.csv row; any fault is an IngestError naming line_no."""
-    if isinstance(row, _Unreadable):
-        raise IngestError(f"line {line_no}: {row.reason}")
-    if len(row) != len(MEI_HEADER):
-        raise IngestError(f"line {line_no}: expected {len(MEI_HEADER)} fields, got {len(row)}")
-
-    def triplet(offset: int) -> dict[str, float | None]:
-        return {h: (float(row[offset + i]) if row[offset + i] else None) for i, h in enumerate(HAZARD_TYPES)}
-
-    try:
-        mei_row = MeiRow(
-            geoid=row[0],
-            mei=triplet(1),
-            nonhome_share=triplet(4),
-            nonhome_conditional=triplet(7),
-            region_class={h: row[10 + i] for i, h in enumerate(HAZARD_TYPES)},
-        )
-    except ValueError as exc:
-        raise IngestError(f"line {line_no}: unparseable field: {exc}") from exc
-    violations = validate(mei_row)
-    if violations:
-        raise IngestError(f"line {line_no}: {violations[0]}")
-    return mei_row
+                if isinstance(row, _Unreadable):
+                    raise IngestError(f"line {line_no}: {row.reason}")
+                if len(row) != len(MEI_HEADER):
+                    raise IngestError(f"line {line_no}: expected {len(MEI_HEADER)} fields, got {len(row)}")
+                if row[0] in seen:
+                    raise IngestError(f"line {line_no}: duplicate geoid {row[0]}")
+                # The str column drops trailing NULs, which would make it another geoid.
+                if row[0].endswith("\0"):
+                    raise IngestError(f"line {line_no}: geoid ends in a NUL character")
+                try:
+                    floats = [float(text) if text else math.nan for text in row[1:10]]
+                except ValueError as exc:
+                    raise IngestError(f"line {line_no}: unparseable field: {exc}") from exc
+                for k, h in enumerate(HAZARD_TYPES):
+                    for i, name in enumerate(("mei", "nonhome_share", "nonhome_conditional")):
+                        if row[1 + 3 * i + k] and not 0.0 <= floats[3 * i + k] <= 1.0:
+                            raise IngestError(f"line {line_no}: {name}[{h}]: outside [0, 1]")
+                    if row[10 + k] not in REGIONS:
+                        raise IngestError(f"line {line_no}: region_class[{h}]: invalid class")
+                seen.add(row[0])
+                geoids.append(row[0])
+                values += floats
+                codes += map(REGIONS.index, row[10:])
+    names = np.array(geoids, dtype=str)
+    order = np.argsort(names, kind="stable")
+    cells = np.array(values, dtype=np.float64).reshape(-1, 9)[order]
+    return MeiTable(
+        geoids=names[order],
+        mei=cells[:, 0:3], nonhome_share=cells[:, 3:6], nonhome_conditional=cells[:, 6:9],
+        region=np.array(codes, dtype=np.int8).reshape(-1, 3)[order],
+        label=np.full(len(geoids), -1, dtype=np.int32),
+    )

@@ -7,8 +7,8 @@ never mutated after the owning object is returned to a caller.
 
 The pipeline holds its stops in one Stops frame of numpy columns, its
 tracts in one TractTable, each hazard in one HazardLayer and its
-per-tract results in one MeiTable; StopRecord, CensusTract and MeiRow
-are the row views of those frames. A tract's code is its position in the
+per-tract results in one MeiTable, which has no row view; StopRecord and
+CensusTract are the row views of the first two. A tract's code is its position in the
 tract index's sorted geoids: the hazard masks are one bool row per tract
 code and each user's home is a tract code, so no mapping keyed by geoid
 or user id runs between the parse and the index table.
@@ -220,19 +220,6 @@ class TractTable:
         """Each geoid's row, for the scalar lookups that read the row view."""
         return {geoid: i for i, geoid in enumerate(self.geoids.tolist())}
 
-    @cached_property
-    def columns(self) -> dict[str, np.ndarray]:
-        """population, pct_minority and pct_below_poverty200, with one more
-        entry (0, NaN, NaN) at the end for a geoid without a tract.
-
-        Sums of population go through tolist() so that they stay exact.
-        """
-        return {
-            "population": np.append(self.population, np.zeros(1, self.population.dtype)),
-            "pct_minority": np.append(self.pct_minority, math.nan),
-            "pct_below_poverty200": np.append(self.pct_below_poverty200, math.nan),
-        }
-
 
 def csr_offsets(counts) -> np.ndarray:
     """CSR offsets of consecutive runs of the given lengths: 0, then the running sums."""
@@ -269,27 +256,6 @@ class HazardLayer:
     values: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
-class MeiRow:
-    """One tract's exposure indices, region classes, and cluster label.
-
-    The row view of a MeiTable. mei[h] is undefined (None) when the source
-    accumulator had zero total dwell; such tracts are excluded from
-    downstream statistics.
-    """
-
-    geoid: str
-    mei: dict[str, float | None]
-    nonhome_share: dict[str, float | None]
-    nonhome_conditional: dict[str, float | None]
-    region_class: dict[str, str]
-    cluster_label: int = -1
-
-    @property
-    def excluded(self) -> bool:
-        return all(self.mei[h] is None for h in HAZARD_TYPES)
-
-
 # Region classes by their int8 code in MeiTable.region.
 REGIONS = (REGION_NONE, REGION_LATENT, REGION_DIRECT)
 NONE_CODE, LATENT_CODE, DIRECT_CODE = range(3)
@@ -321,8 +287,8 @@ class MeiTable:
     and nonhome_conditional are float64 of shape (n, 3), one column per
     hazard in HAZARD_TYPES order, NaN where undefined; region holds int8
     codes into REGIONS, shape (n, 3); label holds int32 cluster labels,
-    -1 for noise and for tracts that were not clustered. MeiRow is the
-    row view (rows).
+    -1 for noise and for tracts that were not clustered. exposure.compute_mei
+    and ingest.read_mei build it; every reader works on the columns.
     """
 
     geoids: np.ndarray
@@ -355,42 +321,6 @@ class MeiTable:
             region=self.region if region is None else region,
             label=self.label if label is None else label,
         )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[MeiRow]) -> MeiTable:
-        """The table of MeiRows (in any order; geoids must be distinct)."""
-        rows = sorted(rows, key=lambda r: r.geoid)
-
-        def column(name: str) -> np.ndarray:
-            values = [[math.nan if v is None else v for v in map(getattr(r, name).get, HAZARD_TYPES)]
-                      for r in rows]
-            return np.array(values, dtype=np.float64).reshape(len(rows), 3)
-
-        codes = [[REGIONS.index(r.region_class[h]) for h in HAZARD_TYPES] for r in rows]
-        return cls(
-            geoids=np.array([r.geoid for r in rows], dtype=str),
-            mei=column("mei"),
-            nonhome_share=column("nonhome_share"),
-            nonhome_conditional=column("nonhome_conditional"),
-            region=np.array(codes, dtype=np.int8).reshape(len(rows), 3),
-            label=np.array([r.cluster_label for r in rows], dtype=np.int32),
-        )
-
-    @cached_property
-    def rows(self) -> dict[str, MeiRow]:
-        """The row view: one MeiRow per tract, keyed and ordered by geoid."""
-        def triples(column: np.ndarray) -> list[dict[str, float | None]]:
-            return [dict(zip(HAZARD_TYPES, (None if v != v else v for v in row)))
-                    for row in column.tolist()]
-
-        classes = [dict(zip(HAZARD_TYPES, map(REGIONS.__getitem__, row)))
-                   for row in self.region.tolist()]
-        return {
-            geoid: MeiRow(geoid, mei, share, cond, region_class, label)
-            for geoid, mei, share, cond, region_class, label in zip(
-                self.geoids.tolist(), triples(self.mei), triples(self.nonhome_share),
-                triples(self.nonhome_conditional), classes, self.label.tolist())
-        }
 
     def csv_rows(self) -> Iterator[tuple]:
         """mei.csv's data rows: geoid, the three index columns and the classes."""
@@ -427,21 +357,6 @@ def _validate_stop(rec: StopRecord) -> list[str]:
     return out
 
 
-def _validate_mei_row(row: MeiRow) -> list[str]:
-    out = []
-    for h in HAZARD_TYPES:
-        for name, m in (("mei", row.mei), ("nonhome_share", row.nonhome_share),
-                        ("nonhome_conditional", row.nonhome_conditional)):
-            v = m.get(h)
-            if v is not None and not 0.0 <= v <= 1.0:
-                out.append(f"{name}[{h}]: outside [0, 1]")
-        if row.region_class.get(h) not in (REGION_DIRECT, REGION_LATENT, REGION_NONE):
-            out.append(f"region_class[{h}]: invalid class")
-    if not isinstance(row.cluster_label, int) or row.cluster_label < -1:
-        out.append("cluster_label: must be an integer >= -1")
-    return out
-
-
 def validate(value) -> list[str]:
     """Check a domain value against its type invariants.
 
@@ -451,6 +366,4 @@ def validate(value) -> list[str]:
     """
     if isinstance(value, StopRecord):
         return _validate_stop(value)
-    if isinstance(value, MeiRow):
-        return _validate_mei_row(value)
     raise TypeError(f"validate() does not handle {type(value).__name__}")

@@ -5,7 +5,7 @@ freedom, two-sided p-values through the regularized incomplete beta
 function (continued-fraction evaluation), Pearson correlation with its
 t-based p-value, and the table builders for the disparity, correlation
 and scatter reports, which run over the MeiTable's columns and the tract
-demographics joined to them by geoid.
+demographics joined to them by geoid; every geoid must name a tract.
 """
 
 from __future__ import annotations
@@ -299,11 +299,12 @@ def disparity_table(table: MeiTable, tracts: TractTable) -> DisparityTable:
     Each class is compared against the complementary tracts with a Welch
     t-test at the 0.01 level; classes with fewer than 2 tracts get their
     means but no test. The first row carries the all-tract baseline. Only
-    tracts with a defined index and a tract record take part.
+    tracts with a defined index take part; every table geoid must name a
+    tract (exposure.tract_columns).
     """
-    found, population, minority, poverty = tract_columns(
+    population, minority, poverty = tract_columns(
         table.geoids, tracts, "population", "pct_minority", "pct_below_poverty200")
-    included = found & ~table.excluded
+    included = ~table.excluded
     region, population = table.region[included], population[included]
     minority, poverty = minority[included], poverty[included]
 
@@ -343,8 +344,7 @@ def hazard_pair_correlations(table: MeiTable) -> CorrelationTable:
 
 def scatter_export(table: MeiTable, tracts: TractTable) -> ScatterTable:
     """Per-tract rows pairing exposure indices with demographics."""
-    found, population, minority, poverty = tract_columns(
+    population, minority, poverty = tract_columns(
         table.geoids, tracts, "population", "pct_minority", "pct_below_poverty200")
-    return ScatterTable(geoids=table.geoids[found], pct_poverty200=poverty[found],
-                        mei=table.mei[found], pct_minority=minority[found],
-                        population=population[found])
+    return ScatterTable(geoids=table.geoids, pct_poverty200=poverty, mei=table.mei,
+                        pct_minority=minority, population=population)

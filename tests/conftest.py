@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hazmob.hazardclass import classify_heat_quartile, classify_percentile
 from hazmob.homeloc import HomeMap
 from hazmob.model import (
     HAZARD_TYPES,
+    REGIONS,
     CensusTract,
     HazardLayer,
     MeiTable,
@@ -114,6 +116,53 @@ def home_map_of(assignments: dict, stops: Stops, geoids) -> HomeMap:
                              for u in stops.user_ids.tolist()], dtype=np.int32))
 
 
+MEI_INDEXES = ("mei", "nonhome_share", "nonhome_conditional")
+
+
+def _per_hazard(value) -> list:
+    """A per-hazard value in HAZARD_TYPES order: a dict by hazard, or one value for all three."""
+    return [value[h] for h in HAZARD_TYPES] if isinstance(value, dict) else [value] * 3
+
+
+def mei_table(rows: dict) -> MeiTable:
+    """The MeiTable, sorted by geoid, of {geoid: {field: value}}.
+
+    The fields are mei, nonhome_share, nonhome_conditional (None where
+    undefined), region_class and label. All but label are per hazard, as a
+    dict by hazard or one value for all three. A missing field is undefined,
+    "none" or -1.
+    """
+    geoids = sorted(rows)
+
+    def column(name: str) -> np.ndarray:
+        values = [[math.nan if v is None else v for v in _per_hazard(rows[g].get(name))] for g in geoids]
+        return np.array(values, dtype=np.float64).reshape(len(geoids), 3)
+
+    region = [[REGIONS.index(c) for c in _per_hazard(rows[g].get("region_class", "none"))] for g in geoids]
+    return MeiTable(
+        geoids=np.array(geoids, dtype=str), mei=column("mei"), nonhome_share=column("nonhome_share"),
+        nonhome_conditional=column("nonhome_conditional"),
+        region=np.array(region, dtype=np.int8).reshape(len(geoids), 3),
+        label=np.array([rows[g].get("label", -1) for g in geoids], dtype=np.int32),
+    )
+
+
+def mei_rows(table: MeiTable) -> dict[str, SimpleNamespace]:
+    """The oracle row view of a MeiTable, keyed and ordered by geoid: mei,
+    nonhome_share and nonhome_conditional (dicts by hazard, None where
+    undefined), region_class (a dict by hazard), label and excluded."""
+    def by_hazard(values) -> dict:
+        return dict(zip(HAZARD_TYPES, (None if v != v else v for v in values)))
+
+    return {
+        geoid: SimpleNamespace(
+            **{name: by_hazard(getattr(table, name)[i].tolist()) for name in MEI_INDEXES},
+            region_class=dict(zip(HAZARD_TYPES, map(REGIONS.__getitem__, table.region[i].tolist()))),
+            label=int(table.label[i]), excluded=bool(table.excluded[i]))
+        for i, geoid in enumerate(table.geoids.tolist())
+    }
+
+
 @pytest.fixture(scope="session")
 def small_world():
     """A compact natural-mode world shared by the cheaper pipeline tests."""
@@ -197,8 +246,8 @@ def tract_worlds(draw) -> TractTable:
 
 # ---------------------------------------------------------------------------
 # Oracles for values the pipeline does not build: one tract's dwell sums,
-# and the invariants of those, of CensusTracts, HazardLayers and MeiTables
-# that model.validate() checks only for StopRecords and MeiRows.
+# and the invariants of those, of CensusTracts, HazardLayers and MeiTables,
+# which model.validate() does not check.
 # ---------------------------------------------------------------------------
 
 
@@ -288,6 +337,21 @@ def _validate_accumulator(acc: ExposureAccumulator) -> list[str]:
     return out
 
 
+def _validate_mei_table(table: MeiTable) -> list[str]:
+    out = []
+    for i, geoid in enumerate(table.geoids.tolist()):
+        for k, h in enumerate(HAZARD_TYPES):
+            for name in MEI_INDEXES:
+                v = getattr(table, name)[i, k]
+                if v == v and not 0.0 <= v <= 1.0:
+                    out.append(f"rows[{geoid}].{name}[{h}]: outside [0, 1]")
+            if not 0 <= table.region[i, k] < len(REGIONS):
+                out.append(f"rows[{geoid}].region_class[{h}]: invalid class")
+        if table.label[i] < -1:
+            out.append(f"rows[{geoid}].label: must be >= -1")
+    return out
+
+
 def check(value) -> list[str]:
     """model.validate(), extended to CensusTracts, HazardLayers,
     ExposureAccumulators and MeiTables: one violation per broken rule."""
@@ -298,5 +362,5 @@ def check(value) -> list[str]:
     if isinstance(value, ExposureAccumulator):
         return _validate_accumulator(value)
     if isinstance(value, MeiTable):
-        return [f"rows[{g}].{v}" for g, row in value.rows.items() for v in validate(row)]
+        return _validate_mei_table(value)
     return validate(value)

@@ -19,7 +19,7 @@ from hazmob.geoindex import build_index, contains, locate, locate_stops
 from hazmob.homeloc import infer_homes
 from hazmob.model import HAZARD_TYPES
 
-from conftest import assignments_of, masked_set, values_of
+from conftest import assignments_of, masked_set, mei_rows, values_of
 from test_stats import WELCH_ORACLE, X20, Y20, R20
 
 
@@ -77,9 +77,10 @@ def test_c01_exposure_equals_reference_loop():
             if where in masked[h]:
                 hdt[h][home] = hdt[h].get(home, 0) + s.dwell_s
 
-    ok = set(table.rows) == set(tdt)
+    rows = mei_rows(table)
+    ok = set(rows) == set(tdt)
     worst = 0.0
-    for geoid, row in table.rows.items():
+    for geoid, row in rows.items():
         for h in HAZARD_TYPES:
             expected = hdt[h].get(geoid, 0) / tdt[geoid] if tdt[geoid] > 0 else None
             if (row.mei[h] is None) != (expected is None):
@@ -216,16 +217,17 @@ def test_c04_statistics_oracle():
 def test_c05_bimodal_direct_latent_separation(bimodal_world):
     started = time.perf_counter()
     world, (index, home_map, masks, acc, table) = bimodal_world
+    rows = mei_rows(table).values()
     ok = True
     details = []
     for h in HAZARD_TYPES:
-        direct = [r.mei[h] for r in table.rows.values()
+        direct = [r.mei[h] for r in rows
                   if r.region_class[h] == "direct" and r.mei[h] is not None]
-        latent = [r.mei[h] for r in table.rows.values()
+        latent = [r.mei[h] for r in rows
                   if r.region_class[h] == "latent" and r.mei[h] is not None]
-        nh_direct = [r.nonhome_share[h] for r in table.rows.values()
+        nh_direct = [r.nonhome_share[h] for r in rows
                      if r.region_class[h] == "direct" and r.nonhome_share[h] is not None]
-        nh_latent = [r.nonhome_share[h] for r in table.rows.values()
+        nh_latent = [r.nonhome_share[h] for r in rows
                      if r.region_class[h] == "latent" and r.nonhome_share[h] is not None]
         mean_direct = sum(direct) / len(direct)
         mean_latent = sum(latent) / len(latent)
@@ -287,7 +289,7 @@ def test_c07_convergence_to_planted_expectation():
     _, _, _, _, table = run_pipeline(world)
     worst = 0.0
     cells = 0
-    for geoid, row in table.rows.items():
+    for geoid, row in mei_rows(table).items():
         for h in HAZARD_TYPES:
             if row.mei[h] is not None:
                 worst = max(worst, abs(row.mei[h] - world.truth.expected_mei[geoid][h]))
@@ -375,7 +377,7 @@ def test_c09_million_stop_performance_floor(tmp_path):
     ingest.write_report(stats.disparity_table(table, tracts), out / "disparity.csv")
     ingest.write_report(stats.hazard_pair_correlations(table), out / "correlations.csv")
     ingest.write_report(stats.scatter_export(table, tracts), out / "scatter.csv")
-    ingest.write_report(curves, out / "curves.csv")
+    ingest.write_report(exposure.CurveTable(curves), out / "curves.csv")
     elapsed = time.perf_counter() - started
     gate(9, "1,000,000 stops across 1,024 tracts end to end single-threaded",
          elapsed < 60.0, f"{elapsed:.1f}s (limit 60s)")
@@ -408,9 +410,10 @@ def test_c10_monotonicity_suite(bimodal_world):
         exposure.accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, bigger)
     )
     mei_ok = True
-    for geoid, row in table.rows.items():
+    grown = mei_rows(grown_table)
+    for geoid, row in mei_rows(table).items():
         before = row.mei["heat"]
-        after = grown_table.rows[geoid].mei["heat"]
+        after = grown[geoid].mei["heat"]
         if before is not None and (after is None or after < before - 1e-15):
             mei_ok = False
     gate(10, "population curves, masks, and MEI respond monotonically",

@@ -11,6 +11,8 @@ from hazmob import synth
 from hazmob.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_config_file, main, make_parser
 from hazmob.cli import ConfigError, RunConfig
 
+from conftest import mei_table
+
 REPORT_FILES = [
     "mei.csv", "clusters.csv", "cluster_summary.csv", "disparity.csv",
     "correlations.csv", "scatter.csv", "curves.csv",
@@ -359,18 +361,9 @@ def test_report_summary_consistent_with_mei_csv(fixture_dir, tmp_path, capsys):
 
 def test_report_empty_latent_class(tmp_path, capsys):
     from hazmob import ingest
-    from hazmob.model import HAZARD_TYPES, MeiRow, MeiTable
 
-    rows = {
-        "48001000001": MeiRow(
-            geoid="48001000001",
-            mei=dict.fromkeys(HAZARD_TYPES, 0.9),
-            nonhome_share=dict.fromkeys(HAZARD_TYPES, 0.1),
-            nonhome_conditional=dict.fromkeys(HAZARD_TYPES, None),
-            region_class=dict.fromkeys(HAZARD_TYPES, "direct"),
-        )
-    }
-    ingest.write_report(MeiTable.from_rows(rows.values()), tmp_path / "mei.csv")
+    table = mei_table({"48001000001": dict(mei=0.9, nonhome_share=0.1, region_class="direct")})
+    ingest.write_report(table, tmp_path / "mei.csv")
     tract_doc = {
         "type": "FeatureCollection",
         "features": [{
@@ -384,6 +377,15 @@ def test_report_empty_latent_class(tmp_path, capsys):
                  "--tracts", str(tmp_path / "tracts.geojson")]) == EXIT_OK
     out = capsys.readouterr().out
     assert "latent: 0 tracts" in out
+
+
+def test_report_geoid_without_a_tract_exits_1_naming_it(fixture_dir, report_dir, tmp_path, capsys):
+    doc = json.loads((fixture_dir / "tracts.geojson").read_text())
+    doc["features"] = [f for f in doc["features"] if f["properties"]["GEOID"] != "48001000002"]
+    (tmp_path / "tracts.geojson").write_text(json.dumps(doc))
+    assert main(["report", "--mei", str(report_dir / "mei.csv"),
+                 "--tracts", str(tmp_path / "tracts.geojson")]) == EXIT_RUNTIME
+    assert capsys.readouterr() == ("", "error in exposure: geoid 48001000002 has no tract in the tract file\n")
 
 
 def test_validate_dry_run(fixture_dir, tmp_path, capsys):
@@ -692,7 +694,7 @@ def _bad_input(kind: str, source: Path, report_dir: Path) -> bytes:
 
 # Each command over a faulty input: the exit code and how stderr starts.
 # A header-only CSV is a valid, empty input; a tract file without a tract
-# fails when the index is built.
+# fails when the index is built, or when report joins mei.csv's first geoid.
 FAULTS = [
     *[(command, key, kind, EXIT_RUNTIME, f"error in ingest: {prefix}{start}")
       for command, prefix in (("run", ""), ("validate", "{key}: "))
@@ -723,6 +725,8 @@ FAULTS = [
     ("report", "mei", "bad-cell", EXIT_RUNTIME, "error in ingest: line 2: region_class[air_pollution]"),
     ("report", "tracts", "nested", EXIT_RUNTIME, "error in ingest: maximum recursion depth exceeded"),
     ("report", "tracts", "empty", EXIT_RUNTIME, "error in ingest: invalid GeoJSON"),
+    ("report", "tracts", "header-only", EXIT_RUNTIME,
+     "error in exposure: geoid 48000000000 has no tract in the tract file\n"),
     ("run", "out", "below-a-file", EXIT_RUNTIME, "error in output: "),
     ("synth", "out", "below-a-file", EXIT_RUNTIME, "error in output: "),
     ("synth", "grid", "0", EXIT_CONFIG, "config error: grid_n must be in [1, 64]"),

@@ -27,9 +27,8 @@ from hazmob.cluster import (
 from hazmob.exposure import accumulate, classify_regions, compute_mei
 from hazmob.geoindex import build_index, locate_stops
 from hazmob.homeloc import infer_homes
-from hazmob.model import HAZARD_TYPES, MeiRow, MeiTable
 
-from conftest import classify_world_masks
+from conftest import classify_world_masks, mei_table
 
 
 def reference_dbscan(coords, eps, min_pts):
@@ -386,17 +385,8 @@ def test_noise_only_summary():
 
 
 def test_summarize_from_table_matches_and_labels_apply():
-    rows = {}
-    for i, triple in enumerate([(0.9, 0.9, 0.9)] * 4 + [(0.1, 0.1, 0.1)] * 4):
-        geoid = f"48{i:09d}"
-        rows[geoid] = MeiRow(
-            geoid=geoid,
-            mei=dict(zip(HAZARD_TYPES, triple)),
-            nonhome_share=dict.fromkeys(HAZARD_TYPES, 0.0),
-            nonhome_conditional=dict.fromkeys(HAZARD_TYPES, None),
-            region_class=dict.fromkeys(HAZARD_TYPES, "none"),
-        )
-    table = MeiTable.from_rows(rows.values())
+    table = mei_table({f"48{i:09d}": dict(mei=mei, nonhome_share=0.0)
+                       for i, mei in enumerate([0.9] * 4 + [0.1] * 4)})
     points = cluster_points(table)
     assert len(points) == 8
     result = dbscan(points, ClusterConfig(eps=0.1, min_pts=3))
@@ -404,21 +394,13 @@ def test_summarize_from_table_matches_and_labels_apply():
     assert [r.count for r in summary.rows] == [4, 4]
     assert sum(r.share for r in summary.rows) == pytest.approx(1.0)
     labeled = apply_labels(table, result)
-    assert {r.cluster_label for r in labeled.rows.values()} == {0, 1}
+    assert set(labeled.label.tolist()) == {0, 1}
 
 
 def test_cluster_points_excludes_undefined_rows():
-    rows = {}
-    for i, mei_air in enumerate([0.5, None]):
-        geoid = f"48{i:09d}"
-        rows[geoid] = MeiRow(
-            geoid=geoid,
-            mei={"air_pollution": mei_air, "toxic": 0.5, "heat": 0.5},
-            nonhome_share=dict.fromkeys(HAZARD_TYPES, 0.0),
-            nonhome_conditional=dict.fromkeys(HAZARD_TYPES, None),
-            region_class=dict.fromkeys(HAZARD_TYPES, "none"),
-        )
-    assert len(cluster_points(MeiTable.from_rows(rows.values()))) == 1
+    table = mei_table({f"48{i:09d}": dict(mei={"air_pollution": mei_air, "toxic": 0.5, "heat": 0.5}, nonhome_share=0.0)
+                       for i, mei_air in enumerate([0.5, None])})
+    assert len(cluster_points(table)) == 1
 
 
 def test_archetype_world_largest_cluster_is_all_high():

@@ -30,6 +30,7 @@ from conftest import (
     home_map_of,
     masked_set,
     masks_of,
+    mei_rows,
     unit_square_tract,
     values_of,
 )
@@ -105,7 +106,7 @@ def test_tract_without_residents_has_no_index_even_when_masked(two_tract_setup):
     table = classify_regions(compute_mei(accumulate_at(stops, index, {"u1": "48001000001"}, masks)),
                              masks, index.geoids)
     assert table.geoids.tolist() == ["48001000001"]
-    assert table.rows["48001000001"].mei["heat"] == pytest.approx(0.7)
+    assert mei_rows(table)["48001000001"].mei["heat"] == pytest.approx(0.7)
     assert scatter_export(table, tracts).geoids.tolist() == ["48001000001"]
     assert disparity_table(table, tracts).rows[0].n_tracts == 1
 
@@ -180,7 +181,7 @@ def test_compute_mei_basic_ratios():
     acc.tdt_nonhome_s = 40
     acc.hdt_nonhome_s["heat"] = 20
     table = compute_mei(sums_of([acc]))
-    row = table.rows["G1"]
+    row = mei_rows(table)["G1"]
     assert row.mei["heat"] == pytest.approx(0.7)
     assert row.nonhome_share["heat"] == pytest.approx(0.2)
     assert row.nonhome_conditional["heat"] == pytest.approx(0.5)
@@ -229,7 +230,7 @@ def test_compute_mei_bits_equal_python_int_division(sums):
 
 def test_compute_mei_zero_dwell_undefined():
     table = compute_mei(sums_of([ExposureAccumulator(geoid="G1")]))
-    row = table.rows["G1"]
+    row = mei_rows(table)["G1"]
     assert row.mei["heat"] is None
     assert row.excluded
 
@@ -240,7 +241,7 @@ def test_mei_upper_bound_all_masked(two_tract_setup):
     stops = [stop("u1", 0.5, 0.5, 50)]
     result = accumulate_at(stops, index, home_map, {"air_pollution": {"48001000001"}})
     table = compute_mei(result)
-    row = table.rows["48001000001"]
+    row = mei_rows(table)["48001000001"]
     assert row.mei["air_pollution"] == 1.0
     assert row.nonhome_share["air_pollution"] == 0.0
 
@@ -253,9 +254,7 @@ def test_classify_regions_rules(two_tract_setup):
         acc.hdt_s["heat"] = hdt
         accs[geoid] = acc
     table = classify_regions(compute_mei(sums_of(accs.values())), masks, ["G1", "G2", "G3"])
-    assert table.rows["G1"].region_class["heat"] == "direct"
-    assert table.rows["G2"].region_class["heat"] == "latent"
-    assert table.rows["G3"].region_class["heat"] == "none"
+    assert [r.region_class["heat"] for r in mei_rows(table).values()] == ["direct", "latent", "none"]
 
 
 def test_population_curve_definition(two_tract_setup):
@@ -313,6 +312,23 @@ def test_tract_demographics_need_a_tract_table():
     table = compute_mei(sums_of([]))
     with pytest.raises(TypeError):
         population_curve(table, [], "heat", [0.1])
+
+
+def test_every_table_geoid_must_name_a_tract():
+    """A geoid without a tract is an error naming the first such geoid, never population 0."""
+    from hazmob.stats import disparity_table, scatter_export
+
+    accs = [ExposureAccumulator(geoid=g, tdt_s=100, hdt_s=dict.fromkeys(HAZARD_TYPES, 50))
+            for g in ("48001000001", "48001000002", "48001000003")]
+    table = classify_regions(compute_mei(sums_of(accs)), masks_of({}, []), [])
+    for tracts, first in ((TractTable.from_rows([unit_square_tract("48001000002", 0, 0)]), "48001000001"),
+                          (TractTable.from_rows([unit_square_tract("48001000001", 0, 0)]), "48001000002")):
+        for build in (lambda: population_curve(table, tracts, "heat", [0.1]),
+                      lambda: compound_latent(table, tracts, 0.1),
+                      lambda: disparity_table(table, tracts), lambda: scatter_export(table, tracts)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == f"geoid {first} has no tract in the tract file"
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +404,13 @@ def test_stop_order_shuffle_leaves_results_unchanged(oracle_world):
     random.Random(1).shuffle(shuffled)
     homes = assignments_of(home_map, world.stops, index.geoids)
     again = compute_mei(accumulate_at(shuffled, index, homes, masks))
-    assert baseline.rows == again.rows
+    assert mei_rows(baseline) == mei_rows(again)
 
 
 def test_nonhome_share_never_exceeds_mei(oracle_world):
     world, index, home_map, masks = oracle_world
     table = compute_mei(accumulate_at(world.stops, index, home_map, masks))
-    for row in table.rows.values():
+    for row in mei_rows(table).values():
         for h in HAZARD_TYPES:
             if row.mei[h] is not None:
                 assert 0.0 <= row.mei[h] <= 1.0
@@ -412,7 +428,7 @@ def test_population_curve_matches_brute_force_on_world(oracle_world):
         for threshold, total in curve.points:
             expected = sum(
                 pop[g]
-                for g, r in table.rows.items()
+                for g, r in mei_rows(table).items()
                 if r.region_class[h] == "latent" and r.mei[h] is not None and r.mei[h] > threshold
             )
             assert total == expected
@@ -425,7 +441,7 @@ def test_compound_latent_matches_brute_force_on_world(oracle_world):
     pop = {t.geoid: t.population for t in world.tracts}
     geoids, total = compound_latent(table, world.tracts, 0.02)
     expected = sorted(
-        g for g, r in table.rows.items()
+        g for g, r in mei_rows(table).items()
         if all(r.region_class[h] == "latent" and r.mei[h] is not None and r.mei[h] > 0.02
                for h in HAZARD_TYPES)
     )
@@ -441,8 +457,9 @@ def test_enlarging_mask_never_decreases_mei(oracle_world):
     bigger = masks.copy()
     bigger[[index.geoids.index(g) for g in extra], 2] = True
     grown_table = compute_mei(accumulate_at(world.stops, index, home_map, bigger))
-    for geoid, row in base_table.rows.items():
+    grown = mei_rows(grown_table)
+    for geoid, row in mei_rows(base_table).items():
         before = row.mei["heat"]
-        after = grown_table.rows[geoid].mei["heat"]
+        after = grown[geoid].mei["heat"]
         if before is not None:
             assert after is not None and after >= before - 1e-15

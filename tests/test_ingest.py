@@ -16,13 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hazmob import ingest, synth
-from hazmob.exposure import PopulationCurve
+from hazmob.exposure import CurveTable, PopulationCurve
 from hazmob.ingest import IngestError, parse_hazard, parse_stops, parse_tracts
 from hazmob.hazardclass import classify_percentile
-from hazmob.model import (HAZARD_TYPES, MAX_DWELL_S, HazardLayer, MeiRow, MeiTable, StopRecord, format6,
-                          validate)
+from hazmob.model import HAZARD_TYPES, MAX_DWELL_S, HazardLayer, MeiTable, StopRecord, format6, validate
 
-from conftest import layer_of, masked_set, tract_worlds, unit_square_tract, values_of
+from conftest import (MEI_INDEXES, layer_of, masked_set, mei_rows, mei_table, tract_worlds, unit_square_tract,
+                      values_of)
 
 STOPS_HEADER = "user_id,lon,lat,start_ts,dwell_s\n"
 
@@ -100,7 +100,7 @@ def test_parse_stops_bad_header_is_fatal():
 CSV_READERS = [
     (parse_stops, "stops", ["user_id", "lon", "lat", "start_ts", "dwell_s"]),
     (lambda source: parse_hazard(source, "heat"), "hazard", ["geoid", "value"]),
-    (ingest.read_mei_rows, "mei.csv", ingest.MEI_HEADER),
+    (ingest.read_mei, "mei.csv", ingest.MEI_HEADER),
 ]
 
 
@@ -500,7 +500,7 @@ def test_parse_tracts_rejects_features_that_are_not_an_array():
 
 
 @pytest.mark.parametrize("parse", [
-    parse_stops, parse_tracts, lambda source: parse_hazard(source, "toxic"), ingest.read_mei_rows,
+    parse_stops, parse_tracts, lambda source: parse_hazard(source, "toxic"), ingest.read_mei,
 ])
 def test_bytes_that_are_not_utf8_name_the_file(tmp_path, parse):
     path = tmp_path / "input.csv"
@@ -722,23 +722,18 @@ def test_hazard_round_trip_through_writer(roundtrip_world, tmp_path):
         assert values_of(parsed) == values_of(layer)
 
 
-def mei_table(rows: int = 3) -> MeiTable:
-    out = {}
-    for i in range(rows):
-        geoid = f"48001{i:06d}"
-        out[geoid] = MeiRow(
-            geoid=geoid,
-            mei={"air_pollution": 0.25 + i / 10, "toxic": None, "heat": 1.0 / 3},
-            nonhome_share={"air_pollution": 0.125, "toxic": None, "heat": 0.1},
-            nonhome_conditional={"air_pollution": 0.5, "toxic": None, "heat": None},
-            region_class={"air_pollution": "latent", "toxic": "none", "heat": "direct"},
-        )
-    return MeiTable.from_rows(out.values())
+def sample_table(rows: int = 3) -> MeiTable:
+    return mei_table({f"48001{i:06d}": dict(
+        mei={"air_pollution": 0.25 + i / 10, "toxic": None, "heat": 1.0 / 3},
+        nonhome_share={"air_pollution": 0.125, "toxic": None, "heat": 0.1},
+        nonhome_conditional={"air_pollution": 0.5, "toxic": None, "heat": None},
+        region_class={"air_pollution": "latent", "toxic": "none", "heat": "direct"},
+    ) for i in range(rows)})
 
 
 def test_write_report_empty_mei_table(tmp_path):
     dest = tmp_path / "mei.csv"
-    ingest.write_report(MeiTable.from_rows([]), dest)
+    ingest.write_report(mei_table({}), dest)
     lines = dest.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("geoid,mei_air,mei_toxic,mei_heat,")
@@ -747,7 +742,7 @@ def test_write_report_empty_mei_table(tmp_path):
 
 
 def test_write_report_is_byte_deterministic(tmp_path):
-    table = mei_table()
+    table = sample_table()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     ingest.write_report(table, a, config_hash="deadbeef")
     ingest.write_report(table, b, config_hash="deadbeef")
@@ -761,33 +756,27 @@ def test_mei_round_trip_to_six_decimals(tmp_path):
     rng = random.Random(9)
     rows = {}
     for i in range(1000):
-        geoid = f"48{i:09d}"
         mei = {h: rng.random() for h in HAZARD_TYPES}
-        rows[geoid] = MeiRow(
-            geoid=geoid,
+        rows[f"48{i:09d}"] = dict(
             mei=mei,
             nonhome_share={h: mei[h] * rng.random() for h in HAZARD_TYPES},
             nonhome_conditional={h: (rng.random() if rng.random() > 0.2 else None) for h in HAZARD_TYPES},
             region_class={h: rng.choice(["direct", "latent", "none"]) for h in HAZARD_TYPES},
         )
-    table = MeiTable.from_rows(rows.values())
     dest = tmp_path / "mei.csv"
-    ingest.write_report(table, dest)
-    parsed = ingest.read_mei(dest)
-    assert set(parsed.rows) == set(table.rows)
-    for geoid, row in table.rows.items():
-        back = parsed.rows[geoid]
+    ingest.write_report(mei_table(rows), dest)
+    parsed = mei_rows(ingest.read_mei(dest))
+    assert list(parsed) == sorted(rows)
+    for geoid, row in rows.items():
+        back = parsed[geoid]
         for h in HAZARD_TYPES:
-            for mine, theirs in (
-                (row.mei[h], back.mei[h]),
-                (row.nonhome_share[h], back.nonhome_share[h]),
-                (row.nonhome_conditional[h], back.nonhome_conditional[h]),
-            ):
+            for name in MEI_INDEXES:
+                mine, theirs = row[name][h], getattr(back, name)[h]
                 if mine is None:
                     assert theirs is None
                 else:
                     assert abs(mine - theirs) <= 5e-7
-            assert row.region_class[h] == back.region_class[h]
+            assert row["region_class"][h] == back.region_class[h]
 
 
 # Geoid characters, quote and comma included. NUL is left out because numpy
@@ -857,31 +846,43 @@ GOOD_MEI_ROW = "48001000001,0.5,0.25,0.1,0.1,0.1,0.0,,,,latent,none,direct"
     ("48001000002,0.5", "expected 13 fields, got 2"),
     (GOOD_MEI_ROW.replace(",0.5,", ",1.5,", 1), "outside [0, 1]"),
     (GOOD_MEI_ROW.replace("latent", "bogus"), "invalid class"),
+    pytest.param(GOOD_MEI_ROW.replace(",0.1,0.1,0.1,", ",1.4,0.1,0.1,"), "line 3: mei[heat]: outside [0, 1]",
+                 id="heat-index-above-1"),
+    pytest.param(GOOD_MEI_ROW.replace(",direct", ",weird"), "line 3: region_class[heat]: invalid class",
+                 id="heat-class-unknown"),
+    pytest.param(GOOD_MEI_ROW.replace(",0.0,", ",nan,"), "line 3: nonhome_share[heat]: outside [0, 1]",
+                 id="nan-text"),
+    pytest.param(GOOD_MEI_ROW.replace(",0.25,", ",inf,"), "line 3: mei[toxic]: outside [0, 1]", id="inf"),
+    pytest.param(GOOD_MEI_ROW.replace(",0.25,", ",1.5,").replace("latent", "bogus"),
+                 "line 3: region_class[air_pollution]: invalid class", id="mixed-faults-air-class-first"),
+    pytest.param(GOOD_MEI_ROW.replace(",0.25,", ",1.5,").replace(",0.0,", ",abc,"),
+                 "line 3: unparseable field: could not convert string to float: 'abc'",
+                 id="mixed-faults-parse-first"),
+    pytest.param(GOOD_MEI_ROW.replace("48001000001", "48001000001\0"), "line 3: geoid ends in a NUL character",
+                 id="geoid-nul"),
 ])
 def test_read_mei_rejects_bad_row_naming_line(tmp_path, bad, reason):
-    dest = _mei_csv(tmp_path, GOOD_MEI_ROW, bad)
+    # A good first row under another geoid, so that line 3 is no duplicate.
+    dest = _mei_csv(tmp_path, GOOD_MEI_ROW.replace("48001000001", "48001000000"), bad)
     with pytest.raises(IngestError, match=r"line 3: .*") as info:
         ingest.read_mei(dest)
     assert reason in str(info.value)
 
 
 def test_read_mei_accepts_good_row(tmp_path):
-    table = ingest.read_mei(_mei_csv(tmp_path, GOOD_MEI_ROW))
-    row = table.rows["48001000001"]
+    row = mei_rows(ingest.read_mei(_mei_csv(tmp_path, GOOD_MEI_ROW)))["48001000001"]
     assert row.mei["air_pollution"] == 0.5
     assert row.nonhome_conditional["heat"] is None
     assert row.region_class["heat"] == "direct"
 
 
-def test_read_mei_rows_keep_file_order(tmp_path):
-    """read_mei_rows keeps the file's order (a repeated geoid keeps its first
-    place and its last values); read_mei sorts by geoid."""
+def test_read_mei_duplicate_geoid_is_fatal(tmp_path):
+    """A repeated geoid is fatal, worded as parse_hazard words it; read_mei sorts by geoid."""
     late = GOOD_MEI_ROW.replace("48001000001", "48001000009")
-    dest = _mei_csv(tmp_path, late, GOOD_MEI_ROW, late.replace(",0.5,", ",0.75,", 1))
-    rows = ingest.read_mei_rows(dest)
-    assert [r.geoid for r in rows] == ["48001000009", "48001000001"]
-    assert rows[0].mei["air_pollution"] == 0.75
-    assert ingest.read_mei(dest).geoids.tolist() == ["48001000001", "48001000009"]
+    assert ingest.read_mei(_mei_csv(tmp_path, late, GOOD_MEI_ROW)).geoids.tolist() == ["48001000001", "48001000009"]
+    with pytest.raises(IngestError) as info:
+        ingest.read_mei(_mei_csv(tmp_path, late, GOOD_MEI_ROW, late.replace(",0.5,", ",0.75,", 1)))
+    assert str(info.value) == "line 4: duplicate geoid 48001000009"
 
 
 def test_write_report_curves_and_unknown(tmp_path):
@@ -890,22 +891,23 @@ def test_write_report_curves_and_unknown(tmp_path):
         PopulationCurve(hazard_type="air_pollution", points=[(0.05, 10), (0.1, 0)]),
     ]
     dest = tmp_path / "curves.csv"
-    ingest.write_report(curves, dest)
+    ingest.write_report(CurveTable(curves), dest)
     lines = dest.read_text().splitlines()
     assert lines[0] == "hazard,threshold,population"
     # canonical hazard order regardless of list order
     assert lines[1].startswith("air_pollution,")
     assert lines[3].startswith("heat,")
-    with pytest.raises(IngestError):
+    assert json.loads((tmp_path / "curves.csv.meta.json").read_text())["rows"] == 4
+    with pytest.raises(IngestError, match="write_report does not handle object"):
         ingest.write_report(object(), tmp_path / "nope.csv")
-    with pytest.raises(IngestError):
-        ingest.write_report([curves[0], "not a curve"], tmp_path / "mixed.csv")
-    assert not (tmp_path / "mixed.csv").exists()
+    with pytest.raises(IngestError, match="write_report does not handle list"):
+        ingest.write_report(curves, tmp_path / "list.csv")
+    assert not (tmp_path / "list.csv").exists()
 
 
 def test_write_report_unwritable_destination_fatal(tmp_path):
     with pytest.raises(IngestError):
-        ingest.write_report(mei_table(), tmp_path / "missing_dir" / "mei.csv")
+        ingest.write_report(sample_table(), tmp_path / "missing_dir" / "mei.csv")
 
 
 def write_mask(layer: HazardLayer, masked: frozenset, dest) -> int:

@@ -8,13 +8,11 @@ from hazmob.model import (
     MAX_DWELL_S,
     CensusTract,
     HazardLayer,
-    MeiRow,
-    MeiTable,
     StopRecord,
     validate,
 )
 
-from conftest import ExposureAccumulator, check, layer_of, unit_square_tract
+from conftest import ExposureAccumulator, check, layer_of, mei_table, unit_square_tract
 
 
 def make_stop(**overrides) -> StopRecord:
@@ -98,7 +96,7 @@ def test_hazard_layer_columns_must_align():
 
 def test_validate_leaves_the_test_only_types_to_the_oracle():
     for value in (unit_square_tract("48001950100", 0, 0), layer_of("toxic", {"G1": 0.7}),
-                  ExposureAccumulator(geoid="G1"), MeiTable.from_rows([])):
+                  ExposureAccumulator(geoid="G1"), mei_table({})):
         with pytest.raises(TypeError):
             validate(value)
 
@@ -111,31 +109,16 @@ def test_accumulator_invariants():
     assert any("hdt_s[heat]" in v for v in check(acc))
 
 
-def test_mei_row_bounds_checked():
-    row = MeiRow(
-        geoid="G1",
-        mei={h: 0.5 for h in HAZARD_TYPES},
-        nonhome_share={h: 0.2 for h in HAZARD_TYPES},
-        nonhome_conditional={h: None for h in HAZARD_TYPES},
-        region_class={h: "latent" for h in HAZARD_TYPES},
-    )
-    assert validate(row) == []
-    bad = dataclasses.replace(row, mei={**row.mei, "heat": 1.4})
-    assert any("mei[heat]" in v for v in validate(bad))
-    bad = dataclasses.replace(row, region_class={**row.region_class, "heat": "weird"})
-    assert any("region_class[heat]" in v for v in validate(bad))
-
-
 def test_mei_table_validation_prefixes_geoid():
-    row = MeiRow(
-        geoid="G1",
-        mei={h: 2.0 for h in HAZARD_TYPES},
-        nonhome_share={h: 0.0 for h in HAZARD_TYPES},
-        nonhome_conditional={h: None for h in HAZARD_TYPES},
-        region_class={h: "none" for h in HAZARD_TYPES},
-    )
-    violations = check(MeiTable.from_rows([row]))
-    assert violations and all(v.startswith("rows[G1].") for v in violations)
+    table = mei_table({"G1": dict(mei=0.5, nonhome_share=0.2, region_class="latent")})
+    assert check(table) == []
+    bad = mei_table({"G1": dict(mei={"air_pollution": 0.5, "toxic": 0.5, "heat": 1.4}),
+                     "G2": dict(mei=2.0)})
+    assert check(bad) == ["rows[G1].mei[heat]: outside [0, 1]"] + [
+        f"rows[G2].mei[{h}]: outside [0, 1]" for h in HAZARD_TYPES]
+    bad = bad.with_columns(region=np.full((2, 3), 3, dtype=np.int8), label=np.array([-1, -2], dtype=np.int32))
+    assert "rows[G1].region_class[air_pollution]: invalid class" in check(bad)
+    assert "rows[G2].label: must be >= -1" in check(bad)
 
 
 def test_validate_is_pure():

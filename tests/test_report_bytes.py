@@ -1,7 +1,8 @@
 """Report bytes pinned by sha256.
 
 Two worlds are run through `hazmob run`; every report CSV and sidecar,
-and the stdout of `hazmob report` on the run's mei.csv, is compared with
+and the stdout of `hazmob report` on the run's mei.csv and on the same
+rows shuffled, is compared with
 digests recorded from the row-by-row tract pipeline that preceded the
 columnar MeiTable. A change to any report byte fails
 here; if a change is meant to alter the reports, the digests are
@@ -11,6 +12,7 @@ re-recorded in the same change and the reason is stated there.
 import contextlib
 import hashlib
 import io
+import random
 
 import numpy as np
 import pytest
@@ -84,11 +86,14 @@ def _run(world_config, tmp_path, *extra) -> dict[str, str]:
     ]) == 0
     names = REPORT_FILES + [f"{name}.meta.json" for name in REPORT_FILES]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert main(["report", "--mei", str(out / "mei.csv"),
-                     "--tracts", str(world_dir / "tracts.geojson")]) == 0
-    digests["report stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    header, *rows = (out / "mei.csv").read_text().splitlines(keepends=True)
+    random.Random(7).shuffle(rows)
+    (tmp_path / "shuffled.csv").write_text(header + "".join(rows))
+    for key, mei in (("report stdout", out / "mei.csv"), ("shuffled", tmp_path / "shuffled.csv")):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["report", "--mei", str(mei), "--tracts", str(world_dir / "tracts.geojson")]) == 0
+        digests[key] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
     return digests
 
 
@@ -97,7 +102,10 @@ def _run(world_config, tmp_path, *extra) -> dict[str, str]:
     ("cluster", CLUSTER_WORLD, CLUSTER_ARGS),
 ])
 def test_report_bytes_pinned(name, world_config, extra, tmp_path):
-    assert _run(world_config, tmp_path, *extra) == DIGESTS[name]
+    digests = _run(world_config, tmp_path, *extra)
+    # report reads mei.csv in any row order: shuffled rows print the same bytes.
+    assert digests.pop("shuffled") == DIGESTS[name]["report stdout"]
+    assert digests == DIGESTS[name]
 
 
 def test_cluster_world_exercises_border_rule():

@@ -14,7 +14,7 @@ from hazmob import synth
 from hazmob.exposure import accumulate, classify_regions, compute_mei
 from hazmob.geoindex import build_index, locate_stops
 from hazmob.homeloc import infer_homes
-from hazmob.model import HAZARD_TYPES, MeiRow, MeiTable, TractTable
+from hazmob.model import HAZARD_TYPES, TractTable
 from hazmob.stats import (
     TTestResult,
     betainc_regularized,
@@ -26,7 +26,7 @@ from hazmob.stats import (
     welch_t_test,
 )
 
-from conftest import classify_world_masks, unit_square_tract
+from conftest import classify_world_masks, mei_rows, mei_table, unit_square_tract
 
 # (sample_a, sample_b, t, welch_df, two_sided_p)
 WELCH_ORACLE = [
@@ -174,16 +174,8 @@ def test_pearson_affine_invariance_and_sign_flip():
 
 
 def make_table(region_by_geoid, mei_value=0.5):
-    rows = {}
-    for geoid, regions in region_by_geoid.items():
-        rows[geoid] = MeiRow(
-            geoid=geoid,
-            mei=dict.fromkeys(HAZARD_TYPES, mei_value),
-            nonhome_share=dict.fromkeys(HAZARD_TYPES, 0.0),
-            nonhome_conditional=dict.fromkeys(HAZARD_TYPES, None),
-            region_class=dict(zip(HAZARD_TYPES, regions)),
-        )
-    return MeiTable.from_rows(rows.values())
+    return mei_table({geoid: dict(mei=mei_value, nonhome_share=0.0, region_class=dict(zip(HAZARD_TYPES, regions)))
+                      for geoid, regions in region_by_geoid.items()})
 
 
 def test_disparity_planted_minority_in_direct_tracts():
@@ -255,15 +247,16 @@ def test_disparity_means_match_brute_force(small_world, small_world_index):
     table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(small_world_index, world.stops), small_world_index.geoids, home_map, masks)), masks, small_world_index.geoids)
     result = disparity_table(table, world.tracts)
     by_geoid = {t.geoid: t for t in world.tracts}
+    rows = mei_rows(table)
     for row in result.rows[1:]:
         if row.hazard == "compound":
             members = [
-                by_geoid[g] for g, r in table.rows.items()
+                by_geoid[g] for g, r in rows.items()
                 if not r.excluded and all(r.region_class[h] == row.region_class for h in HAZARD_TYPES)
             ]
         else:
             members = [
-                by_geoid[g] for g, r in table.rows.items()
+                by_geoid[g] for g, r in rows.items()
                 if not r.excluded and r.region_class[row.hazard] == row.region_class
             ]
         assert row.n_tracts == len(members)
@@ -287,16 +280,10 @@ def test_hazard_pair_correlations_all_pairs(small_world, small_world_index):
 
 def test_scatter_export_rows_sorted_and_undefined_blank():
     tracts = TractTable.from_rows(unit_square_tract(f"48001{i:06d}", i, 0, population=100 + i) for i in range(3))
-    rows = {}
-    for i, tract in enumerate(tracts):
-        rows[tract.geoid] = MeiRow(
-            geoid=tract.geoid,
-            mei={"air_pollution": None if i == 1 else 0.4, "toxic": 0.2, "heat": 0.1},
-            nonhome_share=dict.fromkeys(HAZARD_TYPES, 0.0),
-            nonhome_conditional=dict.fromkeys(HAZARD_TYPES, None),
-            region_class=dict.fromkeys(HAZARD_TYPES, "none"),
-        )
-    scatter = scatter_export(MeiTable.from_rows(rows.values()), tracts)
+    rows = {t.geoid: dict(mei={"air_pollution": None if i == 1 else 0.4, "toxic": 0.2, "heat": 0.1},
+                          nonhome_share=0.0)
+            for i, t in enumerate(tracts)}
+    scatter = scatter_export(mei_table(rows), tracts)
     assert scatter.geoids.tolist() == sorted(rows)
     assert math.isnan(scatter.mei[1, 0])
     assert scatter.population[0] == 100
@@ -306,17 +293,8 @@ def test_scatter_round_trips_through_writer(tmp_path):
     from hazmob import ingest
 
     tracts = TractTable.from_rows(unit_square_tract(f"48001{i:06d}", i, 0) for i in range(3))
-    rows = {
-        t.geoid: MeiRow(
-            geoid=t.geoid,
-            mei={"air_pollution": 0.123456789, "toxic": 0.5, "heat": None},
-            nonhome_share=dict.fromkeys(HAZARD_TYPES, 0.0),
-            nonhome_conditional=dict.fromkeys(HAZARD_TYPES, None),
-            region_class=dict.fromkeys(HAZARD_TYPES, "none"),
-        )
-        for t in tracts
-    }
-    scatter = scatter_export(MeiTable.from_rows(rows.values()), tracts)
+    mei = {"air_pollution": 0.123456789, "toxic": 0.5, "heat": None}
+    scatter = scatter_export(mei_table({t.geoid: dict(mei=mei, nonhome_share=0.0) for t in tracts}), tracts)
     dest = tmp_path / "scatter.csv"
     ingest.write_report(scatter, dest)
     lines = dest.read_text().splitlines()

@@ -12,7 +12,7 @@ from hazmob.geoindex import build_index, locate, locate_stops
 from hazmob.model import HAZARD_TYPES
 from hazmob.synth import SynthConfigError, WorldConfig, gen_world, planted_truth, write_world
 
-from conftest import masks_of, values_of
+from conftest import masks_of, mei_rows, values_of
 
 
 def test_config_validation():
@@ -226,7 +226,7 @@ def test_empirical_mei_tracks_expected_on_moderate_world():
     table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, masks))
     truth = planted_truth(world)
     worst = 0.0
-    for geoid, row in table.rows.items():
+    for geoid, row in mei_rows(table).items():
         for h in HAZARD_TYPES:
             if row.mei[h] is not None:
                 worst = max(worst, abs(row.mei[h] - truth.expected_mei[geoid][h]))
