@@ -372,6 +372,8 @@ def _canonical_epochs(texts) -> tuple[np.ndarray, np.ndarray]:
 # A GeoJSON position's first two members must be JSON numbers (true and
 # false are not); the rest, such as an altitude, are ignored.
 _NUMBER_TYPES = frozenset({int, float})
+# A tuple, not a set: the type member of a JSON object may be unhashable.
+_GEOMETRY_TYPES = ("Polygon", "MultiPolygon")
 _MISSING = object()  # stands in for a demographic property a feature lacks
 # Each demographic property: its GeoJSON key, CensusTract field, value
 # types, range and rule.
@@ -380,6 +382,11 @@ _DEMOGRAPHICS = (
     ("PCT_MINORITY", "pct_minority", _NUMBER_TYPES, 0.0, 1.0, "must be a fraction in [0, 1]"),
     ("PCT_POV200", "pct_below_poverty200", _NUMBER_TYPES, 0.0, 1.0, "must be a fraction in [0, 1]"),
 )
+_DEMOGRAPHIC_KEYS = tuple(key for key, *_ in _DEMOGRAPHICS)
+_ALL_MISSING = (_MISSING,) * len(_DEMOGRAPHICS)
+# The tract parser converts decoded positions this many at a time; it bounds
+# the positions held as JSON lists. Results do not depend on it.
+_BATCH_POSITIONS = 4096
 
 
 def parse_tracts(source: str | Path | IO) -> TractTable:
@@ -392,12 +399,19 @@ def parse_tracts(source: str | Path | IO) -> TractTable:
     positions, a position that is not an array of at least two numbers, a
     non-finite coordinate, or first and last positions that differ; a
     population that is not a non-negative integer, or a fraction outside
-    [0, 1]. All coordinates are converted in one pass, and the checks on
-    them and on the demographics run on whole columns.
+    [0, 1].
+
+    The decoder hands every Polygon and MultiPolygon object to a _Packer as
+    it finishes it, which converts the positions into float64 blocks,
+    _BATCH_POSITIONS at a time, and drops the lists. So the decoded
+    positions alive at once are one batch plus one geometry; beyond the
+    file's text, the vertices cost a few float64 copies of 16 bytes each.
+    The feature loop then reads geoids, demographics and geometry numbers,
+    and the checks on rings and demographics run on whole columns.
     """
-    # The decoded document holds no reference cycles, so the cycle collector
-    # would only walk its lists and numbers. It stays off until
-    # _tract_table() has returned and the document is freed.
+    # The decoded features hold no reference cycles, so the cycle collector
+    # would only walk their dicts. It stays off until _tract_table() has
+    # returned and they are freed.
     with _text(source) as handle:
         collecting = gc.isenabled()
         gc.disable()
@@ -409,25 +423,23 @@ def parse_tracts(source: str | Path | IO) -> TractTable:
 
 
 def _tract_table(handle: IO) -> TractTable:
+    packer = _Packer()
     try:
-        doc = json.load(handle)
+        doc = json.load(handle, object_hook=packer.hook)
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid GeoJSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise IngestError("tracts file is not a GeoJSON FeatureCollection")
     # The features before the first structural fault, which ends the scan,
-    # and the rings read before it, the faulty feature's included.
+    # and the geometries read before it, the faulty feature's included.
     geoids: dict[str, None] = {}
     demographics: list[tuple] = []
-    rings: list = []
-    rings_per_part: list[int] = []
-    parts_per_tract: list[int] = []
+    read: list[int] = []
     fault = None
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise IngestError("tracts file is not a GeoJSON FeatureCollection: features is not an array")
     for idx, feat in enumerate(features):
-        n_parts = len(rings_per_part)
         if not isinstance(feat, dict):
             fault = "not a JSON object"
         elif not isinstance(props := feat.get("properties") or {}, dict):
@@ -440,20 +452,23 @@ def _tract_table(handle: IO) -> TractTable:
             fault = f"geoid: must be 11 ASCII digits, got {geoid!r}"
         elif geoid in geoids:
             fault = f"duplicate GEOID {geoid}"
+        elif (kind := geometry.get("type")) not in _GEOMETRY_TYPES:
+            fault = f"geometry must be Polygon or MultiPolygon, got {kind}"
         else:
-            fault = _add_rings(geometry, rings, rings_per_part)
+            # The packer put the geometry's number in place of its coordinates.
+            read.append(geometry["coordinates"])
+            fault = packer.faults.get(read[-1])
         if fault is not None:
             fault = f"feature {idx}: {fault}"
             break
         geoids[geoid] = None
-        demographics.append(tuple(props.get(key, _MISSING) for key, *_ in _DEMOGRAPHICS))
-        parts_per_tract.append(len(rings_per_part) - n_parts)
+        demographics.append(tuple(map(props.get, _DEMOGRAPHIC_KEYS, _ALL_MISSING)))
 
     # A fault in a ring comes before every fault of a later ring or feature,
     # and a feature's properties are checked after its rings.
-    xy, malformed = _coordinates(rings)
-    sizes = np.fromiter(map(len, rings), np.int64, malformed[0] if malformed else len(rings))
-    ring_fault = _ring_fault(xy, sizes) or malformed
+    xy, sizes, malformed, rings_per_part, parts_per_tract = packer.take(read)
+    parts_per_tract = parts_per_tract[:len(geoids)]  # a faulty feature's geometry is read, but it is no tract
+    ring_fault = _ring_fault(xy, sizes, malformed)
     if ring_fault is not None:
         ring, problem = ring_fault
         # The ring's part and tract; both may be the faulty feature's, which
@@ -471,56 +486,124 @@ def _tract_table(handle: IO) -> TractTable:
     return TractTable.from_vertices(list(geoids), *columns, xy, sizes, rings_per_part, parts_per_tract)
 
 
-def _add_rings(geometry: dict, rings: list, rings_per_part: list[int]) -> str | None:
-    """Append the rings of a Polygon or MultiPolygon, and its ring count per
-    part, up to its first structural fault; return that fault, if any."""
-    kind = geometry.get("type")
-    if kind == "Polygon":
-        parts = [geometry.get("coordinates")]
-    elif kind == "MultiPolygon":
-        parts = geometry.get("coordinates")
-    else:
-        return f"geometry must be Polygon or MultiPolygon, got {kind}"
-    if type(parts) is not list:
-        return "malformed coordinates"
-    for pi, part in enumerate(parts):
-        if type(part) is not list:
-            return f"malformed part {pi}"
-        for ri, ring in enumerate(part):
-            if type(ring) is not list:
-                return f"malformed part {pi} ring {ri}"
-            rings.append(ring)
-        rings_per_part.append(len(part))
-    if not parts or not all(parts):
-        return "empty geometry"
-    return None
+class _Packer:
+    """json.load's object_hook for a tract file: it packs each Polygon or
+    MultiPolygon object into float64 vertex blocks as the decoder finishes it.
 
-
-def _coordinates(rings: list) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """lon and lat of every position of the rings, as an (n, 2) float64 array.
-
-    At a position that is not an array of at least two numbers the array
-    ends with the ring before; that ring's number and a fault template are
-    returned with it.
+    Wherever such an object lies, even where no feature loop reads it, its
+    rings are checked for structure up to its first structural fault and
+    queued, and its coordinates are replaced by its geometry number. Each
+    batch of _BATCH_POSITIONS queued positions is converted and dropped.
+    take() returns the columns of the geometries the feature loop read.
     """
+
+    def __init__(self):
+        self.first_ring: list[int] = []  # per geometry, in the order finished
+        self.first_part: list[int] = []
+        self.faults: dict[int, str] = {}  # geometry number -> its structural fault
+        self.sizes: list[int] = []  # positions per ring
+        self.rings_per_part: list[int] = []  # per part with no structural fault
+        self.malformed: dict[int, int] = {}  # ring number -> its first malformed position
+        self.blocks: list[np.ndarray] = []
+        self.batch: list[list] = []  # rings decoded but not converted
+        self.batch_positions = 0
+
+    def hook(self, obj: dict) -> dict:
+        kind = obj.get("type")
+        if kind not in _GEOMETRY_TYPES:
+            return obj
+        coordinates = obj.get("coordinates")
+        g = obj["coordinates"] = len(self.first_ring)
+        self.first_ring.append(len(self.sizes))
+        self.first_part.append(len(self.rings_per_part))
+        fault = self._add_rings([coordinates] if kind == "Polygon" else coordinates)
+        if fault is not None:
+            self.faults[g] = fault
+        if self.batch_positions >= _BATCH_POSITIONS:
+            self._flush()
+        return obj
+
+    def _add_rings(self, parts) -> str | None:
+        """Queue the rings of a geometry's parts, and count its rings per
+        part, up to its first structural fault; return that fault, if any."""
+        if type(parts) is not list:
+            return "malformed coordinates"
+        batch, sizes = self.batch, self.sizes
+        for pi, part in enumerate(parts):
+            if type(part) is not list:
+                return f"malformed part {pi}"
+            for ri, ring in enumerate(part):
+                if type(ring) is not list:
+                    return f"malformed part {pi} ring {ri}"
+                batch.append(ring)
+                sizes.append(len(ring))
+                self.batch_positions += len(ring)
+            self.rings_per_part.append(len(part))
+        if not parts or not all(parts):
+            return "empty geometry"
+        return None
+
+    def _flush(self) -> None:
+        self._pack(self.batch, len(self.sizes) - len(self.batch))
+        self.batch = []
+        self.batch_positions = 0
+
+    def _pack(self, rings: list, first: int) -> None:
+        """Append the vertices of rings, numbered from first, as blocks. A
+        ring with a malformed position gets NaN vertices and the position is
+        recorded; the rings around it are converted all the same."""
+        xy = _vertices(rings)
+        if xy is not None:
+            self.blocks.append(xy)
+        elif len(rings) == 1:
+            self.malformed[first] = next(k for k, position in enumerate(rings[0]) if not _is_position(position))
+            self.blocks.append(np.full((len(rings[0]), 2), math.nan))
+        else:
+            half = len(rings) // 2
+            self._pack(rings[:half], first)
+            self._pack(rings[half:], first + half)
+
+    def take(self, geometries: list[int]) -> tuple[np.ndarray, ...]:
+        """The columns of the given geometries, in order: their vertices as
+        the rows of an (n, 2) array, each ring's position count and first
+        malformed position (-1 if none), the ring count of each part and the
+        part count of each geometry."""
+        self._flush()
+        chosen = np.zeros(len(self.first_ring), dtype=bool)
+        geometries = np.array(geometries, dtype=np.int64)
+        chosen[geometries] = True
+        ring_chosen = np.repeat(chosen, np.diff(self.first_ring + [len(self.sizes)]))
+        part_counts = np.diff(self.first_part + [len(self.rings_per_part)])
+        sizes = np.array(self.sizes, dtype=np.int64)
+        malformed = np.full(len(sizes), -1, dtype=np.int64)
+        malformed[list(self.malformed)] = list(self.malformed.values())
+        xy = np.concatenate(self.blocks) if self.blocks else np.empty((0, 2))
+        self.blocks = []
+        if not ring_chosen.all():
+            xy = xy[np.repeat(ring_chosen, sizes)]
+        rings_per_part = np.array(self.rings_per_part, dtype=np.int64)[np.repeat(chosen, part_counts)]
+        return xy, sizes[ring_chosen], malformed[ring_chosen], rings_per_part, part_counts[geometries]
+
+
+def _vertices(rings: list) -> np.ndarray | None:
+    """lon and lat of every position of the rings, as an (n, 2) float64
+    array; None if a position is not an array of at least two numbers."""
     positions = list(chain.from_iterable(rings))
     try:
         dims = set(map(len, positions))
-        if min(dims, default=2) >= 2:
-            # x * 1.0 raises for every JSON value but a number or a boolean,
-            # and a boolean reads as 0.0 or 1.0: only those values are looked at.
-            pairs = positions if dims == {2} else map(itemgetter(0, 1), positions)
-            xy = np.fromiter(map(mul, chain.from_iterable(pairs), repeat(1.0)),
-                             np.float64, 2 * len(positions)).reshape(-1, 2)
-            i, k = np.nonzero((xy == 0) | (xy == 1))
-            if not any(type(positions[a][b]) is bool for a, b in zip(i.tolist(), k.tolist())):
-                return xy, None
+        if min(dims, default=2) < 2:
+            return None
+        # x * 1.0 raises for every JSON value but a number or a boolean, and a
+        # boolean reads as 0.0 or 1.0: only those values are looked at.
+        pairs = positions if dims == {2} else map(itemgetter(0, 1), positions)
+        xy = np.fromiter(map(mul, chain.from_iterable(pairs), repeat(1.0)),
+                         np.float64, 2 * len(positions)).reshape(-1, 2)
     except (TypeError, KeyError, OverflowError):
-        pass
-    r, k = next((r, k) for r, ring in enumerate(rings)
-                for k, position in enumerate(ring) if not _is_position(position))
-    fault = f"malformed {{}}: position {k} is not an array of at least two numbers"
-    return _coordinates(rings[:r])[0], (r, fault)
+        return None
+    i, k = np.nonzero((xy == 0) | (xy == 1))
+    if any(type(positions[a][b]) is bool for a, b in zip(i.tolist(), k.tolist())):
+        return None
+    return xy
 
 
 def _is_position(position) -> bool:
@@ -534,9 +617,10 @@ def _is_position(position) -> bool:
     return False
 
 
-def _ring_fault(xy: np.ndarray, sizes: np.ndarray) -> tuple[int, str] | None:
-    """The first ring with fewer than 4 positions, a non-finite coordinate or
-    different first and last positions, and a template of its fault."""
+def _ring_fault(xy: np.ndarray, sizes: np.ndarray, malformed: np.ndarray) -> tuple[int, str] | None:
+    """The first ring with a malformed position, fewer than 4 positions, a
+    non-finite coordinate or different first and last positions, and a
+    template of its fault; of a ring's faults, the first listed is named."""
     ends = np.cumsum(sizes)
     short = sizes < 4
     non_finite = np.zeros(len(sizes), dtype=bool)
@@ -544,10 +628,12 @@ def _ring_fault(xy: np.ndarray, sizes: np.ndarray) -> tuple[int, str] | None:
     is_open = np.zeros(len(sizes), dtype=bool)
     ring = np.flatnonzero(~short)
     is_open[ring] = (xy[ends[ring] - sizes[ring]] != xy[ends[ring] - 1]).any(axis=1)
-    faulty = np.flatnonzero(short | non_finite | is_open)
+    faulty = np.flatnonzero((malformed >= 0) | short | non_finite | is_open)
     if not len(faulty):
         return None
     r = int(faulty[0])
+    if malformed[r] >= 0:
+        return r, f"malformed {{}}: position {malformed[r]} is not an array of at least two numbers"
     if short[r]:
         return r, "{} has fewer than 4 vertices"
     return r, "{} has a non-finite coordinate" if non_finite[r] else "{} is not closed"

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -242,6 +243,120 @@ def tract_worlds(draw) -> TractTable:
                     pct_below_poverty200=draw(st.floats(0.0, 1.0)))
         for code, geometry in zip(codes, geometries)
     )
+
+
+# ---------------------------------------------------------------------------
+# The tract file oracle: parse_tracts' rules, one feature at a time.
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_tracts(text: str) -> TractTable | str:
+    """What parse_tracts gives for a GeoJSON text: the TractTable, or the
+    text of its IngestError.
+
+    The document is decoded whole with json.loads and the features are read
+    one at a time, each checked in order: the feature, its properties and
+    geometry objects, its GEOID and geometry type; then its rings in order,
+    each position in order, up to its first structural fault; then its
+    demographic properties. The first fault found is the one named: a
+    structural fault ends the scan, a ring fault comes before the rings and
+    features after it and before the feature's own properties, and within a
+    ring a malformed position comes before a short, non-finite or open ring.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"invalid GeoJSON: {exc}"
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        return "tracts file is not a GeoJSON FeatureCollection"
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        return "tracts file is not a GeoJSON FeatureCollection: features is not an array"
+    tracts: list[CensusTract] = []
+    for i, feature in enumerate(features):
+        tract = _reference_tract(feature, {t.geoid for t in tracts})
+        if isinstance(tract, str):
+            return f"feature {i}: {tract}"
+        tracts.append(tract)
+    return TractTable.from_rows(tracts)
+
+
+_REFERENCE_DEMOGRAPHICS = (
+    ("POP", "population", (int,), math.inf, "must be a non-negative integer"),
+    ("PCT_MINORITY", "pct_minority", (int, float), 1.0, "must be a fraction in [0, 1]"),
+    ("PCT_POV200", "pct_below_poverty200", (int, float), 1.0, "must be a fraction in [0, 1]"),
+)
+
+
+def _reference_tract(feature, geoids: set) -> CensusTract | str:
+    """One feature's tract, or its first fault."""
+    if not isinstance(feature, dict):
+        return "not a JSON object"
+    props = feature.get("properties") or {}
+    if not isinstance(props, dict):
+        return "properties: not a JSON object"
+    geometry = feature.get("geometry") or {}
+    if not isinstance(geometry, dict):
+        return "geometry: not a JSON object"
+    geoid = props.get("GEOID")
+    if not isinstance(geoid, str) or not geoid:
+        return "missing GEOID property"
+    if not is_geoid(geoid):
+        return f"geoid: must be 11 ASCII digits, got {geoid!r}"
+    if geoid in geoids:
+        return f"duplicate GEOID {geoid}"
+    kind = geometry.get("type")
+    if kind == "Polygon":
+        parts = [geometry.get("coordinates")]
+    elif kind == "MultiPolygon":
+        parts = geometry.get("coordinates")
+    else:
+        return f"geometry must be Polygon or MultiPolygon, got {kind}"
+    if type(parts) is not list:
+        return "malformed coordinates"
+    polygons = []
+    for pi, part in enumerate(parts):
+        if type(part) is not list:
+            return f"malformed part {pi}"
+        rings = []
+        for ri, ring in enumerate(part):
+            if type(ring) is not list:
+                return f"malformed part {pi} ring {ri}"
+            points = _reference_ring(ring, f"part {pi} ring {ri}")
+            if isinstance(points, str):
+                return points
+            rings.append(points)
+        polygons.append(tuple(rings))
+    if not polygons or not all(polygons):
+        return "empty geometry"
+    values = []
+    for key, name, types, high, rule in _REFERENCE_DEMOGRAPHICS:
+        if key not in props:
+            return f"bad demographic properties: {key!r}"
+        value = props[key]
+        if type(value) not in types or not 0 <= value <= high:
+            return f"{name}: {rule}"
+        values.append(value)
+    return CensusTract(geoid, tuple(polygons), *values)
+
+
+def _reference_ring(ring: list, place: str) -> tuple | str:
+    """A ring's (lon, lat) points, or its first fault."""
+    points = []
+    for k, position in enumerate(ring):
+        try:
+            if type(position) is not list or len(position) < 2 or not {type(v) for v in position[:2]} <= {int, float}:
+                raise TypeError
+            points.append((float(position[0]), float(position[1])))
+        except (TypeError, OverflowError):
+            return f"malformed {place}: position {k} is not an array of at least two numbers"
+    if len(points) < 4:
+        return f"{place} has fewer than 4 vertices"
+    if not all(math.isfinite(v) for point in points for v in point):
+        return f"{place} has a non-finite coordinate"
+    if points[0] != points[-1]:
+        return f"{place} is not closed"
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hazmob import synth
@@ -304,14 +304,16 @@ def test_same_cell_pairs_pass_and_neighbors_are_two_cells_apart(case):
 @given(st.sampled_from([0.1, 1 / 3, 1e-9, 7.0]) | st.floats(1e-9, 10.0),
        st.sampled_from([0, 1, 17, 2**20, 10**9, 2**40]) | st.integers(0, 10**12),
        st.sampled_from([0.0, -1 / 3, -1e-7, -12_345.678]))
+@example(eps=8.03125, k=2764, low=-12_345.678)  # float low + k * side misses the edge by 10 ulps
 def test_cell_corners_pass_the_exact_test(eps, k, low):
     """The in-cell margin at its tightest: the lowest and the highest
     coordinate of cell k on every axis, with cells counted from a point at
-    low, pass the exact test, and each point's cell is its exact floor."""
+    low, pass the exact test, and each point's cell is its exact floor.
+    The candidates are nudged from the cell's exact edges, rounded to floats."""
     side = _cell_side(eps)
     def cell(x):
         return (Fraction(x) - Fraction(low)) // Fraction(side)
-    near = [low + k * side, low + (k + 1) * side]
+    near = [float(Fraction(low) + j * Fraction(side)) for j in (k, k + 1)]
     candidates = sorted({x for v in near for x in _nudge_ulps(np.full(9, v), np.arange(-4, 5))
                          if x >= low})
     coords = np.array([[low] * 3] + [[x] * 3 for x in candidates])

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tempfile
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 from unittest import mock
@@ -19,9 +20,10 @@ from hazmob import ingest, synth
 from hazmob.exposure import CurveTable, PopulationCurve
 from hazmob.ingest import IngestError, parse_hazard, parse_stops, parse_tracts
 from hazmob.hazardclass import classify_percentile
-from hazmob.model import HAZARD_TYPES, MAX_DWELL_S, HazardLayer, MeiTable, StopRecord, format6, validate
+from hazmob.model import (HAZARD_TYPES, MAX_DWELL_S, HazardLayer, MeiTable, StopRecord, TractTable, format6,
+                          validate)
 
-from conftest import (MEI_INDEXES, layer_of, masked_set, mei_rows, mei_table, tract_worlds, unit_square_tract,
+from conftest import (MEI_INDEXES, layer_of, masked_set, mei_rows, mei_table, reference_parse_tracts, tract_worlds,
                       values_of)
 
 STOPS_HEADER = "user_id,lon,lat,start_ts,dwell_s\n"
@@ -565,6 +567,260 @@ def test_parse_tracts_missing_geoid():
         parse_tracts(feature_collection(feature))
 
 
+def assert_same_tracts(parsed, table) -> None:
+    """Two TractTables are equal column for column, dtypes included."""
+    assert parsed == table
+    for name in ("geoids", "population", "pct_minority", "pct_below_poverty200",
+                 "ring_offsets", "part_offsets", "tract_offsets"):
+        assert np.array_equal(getattr(parsed, name), getattr(table, name)), name
+        assert getattr(parsed, name).dtype == getattr(table, name).dtype, name
+    for name in ("x", "y"):
+        assert np.array_equal(getattr(parsed, name), getattr(table, name), equal_nan=True), name
+
+
+# parse_tracts converts positions _BATCH_POSITIONS at a time; the result
+# must not depend on where the batches end.
+BATCH_SIZES = (1, 3, 64, ingest._BATCH_POSITIONS)
+RAW = 1234.5  # written in a position, then replaced by raw JSON text; no generated coordinate equals it
+
+
+def assert_tracts_match_reference(text: str) -> TractTable | str:
+    """parse_tracts gives the oracle's table, or its error text, at every batch size."""
+    expected = reference_parse_tracts(text)
+    for batch in BATCH_SIZES:
+        with mock.patch.object(ingest, "_BATCH_POSITIONS", batch):
+            try:
+                parsed = parse_tracts(io.StringIO(text))
+            except IngestError as exc:
+                assert str(exc) == expected, batch
+                continue
+        assert not isinstance(expected, str), (batch, expected)
+        assert_same_tracts(parsed, expected)
+    return expected
+
+
+def _decoy(rng: random.Random, depth: int = 0):
+    """A Polygon or MultiPolygon object where no feature loop reads a geometry,
+    with coordinates that may be broken."""
+    square = [[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 0.5]]
+    coordinates = rng.choice([
+        [square], [[square]], "x", None, [], [[]], [[["a", 1.0]]], [[[True, 1.0], [0, 0]]],
+        [[[0.0, 0.0], [1.0, 0.0]]], [[[math.nan, 0.0]] * 4], [[square + [[RAW, 0.0]]]],
+    ])
+    decoy = {"type": rng.choice(["Polygon", "MultiPolygon"]), "coordinates": coordinates}
+    if depth == 0 and rng.random() < 0.3:
+        decoy["properties"] = {"inner": _decoy(rng, 1)}
+    return decoy
+
+
+def _position(rng: random.Random, x, y) -> list:
+    """A position at (x, y): 2-D, 3-D, or with other members past lat, a decoy among them."""
+    form = rng.randrange(6)
+    if form == 1:
+        return [x, y, rng.uniform(-50.0, 50.0)]
+    if form == 2:
+        return [x, y, _decoy(rng)]
+    if form == 3:
+        return [x, y, "members past lat are ignored", None]
+    return [x, y]
+
+
+def _ring(rng: random.Random, cx: int, cy: int, size: float) -> list:
+    """A closed ring around (cx, cy): an integer square, or 3 to 7 float corners."""
+    if rng.random() < 0.3:
+        corners = [(cx, cy), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)]
+    else:
+        n = rng.randint(3, 7)
+        corners = [(cx + round(size * math.cos(2 * math.pi * k / n), 6),
+                    cy + round(size * math.sin(2 * math.pi * k / n), 6)) for k in range(n)]
+    ring = [_position(rng, x, y) for x, y in corners]
+    return ring + [_position(rng, *corners[0])]
+
+
+def _feature(rng: random.Random, i: int) -> dict:
+    """A valid tract feature, with decoy geometries here and there."""
+    polygons = [[_ring(rng, 3 * i, 3 * k, 0.4)] + [_ring(rng, 3 * i, 3 * k, 0.2)] * (rng.random() < 0.3)
+                for k in range(rng.choice([1, 1, 2, 3]))]
+    if len(polygons) == 1 and rng.random() < 0.7:
+        geometry = {"type": "Polygon", "coordinates": polygons[0]}
+    else:
+        geometry = {"type": "MultiPolygon", "coordinates": polygons}
+    props = {"GEOID": f"48{i:09d}", "POP": rng.randrange(10**6),
+             "PCT_MINORITY": rng.choice([rng.random(), 0, 1]), "PCT_POV200": rng.random()}
+    if rng.random() < 0.3:
+        props["shape"] = _decoy(rng)
+    feature = {"type": rng.choice(["Feature", "Feature", "Polygon"]), "properties": props, "geometry": geometry}
+    if rng.random() < 0.2:
+        feature["bbox_geometry"] = _decoy(rng)
+    return feature
+
+
+def _rings_of(feature) -> list[list]:
+    """The rings of a feature's geometry, or none where a fault has broken it."""
+    geometry = feature.get("geometry") if isinstance(feature, dict) else None
+    if not isinstance(geometry, dict) or not isinstance(geometry.get("coordinates"), list):
+        return []
+    coords = geometry["coordinates"]
+    polygons = [coords] if geometry.get("type") == "Polygon" else coords
+    return [ring for polygon in polygons if isinstance(polygon, list)
+            for ring in polygon if isinstance(ring, list) and ring]
+
+
+# Every fault kind: the BAD_TRACT_VALUES, written anywhere in a feature, and
+# the structural faults.
+STRUCTURAL_FAULTS = ["feature", "properties", "geometry", "no GEOID", "duplicate GEOID", "geometry type",
+                     "coordinates", "part", "ring", "empty part", "empty geometry", "short ring",
+                     "open ring", "empty ring", "short ring, malformed position", "open ring, malformed position",
+                     "non-finite ring, malformed position"]
+TRACT_FAULTS = [(where, value) for where, value, _ in BAD_TRACT_VALUES] + [(kind, None) for kind in STRUCTURAL_FAULTS]
+
+
+def _plant(rng: random.Random, features: list, j: int, fault: tuple) -> None:
+    """Write a fault into feature j; a duplicate GEOID goes into feature 1 when j is 0."""
+    where, value = fault
+    feature = features[j]
+    props = feature.get("properties") if isinstance(feature, dict) else None
+    rings = _rings_of(feature)
+    geometry = feature.get("geometry") if isinstance(feature, dict) else None
+    if where == "feature":
+        features[j] = rng.choice([1, ["Feature"], "Feature", None, True])
+    elif not isinstance(props, dict) or not isinstance(geometry, dict):
+        return
+    elif where in ("GEOID", "POP", "PCT_MINORITY", "PCT_POV200"):
+        props[where] = value
+    elif where == "properties":
+        feature["properties"] = rng.choice([[1], "p", 7])
+    elif where == "geometry":
+        feature["geometry"] = rng.choice(["Polygon", [1], 3])
+    elif where == "no GEOID":
+        if rng.random() < 0.5:
+            props.pop("GEOID", None)
+        else:
+            props["GEOID"] = rng.choice([None, "", 48001950100])
+    elif where == "duplicate GEOID":
+        if j == 0 and len(features) > 1:
+            _plant(rng, features, 1, fault)
+        elif j > 0:
+            earlier = features[rng.randrange(j)]
+            if isinstance(earlier, dict) and isinstance(earlier.get("properties"), dict):
+                props["GEOID"] = earlier["properties"].get("GEOID")
+    elif where == "geometry type":
+        geometry["type"] = rng.choice(["Point", None, ["Polygon"], {"a": 1}, "polygon"])
+    elif where == "coordinates":
+        if rng.random() < 0.3:
+            geometry.pop("coordinates", None)
+        else:
+            geometry["coordinates"] = rng.choice([None, "x", 5, {"a": 1}])
+    elif where in ("part", "empty part", "empty geometry"):
+        if geometry.get("type") == "Polygon":
+            geometry.update(type="MultiPolygon", coordinates=[geometry.get("coordinates")])
+        parts = geometry.get("coordinates")
+        if where == "empty geometry":
+            geometry["coordinates"] = [] if rng.random() < 0.5 else [[]]
+        elif isinstance(parts, list):
+            bad = [] if where == "empty part" else rng.choice(["x", 5, None, {"b": 2}])
+            parts.insert(rng.randint(0, len(parts)), bad)
+    elif not rings:
+        return
+    elif where == "vertex":
+        positions = [p for p in rng.choice(rings) if isinstance(p, list) and len(p) >= 2]
+        if positions:
+            rng.choice(positions)[rng.randrange(2)] = RAW if isinstance(value, str) and value.startswith("raw:") else value
+    elif where == "position":
+        ring = rng.choice(rings)
+        ring[rng.randrange(len(ring))] = value
+    elif where == "short ring":
+        del rng.choice(rings)[rng.randint(0, 3):]
+    elif where.endswith(", malformed position"):
+        # A malformed position is named before any other fault of its ring.
+        ring = rng.choice(rings)
+        if where.startswith("short"):
+            del ring[rng.randint(1, 3):]
+        elif where.startswith("open"):
+            ring[-1] = [1e6, 1e6]
+        else:
+            ring[0] = [math.inf, 0.0]
+        ring[rng.randrange(len(ring) > 1, len(ring))] = rng.choice(["-97.1", True, None, [1.0], 1.0])
+    elif where == "open ring":
+        ring = rng.choice(rings)
+        if isinstance(ring[-1], list) and ring[-1] and isinstance(ring[-1][0], (int, float)):
+            ring[-1] = [ring[-1][0] + 0.125] + ring[-1][1:]
+    else:  # a ring that is not an array, or an empty ring
+        coords = geometry["coordinates"]
+        polygons = [coords] if geometry.get("type") == "Polygon" else coords
+        part = rng.choice([polygon for polygon in polygons if isinstance(polygon, list)] or [[]])
+        part.insert(rng.randint(0, len(part)), [] if where == "empty ring" else rng.choice(["x", 5, None, {"c": 3}]))
+
+
+def _document(rng: random.Random, features: list, raw: str = "1e400") -> str:
+    """The FeatureCollection text, perhaps with decoys beside the features;
+    each RAW number is written as raw JSON text."""
+    doc = {"type": "FeatureCollection"}
+    if rng.random() < 0.3:
+        doc["bbox_geometry"] = _decoy(rng)
+    doc["features"] = features
+    if rng.random() < 0.3:
+        doc["after"] = _decoy(rng)
+    return json.dumps(doc).replace(repr(RAW), raw)
+
+
+@pytest.mark.parametrize("fault", TRACT_FAULTS, ids=lambda fault: f"{fault[0]}={fault[1]!r}"[:40])
+def test_parse_tracts_names_every_fault_in_the_first_a_middle_and_the_last_batch(fault):
+    """With 9 features of about 12 positions each, the first feature lies in
+    the first batch, the fifth in a middle one and the last in the last one,
+    at every batch size below the default (at the default all share one)."""
+    where, value = fault
+    raw = value[4:] if isinstance(value, str) and value.startswith("raw:") else "1e400"
+    for seed, j in ((0, 0), (1, 4), (2, 8)):
+        rng = random.Random(f"{where}-{value!r}-{seed}")
+        features = [_feature(rng, i) for i in range(9)]
+        _plant(rng, features, j, fault)
+        expected = assert_tracts_match_reference(_document(rng, features, raw))
+        named = 1 if where == "duplicate GEOID" and j == 0 else j
+        assert isinstance(expected, str) and expected.startswith(f"feature {named}: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12),
+       st.lists(st.tuples(st.sampled_from(TRACT_FAULTS), st.floats(0.0, 1.0, exclude_max=True)), max_size=3),
+       st.sampled_from(["1e400", "1" + "0" * 400, "-0.0", "7"]))
+def test_parse_tracts_equals_its_reference_at_every_batch_size(seed, n, faults, raw):
+    rng = random.Random(seed)
+    features = [_feature(rng, i) for i in range(n)]
+    for fault, at in faults if n else ():
+        _plant(rng, features, int(at * n), fault)
+    assert_tracts_match_reference(_document(rng, features, raw))
+
+
+def test_parse_tracts_memory_is_the_text_and_a_few_vertex_copies(tmp_path):
+    """The decoded positions are converted a batch at a time, so parsing
+    1,024 tracts of 201-vertex rings peaks below the file's bytes plus
+    three float64 copies of the vertices (decoding the whole document first
+    costs about 128 bytes a vertex)."""
+    rng = random.Random(5)
+    features = []
+    for i in range(1024):
+        cx, cy = -97.0 + 0.02 * (i % 32), 30.0 + 0.02 * (i // 32)
+        ring = [[round(cx + 0.01 * math.cos(a) + rng.uniform(0, 1e-4), 6),
+                 round(cy + 0.01 * math.sin(a) + rng.uniform(0, 1e-4), 6)]
+                for a in np.linspace(0.0, 2 * math.pi, 200, endpoint=False).tolist()]
+        feature = tract_feature(f"48001{i:06d}")
+        feature["geometry"]["coordinates"] = [ring + [ring[0]]]
+        features.append(feature)
+    path = tmp_path / "tracts.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    del features
+    vertex_bytes = 1024 * 201 * 16
+    tracemalloc.start()
+    try:
+        tracts = parse_tracts(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tracts.x) == 1024 * 202
+    assert peak < path.stat().st_size + 3 * vertex_bytes
+
+
 def hazard_stream(*rows: str) -> io.StringIO:
     return io.StringIO("geoid,value\n" + "".join(r + "\n" for r in rows))
 
@@ -703,13 +959,7 @@ def test_tract_worlds_round_trip_through_writer(table, dims):
                         position.append(-12.25)
             path.write_text(json.dumps(doc))
         parsed = parse_tracts(path)
-    assert parsed == table
-    for name in ("geoids", "population", "pct_minority", "pct_below_poverty200",
-                 "ring_offsets", "part_offsets", "tract_offsets"):
-        assert np.array_equal(getattr(parsed, name), getattr(table, name)), name
-    assert parsed.population.dtype == table.population.dtype
-    for name in ("x", "y"):
-        assert np.array_equal(getattr(parsed, name), getattr(table, name), equal_nan=True)
+    assert_same_tracts(parsed, table)
 
 
 def test_hazard_round_trip_through_writer(roundtrip_world, tmp_path):
