@@ -86,9 +86,13 @@ def _night_seconds(start_ts: np.ndarray, dwell_s: np.ndarray, night_start: int, 
 
     def before(t):
         q, r = np.divmod(t - offset, DAY_S)
-        return q * length + np.minimum(r, length)
+        q *= length
+        q += np.minimum(r, length, out=r)
+        return q
 
-    return before(start_ts + dwell_s) - before(start_ts)
+    night = before(start_ts + dwell_s)
+    night -= before(start_ts)
+    return night
 
 
 def _night_range(start_ts: np.ndarray, dwell_s: np.ndarray, night_start: int, night_end: int):
@@ -98,8 +102,8 @@ def _night_range(start_ts: np.ndarray, dwell_s: np.ndarray, night_start: int, ni
     (first > last) when the stop has no night seconds.
     """
     offset, length = _window(night_start, night_end)
-    first = (start_ts - offset - length) // DAY_S + 1
-    last = np.where(dwell_s > 0, (start_ts + dwell_s - offset - 1) // DAY_S, first - 1)
+    first = (start_ts - (offset + length)) // DAY_S + 1
+    last = np.where(dwell_s > 0, (start_ts + dwell_s - (offset + 1)) // DAY_S, first - 1)
     return first, last
 
 
@@ -110,15 +114,27 @@ def _count_nights(user: np.ndarray, first: np.ndarray, last: np.ndarray, n_users
     the last nights. Each user's ranges are shifted into a band of their
     own, so the running max never carries over from the previous user.
     """
-    order = np.lexsort((first, user))
-    user, first, last = user[order], first[order], last[order]
-    base = first.min() if len(user) else 0
-    band = last.max() - base + 2 if len(user) else 0
-    lo = user * band + (first - base)
-    hi = user * band + (last - base)
-    covered = np.r_[lo[:1] - 1, np.maximum.accumulate(hi)[:-1]]
     nights = np.zeros(n_users, dtype=np.int64)
-    np.add.at(nights, user, np.maximum(hi - np.maximum(lo - 1, covered), 0))
+    if not len(user):
+        return nights
+    order = np.lexsort((first, user))
+    user = user[order]
+    shift = user.astype(np.int64)
+    shift *= last.max() - first.min() + 2  # the band
+    lo, hi = first[order], last[order]
+    del order
+    lo += shift
+    hi += shift
+    del shift
+    # Each range adds the nights past both its first and the running max before it.
+    covered = np.empty_like(hi)
+    covered[0] = lo[0] - 1
+    np.maximum.accumulate(hi[:-1], out=covered[1:])
+    lo -= 1
+    np.maximum(lo, covered, out=covered)
+    del lo
+    hi -= covered
+    np.add.at(nights, user, np.maximum(hi, 0, out=hi))
     return nights
 
 
@@ -137,30 +153,36 @@ def infer_homes(
     the stop lies outside every tract. Such stops count toward nothing.
     """
     n_users = len(stops.user_ids)
-    located = np.flatnonzero(where >= 0)
-    user = stops.user[located].astype(np.int64)
-    start, dwell = stops.start_ts[located], stops.dwell_s[located]
-    night = _night_seconds(start, dwell, night_start, night_end)
+    located = where >= 0
+    start = stops.start_ts[located]
+    dwell = stops.dwell_s[located].astype(np.int32)  # exact: dwell is at most MAX_DWELL_S
+    night = _night_seconds(start, dwell, night_start, night_end).astype(np.int32)  # at most dwell
+
+    # Nights per user, over the stops with night seconds.
+    sel = night > 0
+    first, last = _night_range(start[sel], dwell[sel], night_start, night_end)
+    del start
+    nights = _count_nights(stops.user[located][sel], first, last, n_users)
+    del sel, first, last
 
     # Night and total dwell per (user, tract) pair. Pairs with night dwell
     # are the home candidates; a user's best one comes first in
     # (user, -night dwell, -total dwell, geoid) order.
     n_tracts = max(len(geoids), 1)
-    pair = user * n_tracts + where[located]
+    pair = stops.user[located] * np.int64(n_tracts)
+    pair += where[located]
     order = np.argsort(pair, kind="stable")
     pair = pair[order]
     head = run_heads(pair)
     pair_user, pair_tract = np.divmod(pair[head], n_tracts)
-    pair_total = np.add.reduceat(dwell[order], head)
-    pair_night = np.add.reduceat(night[order], head)
+    del pair
+    pair_total = np.add.reduceat(dwell[order], head, dtype=np.int64)
+    pair_night = np.add.reduceat(night[order], head, dtype=np.int64)
+    del order, dwell, night
     cand = np.flatnonzero(pair_night > 0)
     cand = cand[np.lexsort((pair_tract[cand], -pair_total[cand], -pair_night[cand], pair_user[cand]))]
     best = cand[run_heads(pair_user[cand])]
-    home = np.full(n_users, -1, dtype=np.int64)
+    home = np.full(n_users, -1, dtype=np.int32)
     home[pair_user[best]] = pair_tract[best]
-
-    sel = np.flatnonzero(night > 0)
-    first, last = _night_range(start[sel], dwell[sel], night_start, night_end)
-    home[_count_nights(user[sel], first, last, n_users) < min_nights] = -1
-
-    return HomeMap(home=home.astype(np.int32), no_night_dwell=n_users - len(best))
+    home[nights < min_nights] = -1
+    return HomeMap(home=home, no_night_dwell=n_users - len(best))

@@ -6,17 +6,25 @@ metadata sidecars. Data-row problems are rejected row by row and counted;
 structural problems (bad header, duplicate keys, broken geometry) abort
 with IngestError.
 
-The three CSV inputs (stops, hazard layers, mei.csv) share one reader,
-_csv_chunks(), which checks the header with one wording and yields rows
-with the file line each starts on. Each input rule is stated once: stop
-bounds in model.STOP_BOUNDS, the canonical timestamp layout in
+The hazard layers and mei.csv share one reader, _csv_chunks(), which
+yields rows with the file line each starts on; all three CSV inputs check
+their header with one wording (_check_header()). Each input rule is stated
+once: stop bounds in model.STOP_BOUNDS, the vouched timestamp layouts in
 _canonical_epochs(), hazard rows in parse_hazard(), mei.csv rows in
 read_mei().
 
-parse_stops() returns one model.Stops frame of numpy columns. It checks
-and converts whole chunks of rows at once; only rows those checks do not
-accept take the scalar row path, which words each reject exactly as a
-row-by-row parse would.
+parse_stops() returns one model.Stops frame of numpy columns. It reads
+its source as bytes, in blocks of whole lines, and splits each block at
+its LFs and commas itself where csv.reader would read the same fields: a
+block that holds no quote, no NUL, no CR but in a CRLF line end and no
+line longer than csv.field_size_limit(). csv.reader reads any other block,
+and the header, and its rows are joined back into lines of bytes; so one
+converter, _convert(), checks and converts every block with numpy. It
+vouches for user ids, numbers in the layouts -?D+(.D+)? and -?D{1,18}
+within their bounds, and timestamps in the layouts of _canonical_epochs().
+A row that fails only on its timestamp is read with parse_iso_utc(); any
+other row it does not vouch for takes the scalar row path, which words
+each reject exactly as a row-by-row parse would.
 """
 
 from __future__ import annotations
@@ -29,12 +37,13 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter, mul
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     HAZARD_TYPES,
@@ -76,24 +85,23 @@ class IngestReport:
 
 
 @contextmanager
-def _text(source: str | Path | IO) -> Iterator[IO]:
-    """A text-mode handle on a path, text stream or byte stream, closed on
-    exit if opened here; a caller's byte stream is left open. Bytes that
-    are not UTF-8 are an IngestError that names the source."""
+def _opened(source: str | Path | IO) -> Iterator[tuple[IO, bool]]:
+    """A handle on a path, opened here in binary mode and closed on exit, or
+    on a caller's text or byte stream, left open; and whether it reads
+    bytes. Bytes that are not UTF-8 are an IngestError that names the
+    source."""
     owned = isinstance(source, (str, Path))
     if owned:
         try:
-            handle = open(source, "r", encoding="utf-8", newline="")
+            handle = open(source, "rb")
         except OSError as exc:
             raise IngestError(f"cannot read {source}: {exc}") from exc
     elif hasattr(source, "read"):
         handle = source
-        if isinstance(source.read(0), bytes):
-            handle = io.TextIOWrapper(source, encoding="utf-8", newline="")
     else:
         raise IngestError(f"unreadable source: {type(source).__name__}")
     try:
-        yield handle
+        yield handle, owned or isinstance(source.read(0), bytes)
     except UnicodeDecodeError as exc:
         name = source if owned else getattr(source, "name", "input")
         byte = exc.object[exc.start]
@@ -101,9 +109,20 @@ def _text(source: str | Path | IO) -> Iterator[IO]:
     finally:
         if owned:
             handle.close()
-        elif handle is not source:
-            # A collected wrapper would close the stream it wraps.
-            handle.detach()
+
+
+@contextmanager
+def _text(source: str | Path | IO) -> Iterator[IO]:
+    """A text-mode handle on a path, text stream or byte stream, as _opened() gives them."""
+    with _opened(source) as (handle, binary):
+        if not binary:
+            yield handle
+            return
+        text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+        try:
+            yield text
+        finally:
+            text.detach()  # a collected wrapper would close the stream it wraps
 
 
 def parse_iso_utc(text: str) -> int:
@@ -122,9 +141,21 @@ def format_iso_utc(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-# The CSV readers read this many rows at a time; it bounds the rows held
-# as Python strings. Results do not depend on it.
+# The hazard and mei.csv readers read this many rows at a time; it bounds
+# the rows held as Python strings. Results do not depend on it.
 _CHUNK_ROWS = 4096
+# parse_stops() reads this many bytes at a time and converts the whole lines
+# among them as one block; it bounds the bytes and the per-row temporaries
+# held at once. Results do not depend on it.
+_BLOCK_BYTES = 1 << 18
+# The widest lon, lat, start_ts or dwell_s field the byte split converts; a
+# wider one takes the row path. 2019-04-02T09:00:00.123456+00:00 fills it.
+_FIELD_BYTES = 32
+# parse_stops() merges the columns of this many blocks (about 16 MB of
+# input) at a time. The blocks' small arrays, once merged and freed, leave
+# their memory to the next blocks' arrays; without merging, a second copy of
+# the output stayed resident after the last concatenation freed them.
+_MERGE_BLOCKS = 64
 _STOP_DTYPES = (np.int32, np.float64, np.float64, np.int64, np.int64, np.int64)
 _UNREAD = -(2**63)  # below every epoch parse_iso_utc() returns
 
@@ -132,26 +163,160 @@ _UNREAD = -(2**63)  # below every epoch parse_iso_utc() returns
 def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
     """Parse a stops CSV into a Stops frame, rejecting malformed rows and keeping row order.
 
-    Rows are read _CHUNK_ROWS at a time. Coordinates and dwell go through
-    float() and int() as in the scalar row path, canonical timestamps are
-    decoded as a byte matrix, and every range check runs on whole columns.
-    A row that fails only because its timestamp is not canonical is read
-    with parse_iso_utc(). Any other row the column checks do not accept
-    goes through the scalar row path, which decides and words its reject,
-    so rejects and their reasons are those of a row-by-row parse.
+    The source is read as bytes (_Feed), in blocks of whole lines. A block
+    holding no quote, no NUL, no CR but in a CRLF line end and no line
+    longer than csv.field_size_limit() reads as csv.reader would read it,
+    one row per line split at its commas, and _convert() checks and
+    converts it with numpy. Any other block goes to csv.reader, and so does the header; the
+    rows it reads are joined back into lines for _convert(). A row that
+    _convert() does not vouch for is read with parse_iso_utc() if only its
+    timestamp fails, and otherwise takes the scalar row path, which decides
+    and words its reject, so rejects and their reasons are those of a
+    row-by-row parse.
     """
     report = IngestReport()
     users: dict[str, int] = {}
-    with _csv_chunks(source, "stops", STOPS_HEADER) as chunks:
-        parsed = [_parse_chunk(rows, lines, report, users) for rows, lines in chunks]
-    if parsed:
-        columns = [np.concatenate(column) for column in zip(*parsed)]
-    else:
-        columns = [np.empty(0, dtype) for dtype in _STOP_DTYPES]
-    user, lon, lat, start_ts, dwell_s, lines = columns
+    merged, blocks = [], []
+    with _opened(source) as (handle, binary):
+        # A text stream's lone surrogates become bytes that are not UTF-8.
+        feed = _Feed(handle.read if binary else lambda n: handle.read(n).encode("utf-8", "surrogatepass"))
+        for data, lines, rows in feed.pieces():
+            blocks.append(_convert(data, lines, rows, report, users))
+            if len(blocks) == _MERGE_BLOCKS:
+                merged.append(_merged(blocks))
+                blocks = []
+    user, lon, lat, start_ts, dwell_s, lines = _merged(merged + blocks)
     stops = Stops(user=user, user_ids=np.array(list(users), dtype=object), lon=lon, lat=lat,
                   start_ts=start_ts, dwell_s=dwell_s, line=lines)
     return stops, report
+
+
+def _merged(parts: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """The columns of the parts (_STOP_DTYPES), each concatenated in order.
+    They are merged one column at a time, so the parts and the result are
+    never both held whole."""
+    return [np.concatenate([np.empty(0, dtype)] + [part.pop(0) for part in parts]) for dtype in _STOP_DTYPES]
+
+
+class _Feed:
+    """A stops source as blocks of whole lines of bytes.
+
+    read(n) returns up to n bytes of the source, b"" at its end; line is
+    the file line the next block starts on.
+    """
+
+    def __init__(self, read):
+        self.read = read
+        self.rest = b""  # bytes read past the last block, from a line start
+        self.line = 1
+
+    def pieces(self) -> Iterator[tuple[bytes, np.ndarray, list | None]]:
+        """The data rows after the header, as _convert() takes them: bytes of
+        whole lines, the file line of each, and the csv.reader rows the lines
+        were joined from (None where each line split at its commas is its
+        row). The header, the first line of the first block, is read by
+        csv.reader and must be STOPS_HEADER; the rest of the block is read
+        again."""
+        data, _ = self.block(_BLOCK_BYTES)
+        end = data.find(b"\n") + 1 or len(data)
+        self.rest, self.line = data[end:] + self.rest, 2
+        rows, lines = self.csv_rows(data[:end], 1)
+        _check_header(rows[:1], "stops", STOPS_HEADER)
+        if len(rows) > 1:
+            yield _rejoined(rows[1:]), lines[1:], rows[1:]
+        while True:
+            data, first = self.block(_BLOCK_BYTES)
+            if not data:
+                return
+            if self.splits(data):
+                yield data, np.arange(first, self.line), None
+            else:
+                rows, lines = self.csv_rows(data, first)
+                yield _rejoined(rows), lines, rows
+
+    def block(self, size: int) -> tuple[bytes, int]:
+        """The next whole lines, at least one and about size bytes of them
+        (the last may lack its LF), and the file line they start on; b"" at
+        the end of the source. Bytes that are not UTF-8 raise
+        UnicodeDecodeError."""
+        chunks, n, newline = [self.rest], len(self.rest), False
+        while not newline or n < size:
+            chunk = self.read(size)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            n += len(chunk)
+            newline = newline or b"\n" in chunk
+        data = b"".join(chunks)
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        data, self.rest = data[:cut], data[cut:]
+        if not data.isascii():
+            data.decode("utf-8")
+        first = self.line
+        self.line += data.count(b"\n") + (not data.endswith(b"\n") and bool(data))
+        return data, first
+
+    @staticmethod
+    def splits(data: bytes) -> bool:
+        """Whether csv.reader reads each line of data as the line split at its
+        commas: data holds no quote, no NUL (which csv.reader refuses before
+        Python 3.11), no CR but before a LF, and no line longer than
+        csv.field_size_limit()."""
+        if b'"' in data or b"\0" in data or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+            return False
+        limit, start = csv.field_size_limit(), 0
+        while len(data) - start > limit:  # the lines from start up to the last LF in reach are short
+            start = data.rfind(b"\n", start, start + limit + 1) + 1
+            if not start:
+                return False
+        return True
+
+    def csv_rows(self, data: bytes, first: int) -> tuple[list[list[str]], np.ndarray]:
+        """csv.reader's rows of the lines in data, which start on file line
+        first, with the int64 file line each row starts on; a row it cannot
+        read becomes an _Unreadable. A row still open at the end of data
+        reads on into the next blocks, and the rows end with the first that
+        ends where the lines read so far do."""
+        lines = io.StringIO(data.decode("utf-8")).readlines()  # split at LFs only
+        taken = [len(lines)]  # lines handed to the reader
+
+        def more():
+            while following := self.block(_BLOCK_BYTES)[0]:
+                block = io.StringIO(following.decode("utf-8")).readlines()
+                taken[0] += len(block)
+                yield block
+
+        reader = csv.reader(chain(lines, chain.from_iterable(more())))
+        rows: list[list[str]] = []
+        while reader.line_num < taken[0]:  # each row takes at least one line
+            rows += _read_rows(reader, taken[0] - reader.line_num)
+        if reader.line_num == len(rows):
+            return rows, np.arange(first, first + len(rows))
+        # A quoted field holds a line break: count the lines each row takes.
+        starts, end = [], first - 1
+        for row in rows:
+            starts.append(end + 1)
+            if isinstance(row, _Unreadable):
+                end = max(end + 1, first - 1 + row.line)
+            else:
+                end += 1 + sum(field.count("\n") for field in row)
+        return rows, np.array(starts, dtype=np.int64)
+
+
+def _rejoined(rows: list[list[str]]) -> bytes:
+    """The rows as lines of comma-joined fields, for _convert(). A row of 5
+    fields whose line splits back into them gives that line; any other row
+    an empty line, which _convert() leaves to the row path."""
+    lines = list(map(",".join, rows))
+    n = len(lines)
+    plain = np.fromiter(map(len, rows), np.int64, n) == 5
+    plain &= np.fromiter(map(str.count, lines, repeat(",")), np.int64, n) == 4
+    text = "\n".join(lines)
+    if "\r" in text or text.count("\n") > n - 1:  # a field holds a line break
+        plain &= ~np.fromiter((("\n" in line or "\r" in line) for line in lines), bool, n)
+    for i in np.flatnonzero(~plain).tolist():
+        lines[i] = ""
+    return ("\n".join(lines) + "\n").encode()
 
 
 class _Unreadable(list):
@@ -203,80 +368,164 @@ def _chunks(reader):
         yield rows, np.array(lines, dtype=np.int64)
 
 
+def _check_header(first: list, what: str, header: list[str]) -> None:
+    """The first row of a CSV source (in a list, empty if it has none) must
+    be header: otherwise an IngestError worded `<what> file is empty
+    (missing header)` or `bad <what> header: ...`."""
+    if not first:
+        raise IngestError(f"{what} file is empty (missing header)")
+    got = first[0].reason if isinstance(first[0], _Unreadable) else first[0]
+    if got != header:
+        raise IngestError(f"bad {what} header: expected {header}, got {got}")
+
+
 @contextmanager
 def _csv_chunks(source: str | Path | IO, what: str, header: list[str]) -> Iterator[Iterator]:
-    """The data rows of a CSV source, as _chunks() yields them.
-
-    The source is opened with _text(). Its first row must be header: a
-    source without one, or with another, is an IngestError worded
-    `<what> file is empty (missing header)` or `bad <what> header: ...`.
-    """
+    """The data rows of a CSV source after its header (_check_header()), as
+    _chunks() yields them; the source is opened with _text()."""
     with _text(source) as handle:
         reader = csv.reader(handle)
-        first = _read_rows(reader, 1)
-        if not first:
-            raise IngestError(f"{what} file is empty (missing header)")
-        got = first[0].reason if isinstance(first[0], _Unreadable) else first[0]
-        if got != header:
-            raise IngestError(f"bad {what} header: expected {header}, got {got}")
+        _check_header(_read_rows(reader, 1), what, header)
         yield _chunks(reader)
 
 
-def _parse_chunk(rows: list[list[str]], lines: np.ndarray, report: IngestReport,
-                 users: dict[str, int]) -> tuple[np.ndarray, ...]:
-    """Columns (user code, lon, lat, start_ts, dwell_s, line) of a chunk's accepted rows.
+def _convert(data: bytes, line: np.ndarray, rows: list | None, report: IngestReport,
+             users: dict[str, int]) -> list[np.ndarray]:
+    """Columns (user code, lon, lat, start_ts, dwell_s, line) of the accepted rows of a block.
 
-    lines holds each row's file line. Rejects are recorded in line order;
-    users first seen here get the next codes.
+    Each line of data, LF- or CRLF-terminated, is a row, and line holds its
+    file line. rows holds the csv.reader rows the lines were joined from;
+    if None, each line split at its commas is its row. A row is vouched for
+    when it has 5 fields, a non-empty user_id, lon and lat in the byte
+    layout -?D+(.D+)? and dwell_s in -?D{1,18}, each within its bounds
+    (model.STOP_BOUNDS), and a start_ts in a layout of _canonical_epochs();
+    _numbers() reads the numbers as float() and int() do. A row that fails
+    only on its start_ts is read with parse_iso_utc(); every other row the
+    checks refuse takes the row path, in line order, and its rejects are
+    recorded. Users first seen here get the next codes.
     """
-    n = len(rows)
+    n = len(line)
+    a = np.frombuffer(data + bytes(_FIELD_BYTES), dtype=np.uint8)  # padded for _bytes()
+    ends = np.append(np.flatnonzero(a == ord("\n")), len(data))[:n]  # the last line may lack its LF
+    starts = np.r_[0, ends[:-1] + 1]
+    ends -= (ends > starts) & (a[ends - 1] == ord("\r"))
+    commas = np.flatnonzero(a == ord(","))
+    first = np.searchsorted(commas, starts)
+    five = np.flatnonzero(np.searchsorted(commas, ends) - first == 4)
+    cuts = commas[first[five, None] + np.arange(4)]
+    lo = np.column_stack((starts[five], cuts + 1))  # where each field starts
+    width = np.column_stack((cuts, ends[five])) - lo
+
     lon, lat = np.zeros(n), np.zeros(n)
     start_ts, dwell_s = np.zeros(n, np.int64), np.zeros(n, np.int64)
     accepted = np.zeros(n, dtype=bool)
-    five = np.flatnonzero(np.fromiter(map(len, rows), np.int64, n) == 5)
-    if len(five):
-        good = rows if len(five) == n else list(map(rows.__getitem__, five.tolist()))
-        m = len(good)
-        ok = _within("user_id", np.fromiter(map(len, map(itemgetter(0), good)), np.int64, m))
-        for column, k, name in ((lon, 1, "lon"), (lat, 2, "lat")):
-            values = np.fromiter(_map_lenient(float, map(itemgetter(k), good), math.nan), np.float64, m)
-            ok &= _within(name, values)
-            column[five] = values
-        low, high, *_ = STOP_BOUNDS["dwell_s"]
-        values = _map_lenient(int, map(itemgetter(4), good), low - 1)
-        try:
-            values = np.array(values, dtype=np.int64)
-        except OverflowError:  # beyond int64, so beyond the bounds
-            values = np.array([v if low <= v <= high else low - 1 for v in values], dtype=np.int64)
-        ok &= _within("dwell_s", values)
-        dwell_s[five] = values
-        canonical, start_ts[five] = _canonical_epochs(list(map(itemgetter(3), good)))
-        accepted[five] = ok & canonical
-        # A row whose only fault is a non-canonical timestamp is accepted
-        # when parse_iso_utc() reads it.
-        retry = five[ok & ~canonical]
-        texts = map(itemgetter(3), map(rows.__getitem__, retry.tolist()))
-        stamps = np.fromiter(_map_lenient(parse_iso_utc, texts, _UNREAD), np.int64, len(retry))
-        start_ts[retry] = stamps
-        accepted[retry[stamps != _UNREAD]] = True
+    ok, canonical, lon[five], lat[five], start_ts[five], dwell_s[five] = _vouch(a, lo, width)
+    del a, commas, first  # block-sized, and no longer needed
+    accepted[five] = ok & canonical
+    # A row whose only fault is its timestamp's layout is accepted when
+    # parse_iso_utc() reads it.
+    retry = np.flatnonzero(ok & ~canonical)
+    texts = map(bytes.decode, map(data.__getitem__, map(slice, lo[retry, 3].tolist(),
+                                                        (lo[retry, 3] + width[retry, 3]).tolist())))
+    stamps = np.fromiter(_map_lenient(parse_iso_utc, texts, _UNREAD), np.int64, len(retry))
+    start_ts[five[retry]] = stamps
+    accepted[five[retry[stamps != _UNREAD]]] = True
 
     # Everything else takes the scalar row path, in line order.
+    named = {}  # the user_id of each row the row path accepts
     for i in np.flatnonzero(~accepted).tolist():
-        rec = _scalar_stop(rows[i])
+        rec = _scalar_stop(rows[i] if rows is not None else _split(data[starts[i]:ends[i]]))
         if isinstance(rec, str):
-            report.reject(int(lines[i]), rec)
+            report.reject(int(line[i]), rec)
             continue
         lon[i], lat[i], start_ts[i], dwell_s[i] = rec.lon, rec.lat, rec.start_ts, rec.dwell_s
         accepted[i] = True
+        named[i] = rec.user_id
     report.rows_read += n
     keep = np.flatnonzero(accepted)
     report.rows_accepted += len(keep)
 
-    names = list(map(itemgetter(0), map(rows.__getitem__, keep.tolist())))
-    fresh = list(filterfalse(users.__contains__, dict.fromkeys(names)))
-    users.update(zip(fresh, range(len(users), len(users) + len(fresh))))
-    user = np.fromiter(map(users.__getitem__, names), np.int32, len(names))
-    return user, lon[keep], lat[keep], start_ts[keep], dwell_s[keep], lines[keep]
+    name_end = starts.copy()
+    name_end[five] = cuts[:, 0]
+    names = map(slice, starts[keep].tolist(), name_end[keep].tolist())
+    if data.isascii():  # its text has its byte offsets
+        names = list(map(data.decode("ascii").__getitem__, names))
+    else:
+        names = [data[name].decode("utf-8") for name in names]
+    for i, name in named.items():
+        names[int(np.searchsorted(keep, i))] = name
+    # A name first seen gets the next code, the count of codes before it.
+    user = np.fromiter(map(users.setdefault, names, map(len, repeat(users))), np.int32, len(names))
+    return [user, lon[keep], lat[keep], start_ts[keep], dwell_s[keep], line[keep]]
+
+
+def _vouch(a: np.ndarray, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Of rows of 5 fields, with each field's start (in the padded block a)
+    and width in the rows of lo and width: which pass the checks on every
+    field but start_ts, which have a start_ts in a vouched layout, and their
+    lon, lat, start_ts and dwell_s."""
+    start, size = lo[:, [1, 2, 4]].T.ravel(), width[:, [1, 2, 4]].T.ravel()
+    decimal, integer, real, whole = (v.reshape(3, -1) for v in _numbers(_bytes(a, start, size), size))
+    lon, lat, dwell_s = real[0], real[1], whole[2]
+    ok = (_within("user_id", width[:, 0]) & decimal[0] & _within("lon", lon) & decimal[1] & _within("lat", lat)
+          & integer[2] & _within("dwell_s", dwell_s))
+    canonical, start_ts = _canonical_epochs(_bytes(a, lo[:, 3], width[:, 3], _FIELD_BYTES), width[:, 3])
+    return ok, canonical, lon, lat, start_ts, dwell_s
+
+
+def _split(line: bytes) -> list[str]:
+    """csv.reader's row of a line that holds no quote or CR: its text split at its commas."""
+    text = line.decode("utf-8")
+    return text.split(",") if text else []
+
+
+def _bytes(a: np.ndarray, start: np.ndarray, width: np.ndarray, size: int = 0) -> np.ndarray:
+    """Byte j of the field at each start in row j of a (size, n) array: size
+    bytes (at most _FIELD_BYTES; by default the widest field's), NUL past
+    each field's width."""
+    size = size or int(min(width.max(initial=1), _FIELD_BYTES))
+    field = sliding_window_view(a, size)[start].T.copy()
+    field *= np.arange(size)[:, None] < width
+    return field
+
+
+def _numbers(field: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Which fields (_bytes()) are in the layout -?D+(.D+)?, which in
+    -?D{1,18}, and their values: the float64 value float() reads, and the
+    int64 value int() reads in those of the second layout.
+
+    The digits are read into an int64 mantissa M; with k digits after the
+    point, the value is M / 10**k, which float64 rounds as float() does
+    where M and 10**k are exact, as they are for up to 15 digits. Longer
+    decimals go through numpy's bytes cast, which rounds correctly too.
+    """
+    digit = field - np.uint8(ord("0"))
+    is_digit = digit <= 9  # other bytes wrap past 9
+    digit *= is_digit
+    point = field == ord(".")
+    # Horner's rule, where a byte that is no digit multiplies by 1 and adds
+    # 0; scale counts the digits since the last point.
+    step, past_point = np.where(is_digit, np.uint8(10), np.uint8(1)), ~point
+    mantissa, scale = digit[0].astype(np.int64), is_digit[0].astype(np.int8)
+    for k in range(1, len(field)):
+        mantissa *= step[k]
+        mantissa += digit[k]
+        scale *= past_point[k]
+        scale += is_digit[k]
+    del digit, step, past_point
+    digits, points = is_digit.sum(axis=0, dtype=np.int8), point.sum(axis=0, dtype=np.int8)
+    scale *= points > 0
+    sign = field[0] == ord("-")
+    # Every byte of the field is a digit, a point or a leading minus sign
+    # (the bytes past its width are NUL, none of these).
+    ok = (digits + points + sign == width) & (digits >= 1)
+    integer = ok & (points == 0) & (digits <= 18)
+    ok &= (points == 0) | ((points == 1) & (scale >= 1) & (digits > scale))  # a digit on each side of the point
+    real = mantissa / 10.0 ** scale
+    real = np.where(sign, -real, real)
+    long = np.flatnonzero(ok & (digits > 15))
+    real[long] = field[:, long].T.copy().view(f"S{len(field)}").ravel().astype(np.float64)  # signed
+    return ok, integer, real, np.where(sign, -mantissa, mantissa)
 
 
 def _within(name: str, values: np.ndarray) -> np.ndarray:
@@ -320,53 +569,86 @@ def _scalar_stop(row: list[str]) -> StopRecord | str:
     return violations[0] if violations else rec
 
 
-# Byte layout of a canonical YYYY-MM-DDTHH:MM:SSZ timestamp.
-_TS_TEMPLATE = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
-_TS_SEPARATORS = np.array([4, 7, 10, 13, 16, 19])
+# Byte positions of a YYYY-MM-DDTHH:MM:SS timestamp: its separators and its
+# six numbers; and the days in each month of a common year.
+_TS_SEPARATORS = np.array([4, 7, 10, 13, 16])
+_TS_TEMPLATE = np.frombuffer(b"--T::", dtype=np.uint8)
+_TS_NUMBERS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
 _TS_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
 _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def _canonical_epochs(texts) -> tuple[np.ndarray, np.ndarray]:
-    """Which texts are valid canonical UTC timestamps, and their epoch seconds.
+def _canonical_epochs(field: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which timestamps are in a vouched layout, and their epoch seconds.
 
-    This is the one statement of the canonical layout: ASCII
-    YYYY-MM-DDTHH:MM:SSZ with a real date in years 1-9999, hour 00-23,
-    minute and second 00-59. Each such string gets the value
-    parse_iso_utc() gives it; other entries are False with epoch 0, and
-    parse_stops() retries them with parse_iso_utc(). Dates become days with
-    H. Hinnant's days_from_civil.
+    This is the one statement of the vouched layouts: ASCII
+    YYYY-MM-DDTHH:MM:SS, then an optional fraction of 1-6 digits after a
+    point, then Z or an offset +HH:MM or -HH:MM of at most 23:59; with a
+    real date in years 1-9999, hour 00-23, minute and second 00-59. field
+    holds the texts' bytes (_bytes(), _FIELD_BYTES of them) and width their
+    lengths. Each such text gets the value parse_iso_utc() gives it:
+    timestamp() divides whole microseconds by 10**6 and int() truncates
+    toward zero, which float64 repeats where the microseconds are whole
+    seconds or fewer than 2**53, and only there is a fraction vouched for.
+    Other entries are False with epoch 0, and parse_stops() retries them
+    with parse_iso_utc().
     """
-    n = len(texts)
-    ok = np.fromiter(map(len, texts), np.int64, n) == 20
-    picked = np.flatnonzero(ok)
-    epochs = np.zeros(n, dtype=np.int64)
-    if not len(picked):
-        return ok, epochs
-    same = texts if len(picked) == n else list(map(texts.__getitem__, picked.tolist()))
-    # Non-ASCII characters become "?", one byte each, and fail the checks.
-    raw = np.frombuffer("".join(same).encode("ascii", "replace"), dtype=np.uint8).reshape(-1, 20)
-    valid = (raw[:, _TS_SEPARATORS] == _TS_TEMPLATE[_TS_SEPARATORS]).all(axis=1)
-    digits = raw[:, _TS_DIGITS] - np.uint8(48)  # non-digits wrap past 9
-    valid &= (digits <= 9).all(axis=1)
-    d = digits.astype(np.int64)
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    month = d[:, 4] * 10 + d[:, 5]
-    day = d[:, 6] * 10 + d[:, 7]
-    hour, minute, second = d[:, 8] * 10 + d[:, 9], d[:, 10] * 10 + d[:, 11], d[:, 12] * 10 + d[:, 13]
-    valid &= (year >= 1) & (1 <= month) & (month <= 12) & (hour <= 23) & (minute <= 59) & (second <= 59)
+    rows = np.arange(field.shape[1])
+    zulu = field[np.clip(width - 1, 0, _FIELD_BYTES - 1), rows] == ord("Z")
+    fraction = width - np.where(zulu, 21, 26)  # its digits; -1 without a fraction
+    valid = (width <= _FIELD_BYTES) & (
+        (fraction == -1) | ((fraction >= 1) & (fraction <= 6) & (field[19] == ord("."))))
+    valid &= (field[_TS_SEPARATORS] == _TS_TEMPLATE[:, None]).all(axis=0)
+    digit = field[:26] - np.uint8(ord("0"))  # non-digits wrap past 9
+    valid &= (digit[_TS_DIGITS] <= 9).all(axis=0)
+    year, month, day, hour, minute, second = (_number(digit[a:b]) for a, b in _TS_NUMBERS)
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _DAYS_IN_MONTH[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
-    valid &= (1 <= day) & (day <= month_days)
-    # days_from_civil: years start in March, so February's leap day is last.
+    valid &= ((year >= 1) & (1 <= month) & (month <= 12) & (1 <= day) & (day <= month_days)
+              & (hour <= 23) & (minute <= 59) & (second <= 59))
+    seconds = _days_from_civil(year, month, day) * 86400 + hour * 3600 + minute * 60 + second
+
+    # The fraction's digits, with zeros past them, count microseconds.
+    fractional = np.flatnonzero(fraction > 0)
+    fraction_digit = np.where(np.arange(6)[:, None] < fraction[fractional], digit[20:26, fractional], 0)
+    valid[fractional] &= (fraction_digit <= 9).all(axis=0)
+    micros = seconds * 10**6
+    micros[fractional] += _number(fraction_digit)
+    # The offset, +HH:MM or -HH:MM, ends the text.
+    offset = np.flatnonzero(~zulu)
+    zone = field[np.clip(width[offset] - 6, 0, _FIELD_BYTES - 6) + np.arange(6)[:, None], offset]
+    zone_digit = zone[[1, 2, 4, 5]] - np.uint8(ord("0"))
+    hours, minutes = _number(zone_digit[:2]), _number(zone_digit[2:])
+    east = zone[0] == ord("+")
+    valid[offset] &= ((east | (zone[0] == ord("-"))) & (zone[3] == ord(":")) & (zone_digit <= 9).all(axis=0)
+                      & (hours <= 23) & (minutes <= 59))
+    shift = np.where(east, 1, -1) * (hours * 3600 + minutes * 60)
+    seconds[offset] -= shift
+    micros[offset] -= shift * 10**6
+    whole = micros % 10**6 == 0
+    valid &= whole | (np.abs(micros) < 2**53)
+    epochs = np.where(whole, seconds, (micros / 1e6).astype(np.int64))
+    return valid, np.where(valid, epochs, 0)
+
+
+def _number(digits: np.ndarray) -> np.ndarray:
+    """The int64 numbers whose decimal digits are the rows of digits, the
+    first row the most significant."""
+    value = digits[0].astype(np.int64)
+    for row in digits[1:]:
+        value *= 10
+        value += row
+    return value
+
+
+def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Days from 1970-01-01 to each date, by H. Hinnant's days_from_civil:
+    years start in March, so February's leap day is last."""
     y = year - (month <= 2)
     era = y // 400
     yoe = y - era * 400
     doy = (153 * np.where(month > 2, month - 3, month + 9) + 2) // 5 + day - 1
-    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    ok[picked] = valid
-    epochs[picked] = np.where(valid, days * 86400 + hour * 3600 + minute * 60 + second, 0)
-    return ok, epochs
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
 # A GeoJSON position's first two members must be JSON numbers (true and

@@ -76,8 +76,8 @@ def test_parse_rejects_garbage_and_continues():
 def test_parse_stops_rejects_overlong_field_and_continues():
     """A field over csv.field_size_limit() costs its row, not the whole file."""
     long_user = "u" * 200_000
-    for chunk_rows in (1, 2, 4096):
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+    for block in (1, 2, 4096, ingest._BLOCK_BYTES):
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block):
             stops, report = parse_stops(stops_stream(
                 "u1,-73.9,40.7,2019-04-01T08:00:00Z,60",
                 f"{long_user},-73.9,40.7,2019-04-01T08:00:00Z,60",
@@ -236,11 +236,42 @@ def test_iso_fast_path_accepts_every_valid_instant(moment):
     assert ingest.parse_iso_utc(text) == int(moment.replace(tzinfo=timezone.utc).timestamp())
 
 
-def _canonical_reference(text: str):
-    """Epoch of an ASCII YYYY-MM-DDTHH:MM:SSZ text that is a real instant, else None."""
-    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", text):
+# The vouched timestamp layouts, stated apart from ingest._canonical_epochs().
+_LAYOUT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]{1,6})?"
+                     r"(Z|[+-]([01][0-9]|2[0-3]):[0-5][0-9])")
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _layout_reference(text: str):
+    """parse_iso_utc()'s epoch of a text in a vouched layout that it reads,
+    where float64 divides the microseconds exactly as timestamp() does
+    (whole seconds, or fewer than 2**53 microseconds); else None."""
+    if not _LAYOUT.fullmatch(text):
         return None
-    return _reference_epoch(text)
+    try:
+        moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError:
+        return None
+    delta = moment - _EPOCH
+    micros = (delta.days * 86400 + delta.seconds) * 10**6 + delta.microseconds
+    if moment.microsecond and abs(micros) >= 2**53:
+        return None
+    return ingest.parse_iso_utc(text)
+
+
+def _gathered(texts: list[str], size: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The texts' UTF-8 bytes as fields of one buffer, gathered by
+    ingest._bytes() as parse_stops() gathers them, and their byte lengths."""
+    raw = [text.encode() for text in texts]
+    width = np.array(list(map(len, raw)), dtype=np.int64)
+    a = np.frombuffer(b",".join(raw) + bytes(ingest._FIELD_BYTES), dtype=np.uint8)
+    return ingest._bytes(a, np.cumsum(width + 1) - (width + 1), width, size), width
+
+
+def _layout_epochs(texts: list[str]) -> list:
+    """_canonical_epochs() of the texts, with None where it refuses a text."""
+    ok, epochs = ingest._canonical_epochs(*_gathered(texts, ingest._FIELD_BYTES))
+    return [epoch if k else None for k, epoch in zip(ok.tolist(), epochs.tolist())]
 
 
 def _one_char_replaced():
@@ -269,12 +300,71 @@ _timestamp_texts = st.one_of(_near_canonical(), _one_char_replaced(), _month_end
           "2019-02-29T00:00:00Z", "2000-02-29T00:00:00Z", "1900-02-29T00:00:00Z",
           "2019-13-01T00:00:00Z", "2019-00-01T00:00:00Z", "2019-04-00T00:00:00Z"])
 def test_vector_timestamps_equal_fast_path_or_both_reject(texts):
-    ok, epochs = ingest._canonical_epochs(texts)
-    expected = [_canonical_reference(t) for t in texts]
-    assert [e if k else None for k, e in zip(ok.tolist(), epochs.tolist())] == expected
-    for text, epoch in zip(texts, expected):
-        if epoch is not None:
-            assert ingest.parse_iso_utc(text) == epoch
+    assert _layout_epochs(texts) == [_layout_reference(t) for t in texts]
+
+
+def _layout_texts():
+    """Timestamps in and around the vouched layouts: any second of years
+    1-9999 or near the epoch, a fraction of 0-9 digits, and Z, an offset up
+    to +-23:59 or a zone the layouts refuse."""
+    moments = st.one_of(_any_second, st.datetimes(min_value=datetime(1680, 1, 1),
+                                                  max_value=datetime(2260, 1, 1)))
+    fractions = st.one_of(st.just(""), st.integers(1, 9).flatmap(
+        lambda k: st.text("0123456789", min_size=k, max_size=k).map(lambda digits: "." + digits)))
+    offsets = st.builds(lambda sign, h, m: f"{sign}{h:02d}:{m:02d}",
+                        st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59))
+    zones = st.one_of(st.just("Z"), offsets,
+                      st.sampled_from(["+24:00", "-24:00", "+05", "-0530", "+05:60", "+5:30", "", "z", " Z"]))
+    return st.builds(lambda moment, fraction, zone: moment.replace(microsecond=0).isoformat() + fraction + zone,
+                     moments, fractions, zones)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_layout_texts())
+@example("1969-12-31T23:59:59.5Z")  # 0: int() truncates toward zero
+@example("9999-12-31T23:59:59.999999Z")  # timestamp() rounds up to 253402300800
+@example("2019-04-02T09:00:00+24:00")
+@example("2019-04-02T09:00:00+05")
+@example("2019-04-02T09:00:00-0530")
+@example("0001-01-01T00:00:00+23:59")
+@example("9999-12-31T23:59:59-23:59")
+def test_timestamp_layouts_vouch_exactly_for_their_texts(text):
+    """Every text in a vouched layout gets parse_iso_utc()'s epoch; every
+    other text is refused, and parse_stops() retries it with parse_iso_utc()."""
+    assert _layout_epochs([text]) == [_layout_reference(text)]
+
+
+def test_timestamp_layouts_truncate_toward_zero_and_leave_rounding_to_parse_iso_utc():
+    assert _layout_epochs(["1969-12-31T23:59:59.5Z", "9999-12-31T23:59:59.999999Z"]) == [0, None]
+    assert ingest.parse_iso_utc("9999-12-31T23:59:59.999999Z") == 253402300800
+
+
+# The number layouts the byte split vouches for, stated apart from ingest._numbers().
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+_INTEGER = re.compile(r"-?[0-9]{1,18}")
+
+
+_decimal_texts = st.builds(lambda sign, whole, fraction: sign + whole + ("" if fraction is None else "." + fraction),
+                           st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=18),
+                           st.one_of(st.none(), st.text("0123456789", min_size=1, max_size=18)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_decimal_texts, st.text("0123456789.-+e _\u0663", max_size=10)), min_size=1, max_size=12))
+@example(["-0", "-0.0", "007.25", "9007199254740993", "123456789012345.6", "0.1234567890123456789012345678901",
+          "999999999999999999", "1000000000000000000", "1.", ".5", "-", "--1", "1-", "1.2.3", ""])
+def test_numbers_read_their_layouts_as_float_and_int_do(texts):
+    """A text in the decimal layout, at most _FIELD_BYTES long, gets float()'s
+    value bit for bit (mantissas of up to 15 digits by division, longer ones
+    by numpy's cast); one in the integer layout gets int()'s value."""
+    decimal, integer, real, whole = ingest._numbers(*_gathered(texts))
+    for k, text in enumerate(texts):
+        assert decimal[k] == (len(text) <= ingest._FIELD_BYTES and bool(_DECIMAL.fullmatch(text))), text
+        assert integer[k] == bool(_INTEGER.fullmatch(text)), text
+        if decimal[k]:
+            assert real[k].view(np.int64) == np.float64(float(text)).view(np.int64), text
+        if integer[k]:
+            assert whole[k] == int(text), text
 
 
 def reference_parse(text: str):
@@ -286,7 +376,14 @@ def reference_parse(text: str):
     records, lines = [], []
     reader = csv.reader(io.StringIO(text))
     next(reader)
-    for line_no, row in iter(lambda: (reader.line_num + 1, next(reader, None)), (None, None)):
+    while True:
+        line_no = reader.line_num + 1
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:  # a field over csv.field_size_limit(), say
+            report.rows_read += 1
+            report.reject(line_no, f"unreadable row: {exc}")
+            continue
         if row is None:
             break
         report.rows_read += 1
@@ -348,27 +445,75 @@ MESSY_ROWS = [
     '"u9,x",0,0,2016-02-29T09:00:00Z,1',
     '"u10\nsecond line",-97.8,30.2,2019-04-02T09:00:00Z,600',
     'u3,"abc\n",30.2,2019-04-02T09:00:00Z,600',
+    # Edges of the byte split: CRLF and lone CR, a NUL in a user id, UTF-8
+    # user ids, quoted fields, and numbers and timestamps at its layouts' edges.
+    "u1,-97.8,30.2,2019-04-02T09:00:00Z,600\r",
+    "u1,-97.8,30.2,2019-04-02T09:00:00Z,6x\r",
+    "u2,-97.8,30.2\r2019-04-02T09:00:00Z,600",
+    "u1\0,-97.8,30.2,2019-04-02T09:00:00Z,600",
+    "\u00fc1,-97.8,30.2,2019-04-02T09:00:00Z,600",
+    "\u7528\u6237,-97.8,30.2,2019-04-02T09:00:00.5+05:30,600",
+    '"u1","-97.8","30.2","2019-04-02T09:00:00Z","600"',
+    '"u""q",-97.8,30.2,2019-04-02T09:00:00Z,600',
+    "u4,+97.5,-0,2019-04-02T09:00:00Z,0600",
+    "u4,1.,.5,2019-04-02T09:00:00Z,-0",
+    "u4,-,0,2019-04-02T09:00:00Z,1",
+    "u4,0.123456789012345678901234567890,-0.1234567890123456789012345678901234,2019-04-02T09:00:00Z,1",
+    "u4,-97.12345678901234567,-00000000.00000000,2019-04-02T09:00:00Z,1",
+    "u4,0,0,2019-04-02T09:00:00Z,999999999999999999",
+    "u4,0,0,2019-04-02T09:00:00Z,1000000000000000000",
+    "u7,0,0,2019-04-02T09:00:00.1234567Z,1",
+    "u7,0,0,2019-04-02T09:00:00.000+23:59,1",
+    "u7,0,0,2019-04-02T09:00:00-23:59,1",
+    "u7,0,0,2019-04-02T09:00:00+24:00,1",
+    "u7,0,0,2019-04-02T09:00:00+05,1",
+    "u7,0,0,2019-04-02T09:00:00-0530,1",
+    "u7,0,0,1969-12-31T23:59:59.5Z,1",
+    "u7,0,0,9999-12-31T23:59:59.999999Z,1",
+    "u7,0,0,0001-01-01T00:00:00+01:00,1",
 ]
 
 
-def _assert_parse_equals_reference(text: str) -> None:
+# The block sizes the parse is checked at: one line a block, a few lines a
+# block, and the default.
+BLOCK_SIZES = (1, 64, ingest._BLOCK_BYTES)
+
+
+def each_source(text: str):
+    """The text as each kind of source parse_stops() reads: a path, a byte
+    stream and a text stream."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stops.csv"
+        path.write_bytes(text.encode())
+        yield path
+    yield io.BytesIO(text.encode())
+    yield io.StringIO(text)
+
+
+def parse_stops_at(block: int, source):
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        return parse_stops(source)
+
+
+def _assert_parse_equals_reference(text: str, blocks=BLOCK_SIZES) -> None:
     records, lines, expected = reference_parse(text)
-    stops, report = parse_stops(io.StringIO(text))
-    assert stops.records() == records
-    for column in ("lon", "lat"):  # bit for bit, signed zeros included
-        values = np.array([getattr(r, column) for r in records], dtype=np.float64)
-        assert getattr(stops, column).view(np.int64).tolist() == values.view(np.int64).tolist()
-    assert stops.line.tolist() == lines
-    assert stops.user_ids.tolist() == list(dict.fromkeys(r.user_id for r in records))
-    assert (report.rows_read, report.rows_accepted, report.rows_rejected, report.first_10_rejects) == (
-        expected.rows_read, expected.rows_accepted, expected.rows_rejected, expected.first_10_rejects)
+    for block in blocks:
+        for source in each_source(text):
+            stops, report = parse_stops_at(block, source)
+            assert stops.records() == records
+            for column in ("lon", "lat"):  # bit for bit, signed zeros included
+                values = np.array([getattr(r, column) for r in records], dtype=np.float64)
+                assert getattr(stops, column).view(np.int64).tolist() == values.view(np.int64).tolist()
+            assert stops.line.tolist() == lines
+            assert stops.user_ids.tolist() == list(dict.fromkeys(r.user_id for r in records))
+            assert (report.rows_read, report.rows_accepted, report.rows_rejected, report.first_10_rejects) == (
+                expected.rows_read, expected.rows_accepted, expected.rows_rejected, expected.first_10_rejects)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(MESSY_ROWS), max_size=60), st.integers(1, 9))
-def test_parse_stops_equals_row_by_row_parse(rows, chunk_rows):
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
-        _assert_parse_equals_reference(STOPS_HEADER + "".join(r + "\n" for r in rows))
+@given(st.lists(st.sampled_from(MESSY_ROWS), max_size=60), st.sampled_from(BLOCK_SIZES))
+def test_parse_stops_equals_row_by_row_parse(rows, block):
+    _assert_parse_equals_reference(STOPS_HEADER + "".join(r + "\n" for r in rows), blocks=[block])
 
 
 def test_parse_stops_messy_file_equals_row_by_row_parse():
@@ -384,10 +529,62 @@ def test_parse_stops_messy_file_equals_row_by_row_parse():
                 text = text[:-1] + rng.choice(["+00:00", ".250Z", ".5+00:00"])
             rows.append(f"d{rng.randrange(400)},{rng.uniform(-98, -97):.6f},{rng.uniform(30, 31):.6f},"
                         f"{text},{rng.randrange(20000)}")
-    text = STOPS_HEADER + "".join(r + "\n" for r in rows)
-    for chunk_rows in (7, 1000, 4096):
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
-            _assert_parse_equals_reference(text)
+    _assert_parse_equals_reference(STOPS_HEADER + "".join(r + "\n" for r in rows))
+
+
+ROW = "u1,-97.8,30.2,2019-04-02T09:00:00Z,600"
+
+
+@pytest.mark.parametrize("text", [
+    STOPS_HEADER,
+    STOPS_HEADER.rstrip("\n"),
+    STOPS_HEADER + ROW,
+    STOPS_HEADER + "\n\n" + ROW + "\n\n\n" + ROW.replace("u1", "u2"),
+    (STOPS_HEADER + ROW + "\n" + ROW.replace("u1", "u2") + "\n").replace("\n", "\r\n"),
+    STOPS_HEADER + ROW + "\r",
+    STOPS_HEADER + ROW + "\r" + ROW + "\n" + ROW,
+    STOPS_HEADER + ROW + "\n" + "u" * 200_000 + ROW[2:] + "\n" + ROW.replace("u1", "u3") + "\n",
+    '"user_id","lon","lat","start_ts","dwell_s"\r\n' + "".join(
+        '"' + '","'.join(row.split(",")) + '"\r\n' for row in (ROW, ROW.replace("600", "-1"), ROW)),
+    STOPS_HEADER + ROW + "\n" + '"u9\n' + ROW + "\n" + ROW + '",0,0,2019-04-02T09:00:00Z,1\n' + ROW + "\n",
+    STOPS_HEADER + ROW + '\n"u9,0,0,2019-04-02T09:00:00Z,1\n' + ROW + "\n",
+], ids=["header only", "header only without LF", "last row without LF", "blank lines", "CRLF",
+        "last row ending in CR", "lone CR", "field over the limit", "quoted, CRLF", "quoted line breaks",
+        "quote open at the end"])
+def test_parse_stops_edge_files_equal_row_by_row_parse(text):
+    _assert_parse_equals_reference(text)
+
+
+HEADER_FAULT = "bad stops header: expected ['user_id', 'lon', 'lat', 'start_ts', 'dwell_s'], got {}"
+BYTES_ROW = ROW.encode() + b"\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "stops file is empty (missing header)"),
+    (b"\xef\xbb\xbf" + STOPS_HEADER.encode() + BYTES_ROW,
+     HEADER_FAULT.format(["\ufeffuser_id", "lon", "lat", "start_ts", "dwell_s"])),
+    (b'"user_id\n",lon,lat,start_ts,dwell_s\n' + BYTES_ROW,
+     HEADER_FAULT.format(["user_id\n", "lon", "lat", "start_ts", "dwell_s"])),
+    (STOPS_HEADER.encode() + BYTES_ROW * 40 + "ü1,0,0,2019-04-02T09:00:00Z,1\n".encode() + b"\xff" + BYTES_ROW,
+     "{}not UTF-8 text (byte 0xff: invalid start byte)"),
+    (STOPS_HEADER.encode() + BYTES_ROW + b"\xc3", "{}not UTF-8 text (byte 0xc3: unexpected end of data)"),
+    (STOPS_HEADER.encode() + b'"u\xe9\n' + BYTES_ROW + b'",0,0,2019-04-02T09:00:00Z,1\n',
+     "{}not UTF-8 text (byte 0xe9: invalid continuation byte)"),
+], ids=["empty", "BOM", "quoted header", "not UTF-8", "not UTF-8 at the end", "not UTF-8 in a quoted field"])
+def test_parse_stops_fatal_edge_files(tmp_path, data, message):
+    """Bytes that are not UTF-8 keep their wording, which names the source,
+    at every block size; a missing or wrong header is worded alike from
+    every source."""
+    path = tmp_path / "stops.csv"
+    path.write_bytes(data)
+    for block in BLOCK_SIZES:
+        sources = [(path, f"{path}: "), (io.BytesIO(data), "input: ")]
+        if "UTF-8" not in message:
+            sources.append((io.StringIO(data.decode()), ""))
+        for source, name in sources:
+            with pytest.raises(IngestError) as info:
+                parse_stops_at(block, source)
+            assert str(info.value) == (message.format(name) if "UTF-8" in message else message)
 
 
 def tract_feature(geoid: str, lon0=0.0, lat0=0.0, close=True):
@@ -790,6 +987,37 @@ def test_parse_tracts_equals_its_reference_at_every_batch_size(seed, n, faults, 
     for fault, at in faults if n else ():
         _plant(rng, features, int(at * n), fault)
     assert_tracts_match_reference(_document(rng, features, raw))
+
+
+def test_parse_stops_refuses_a_text_stream_that_is_not_utf8():
+    with pytest.raises(IngestError, match=re.escape("input: not UTF-8 text (byte 0xed: invalid continuation byte)")):
+        parse_stops(io.StringIO(STOPS_HEADER + "u\udc80,-97.8,30.2,2019-04-02T09:00:00Z,600\n"))
+
+
+def test_parse_stops_memory_is_its_output_and_one_block(tmp_path):
+    """The blocks' columns are concatenated one column at a time, so parsing
+    50,000 rows peaks below the output columns plus one block's conversion,
+    which holds its bytes and a few int64 columns per row: under ten times
+    _BLOCK_BYTES. Holding every row's columns twice, or the rows as Python
+    strings, costs more."""
+    rng = random.Random(3)
+    path = tmp_path / "stops.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(STOPS_HEADER)
+        for _ in range(50_000):
+            stamp = ingest.format_iso_utc(1554076800 + rng.randrange(30 * 86400))
+            fh.write(f"{rng.randrange(500):032x},{rng.uniform(-98, -97):.6f},{rng.uniform(30, 31):.6f},"
+                     f"{stamp},{rng.randrange(20000)}\n")
+    tracemalloc.start()
+    try:
+        stops, report = parse_stops(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.rows_accepted == len(stops) == 50_000
+    output = sum(column.nbytes for column in (stops.user, stops.lon, stops.lat, stops.start_ts,
+                                               stops.dwell_s, stops.line))
+    assert peak < output + 10 * ingest._BLOCK_BYTES
 
 
 def test_parse_tracts_memory_is_the_text_and_a_few_vertex_copies(tmp_path):
