@@ -69,7 +69,11 @@ def _bool(text: str) -> bool:
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    """Comma-separated numbers, at least one; an empty item is an error."""
+    items = text.split(",")
+    if not all(map(str.strip, items)):
+        raise ValueError(f"empty item in {text!r}")
+    return tuple(map(float, items))
 
 
 def _exists(path: str) -> bool:
@@ -415,8 +419,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    """Parse each given input and print its counts. A fatal fault in one
-    input is printed, and the other inputs are still checked."""
+    """Parse each given input and print its counts, and a CSV input's first
+    10 rejects. A fatal fault in one input is printed, and the other inputs
+    are still checked."""
     inputs = [("stops", args.stops, ingest.parse_stops), ("tracts", args.tracts, ingest.parse_tracts)]
     inputs += [(f"hazard_{h}", getattr(args, key), partial(ingest.parse_hazard, hazard_type=h))
                for h, key in _HAZARD_KEYS.items()]
@@ -435,9 +440,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
             continue
         report = parsed[1]
         print(f"{kind}: read={report.rows_read} accepted={report.rows_accepted} rejected={report.rows_rejected}")
-        if kind == "stops":
-            for line_no, reason in report.first_10_rejects:
-                print(f"  stops line {line_no}: {reason}")
+        for line_no, reason in report.first_10_rejects:
+            print(f"  {kind} line {line_no}: {reason}")
     return status
 
 

@@ -6,25 +6,26 @@ metadata sidecars. Data-row problems are rejected row by row and counted;
 structural problems (bad header, duplicate keys, broken geometry) abort
 with IngestError.
 
-The hazard layers and mei.csv share one reader, _csv_chunks(), which
-yields rows with the file line each starts on; all three CSV inputs check
-their header with one wording (_check_header()). Each input rule is stated
+The three CSV inputs (stops, hazard layers, mei.csv) share one reader,
+_Feed: whatever the source, it reads bytes in blocks of whole lines and
+checks the header with one wording (_check_header()); csv.reader reads
+the rows of a block (_Feed.csv_rows()). So every CSV input follows one
+line-break rule: an LF or CRLF ends a line, a lone CR outside quotes makes
+its row unreadable, and line numbers count LFs. Each input rule is stated
 once: stop bounds in model.STOP_BOUNDS, the vouched timestamp layouts in
 _canonical_epochs(), hazard rows in parse_hazard(), mei.csv rows in
 read_mei().
 
-parse_stops() returns one model.Stops frame of numpy columns. It reads
-its source as bytes, in blocks of whole lines, and splits each block at
-its LFs and commas itself where csv.reader would read the same fields: a
-block that holds no quote, no NUL, no CR but in a CRLF line end and no
-line longer than csv.field_size_limit(). csv.reader reads any other block,
-and the header, and its rows are joined back into lines of bytes; so one
-converter, _convert(), checks and converts every block with numpy. It
-vouches for user ids, numbers in the layouts -?D+(.D+)? and -?D{1,18}
-within their bounds, and timestamps in the layouts of _canonical_epochs().
-A row that fails only on its timestamp is read with parse_iso_utc(); any
-other row it does not vouch for takes the scalar row path, which words
-each reject exactly as a row-by-row parse would.
+parse_stops() returns one model.Stops frame of numpy columns. It splits a
+block at its LFs and commas itself where csv.reader would read the same
+fields (_Feed.splits()); csv.reader's rows of any other block are joined
+back into lines of bytes, so one converter, _convert(), checks and
+converts every block with numpy. It vouches for user ids, numbers in the
+layouts -?D+(.D+)? and -?D{1,18} within their bounds, and timestamps in
+the layouts of _canonical_epochs(). A row that fails only on its
+timestamp is read with parse_iso_utc(); any other row it does not vouch
+for takes the scalar row path, which words each reject exactly as a
+row-by-row parse would.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def _opened(source: str | Path | IO) -> Iterator[tuple[IO, bool]]:
 
 @contextmanager
 def _text(source: str | Path | IO) -> Iterator[IO]:
-    """A text-mode handle on a path, text stream or byte stream, as _opened() gives them."""
+    """A text-mode handle on a path, text stream or byte stream, as _opened()
+    gives them, for parse_tracts()."""
     with _opened(source) as (handle, binary):
         if not binary:
             yield handle
@@ -141,12 +143,9 @@ def format_iso_utc(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-# The hazard and mei.csv readers read this many rows at a time; it bounds
-# the rows held as Python strings. Results do not depend on it.
-_CHUNK_ROWS = 4096
-# parse_stops() reads this many bytes at a time and converts the whole lines
-# among them as one block; it bounds the bytes and the per-row temporaries
-# held at once. Results do not depend on it.
+# The CSV readers read this many bytes at a time and take the whole lines
+# among them as one block; it bounds the bytes, the rows and the per-row
+# temporaries held at once. Results do not depend on it.
 _BLOCK_BYTES = 1 << 18
 # The widest lon, lat, start_ts or dwell_s field the byte split converts; a
 # wider one takes the row path. 2019-04-02T09:00:00.123456+00:00 fills it.
@@ -166,22 +165,26 @@ def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
     The source is read as bytes (_Feed), in blocks of whole lines. A block
     holding no quote, no NUL, no CR but in a CRLF line end and no line
     longer than csv.field_size_limit() reads as csv.reader would read it,
-    one row per line split at its commas, and _convert() checks and
-    converts it with numpy. Any other block goes to csv.reader, and so does the header; the
-    rows it reads are joined back into lines for _convert(). A row that
-    _convert() does not vouch for is read with parse_iso_utc() if only its
-    timestamp fails, and otherwise takes the scalar row path, which decides
-    and words its reject, so rejects and their reasons are those of a
-    row-by-row parse.
+    one row per line split at its commas (_Feed.splits()), and _convert()
+    checks and converts it with numpy. csv.reader reads any other block
+    (_Feed.csv_rows()), and its rows are joined back into lines for
+    _convert(). A row that _convert() does not vouch for is read with
+    parse_iso_utc() if only its timestamp fails, and otherwise takes the
+    scalar row path, which decides and words its reject, so rejects and
+    their reasons are those of a row-by-row parse.
     """
     report = IngestReport()
     users: dict[str, int] = {}
     merged, blocks = [], []
     with _opened(source) as (handle, binary):
-        # A text stream's lone surrogates become bytes that are not UTF-8.
-        feed = _Feed(handle.read if binary else lambda n: handle.read(n).encode("utf-8", "surrogatepass"))
-        for data, lines, rows in feed.pieces():
-            blocks.append(_convert(data, lines, rows, report, users))
+        feed = _Feed(handle, binary)
+        for data, first in feed.pieces("stops", STOPS_HEADER):
+            if feed.splits(data):
+                piece = data, np.arange(first, feed.line), None
+            else:
+                rows, lines = feed.csv_rows(data, first)
+                piece = _rejoined(rows), lines, rows
+            blocks.append(_convert(*piece, report, users))
             if len(blocks) == _MERGE_BLOCKS:
                 merged.append(_merged(blocks))
                 blocks = []
@@ -199,40 +202,32 @@ def _merged(parts: list[list[np.ndarray]]) -> list[np.ndarray]:
 
 
 class _Feed:
-    """A stops source as blocks of whole lines of bytes.
+    """A CSV source, as _opened() gives it, read as blocks of whole lines of bytes.
 
-    read(n) returns up to n bytes of the source, b"" at its end; line is
-    the file line the next block starts on.
+    A text stream's text is read as its UTF-8 bytes. line is the file line
+    the next block starts on: an LF ends a line, and so does the end of the
+    source.
     """
 
-    def __init__(self, read):
-        self.read = read
+    def __init__(self, handle: IO, binary: bool):
+        # A text stream's lone surrogates become bytes that are not UTF-8.
+        self.read = handle.read if binary else lambda n: handle.read(n).encode("utf-8", "surrogatepass")
         self.rest = b""  # bytes read past the last block, from a line start
         self.line = 1
 
-    def pieces(self) -> Iterator[tuple[bytes, np.ndarray, list | None]]:
-        """The data rows after the header, as _convert() takes them: bytes of
-        whole lines, the file line of each, and the csv.reader rows the lines
-        were joined from (None where each line split at its commas is its
-        row). The header, the first line of the first block, is read by
-        csv.reader and must be STOPS_HEADER; the rest of the block is read
-        again."""
+    def pieces(self, what: str, header: list[str]) -> Iterator[tuple[bytes, int]]:
+        """The blocks after the header line (block()), each with the file
+        line it starts on; line is then the file line after it. The header,
+        the first line of the first block, is read by csv.reader and must be
+        header (_check_header()); the rest of the block is read again. A
+        header row that reads on past its line holds a line break, so it is
+        never header."""
         data, _ = self.block(_BLOCK_BYTES)
         end = data.find(b"\n") + 1 or len(data)
         self.rest, self.line = data[end:] + self.rest, 2
-        rows, lines = self.csv_rows(data[:end], 1)
-        _check_header(rows[:1], "stops", STOPS_HEADER)
-        if len(rows) > 1:
-            yield _rejoined(rows[1:]), lines[1:], rows[1:]
-        while True:
-            data, first = self.block(_BLOCK_BYTES)
-            if not data:
-                return
-            if self.splits(data):
-                yield data, np.arange(first, self.line), None
-            else:
-                rows, lines = self.csv_rows(data, first)
-                yield _rejoined(rows), lines, rows
+        _check_header(self.csv_rows(data[:end], 1)[0][:1], what, header)
+        while (block := self.block(_BLOCK_BYTES))[0]:
+            yield block
 
     def block(self, size: int) -> tuple[bytes, int]:
         """The next whole lines, at least one and about size bytes of them
@@ -341,33 +336,6 @@ def _read_rows(reader, n: int) -> list[list[str]]:
             rows.append(_Unreadable(f"unreadable row: {exc}", reader.line_num))
 
 
-def _chunks(reader):
-    """Yield the rows of a CSV reader _CHUNK_ROWS at a time, each chunk with
-    the int64 file line each of its rows starts on.
-
-    A chunk that read as many lines as rows has one row per line. Otherwise
-    a quoted field holds a line break, and each row's line is counted from
-    the line breaks in its fields.
-    """
-    while True:
-        before = reader.line_num
-        rows = _read_rows(reader, _CHUNK_ROWS)
-        if not rows:
-            return
-        if reader.line_num - before == len(rows):
-            yield rows, np.arange(before + 1, reader.line_num + 1, dtype=np.int64)
-            continue
-        lines = []
-        end = before
-        for row in rows:
-            lines.append(end + 1)
-            if isinstance(row, _Unreadable):
-                end = max(end + 1, row.line)
-            else:
-                end += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
-        yield rows, np.array(lines, dtype=np.int64)
-
-
 def _check_header(first: list, what: str, header: list[str]) -> None:
     """The first row of a CSV source (in a list, empty if it has none) must
     be header: otherwise an IngestError worded `<what> file is empty
@@ -377,16 +345,6 @@ def _check_header(first: list, what: str, header: list[str]) -> None:
     got = first[0].reason if isinstance(first[0], _Unreadable) else first[0]
     if got != header:
         raise IngestError(f"bad {what} header: expected {header}, got {got}")
-
-
-@contextmanager
-def _csv_chunks(source: str | Path | IO, what: str, header: list[str]) -> Iterator[Iterator]:
-    """The data rows of a CSV source after its header (_check_header()), as
-    _chunks() yields them; the source is opened with _text()."""
-    with _text(source) as handle:
-        reader = csv.reader(handle)
-        _check_header(_read_rows(reader, 1), what, header)
-        yield _chunks(reader)
 
 
 def _convert(data: bytes, line: np.ndarray, rows: list | None, report: IngestReport,
@@ -948,8 +906,10 @@ def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer
         raise IngestError(f"unknown hazard type {hazard_type!r}")
     report = IngestReport()
     values: dict[str, float] = {}  # accepted rows, for the duplicate rule; returned as columns
-    with _csv_chunks(source, "hazard", HAZARD_HEADER) as chunks:
-        for rows, lines in chunks:
+    with _opened(source) as (handle, binary):
+        feed = _Feed(handle, binary)
+        for data, first in feed.pieces("hazard", HAZARD_HEADER):
+            rows, lines = feed.csv_rows(data, first)
             for line_no, row in zip(lines.tolist(), rows):
                 report.rows_read += 1
                 if isinstance(row, _Unreadable):
@@ -1085,9 +1045,11 @@ def read_mei(source: str | Path | IO) -> MeiTable:
     values: list[float] = []
     codes: list[int] = []
     seen: set[str] = set()
-    with _csv_chunks(source, "mei.csv", MEI_HEADER) as chunks:
-        for chunk, lines in chunks:
-            for line_no, row in zip(lines.tolist(), chunk):
+    with _opened(source) as (handle, binary):
+        feed = _Feed(handle, binary)
+        for data, first in feed.pieces("mei.csv", MEI_HEADER):
+            rows, lines = feed.csv_rows(data, first)
+            for line_no, row in zip(lines.tolist(), rows):
                 if isinstance(row, _Unreadable):
                     raise IngestError(f"line {line_no}: {row.reason}")
                 if len(row) != len(MEI_HEADER):

@@ -178,6 +178,7 @@ def test_run_missing_input_exits_2(fixture_dir, tmp_path, capsys):
     ("--eps", "nan"), ("--eps", "inf"), ("--eps", "1e-200"), ("--eps", "1e200"),
     ("--curve-thresholds", "abc"), ("--curve-thresholds", "0.5,0.1"),
     ("--curve-thresholds", "0.1,nan"), ("--curve-thresholds", "0.1,1.5"),
+    ("--curve-thresholds", "0.1,,0.2"), ("--curve-thresholds", ","), ("--curve-thresholds", ""),
     ("--cell-size", "nan"), ("--cell-size", "inf"),
     ("--compound-threshold", "nan"), ("--compound-threshold", "inf"),
     ("--compound-threshold", "-1"), ("--threads", "-5"), ("--eps", "abc"),
@@ -272,7 +273,7 @@ def test_flag_and_config_line_set_a_key_alike(fixture_dir, tmp_path, key):
     assert results[0][0][key] != RunConfig().as_dict()[key]
 
 
-@pytest.mark.parametrize("value", ["abc", "0.5,0.1", "0.1,nan"])
+@pytest.mark.parametrize("value", ["abc", "0.5,0.1", "0.1,nan", "0.1,,0.2", ",", ""])
 def test_report_bad_curve_thresholds_exits_2(fixture_dir, tmp_path, capsys, value):
     out = tmp_path / "for_report"
     assert main(run_args(fixture_dir, out)) == EXIT_OK
@@ -403,6 +404,19 @@ def test_validate_dry_run(fixture_dir, tmp_path, capsys):
     assert main(["validate", "--stops", str(bad)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "rejected=1" in out
+
+
+def test_validate_prints_the_first_10_rejects_of_each_csv_input(tmp_path, capsys):
+    air = tmp_path / "hazard_air.csv"
+    air.write_text("geoid,value\nG1,0.5\nG2,abc\n")
+    heat = tmp_path / "hazard_heat.csv"
+    heat.write_text("geoid,value\n" + "".join(f"G{k},-{k}\n" for k in range(1, 13)))
+    assert main(["validate", "--hazard-air", str(air), "--hazard-heat", str(heat)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "hazard_air_pollution: read=2 accepted=1 rejected=1",
+        "  hazard_air_pollution line 3: unparseable value 'abc'",
+        "hazard_heat: read=12 accepted=0 rejected=12",
+    ] + [f"  hazard_heat line {line}: heat-day count must be >= 0" for line in range(2, 12)]
 
 
 def test_no_heat_quartile_toggle(fixture_dir, tmp_path):

@@ -20,8 +20,8 @@ from hazmob import ingest, synth
 from hazmob.exposure import CurveTable, PopulationCurve
 from hazmob.ingest import IngestError, parse_hazard, parse_stops, parse_tracts
 from hazmob.hazardclass import classify_percentile
-from hazmob.model import (HAZARD_TYPES, MAX_DWELL_S, HazardLayer, MeiTable, StopRecord, TractTable, format6,
-                          validate)
+from hazmob.model import (HAZARD_TYPES, MAX_DWELL_S, REGIONS, HazardLayer, MeiTable, StopRecord, TractTable,
+                          format6, validate)
 
 from conftest import (MEI_INDEXES, layer_of, masked_set, mei_rows, mei_table, reference_parse_tracts, tract_worlds,
                       values_of)
@@ -261,8 +261,9 @@ def _layout_reference(text: str):
 
 def _gathered(texts: list[str], size: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The texts' UTF-8 bytes as fields of one buffer, gathered by
-    ingest._bytes() as parse_stops() gathers them, and their byte lengths."""
-    raw = [text.encode() for text in texts]
+    ingest._bytes() as parse_stops() gathers them, and their byte lengths.
+    A lone surrogate is encoded as _Feed encodes a text stream's."""
+    raw = [text.encode("utf-8", "surrogatepass") for text in texts]
     width = np.array(list(map(len, raw)), dtype=np.int64)
     a = np.frombuffer(b",".join(raw) + bytes(ingest._FIELD_BYTES), dtype=np.uint8)
     return ingest._bytes(a, np.cumsum(width + 1) - (width + 1), width, size), width
@@ -367,6 +368,33 @@ def test_numbers_read_their_layouts_as_float_and_int_do(texts):
             assert whole[k] == int(text), text
 
 
+def reference_rows(text: str, what: str, header: list[str]) -> list:
+    """csv.reader's rows of text after its header, row by row, each with the
+    file line it starts on; a row it cannot read is the reason it is
+    rejected. A missing or wrong header is an IngestError, worded as the CSV
+    readers word it."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        first = next(reader, None)
+    except csv.Error as exc:
+        first = f"unreadable row: {exc}"
+    if first is None:
+        raise IngestError(f"{what} file is empty (missing header)")
+    if first != header:
+        raise IngestError(f"bad {what} header: expected {header}, got {first}")
+    rows = []
+    while True:
+        line_no = reader.line_num + 1
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:  # a field over csv.field_size_limit(), say
+            rows.append((line_no, f"unreadable row: {exc}"))
+            continue
+        if row is None:
+            return rows
+        rows.append((line_no, row))
+
+
 def reference_parse(text: str):
     """The row-by-row parse that parse_stops() replaced: its oracle.
 
@@ -374,19 +402,11 @@ def reference_parse(text: str):
     """
     report = ingest.IngestReport()
     records, lines = [], []
-    reader = csv.reader(io.StringIO(text))
-    next(reader)
-    while True:
-        line_no = reader.line_num + 1
-        try:
-            row = next(reader, None)
-        except csv.Error as exc:  # a field over csv.field_size_limit(), say
-            report.rows_read += 1
-            report.reject(line_no, f"unreadable row: {exc}")
-            continue
-        if row is None:
-            break
+    for line_no, row in reference_rows(text, "stops", ingest.STOPS_HEADER):
         report.rows_read += 1
+        if isinstance(row, str):
+            report.reject(line_no, row)
+            continue
         if len(row) != 5:
             report.reject(line_no, f"expected 5 fields, got {len(row)}")
             continue
@@ -480,10 +500,10 @@ BLOCK_SIZES = (1, 64, ingest._BLOCK_BYTES)
 
 
 def each_source(text: str):
-    """The text as each kind of source parse_stops() reads: a path, a byte
+    """The text as each kind of source the CSV readers read: a path, a byte
     stream and a text stream."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "stops.csv"
+        path = Path(tmp) / "input.csv"
         path.write_bytes(text.encode())
         yield path
     yield io.BytesIO(text.encode())
@@ -1085,8 +1105,8 @@ def test_parse_hazard_heat_accepts_counts():
 
 def test_parse_hazard_rejects_overlong_field_and_continues():
     """A field over csv.field_size_limit() costs its row, not the whole file."""
-    for chunk_rows in (1, 2, 4096):
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+    for block in (1, 2, 4096, ingest._BLOCK_BYTES):
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block):
             layer, report = parse_hazard(
                 hazard_stream("G1,0.5", "G" * 200_000 + ",0.6", "G3,0.7"), "air_pollution")
         assert values_of(layer) == {"G1": 0.5, "G3": 0.7}
@@ -1361,6 +1381,155 @@ def test_read_mei_duplicate_geoid_is_fatal(tmp_path):
     with pytest.raises(IngestError) as info:
         ingest.read_mei(_mei_csv(tmp_path, late, GOOD_MEI_ROW, late.replace(",0.5,", ",0.75,", 1)))
     assert str(info.value) == "line 4: duplicate geoid 48001000009"
+
+
+def reference_parse_hazard(text: str):
+    """parse_hazard() of a percentile layer, row by row: the accepted geoids
+    and values in file order, and the report's counts and first rejects."""
+    report = ingest.IngestReport()
+    values = {}
+    for line_no, row in reference_rows(text, "hazard", ["geoid", "value"]):
+        report.rows_read += 1
+        if isinstance(row, str):
+            report.reject(line_no, row)
+            continue
+        if len(row) != 2:
+            report.reject(line_no, f"expected 2 fields, got {len(row)}")
+            continue
+        geoid, raw = row
+        if geoid in values:
+            raise IngestError(f"line {line_no}: duplicate geoid {geoid}")
+        if geoid.endswith("\0"):
+            report.reject(line_no, "geoid ends in a NUL character")
+            continue
+        try:
+            value = float(raw)
+        except ValueError:
+            report.reject(line_no, f"unparseable value {raw!r}")
+            continue
+        if not 0.0 <= value <= 1.0:
+            report.reject(line_no, "percentile rank outside [0, 1]")
+            continue
+        values[geoid] = value
+        report.rows_accepted += 1
+    return (list(values), list(values.values()), report.rows_read, report.rows_accepted, report.rows_rejected,
+            report.first_10_rejects)
+
+
+def _reference_mei_fault(row, seen) -> str | None:
+    """The first fault of a mei.csv row (or the reason it is unreadable), in
+    field order, as read_mei() words it."""
+    if isinstance(row, str):
+        return row
+    if len(row) != 13:
+        return f"expected 13 fields, got {len(row)}"
+    if row[0] in seen:
+        return f"duplicate geoid {row[0]}"
+    if row[0].endswith("\0"):
+        return "geoid ends in a NUL character"
+    try:
+        cells = [float(cell) if cell else math.nan for cell in row[1:10]]
+    except ValueError as exc:
+        return f"unparseable field: {exc}"
+    for k, hazard in enumerate(HAZARD_TYPES):
+        for i, index in enumerate(MEI_INDEXES):
+            if row[1 + 3 * i + k] and not 0.0 <= cells[3 * i + k] <= 1.0:
+                return f"{index}[{hazard}]: outside [0, 1]"
+        if row[10 + k] not in REGIONS:
+            return f"region_class[{hazard}]: invalid class"
+    return None
+
+
+def reference_read_mei(text: str):
+    """read_mei() row by row: the geoids in geoid order, their nine index
+    cells as float64 bytes and their region codes."""
+    rows = {}
+    for line_no, row in reference_rows(text, "mei.csv", ingest.MEI_HEADER):
+        fault = _reference_mei_fault(row, rows)
+        if fault is not None:
+            raise IngestError(f"line {line_no}: {fault}")
+        rows[row[0]] = ([float(cell) if cell else math.nan for cell in row[1:10]], list(map(REGIONS.index, row[10:])))
+    geoids = sorted(rows)
+    return (geoids, np.array([rows[g][0] for g in geoids], dtype=np.float64).reshape(-1, 9).tobytes(),
+            [rows[g][1] for g in geoids])
+
+
+def _hazard_outcome(source):
+    layer, report = parse_hazard(source, "air_pollution")
+    return (layer.geoids.tolist(), layer.values.tolist(), report.rows_read, report.rows_accepted,
+            report.rows_rejected, report.first_10_rejects)
+
+
+def _mei_outcome(source):
+    table = ingest.read_mei(source)
+    cells = np.hstack([table.mei, table.nonhome_share, table.nonhome_conditional])
+    return table.geoids.tolist(), cells.tobytes(), table.region.tolist()
+
+
+def _outcome(parse, *args):
+    """What parse(*args) returns, or the text of the IngestError it raises."""
+    try:
+        return parse(*args)
+    except IngestError as exc:
+        return str(exc)
+
+
+def csv_edge_files(header: str, a: str, b: str, c: str) -> dict[str, str]:
+    """Files of a header line and the rows a, b and c, one for each edge of
+    the line-break rule, each under its name."""
+    plain = "".join(line + "\n" for line in (header, a, b, c))
+
+    def broken(row: str, line_break: str) -> str:  # the row, its first field quoted around a line break
+        return '"' + row.replace(",", line_break + '",', 1)
+
+    quoted_breaks = (header, broken(a, "\r\n\r"), broken(b, "\n"), broken(c, "\r"))
+
+    return {
+        "plain": plain,
+        "empty": "",
+        "header only": header + "\n",
+        "header only without LF": header,
+        "lone CR": f"{header}\n{a}\r{b}\n{c}\n",
+        "last row ending in CR": plain[:-1] + "\r",
+        "CRLF": plain.replace("\n", "\r\n"),
+        "last row without LF": plain[:-1],
+        "blank lines": f"{header}\n\n{a}\n\n\n{b}\n{c}",
+        "quoted, CRLF": "".join('"' + line.replace(",", '","') + '"\r\n' for line in (header, a, b, c)),
+        "quoted line breaks": "".join(line + "\n" for line in quoted_breaks),
+        "field over the limit": f"{header}\n{a}\n{'G' * 200_000}{b[b.index(','):]}\n{c}\n",
+        "quote open at the end": f'{header}\n{a}\n"{b}\n{c}\n',
+        "BOM": "\ufeff" + plain,
+    }
+
+
+HAZARD_EDGE_FILES = csv_edge_files("geoid,value", "G1,0.5", "G2,abc", "G3,0.7")
+MEI_ROWS = [GOOD_MEI_ROW.replace("48001000001", geoid) for geoid in ("48001000003", "48001000001", "48001000002")]
+MEI_EDGE_FILES = csv_edge_files(",".join(ingest.MEI_HEADER), *MEI_ROWS)
+# The same files with a fault in their second row, which read_mei() names by its line.
+MEI_FAULT_FILES = csv_edge_files(",".join(ingest.MEI_HEADER), MEI_ROWS[0],
+                                 MEI_ROWS[1].replace("latent", "bogus"), MEI_ROWS[2])
+
+
+def _assert_outcome_equals_reference(outcome, text: str, expected) -> None:
+    for block in BLOCK_SIZES:
+        for source in each_source(text):
+            with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+                assert _outcome(outcome, source) == expected, (block, source)
+
+
+@pytest.mark.parametrize("name", HAZARD_EDGE_FILES)
+def test_parse_hazard_edge_files_equal_row_by_row_parse(name):
+    """The same bytes give the same layer and report from every source at every block size."""
+    text = HAZARD_EDGE_FILES[name]
+    _assert_outcome_equals_reference(_hazard_outcome, text, _outcome(reference_parse_hazard, text))
+
+
+@pytest.mark.parametrize("files", [MEI_EDGE_FILES, MEI_FAULT_FILES], ids=["good", "fault"])
+@pytest.mark.parametrize("name", MEI_EDGE_FILES)
+def test_read_mei_edge_files_equal_row_by_row_parse(files, name):
+    """The same bytes give the same table, or the same fault, from every source at every block size."""
+    text = files[name]
+    _assert_outcome_equals_reference(_mei_outcome, text, _outcome(reference_read_mei, text))
 
 
 def test_write_report_curves_and_unknown(tmp_path):
