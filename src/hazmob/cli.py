@@ -13,7 +13,6 @@ pipeline stage; validate adds the input, as in `error in ingest: stops: ...`.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -30,6 +29,16 @@ import numpy as np
 from . import cluster, exposure, hazardclass, homeloc, ingest, stats
 from .geoindex import build_index, locate_stops
 from .model import DIRECT_CODE, HAZARD_TYPES, LATENT_CODE, NONE_CODE, REGIONS, MeiTable
+
+# The interpreter's own SHA-256: importing hashlib maps OpenSSL's libcrypto,
+# about 3.5 MB resident, for the one digest a run takes.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 THREADS_ENV = "HAZMOB_THREADS"
 
@@ -117,8 +126,9 @@ class RunConfig:
                       "be at least 2**-511 and below 2**512")
     min_pts: int = _key(10, int, **_COUNT)
     curve_thresholds: tuple[float, ...] = _key(
-        (0.05, 0.10), _floats, lambda v: all(0.0 <= t <= 1.0 for t in v) and list(v) == sorted(v),
-        "be finite, lie in [0, 1] and ascend")
+        (0.05, 0.10), _floats,
+        lambda v: all(0.0 <= t <= 1.0 for t in v) and all(a < b for a, b in zip(v, v[1:])),
+        "be finite, lie in [0, 1] and strictly ascend")
     compound_threshold: float = _key(0.05, float, **_FRACTION)
     # 0 = resolve from the environment, else 1. Validated and recorded, but
     # without effect: the pipeline runs on one thread.
@@ -156,7 +166,7 @@ class RunConfig:
             if isinstance(value, tuple):
                 value = ",".join(repr(v) for v in value)
             parts.append(f"{f.name}={value!r}")
-        return hashlib.sha256("\n".join(sorted(parts)).encode()).hexdigest()
+        return sha256("\n".join(sorted(parts)).encode()).hexdigest()
 
     def as_dict(self) -> dict:
         out = {}

@@ -96,23 +96,36 @@ def build_index(tracts: TractTable, cell_size_deg: float = DEFAULT_CELL_SIZE_DEG
         raise GeoIndexError("cell_size_deg is too small for the tracts' extent")
     ny = (cy1 - cy0 + 1).astype(np.int64)
     counts = (cx1 - cx0 + 1).astype(np.int64) * ny
-    part = np.repeat(np.arange(len(counts)), counts)
+    # The entry arrays are the index's transient memory: each is dropped as
+    # soon as the next is built.
+    part = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
     step = np.arange(len(part)) - np.repeat(np.cumsum(counts) - counts, counts)
     dx, dy = np.divmod(step, ny[part])
-    kx, ky = cx0[part] + dx, cy0[part] + dy
+    del step
+    kx = cx0[part] + dx
+    del dx
+    ky = cy0[part] + dy
+    del dy
     # Within a cell, parts in (tract code, part) order: overlaps resolve to the smallest geoid.
-    rank = np.empty(len(part_code), dtype=np.int64)
-    rank[np.argsort(part_code, kind="stable")] = np.arange(len(part_code))
+    rank = np.empty(len(part_code), dtype=np.int32)
+    rank[np.argsort(part_code, kind="stable")] = np.arange(len(part_code), dtype=np.int32)
     order = np.lexsort((rank[part], ky, kx))
-    keys = _complex_points(kx[order], ky[order])
+    cell_parts = part[order]
+    del part
+    kx = kx[order]
+    ky = ky[order]
+    del order
+    keys = _complex_points(kx, ky)
+    del kx, ky
     new_cell = run_heads(keys)
+    cells = keys[new_cell]
+    del keys
     return TractIndex(
         cell_size_deg=cell_size_deg, tracts=tracts,
         geoids=tuple(tracts.geoids[by_geoid].tolist()), part_code=part_code,
         min_x=min_x, min_y=min_y, max_x=max_x, max_y=max_y, part_first=part_first,
         part_edges=tracts.ring_offsets[tracts.part_offsets[1:]] - part_first - 2,
-        cells=keys[new_cell], cell_offsets=np.append(new_cell, len(keys)),
-        cell_parts=part[order].astype(np.int32),
+        cells=cells, cell_offsets=np.append(new_cell, len(cell_parts)), cell_parts=cell_parts,
     )
 
 

@@ -1,12 +1,17 @@
 import argparse
+import hashlib
+import importlib.util
 import json
 import os
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import hazmob
 from hazmob import synth
 from hazmob.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_config_file, main, make_parser
 from hazmob.cli import ConfigError, RunConfig
@@ -177,7 +182,7 @@ def test_run_missing_input_exits_2(fixture_dir, tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--eps", "nan"), ("--eps", "inf"), ("--eps", "1e-200"), ("--eps", "1e200"),
     ("--curve-thresholds", "abc"), ("--curve-thresholds", "0.5,0.1"),
-    ("--curve-thresholds", "0.1,nan"), ("--curve-thresholds", "0.1,1.5"),
+    ("--curve-thresholds", "0.1,0.1"), ("--curve-thresholds", "0.1,nan"), ("--curve-thresholds", "0.1,1.5"),
     ("--curve-thresholds", "0.1,,0.2"), ("--curve-thresholds", ","), ("--curve-thresholds", ""),
     ("--cell-size", "nan"), ("--cell-size", "inf"),
     ("--compound-threshold", "nan"), ("--compound-threshold", "inf"),
@@ -190,11 +195,48 @@ def test_run_bad_cluster_or_curve_flag_exits_2(fixture_dir, tmp_path, capsys, fl
     assert not out.exists()
 
 
+# The hashed keys of the default config, each with the value its `key=value`
+# line shows. Input paths, out_dir and threads are not hashed.
+DEFAULT_HASHED = {
+    "air_threshold": "0.5", "toxic_threshold": "0.5", "heat_quartile": "True",
+    "night_start": "22", "night_end": "6", "min_nights": "3", "cell_size_deg": "0.05",
+    "eps": "0.1", "min_pts": "10", "curve_thresholds": "'0.05,0.1'", "compound_threshold": "0.05",
+}
+
+
+@pytest.mark.parametrize("changes, lines", [
+    ({}, {}),
+    ({"stops": "s.csv", "out_dir": "out", "threads": 4, "heat_quartile": False,
+      "curve_thresholds": (0.05, 0.1, 0.2), "eps": 0.15},
+     {"heat_quartile": "False", "curve_thresholds": "'0.05,0.1,0.2'", "eps": "0.15"}),
+])
+def test_config_hash_is_sha256_of_the_sorted_hashed_lines(changes, lines):
+    text = "\n".join(sorted(f"{key}={value}" for key, value in {**DEFAULT_HASHED, **lines}.items()))
+    assert RunConfig(**changes).config_hash() == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_run_does_not_import_openssl(fixture_dir, tmp_path):
+    """config_hash() uses the interpreter's own SHA-256 module: hashlib's
+    OpenSSL module maps libcrypto, a few MB of every run's peak RSS."""
+    if not (importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    script = ("import sys\nfrom hazmob.cli import main\n"
+              "print(main(sys.argv[1:]), '_hashlib' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(hazmob.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *run_args(fixture_dir, tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False", done.stderr
+    assert (tmp_path / "out" / "mei.csv").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("heat_quartile = ture", "config error: {cfg}:2: bad value for heat_quartile: "),
     ("threads = -5", "config error: threads must be >= 0"),
     ("compound_threshold = -1", "config error: compound_threshold must be finite and lie in [0, 1]"),
     ("eps = abc", "config error: {cfg}:2: bad value for eps: "),
+    # A repeated threshold would write each of its curves.csv rows twice.
+    ("curve_thresholds = 0.1,0.1", "config error: curve_thresholds must be finite, lie in [0, 1] "
+                                   "and strictly ascend, got (0.1, 0.1)\n"),
 ])
 def test_run_bad_config_line_exits_2(fixture_dir, tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
@@ -273,7 +315,7 @@ def test_flag_and_config_line_set_a_key_alike(fixture_dir, tmp_path, key):
     assert results[0][0][key] != RunConfig().as_dict()[key]
 
 
-@pytest.mark.parametrize("value", ["abc", "0.5,0.1", "0.1,nan", "0.1,,0.2", ",", ""])
+@pytest.mark.parametrize("value", ["abc", "0.5,0.1", "0.1,0.1", "0.1,nan", "0.1,,0.2", ",", ""])
 def test_report_bad_curve_thresholds_exits_2(fixture_dir, tmp_path, capsys, value):
     out = tmp_path / "for_report"
     assert main(run_args(fixture_dir, out)) == EXIT_OK
