@@ -213,8 +213,9 @@ def _add_flags(parser: argparse.ArgumentParser, keys) -> None:
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a key=value config file ('#' starts a comment)."""
+    """Parse a key=value config file ('#' starts a comment); a key may appear only once."""
     values: dict = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -229,6 +230,9 @@ def load_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{line_no}: {key} repeats line {first_line[key]}")
+        first_line[key] = line_no
         values[key] = _parse(key, value.strip(), f"{path}:{line_no}: ")
     return values
 
@@ -336,7 +340,6 @@ def _run_into(config: RunConfig, staging: Path) -> list[str]:
     with _stage("cluster"):
         points = cluster.cluster_points(table)
         result = cluster.dbscan(points, cluster.ClusterConfig(eps=config.eps, min_pts=config.min_pts))
-        table = cluster.apply_labels(table, result)
         summary = cluster.summarize(result, table)
 
     with _stage("stats"):

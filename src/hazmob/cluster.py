@@ -34,6 +34,9 @@ labels are that scan's, and every pass measures at most _PASS_PAIRS
 pairs, however dense a cell is. The cell bounds hold while eps * eps is
 a normal float and the points span fewer than 2**53 cells per axis;
 eps and the points are checked for both.
+
+dbscan's ClusterResult is the only holder of cluster labels; the
+MeiTable carries none, and summarize joins the two by geoid.
 """
 
 from __future__ import annotations
@@ -77,10 +80,6 @@ class ClusterSummary:
 
     header = ("label", "count", "share", *(f"mean_mei_{HAZARD_SHORT[h]}" for h in HAZARD_TYPES))
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
     def csv_rows(self) -> Iterator[tuple]:
         return ((str(r.label), str(r.count), format6(r.share),
                  *(format6(r.mean_mei[h]) for h in HAZARD_TYPES)) for r in self.rows)
@@ -111,10 +110,6 @@ class ClusterResult:
     label: np.ndarray
 
     header = ("geoid", "label")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.geoids)
 
     @cached_property
     def labels(self) -> dict[str, int]:
@@ -429,11 +424,3 @@ def cluster_points(table: MeiTable) -> ClusterPoints:
     """The fully defined exposure triples eligible for clustering."""
     defined = ~np.isnan(table.mei).any(axis=1)
     return ClusterPoints(geoids=table.geoids[defined], coords=table.mei[defined])
-
-
-def apply_labels(table: MeiTable, result: ClusterResult) -> MeiTable:
-    """Return a table with cluster labels attached to clustered rows."""
-    at = positions(result.geoids, table.geoids)
-    label = np.full(len(table), NOISE, dtype=np.int32)
-    label[at[at >= 0]] = result.label[at >= 0]
-    return table.with_columns(label=label)

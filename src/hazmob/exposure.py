@@ -10,12 +10,13 @@ is exact (dwell is at most model.MAX_DWELL_S per stop) and independent of
 stop order.
 compute_mei() turns those columns into a MeiTable with whole-column
 divisions, and the region classes, population curves and compound count
-are numpy passes over it.
+are numpy passes over it. The table holds indices and region classes
+only; cluster labels stay in cluster.ClusterResult.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -49,10 +50,6 @@ class CurveTable:
     curves: list[PopulationCurve]
 
     header = ("hazard", "threshold", "population")
-
-    @property
-    def n_rows(self) -> int:
-        return sum(len(c.points) for c in self.curves)
 
     def csv_rows(self) -> Iterator[tuple]:
         ordered = sorted(self.curves, key=lambda c: HAZARD_TYPES.index(c.hazard_type))
@@ -158,7 +155,7 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def compute_mei(result: AccumulateResult) -> MeiTable:
     """Turn accumulated dwell sums into the per-tract exposure index table.
 
-    Region classes start as none and labels as -1.
+    Region classes start as none.
     """
     n = len(result.geoids)
     return MeiTable(
@@ -167,7 +164,6 @@ def compute_mei(result: AccumulateResult) -> MeiTable:
         nonhome_share=_ratio(result.hdt_nonhome_s, result.tdt_s[:, None]),
         nonhome_conditional=_ratio(result.hdt_nonhome_s, result.tdt_nonhome_s[:, None]),
         region=np.full((n, 3), NONE_CODE, dtype=np.int8),
-        label=np.full(n, -1, dtype=np.int32),
     )
 
 
@@ -181,7 +177,7 @@ def classify_regions(table: MeiTable, masks: np.ndarray, geoids: Sequence[str]) 
     """
     region = np.where(table.mei > 0, LATENT_CODE, NONE_CODE).astype(np.int8)
     region[_mask_rows(masks, positions(table.geoids, geoids))] = DIRECT_CODE
-    return table.with_columns(region=region)
+    return replace(table, region=region)
 
 
 def tract_columns(geoids: np.ndarray, tracts: TractTable, *names: str) -> tuple[np.ndarray, ...]:

@@ -38,7 +38,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter, mul
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -954,32 +954,23 @@ def parse_hazard(source: str | Path | IO, hazard_type: str) -> tuple[HazardLayer
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(dest: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> int:
-    """Write a header and rows of cells as CSV; returns the byte count."""
+def _write_csv(dest: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> tuple[int, int]:
+    """Write a header and rows of cells as CSV; returns the byte and data-row counts."""
+    written = count()  # zip draws each row before its count, so next(written) is the row count
     try:
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
-            return fh.tell()
+            writer.writerows(map(itemgetter(0), zip(rows, written)))
+            return fh.tell(), next(written)
     except OSError as exc:
         raise IngestError(f"cannot write {dest}: {exc}") from exc
-
-
-def _write_sidecar(dest: str | Path, config_hash: str, n_rows: int) -> None:
-    meta = {"config_hash": config_hash, "rows": n_rows}
-    try:
-        with open(f"{dest}.meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IngestError(f"cannot write {dest}.meta.json: {exc}") from exc
 
 
 def write_stops(stops: Stops, dest: str | Path) -> int:
     rows = ([s.user_id, repr(s.lon), repr(s.lat), format_iso_utc(s.start_ts), str(s.dwell_s)]
             for s in stops.records())
-    return _write_csv(dest, STOPS_HEADER, rows)
+    return _write_csv(dest, STOPS_HEADER, rows)[0]
 
 
 def write_tracts(tracts: Iterable[CensusTract], dest: str | Path) -> int:
@@ -1016,30 +1007,35 @@ def write_hazard(layer: HazardLayer, dest: str | Path) -> int:
     order = np.argsort(layer.geoids, kind="stable")
     text = (lambda v: str(int(v))) if layer.hazard_type == "heat" else repr
     rows = zip(layer.geoids[order].tolist(), map(text, layer.values[order].tolist()))
-    return _write_csv(dest, HAZARD_HEADER, rows)
+    return _write_csv(dest, HAZARD_HEADER, rows)[0]
 
 
 def write_report(table, dest: str | Path, config_hash: str = "") -> int:
     """Write a report as a deterministic CSV plus metadata sidecar; returns the CSV byte count.
 
-    A report exposes its column names (header), its data rows as cells
-    (csv_rows()) and its row count (n_rows).
+    A report exposes its column names (header) and its data rows as cells
+    (csv_rows()); the sidecar counts the rows written.
     """
-    if not all(hasattr(table, name) for name in ("header", "csv_rows", "n_rows")):
+    if not all(hasattr(table, name) for name in ("header", "csv_rows")):
         raise IngestError(f"write_report does not handle {type(table).__name__}")
-    n = _write_csv(dest, table.header, table.csv_rows())
-    _write_sidecar(dest, config_hash, table.n_rows)
+    n, rows = _write_csv(dest, table.header, table.csv_rows())
+    try:
+        with open(f"{dest}.meta.json", "w", encoding="utf-8") as fh:
+            json.dump({"config_hash": config_hash, "rows": rows}, fh, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise IngestError(f"cannot write {dest}.meta.json: {exc}") from exc
     return n
 
 
 def read_mei(source: str | Path | IO) -> MeiTable:
     """Parse a mei.csv report into a MeiTable (6-decimal precision).
 
-    The table is sorted by geoid whatever the file's row order; every
-    cluster label reads -1 (mei.csv has no labels). An empty index cell is
-    undefined. Any malformed row or repeated geoid is fatal and named by its
-    file line; of several faults in a row, the first in field order is named,
-    with the indices and class of one hazard checked before the next.
+    The table is sorted by geoid whatever the file's row order. An empty
+    index cell is undefined. Any malformed row or repeated geoid is fatal
+    and named by its file line; of several faults in a row, the first in
+    field order is named, with the indices and class of one hazard checked
+    before the next.
     """
     geoids: list[str] = []
     values: list[float] = []
@@ -1080,5 +1076,4 @@ def read_mei(source: str | Path | IO) -> MeiTable:
         geoids=names[order],
         mei=cells[:, 0:3], nonhome_share=cells[:, 3:6], nonhome_conditional=cells[:, 6:9],
         region=np.array(codes, dtype=np.int8).reshape(-1, 3)[order],
-        label=np.full(len(geoids), -1, dtype=np.int32),
     )

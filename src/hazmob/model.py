@@ -7,11 +7,13 @@ never mutated after the owning object is returned to a caller.
 
 The pipeline holds its stops in one Stops frame of numpy columns, its
 tracts in one TractTable, each hazard in one HazardLayer and its
-per-tract results in one MeiTable, which has no row view; StopRecord and
-CensusTract are the row views of the first two. A tract's code is its position in the
-tract index's sorted geoids: the hazard masks are one bool row per tract
-code and each user's home is a tract code, so no mapping keyed by geoid
-or user id runs between the parse and the index table.
+per-tract indices and region classes in one MeiTable, which has no row
+view; StopRecord and CensusTract are the row views of the first two.
+Cluster labels are held only in cluster.ClusterResult. A tract's code is
+its position in the tract index's sorted geoids: the hazard masks are one
+bool row per tract code and each user's home is a tract code, so no
+mapping keyed by geoid or user id runs between the parse and the index
+table.
 
 STOP_BOUNDS states each stop field's bounds and reject reasons once, for
 validate() and ingest.parse_stops() alike.
@@ -281,14 +283,14 @@ def format6_column(values: np.ndarray) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class MeiTable:
-    """Per-tract exposure indices, region classes and cluster labels as numpy columns.
+    """Per-tract exposure indices and region classes as numpy columns.
 
     One entry per tract, sorted by geoid (a str array). mei, nonhome_share
     and nonhome_conditional are float64 of shape (n, 3), one column per
     hazard in HAZARD_TYPES order, NaN where undefined; region holds int8
-    codes into REGIONS, shape (n, 3); label holds int32 cluster labels,
-    -1 for noise and for tracts that were not clustered. exposure.compute_mei
-    and ingest.read_mei build it; every reader works on the columns.
+    codes into REGIONS, shape (n, 3). exposure.compute_mei and
+    ingest.read_mei build it; every reader works on the columns. Cluster
+    labels are not held here: cluster.ClusterResult holds them.
     """
 
     geoids: np.ndarray
@@ -296,7 +298,6 @@ class MeiTable:
     nonhome_share: np.ndarray
     nonhome_conditional: np.ndarray
     region: np.ndarray
-    label: np.ndarray
 
     header = MEI_HEADER
 
@@ -304,23 +305,9 @@ class MeiTable:
         return len(self.geoids)
 
     @property
-    def n_rows(self) -> int:
-        return len(self.geoids)
-
-    @property
     def excluded(self) -> np.ndarray:
         """Per tract: True when no index is defined."""
         return np.isnan(self.mei).all(axis=1)
-
-    def with_columns(self, *, region: np.ndarray | None = None,
-                     label: np.ndarray | None = None) -> MeiTable:
-        """The same table with new region codes or cluster labels."""
-        return MeiTable(
-            geoids=self.geoids, mei=self.mei, nonhome_share=self.nonhome_share,
-            nonhome_conditional=self.nonhome_conditional,
-            region=self.region if region is None else region,
-            label=self.label if label is None else label,
-        )
 
     def csv_rows(self) -> Iterator[tuple]:
         """mei.csv's data rows: geoid, the three index columns and the classes."""

@@ -219,10 +219,6 @@ class DisparityTable:
               "t_poverty", "p_poverty", "sig01_poverty",
               "t_minority", "p_minority", "sig01_minority")
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
     def csv_rows(self) -> Iterator[list]:
         for r in self.rows:
             cells = [r.hazard, r.region_class, str(r.n_tracts),
@@ -252,10 +248,6 @@ class ScatterTable:
     header = ("geoid", "pct_poverty200", "mei_air", "mei_toxic", "mei_heat",
               "pct_minority", "population")
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.geoids)
-
     def csv_rows(self) -> Iterator[tuple]:
         return zip(self.geoids.tolist(), format6_column(self.pct_poverty200),
                    *(format6_column(self.mei[:, k]) for k in range(3)),
@@ -267,10 +259,6 @@ class CorrelationTable:
     rows: list[tuple[str, str, CorrelationResult]]
 
     header = ("hazard_a", "hazard_b", "r", "p", "n", "sig01")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
 
     def csv_rows(self) -> Iterator[tuple]:
         return ((a, b, format6(c.r), format6(c.p), str(c.n), str(int(c.p < 0.01))) for a, b, c in self.rows)

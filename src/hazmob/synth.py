@@ -66,8 +66,10 @@ class WorldConfig:
             raise SynthConfigError("grid_n must be in [1, 64]")
         if self.hazard_autocorr < 0:
             raise SynthConfigError("hazard_autocorr must be >= 0")
-        if self.decay_alpha <= 0:
-            raise SynthConfigError("decay_alpha must be positive")
+        if not 0 < self.decay_alpha < math.inf:
+            raise SynthConfigError("decay_alpha must be positive and finite")
+        if not math.isfinite(self.demo_hazard_gain):
+            raise SynthConfigError("demo_hazard_gain must be finite")
         if self.users < 1:
             raise SynthConfigError("users must be >= 1")
         if self.stops_per_user < 0:

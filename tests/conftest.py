@@ -129,9 +129,8 @@ def mei_table(rows: dict) -> MeiTable:
     """The MeiTable, sorted by geoid, of {geoid: {field: value}}.
 
     The fields are mei, nonhome_share, nonhome_conditional (None where
-    undefined), region_class and label. All but label are per hazard, as a
-    dict by hazard or one value for all three. A missing field is undefined,
-    "none" or -1.
+    undefined) and region_class, each per hazard, as a dict by hazard or one
+    value for all three. A missing field is undefined or "none".
     """
     geoids = sorted(rows)
 
@@ -144,14 +143,13 @@ def mei_table(rows: dict) -> MeiTable:
         geoids=np.array(geoids, dtype=str), mei=column("mei"), nonhome_share=column("nonhome_share"),
         nonhome_conditional=column("nonhome_conditional"),
         region=np.array(region, dtype=np.int8).reshape(len(geoids), 3),
-        label=np.array([rows[g].get("label", -1) for g in geoids], dtype=np.int32),
     )
 
 
 def mei_rows(table: MeiTable) -> dict[str, SimpleNamespace]:
     """The oracle row view of a MeiTable, keyed and ordered by geoid: mei,
     nonhome_share and nonhome_conditional (dicts by hazard, None where
-    undefined), region_class (a dict by hazard), label and excluded."""
+    undefined), region_class (a dict by hazard) and excluded."""
     def by_hazard(values) -> dict:
         return dict(zip(HAZARD_TYPES, (None if v != v else v for v in values)))
 
@@ -159,7 +157,7 @@ def mei_rows(table: MeiTable) -> dict[str, SimpleNamespace]:
         geoid: SimpleNamespace(
             **{name: by_hazard(getattr(table, name)[i].tolist()) for name in MEI_INDEXES},
             region_class=dict(zip(HAZARD_TYPES, map(REGIONS.__getitem__, table.region[i].tolist()))),
-            label=int(table.label[i]), excluded=bool(table.excluded[i]))
+            excluded=bool(table.excluded[i]))
         for i, geoid in enumerate(table.geoids.tolist())
     }
 
@@ -462,8 +460,6 @@ def _validate_mei_table(table: MeiTable) -> list[str]:
                     out.append(f"rows[{geoid}].{name}[{h}]: outside [0, 1]")
             if not 0 <= table.region[i, k] < len(REGIONS):
                 out.append(f"rows[{geoid}].region_class[{h}]: invalid class")
-        if table.label[i] < -1:
-            out.append(f"rows[{geoid}].label: must be >= -1")
     return out
 
 

@@ -368,7 +368,6 @@ def test_c09_million_stop_performance_floor(tmp_path):
     table = exposure.classify_regions(exposure.compute_mei(acc), masks, index.geoids)
     curves = [exposure.population_curve(table, tracts, h, [0.05, 0.10]) for h in HAZARD_TYPES]
     result = cluster.dbscan(cluster.cluster_points(table), cluster.ClusterConfig())
-    table = cluster.apply_labels(table, result)
     out = tmp_path / "reports"
     out.mkdir()
     ingest.write_report(table, out / "mei.csv")

@@ -68,8 +68,16 @@ def test_synth_creates_missing_output_dir(tmp_path):
     assert (target / "stops.csv").exists()
 
 
-def test_synth_bad_config_exits_2(tmp_path):
-    assert main(["synth", "--seed", "1", "--grid", "0", "--out", str(tmp_path)]) == EXIT_CONFIG
+# A NaN demographic gain would reach tracts.geojson as a bare NaN, which is
+# not JSON; a NaN or infinite alpha would reach the destination weights.
+@pytest.mark.parametrize("flag", [
+    "--grid=0", "--alpha=0", "--alpha=nan", "--alpha=inf", "--alpha=-inf",
+    "--demo-gain=nan", "--demo-gain=inf", "--demo-gain=-inf",
+])
+def test_synth_bad_config_exits_2(tmp_path, capsys, flag):
+    assert main(["synth", "--seed", "1", "--grid", "4", flag, "--out", str(tmp_path / "w")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "w").exists()
 
 
 def test_run_writes_all_reports(fixture_dir, tmp_path):
@@ -87,6 +95,24 @@ def test_run_writes_all_reports(fixture_dir, tmp_path):
     assert sidecar["config_hash"] == meta["config_hash"]
     mei_lines = (out / "mei.csv").read_text().splitlines()
     assert len(mei_lines) - 1 == meta["counts"]["tracts_with_mei"]
+
+
+@pytest.mark.parametrize("stops", ["fixture", "header-only"])
+def test_run_sidecar_rows_count_the_csv_data_lines(fixture_dir, tmp_path, stops):
+    """Each sidecar's rows is its CSV's data-line count, also for the reports
+    whose rows are generated (cluster_summary.csv, curves.csv)."""
+    args = run_args(fixture_dir, tmp_path / "out")
+    if stops == "header-only":
+        path = tmp_path / "stops.csv"
+        path.write_bytes((fixture_dir / "stops.csv").read_bytes().partition(b"\n")[0] + b"\n")
+        args[args.index("--stops") + 1] = str(path)
+    assert main(args) == EXIT_OK
+    counts = {name: (json.loads((tmp_path / "out" / f"{name}.meta.json").read_text())["rows"],
+                     (tmp_path / "out" / name).read_bytes().count(b"\n") - 1)
+              for name in REPORT_FILES}
+    assert all(rows == lines for rows, lines in counts.values()), counts
+    assert counts["curves.csv"][0] > 0
+    assert (counts["mei.csv"][0] == 0) == (stops == "header-only")
 
 
 def test_run_threads_byte_identical(fixture_dir, tmp_path):
@@ -237,6 +263,8 @@ def test_run_does_not_import_openssl(fixture_dir, tmp_path):
     # A repeated threshold would write each of its curves.csv rows twice.
     ("curve_thresholds = 0.1,0.1", "config error: curve_thresholds must be finite, lie in [0, 1] "
                                    "and strictly ascend, got (0.1, 0.1)\n"),
+    # A repeated key would otherwise be read as its last value.
+    ("eps = 0.1\n# same key\neps = 0.3", "config error: {cfg}:4: eps repeats line 2\n"),
 ])
 def test_run_bad_config_line_exits_2(fixture_dir, tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"

@@ -19,7 +19,6 @@ from hazmob.cluster import (
     _cell_side,
     _cells,
     _summary_rows,
-    apply_labels,
     cluster_points,
     dbscan,
     summarize,
@@ -386,7 +385,7 @@ def test_noise_only_summary():
     assert summary[0].count == 3
 
 
-def test_summarize_from_table_matches_and_labels_apply():
+def test_summarize_from_table_matches():
     table = mei_table({f"48{i:09d}": dict(mei=mei, nonhome_share=0.0)
                        for i, mei in enumerate([0.9] * 4 + [0.1] * 4)})
     points = cluster_points(table)
@@ -395,8 +394,6 @@ def test_summarize_from_table_matches_and_labels_apply():
     summary = summarize(result, table)
     assert [r.count for r in summary.rows] == [4, 4]
     assert sum(r.share for r in summary.rows) == pytest.approx(1.0)
-    labeled = apply_labels(table, result)
-    assert set(labeled.label.tolist()) == {0, 1}
 
 
 def test_cluster_points_excludes_undefined_rows():

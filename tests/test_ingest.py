@@ -1287,19 +1287,17 @@ INDEX = st.floats(0.0, 1.0) | st.just(math.nan)
 
 @st.composite
 def mei_tables(draw) -> MeiTable:
-    """MeiTables with undefined cells, all three region classes and labels -1..k."""
+    """MeiTables with undefined cells and all three region classes."""
     geoids = np.sort(np.array(draw(st.lists(GEOID_TEXT, max_size=25, unique=True)), dtype=str))
     n = len(geoids)
 
     def column():
         return np.array(draw(st.lists(INDEX, min_size=3 * n, max_size=3 * n)), dtype=np.float64).reshape(n, 3)
 
-    k = draw(st.integers(0, 5))
     return MeiTable(
         geoids=geoids, mei=column(), nonhome_share=column(), nonhome_conditional=column(),
         region=np.array(draw(st.lists(st.integers(0, 2), min_size=3 * n, max_size=3 * n)),
                         dtype=np.int8).reshape(n, 3),
-        label=np.array(draw(st.lists(st.integers(-1, k), min_size=n, max_size=n)), dtype=np.int32),
     )
 
 
@@ -1313,10 +1311,9 @@ def six_decimals(column: np.ndarray) -> list[str]:
     geoids=np.array(["48001000001", "48001000002", "48001000003", 'a,"b"\nc'], dtype=str),
     mei=np.array([[0.1234565, math.nan, 1.0]] * 4), nonhome_share=np.zeros((4, 3)),
     nonhome_conditional=np.full((4, 3), math.nan),
-    region=np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 0, 0]], dtype=np.int8),
-    label=np.array([-1, 0, 1, 2], dtype=np.int32)))
+    region=np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 0, 0]], dtype=np.int8)))
 def test_mei_table_round_trips_through_writer_and_read_mei(table):
-    """read_mei(write_report(table)) is the table at 6 decimals; mei.csv has no labels."""
+    """read_mei(write_report(table)) is the table at 6 decimals."""
     with tempfile.TemporaryDirectory() as tmp:
         dest = Path(tmp) / "mei.csv"
         ingest.write_report(table, dest)
@@ -1326,7 +1323,6 @@ def test_mei_table_round_trips_through_writer_and_read_mei(table):
     for name in ("mei", "nonhome_share", "nonhome_conditional"):
         assert six_decimals(getattr(back, name)) == six_decimals(getattr(table, name)), name
     assert back.region.tolist() == table.region.tolist()
-    assert back.label.tolist() == [-1] * len(table)
 
 
 def _mei_csv(tmp_path, *rows: str):
@@ -1552,18 +1548,32 @@ def test_write_report_curves_and_unknown(tmp_path):
     assert not (tmp_path / "list.csv").exists()
 
 
+def test_write_report_sidecar_counts_the_rows_written(tmp_path):
+    """The sidecar counts the rows csv_rows() yields, not the lines they take."""
+    class Generated:
+        header = ("a", "b")
+
+        def csv_rows(self):
+            yield from (("1", "x"), ("2", "two\nlines"), ("3", ""))
+
+    dest = tmp_path / "generated.csv"
+    ingest.write_report(Generated(), dest)
+    assert dest.read_text() == 'a,b\n1,x\n2,"two\nlines"\n3,\n'
+    assert json.loads((tmp_path / "generated.csv.meta.json").read_text())["rows"] == 3
+
+
 def test_write_report_unwritable_destination_fatal(tmp_path):
     with pytest.raises(IngestError):
         ingest.write_report(sample_table(), tmp_path / "missing_dir" / "mei.csv")
 
 
-def write_mask(layer: HazardLayer, masked: frozenset, dest) -> int:
+def write_mask(layer: HazardLayer, masked: frozenset, dest) -> tuple[int, int]:
     values = values_of(layer)
     rows = ([g, repr(values[g]), str(int(g in masked))] for g in sorted(values))
     return ingest._write_csv(dest, ["geoid", "value", "high_hazard"], rows)
 
 
-def write_homes(assignments: dict[str, str], dest) -> int:
+def write_homes(assignments: dict[str, str], dest) -> tuple[int, int]:
     rows = ([u, assignments[u]] for u in sorted(assignments))
     return ingest._write_csv(dest, ["user_id", "geoid"], rows)
 

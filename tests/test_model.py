@@ -116,9 +116,8 @@ def test_mei_table_validation_prefixes_geoid():
                      "G2": dict(mei=2.0)})
     assert check(bad) == ["rows[G1].mei[heat]: outside [0, 1]"] + [
         f"rows[G2].mei[{h}]: outside [0, 1]" for h in HAZARD_TYPES]
-    bad = bad.with_columns(region=np.full((2, 3), 3, dtype=np.int8), label=np.array([-1, -2], dtype=np.int32))
+    bad = dataclasses.replace(bad, region=np.full((2, 3), 3, dtype=np.int8))
     assert "rows[G1].region_class[air_pollution]: invalid class" in check(bad)
-    assert "rows[G2].label: must be >= -1" in check(bad)
 
 
 def test_validate_is_pure():

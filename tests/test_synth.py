@@ -24,6 +24,11 @@ def test_config_validation():
         gen_world(WorldConfig(seed=1, users=0))
     with pytest.raises(SynthConfigError):
         gen_world(WorldConfig(seed=1, grid_n=10, archetype_mode=True))
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SynthConfigError, match="decay_alpha"):
+            gen_world(WorldConfig(seed=1, decay_alpha=value))
+        with pytest.raises(SynthConfigError, match="demo_hazard_gain"):
+            gen_world(WorldConfig(seed=1, demo_hazard_gain=value))
 
 
 def test_same_seed_identical_world():
