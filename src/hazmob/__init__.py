@@ -2,7 +2,6 @@
 
 from .model import (
     HAZARD_TYPES,
-    CensusTract,
     HazardLayer,
     MeiTable,
     StopRecord,
@@ -11,7 +10,6 @@ from .model import (
 
 __all__ = [
     "HAZARD_TYPES",
-    "CensusTract",
     "HazardLayer",
     "MeiTable",
     "StopRecord",

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -95,12 +94,6 @@ class ClusterPoints:
     def __len__(self) -> int:
         return len(self.geoids)
 
-    @classmethod
-    def of(cls, points) -> ClusterPoints:
-        """The points of a sequence of (geoid, (x, y, z)) pairs."""
-        return cls(geoids=np.array([p[0] for p in points], dtype=str),
-                   coords=np.array([p[1] for p in points], dtype=float).reshape(len(points), 3))
-
 
 @dataclass(frozen=True, eq=False)
 class ClusterResult:
@@ -110,11 +103,6 @@ class ClusterResult:
     label: np.ndarray
 
     header = ("geoid", "label")
-
-    @cached_property
-    def labels(self) -> dict[str, int]:
-        """The row view: geoid -> label, in geoid order."""
-        return dict(zip(self.geoids.tolist(), self.label.tolist()))
 
     def csv_rows(self) -> Iterator[tuple]:
         return zip(self.geoids.tolist(), map(str, self.label.tolist()))
@@ -372,16 +360,9 @@ def _labels(coords: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     return out
 
 
-def dbscan(points: ClusterPoints | list[tuple[str, tuple[float, float, float]]],
-           config: ClusterConfig) -> ClusterResult:
-    """Cluster exposure triples; returns their labels.
-
-    points is a ClusterPoints frame or a sequence of (geoid, triple) pairs,
-    in any order.
-    """
+def dbscan(points: ClusterPoints, config: ClusterConfig) -> ClusterResult:
+    """Cluster exposure triples, in any order; returns their labels."""
     config.check()
-    if not isinstance(points, ClusterPoints):
-        points = ClusterPoints.of(points)
     if not len(points):
         return ClusterResult(geoids=points.geoids, label=np.zeros(0, dtype=np.int32))
     order = np.argsort(points.geoids, kind="stable")

@@ -7,25 +7,23 @@ geoid wins. The grid only narrows the candidate list; results are
 identical to an exhaustive scan over all tract polygons for any cell
 size.
 
-locate_stops() is the pipeline's lookup. It runs the crossing test as
-numpy passes over all distinct stop points at once, evaluating the same
-float expressions in the same order as point_in_part(), so it returns
-exactly what locate() returns for every point, as a code into the
-index's sorted geoids. The index and the lookup read the TractTable's
-vertex columns and never build its rows. The scalar locate(), contains()
-and point_in_part(), and the exhaustive locate_brute_force(), read the
-row view and are its test oracles.
+locate_stops() is the lookup. It runs the crossing test as numpy passes
+over all distinct stop points at once, as a code into the index's sorted
+geoids, and reads only the TractTable's vertex columns. It evaluates the
+same float expressions in the same order as the scalar oracles in
+tests/conftest.py (point_in_part(), one point and one polygon part at a
+time, the grid lookup locate() and the exhaustive locate_brute_force()),
+so it returns exactly what they return for every point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .model import Geometry, Polygon, Stops, TractTable, run_heads
+from .model import Stops, TractTable, run_heads
 
 DEFAULT_CELL_SIZE_DEG = 0.05
 
@@ -129,62 +127,11 @@ def build_index(tracts: TractTable, cell_size_deg: float = DEFAULT_CELL_SIZE_DEG
     )
 
 
-def point_in_part(part: Polygon, x: float, y: float) -> bool:
-    """Even-odd containment for one polygon part; boundary counts inside."""
-    xs, ys = zip(*chain.from_iterable(part))
-    if x < min(xs) or x > max(xs) or y < min(ys) or y > max(ys):
-        return False
-    inside = False
-    for ring in part:
-        x1, y1 = ring[0]
-        for i in range(1, len(ring)):
-            x2, y2 = ring[i]
-            # Exactly on this edge: inside by the declared boundary rule.
-            if (
-                (x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)
-                and min(x1, x2) <= x <= max(x1, x2)
-                and min(y1, y2) <= y <= max(y1, y2)
-            ):
-                return True
-            if (y1 > y) != (y2 > y):
-                if x < (x2 - x1) * (y - y1) / (y2 - y1) + x1:
-                    inside = not inside
-            x1, y1 = x2, y2
-    return inside
-
-
-def contains(geometry: Geometry, x: float, y: float) -> bool:
-    return any(point_in_part(part, x, y) for part in geometry)
-
-
-def _geometry(index: TractIndex, geoid: str) -> Geometry:
-    """A tract's geometry, read from the row view."""
-    return index.tracts[index.tracts.position[geoid]].geometry
-
-
-def locate(index: TractIndex, lon: float, lat: float) -> str | None:
-    """Return the geoid of the tract containing (lon, lat), or None.
-
-    Candidates are scanned in geoid order, so if tract geometries overlap
-    the smallest geoid wins deterministically.
-    """
-    key = complex(math.floor(lon / index.cell_size_deg), math.floor(lat / index.cell_size_deg))
-    c = int(np.searchsorted(index.cells, key))
-    if c == len(index.cells) or index.cells[c] != key:
-        return None
-    parts = index.cell_parts[index.cell_offsets[c]:index.cell_offsets[c + 1]]
-    for code in dict.fromkeys(index.part_code[parts].tolist()):
-        geoid = index.geoids[code]
-        if contains(_geometry(index, geoid), lon, lat):
-            return geoid
-    return None
-
-
 def locate_stops(index: TractIndex, stops: Stops) -> np.ndarray:
     """Return the tract of every stop, in stop order, as int32 codes.
 
     A code is a position in index.geoids, or -1 for a stop outside every
-    tract: index.geoids[code] == locate(index, lon, lat). Distinct points
+    tract. Distinct points
     are located _BLOCK_POINTS at a time: each point finds its cell in the
     grid and is paired with the cell's candidate parts, pairs outside a
     part's bounding box are dropped, and each remaining pair is expanded
@@ -199,8 +146,9 @@ def locate_stops(index: TractIndex, stops: Stops) -> np.ndarray:
         return np.empty(0, dtype=np.int32)
     # Distinct points as lon + i·lat, sorted by lon then lat: np.unique
     # without its copy of the column and its inverse index. 0.0 and -0.0
-    # share an entry, which is safe: locate() only scales, floors, subtracts
-    # and compares a coordinate, and none of those tells them apart.
+    # share an entry, which is safe: the lookup only scales, floors,
+    # subtracts and compares a coordinate, and none of those tells them
+    # apart.
     points = _complex_points(stops.lon, stops.lat)
     points.sort()
     points = points[np.r_[True, points[1:] != points[:-1]]]
@@ -284,8 +232,9 @@ def _locate_block(index: TractIndex, x, y, kx, ky) -> np.ndarray:
     # it has a NaN y-span, which the y-span test drops.
     vx, vy = index.tracts.x, index.tracts.y
 
-    # point_in_part()'s tests over (pair, edge) rows: on an edge counts as
-    # inside; otherwise the parity of the crossings decides.
+    # The oracle point_in_part()'s tests (tests/conftest.py) over (pair,
+    # edge) rows: on an edge counts as inside; otherwise the parity of the
+    # crossings decides.
     pair_x, pair_y = x[pair_point], y[pair_point]
     pair_v0 = index.part_first[pair_part]
     on_edge = np.zeros(len(pair_part), dtype=bool)
@@ -317,10 +266,3 @@ def _locate_block(index: TractIndex, x, y, kx, ky) -> np.ndarray:
     located[points[first]] = index.part_code[pair_part[hit[first]]]
     return located
 
-
-def locate_brute_force(index: TractIndex, lon: float, lat: float) -> str | None:
-    """Exhaustive all-polygon scan; the correctness oracle for locate()."""
-    for geoid in index.geoids:
-        if contains(_geometry(index, geoid), lon, lat):
-            return geoid
-    return None

@@ -6,8 +6,9 @@ toxic layers carry percentile ranks and are masked by a strict > threshold
 comparison. Heat layers carry per-tract heat-day counts and are masked per
 county, all counties in one sort: tracts at or above the county's 75th
 percentile (linear interpolation between order statistics, (n+1) plotting
-positions; percentile_interpolated() is the scalar oracle). Counties with
-fewer than 4 tracts mask only their maximum tract.
+positions; the scalar oracle is percentile_interpolated() in
+tests/conftest.py). Counties with fewer than 4 tracts mask only their
+maximum tract.
 """
 
 from __future__ import annotations
@@ -24,26 +25,6 @@ logger = logging.getLogger(__name__)
 
 class ClassifyError(Exception):
     """Raised for invalid classification configuration."""
-
-
-def percentile_interpolated(sorted_values: list[float], q: float) -> float:
-    """Quantile via linear interpolation at plotting position q*(n+1).
-
-    This is the method whose 0.75 quantile of [10, 20, 30, 40] is 37.5.
-    """
-    n = len(sorted_values)
-    if n == 0:
-        raise ValueError("empty sample")
-    h = q * (n + 1)
-    if h <= 1:
-        return sorted_values[0]
-    if h >= n:
-        return sorted_values[-1]
-    k = int(h)  # 1-based rank of the lower order statistic
-    frac = h - k
-    lo = sorted_values[k - 1]
-    hi = sorted_values[k]
-    return lo + frac * (hi - lo)
 
 
 def classify_percentile(layer: HazardLayer, geoids: Sequence[str], threshold: float = 0.5) -> np.ndarray:

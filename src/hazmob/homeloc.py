@@ -11,8 +11,8 @@ infer_homes() works on whole columns in closed form, with no per-night
 loop: a stop's night seconds are a difference of a cumulative night-time
 function, the nights it touches form one contiguous range of night ids,
 and a user's night count is the size of the union of those ranges. The
-scalar night_overlaps(), which splits one stop night by night, is the
-test oracle.
+test oracle is the scalar night_overlaps() in tests/conftest.py, which
+splits one stop night by night.
 """
 
 from __future__ import annotations
@@ -42,30 +42,6 @@ class HomeMap:
     no_night_dwell: int = 0
 
 
-def night_overlaps(start_ts: int, dwell_s: int, night_start: int, night_end: int) -> list[tuple[int, int]]:
-    """Split a stop interval into (night_id, overlap_seconds) pieces.
-
-    A night is identified by the UTC day number on which its window
-    opens. Windows wrap midnight when night_end <= night_start.
-    """
-    if dwell_s <= 0:
-        return []
-    end_ts = start_ts + dwell_s
-    wrap = night_end <= night_start
-    span = (night_end + 24 if wrap else night_end) - night_start
-    out = []
-    first_day = start_ts // DAY_S - 1
-    last_day = (end_ts - 1) // DAY_S
-    for day in range(first_day, last_day + 1):
-        w_start = day * DAY_S + night_start * 3600
-        w_end = w_start + span * 3600
-        lo = max(start_ts, w_start)
-        hi = min(end_ts, w_end)
-        if hi > lo:
-            out.append((day, hi - lo))
-    return out
-
-
 def _window(night_start: int, night_end: int) -> tuple[int, int]:
     """(offset, length) in seconds of the night window opening each UTC day.
 
@@ -77,7 +53,8 @@ def _window(night_start: int, night_end: int) -> tuple[int, int]:
 
 
 def _night_seconds(start_ts: np.ndarray, dwell_s: np.ndarray, night_start: int, night_end: int) -> np.ndarray:
-    """Seconds of each stop inside night windows: the sum of its night_overlaps().
+    """Seconds of each stop inside night windows: the sum of its pieces from
+    the oracle night_overlaps() in tests/conftest.py.
 
     With (q, r) = divmod(t - offset, DAY_S), F(t) = q * length + min(r, length)
     counts the night seconds before t, so a stop holds F(end) - F(start).
@@ -98,8 +75,9 @@ def _night_seconds(start_ts: np.ndarray, dwell_s: np.ndarray, night_start: int, 
 def _night_range(start_ts: np.ndarray, dwell_s: np.ndarray, night_start: int, night_end: int):
     """(first, last) night ids, inclusive, of the windows each stop overlaps.
 
-    These are the night ids of its night_overlaps(); the range is empty
-    (first > last) when the stop has no night seconds.
+    These are the night ids of its pieces from the oracle night_overlaps()
+    in tests/conftest.py; the range is empty (first > last) when the stop
+    has no night seconds.
     """
     offset, length = _window(night_start, night_end)
     first = (start_ts - (offset + length)) // DAY_S + 1

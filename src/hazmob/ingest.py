@@ -51,7 +51,6 @@ from .model import (
     MEI_HEADER,
     REGIONS,
     STOP_BOUNDS,
-    CensusTract,
     HazardLayer,
     MeiTable,
     StopRecord,
@@ -615,7 +614,7 @@ _NUMBER_TYPES = frozenset({int, float})
 # A tuple, not a set: the type member of a JSON object may be unhashable.
 _GEOMETRY_TYPES = ("Polygon", "MultiPolygon")
 _MISSING = object()  # stands in for a demographic property a feature lacks
-# Each demographic property: its GeoJSON key, CensusTract field, value
+# Each demographic property: its GeoJSON key, TractTable column, value
 # types, range and rule.
 _DEMOGRAPHICS = (
     ("POP", "population", frozenset({int}), 0, math.inf, "must be a non-negative integer"),
@@ -968,27 +967,36 @@ def _write_csv(dest: str | Path, header: Sequence[str], rows: Iterable[Sequence[
 
 
 def write_stops(stops: Stops, dest: str | Path) -> int:
-    rows = ([s.user_id, repr(s.lon), repr(s.lat), format_iso_utc(s.start_ts), str(s.dwell_s)]
-            for s in stops.records())
+    rows = zip(stops.user_ids[stops.user].tolist(), map(repr, stops.lon.tolist()),
+               map(repr, stops.lat.tolist()), map(format_iso_utc, stops.start_ts.tolist()),
+               map(str, stops.dwell_s.tolist()))
     return _write_csv(dest, STOPS_HEADER, rows)[0]
 
 
-def write_tracts(tracts: Iterable[CensusTract], dest: str | Path) -> int:
+def write_tracts(tracts: TractTable, dest: str | Path) -> int:
+    xs, ys = tracts.x.tolist(), tracts.y.tolist()
+    ends = tracts.ring_offsets.tolist()
+    rings = [list(zip(xs[a:b - 1], ys[a:b - 1])) for a, b in zip(ends, ends[1:])]
+    ends = tracts.part_offsets.tolist()
+    parts = [rings[a:b] for a, b in zip(ends, ends[1:])]
+    ends = tracts.tract_offsets.tolist()
     features = []
-    for t in tracts:
-        coords = [[[list(pt) for pt in ring] for ring in part] for part in t.geometry]
-        if len(coords) == 1:
-            geom = {"type": "Polygon", "coordinates": coords[0]}
+    for geoid, a, b, population, minority, poverty in zip(
+        tracts.geoids.tolist(), ends, ends[1:], tracts.population.tolist(),
+        tracts.pct_minority.tolist(), tracts.pct_below_poverty200.tolist(),
+    ):
+        if b - a == 1:
+            geom = {"type": "Polygon", "coordinates": parts[a]}
         else:
-            geom = {"type": "MultiPolygon", "coordinates": coords}
+            geom = {"type": "MultiPolygon", "coordinates": parts[a:b]}
         features.append(
             {
                 "type": "Feature",
                 "properties": {
-                    "GEOID": t.geoid,
-                    "POP": t.population,
-                    "PCT_MINORITY": t.pct_minority,
-                    "PCT_POV200": t.pct_below_poverty200,
+                    "GEOID": geoid,
+                    "POP": population,
+                    "PCT_MINORITY": minority,
+                    "PCT_POV200": poverty,
                 },
                 "geometry": geom,
             }

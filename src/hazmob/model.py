@@ -6,11 +6,13 @@ Instances are treated as immutable once constructed; mapping fields are
 never mutated after the owning object is returned to a caller.
 
 The pipeline holds its stops in one Stops frame of numpy columns, its
-tracts in one TractTable, each hazard in one HazardLayer and its
-per-tract indices and region classes in one MeiTable, which has no row
-view; StopRecord and CensusTract are the row views of the first two.
-Cluster labels are held only in cluster.ClusterResult. A tract's code is
-its position in the tract index's sorted geoids: the hazard masks are one
+tracts in one TractTable, each hazard in one HazardLayer, its per-tract
+indices and region classes in one MeiTable and its cluster labels in one
+cluster.ClusterResult. These are columns only, with no row view; the
+tests build their own rows, and the scalar oracles that read them, in
+tests/conftest.py. StopRecord is one stop on its own: ingest's row path
+builds one to check a row with validate(). A tract's code is its
+position in the tract index's sorted geoids: the hazard masks are one
 bool row per tract code and each user's home is a tract code, so no
 mapping keyed by geoid or user id runs between the parse and the index
 table.
@@ -23,9 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -37,13 +37,6 @@ HAZARD_SHORT = {"air_pollution": "air", "toxic": "toxic", "heat": "heat"}
 REGION_DIRECT = "direct"
 REGION_LATENT = "latent"
 REGION_NONE = "none"
-
-# A ring is a closed sequence of (lon, lat) pairs (first == last vertex).
-Ring = tuple[tuple[float, float], ...]
-# A polygon is one exterior ring followed by zero or more hole rings.
-Polygon = tuple[Ring, ...]
-# A geometry is one or more polygon parts (multipolygon membership = any part).
-Geometry = tuple[Polygon, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,34 +85,6 @@ class Stops:
     def __len__(self) -> int:
         return len(self.user)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Stops):
-            return NotImplemented
-        return self.records() == other.records() and np.array_equal(self.line, other.line)
-
-    def records(self) -> list[StopRecord]:
-        """The row view: one StopRecord per stop, in order."""
-        return list(map(
-            StopRecord, self.user_ids[self.user].tolist(), self.lon.tolist(), self.lat.tolist(),
-            self.start_ts.tolist(), self.dwell_s.tolist(),
-        ))
-
-
-@dataclass(frozen=True, slots=True)
-class CensusTract:
-    """Tract polygon plus the demographic fields used downstream; the row view of a TractTable."""
-
-    geoid: str  # 11-digit tract GEOID
-    geometry: Geometry  # WGS84 lon/lat
-    population: int
-    pct_minority: float  # fraction in [0, 1]
-    pct_below_poverty200: float  # fraction in [0, 1]
-
-    @property
-    def county_fips(self) -> str:
-        """The state and county digits that begin the GEOID."""
-        return self.geoid[:5]
-
 
 @dataclass(frozen=True, eq=False)
 class TractTable:
@@ -135,10 +100,9 @@ class TractTable:
     tract_offsets[t + 1]. A part's first ring is its exterior, the rest are
     holes.
 
-    CensusTract is the row view: indexing or iterating the table builds the
-    rows, all at once, on first use. ingest.parse_tracts and synth.gen_world
-    return a table; the index, the population curves, the compound count and
-    the stats tables read its columns.
+    ingest.parse_tracts and synth.gen_world return a table; the index, the
+    population curves, the compound count, the stats tables and
+    ingest.write_tracts read its columns.
     """
 
     geoids: np.ndarray
@@ -175,52 +139,8 @@ class TractTable:
             tract_offsets=csr_offsets(parts_per_tract),
         )
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[CensusTract]) -> TractTable:
-        """The table of CensusTracts, in the given order."""
-        rows = list(rows)
-        parts = [part for t in rows for part in t.geometry]
-        rings = [ring for part in parts for ring in part]
-        ring_sizes = np.fromiter(map(len, rings), np.int64, len(rings))
-        xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), np.float64,
-                         2 * int(ring_sizes.sum()))
-        return cls.from_vertices(
-            [t.geoid for t in rows], [t.population for t in rows],
-            [t.pct_minority for t in rows], [t.pct_below_poverty200 for t in rows],
-            xy.reshape(-1, 2), ring_sizes, list(map(len, parts)), [len(t.geometry) for t in rows],
-        )
-
     def __len__(self) -> int:
         return len(self.geoids)
-
-    def __getitem__(self, i: int) -> CensusTract:
-        return self._rows[i]
-
-    def __iter__(self) -> Iterator[CensusTract]:
-        return iter(self._rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TractTable):
-            return NotImplemented
-        return self._rows == other._rows
-
-    @cached_property
-    def _rows(self) -> list[CensusTract]:
-        xs, ys = self.x.tolist(), self.y.tolist()
-        ends = self.ring_offsets.tolist()
-        rings = [tuple(zip(xs[a:b - 1], ys[a:b - 1])) for a, b in zip(ends, ends[1:])]
-        ends = self.part_offsets.tolist()
-        parts = [tuple(rings[a:b]) for a, b in zip(ends, ends[1:])]
-        ends = self.tract_offsets.tolist()
-        return list(map(
-            CensusTract, self.geoids.tolist(), [tuple(parts[a:b]) for a, b in zip(ends, ends[1:])],
-            self.population.tolist(), self.pct_minority.tolist(), self.pct_below_poverty200.tolist(),
-        ))
-
-    @cached_property
-    def position(self) -> dict[str, int]:
-        """Each geoid's row, for the scalar lookups that read the row view."""
-        return {geoid: i for i, geoid in enumerate(self.geoids.tolist())}
 
 
 def csr_offsets(counts) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hazardclass import classify_heat_quartile, classify_percentile
-from .model import HAZARD_TYPES, CensusTract, HazardLayer, Stops, TractTable
+from .model import HAZARD_TYPES, HazardLayer, Stops, TractTable
 
 # 2019-04-01T00:00:00Z; the synthetic month spans 30 days from here.
 MONTH_START_TS = 1554076800
@@ -62,6 +62,8 @@ class WorldConfig:
     hazard_overlap: float = 0.0  # 0 = independent hazard fields, 1 = identical
 
     def check(self) -> None:
+        if self.seed < 0:
+            raise SynthConfigError("seed must be >= 0")
         if not 1 <= self.grid_n <= 64:
             raise SynthConfigError("grid_n must be in [1, 64]")
         if self.hazard_autocorr < 0:
@@ -105,13 +107,6 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 def _geoid(row: int, col: int) -> str:
     return f"48{row:03d}{col:06d}"
-
-
-def _unit_square(row: int, col: int) -> tuple:
-    x0, y0 = float(col), float(row)
-    x1, y1 = x0 + 1.0, y0 + 1.0
-    ring = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))
-    return ((ring,),)
 
 
 def _box_smooth(grid: np.ndarray, radius: int) -> np.ndarray:
@@ -316,16 +311,12 @@ def gen_world(config: WorldConfig) -> World:
     poverty = np.clip(0.12 + 0.75 * config.demo_hazard_gain * score + 0.05 * demo_rng.standard_normal(total), 0.01, 0.99)
     population = demo_rng.integers(500, 5001, total)
 
-    tracts = TractTable.from_rows(
-        CensusTract(
-            geoid=geoids[i],
-            geometry=_unit_square(i // n, i % n),
-            population=int(population[i]),
-            pct_minority=float(minority[i]),
-            pct_below_poverty200=float(poverty[i]),
-        )
-        for i in range(total)
-    )
+    # Tract i is the unit square at column i % n, row i // n: one ring of 5 vertices.
+    rows, cols = np.divmod(np.arange(total), n)
+    corners = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)])
+    xy = (np.stack([cols, rows], axis=1)[:, None, :] + corners).reshape(-1, 2)
+    ones = [1] * total
+    tracts = TractTable.from_vertices(geoids, population, minority, poverty, xy, np.full(total, 5), ones, ones)
 
     if config.archetype_mode and not np.array_equal(bits == 1, np.stack(list(mask_columns.values()), 1)):
         raise AssertionError("archetype mask plant does not survive classification")
@@ -405,11 +396,6 @@ def _expected_mei(
             numer = night_total * home_masked + day_total * hazard_day
             out[geoid][h] = float(numer / (night_total + day_total))
     return out
-
-
-def planted_truth(world: World) -> PlantedTruth:
-    """The oracle bundle committed to when the world was generated."""
-    return world.truth
 
 
 def write_world(world: World, out_dir) -> dict[str, str]:

@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,11 +13,10 @@ from hypothesis import strategies as st
 from hazmob import synth
 from hazmob.geoindex import build_index
 from hazmob.hazardclass import classify_heat_quartile, classify_percentile
-from hazmob.homeloc import HomeMap
+from hazmob.homeloc import DAY_S, HomeMap
 from hazmob.model import (
     HAZARD_TYPES,
     REGIONS,
-    CensusTract,
     HazardLayer,
     MeiTable,
     StopRecord,
@@ -26,12 +27,95 @@ from hazmob.model import (
 )
 
 
+# ---------------------------------------------------------------------------
+# Rows: the tests' own view of the pipeline's columns.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Tract:
+    """One tract as a row: geometry is a tuple of polygon parts, each a tuple
+    of closed (lon, lat) rings, the exterior first and then the holes."""
+
+    geoid: str
+    geometry: tuple
+    population: int
+    pct_minority: float
+    pct_below_poverty200: float
+
+
+def tract_table(rows) -> TractTable:
+    """The TractTable of Tract rows, in the given order."""
+    rows = list(rows)
+    parts = [part for t in rows for part in t.geometry]
+    rings = [ring for part in parts for ring in part]
+    ring_sizes = np.fromiter(map(len, rings), np.int64, len(rings))
+    xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), np.float64,
+                     2 * int(ring_sizes.sum()))
+    return TractTable.from_vertices(
+        [t.geoid for t in rows], [t.population for t in rows],
+        [t.pct_minority for t in rows], [t.pct_below_poverty200 for t in rows],
+        xy.reshape(-1, 2), ring_sizes, list(map(len, parts)), [len(t.geometry) for t in rows],
+    )
+
+
+def tract_rows(table: TractTable) -> list[Tract]:
+    """A TractTable's Tract rows, in order."""
+    xs, ys = table.x.tolist(), table.y.tolist()
+    ends = table.ring_offsets.tolist()
+    rings = [tuple(zip(xs[a:b - 1], ys[a:b - 1])) for a, b in zip(ends, ends[1:])]
+    ends = table.part_offsets.tolist()
+    parts = [tuple(rings[a:b]) for a, b in zip(ends, ends[1:])]
+    ends = table.tract_offsets.tolist()
+    return list(map(
+        Tract, table.geoids.tolist(), [tuple(parts[a:b]) for a, b in zip(ends, ends[1:])],
+        table.population.tolist(), table.pct_minority.tolist(), table.pct_below_poverty200.tolist(),
+    ))
+
+
+def assert_same_tracts(a: TractTable, b: TractTable) -> None:
+    """Two TractTables are equal column for column, dtypes included."""
+    for name in ("geoids", "population", "pct_minority", "pct_below_poverty200",
+                 "ring_offsets", "part_offsets", "tract_offsets"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+    for name in ("x", "y"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+def stop_records(stops: Stops) -> list[StopRecord]:
+    """A Stops frame's rows: one StopRecord per stop, in order."""
+    return list(map(
+        StopRecord, stops.user_ids[stops.user].tolist(), stops.lon.tolist(), stops.lat.tolist(),
+        stops.start_ts.tolist(), stops.dwell_s.tolist(),
+    ))
+
+
+def assert_same_stops(a: Stops, b: Stops) -> None:
+    """Two Stops frames hold the same stops: each one's user id, coordinates,
+    start, dwell and line, column for column."""
+    assert a.user_ids[a.user].tolist() == b.user_ids[b.user].tolist()
+    for name in ("lon", "lat", "start_ts", "dwell_s", "line"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def labels_of(result) -> dict:
+    """A ClusterResult's labels by geoid, in geoid order."""
+    return dict(zip(result.geoids.tolist(), result.label.tolist()))
+
+
+def assert_same_labels(a, b) -> None:
+    """Two ClusterResults give the same geoids the same labels."""
+    assert a.geoids.tolist() == b.geoids.tolist()
+    assert a.label.tolist() == b.label.tolist()
+
+
 def unit_square_tract(geoid: str, col: float, row: float, population: int = 1000,
-                      minority: float = 0.5, poverty: float = 0.3) -> CensusTract:
+                      minority: float = 0.5, poverty: float = 0.3) -> Tract:
     ring = (
         (col, row), (col + 1.0, row), (col + 1.0, row + 1.0), (col, row + 1.0), (col, row),
     )
-    return CensusTract(
+    return Tract(
         geoid=geoid,
         geometry=((ring,),),
         population=population,
@@ -234,11 +318,11 @@ def tract_worlds(draw) -> TractTable:
                     geometries.append(((hole,),))
     codes = draw(st.lists(st.integers(0, 10**11 - 1), min_size=len(geometries),
                           max_size=len(geometries), unique=True))
-    return TractTable.from_rows(
-        CensusTract(geoid=f"{code:011d}", geometry=geometry,
-                    population=draw(st.one_of(st.integers(0, 10**6), st.integers(0, 2**70))),
-                    pct_minority=draw(st.floats(0.0, 1.0)),
-                    pct_below_poverty200=draw(st.floats(0.0, 1.0)))
+    return tract_table(
+        Tract(geoid=f"{code:011d}", geometry=geometry,
+              population=draw(st.one_of(st.integers(0, 10**6), st.integers(0, 2**70))),
+              pct_minority=draw(st.floats(0.0, 1.0)),
+              pct_below_poverty200=draw(st.floats(0.0, 1.0)))
         for code, geometry in zip(codes, geometries)
     )
 
@@ -270,13 +354,13 @@ def reference_parse_tracts(text: str) -> TractTable | str:
     features = doc.get("features", [])
     if not isinstance(features, list):
         return "tracts file is not a GeoJSON FeatureCollection: features is not an array"
-    tracts: list[CensusTract] = []
+    tracts: list[Tract] = []
     for i, feature in enumerate(features):
         tract = _reference_tract(feature, {t.geoid for t in tracts})
         if isinstance(tract, str):
             return f"feature {i}: {tract}"
         tracts.append(tract)
-    return TractTable.from_rows(tracts)
+    return tract_table(tracts)
 
 
 _REFERENCE_DEMOGRAPHICS = (
@@ -286,7 +370,7 @@ _REFERENCE_DEMOGRAPHICS = (
 )
 
 
-def _reference_tract(feature, geoids: set) -> CensusTract | str:
+def _reference_tract(feature, geoids: set) -> Tract | str:
     """One feature's tract, or its first fault."""
     if not isinstance(feature, dict):
         return "not a JSON object"
@@ -335,7 +419,7 @@ def _reference_tract(feature, geoids: set) -> CensusTract | str:
         if type(value) not in types or not 0 <= value <= high:
             return f"{name}: {rule}"
         values.append(value)
-    return CensusTract(geoid, tuple(polygons), *values)
+    return Tract(geoid, tuple(polygons), *values)
 
 
 def _reference_ring(ring: list, place: str) -> tuple | str:
@@ -359,8 +443,8 @@ def _reference_ring(ring: list, place: str) -> tuple | str:
 
 # ---------------------------------------------------------------------------
 # Oracles for values the pipeline does not build: one tract's dwell sums,
-# and the invariants of those, of CensusTracts, HazardLayers and MeiTables,
-# which model.validate() does not check.
+# and the invariants of those, of Tracts, HazardLayers and MeiTables, which
+# model.validate() does not check.
 # ---------------------------------------------------------------------------
 
 
@@ -397,7 +481,7 @@ def _validate_ring(ring, where: str) -> list[str]:
     return out
 
 
-def _validate_tract(tract: CensusTract) -> list[str]:
+def _validate_tract(tract: Tract) -> list[str]:
     out = []
     if not is_geoid(tract.geoid):
         out.append("geoid: must be 11 ASCII digits")
@@ -464,9 +548,9 @@ def _validate_mei_table(table: MeiTable) -> list[str]:
 
 
 def check(value) -> list[str]:
-    """model.validate(), extended to CensusTracts, HazardLayers,
+    """model.validate(), extended to Tracts, HazardLayers,
     ExposureAccumulators and MeiTables: one violation per broken rule."""
-    if isinstance(value, CensusTract):
+    if isinstance(value, Tract):
         return _validate_tract(value)
     if isinstance(value, HazardLayer):
         return _validate_layer(value)
@@ -475,3 +559,120 @@ def check(value) -> list[str]:
     if isinstance(value, MeiTable):
         return _validate_mei_table(value)
     return validate(value)
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: one point, one stop or one sample at a time, over rows.
+# geoindex.locate_stops, homeloc's closed form and classify_heat_quartile
+# work on columns and mirror these float expressions.
+# ---------------------------------------------------------------------------
+
+
+def point_in_part(part, x: float, y: float) -> bool:
+    """Even-odd containment for one polygon part; boundary counts inside."""
+    xs, ys = zip(*chain.from_iterable(part))
+    if x < min(xs) or x > max(xs) or y < min(ys) or y > max(ys):
+        return False
+    inside = False
+    for ring in part:
+        x1, y1 = ring[0]
+        for i in range(1, len(ring)):
+            x2, y2 = ring[i]
+            # Exactly on this edge: inside by the declared boundary rule.
+            if (
+                (x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)
+                and min(x1, x2) <= x <= max(x1, x2)
+                and min(y1, y2) <= y <= max(y1, y2)
+            ):
+                return True
+            if (y1 > y) != (y2 > y):
+                if x < (x2 - x1) * (y - y1) / (y2 - y1) + x1:
+                    inside = not inside
+            x1, y1 = x2, y2
+    return inside
+
+
+def contains(geometry, x: float, y: float) -> bool:
+    return any(point_in_part(part, x, y) for part in geometry)
+
+
+# Each indexed table's geometries by geoid, built from its rows on first use.
+_GEOMETRIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _geometry(index, geoid: str):
+    """A tract's geometry, read from the row view."""
+    geometries = _GEOMETRIES.get(index.tracts)
+    if geometries is None:
+        geometries = _GEOMETRIES[index.tracts] = {t.geoid: t.geometry for t in tract_rows(index.tracts)}
+    return geometries[geoid]
+
+
+def locate(index, lon: float, lat: float) -> str | None:
+    """Return the geoid of the tract containing (lon, lat), or None.
+
+    Candidates are scanned in geoid order, so if tract geometries overlap
+    the smallest geoid wins deterministically.
+    """
+    key = complex(math.floor(lon / index.cell_size_deg), math.floor(lat / index.cell_size_deg))
+    c = int(np.searchsorted(index.cells, key))
+    if c == len(index.cells) or index.cells[c] != key:
+        return None
+    parts = index.cell_parts[index.cell_offsets[c]:index.cell_offsets[c + 1]]
+    for code in dict.fromkeys(index.part_code[parts].tolist()):
+        geoid = index.geoids[code]
+        if contains(_geometry(index, geoid), lon, lat):
+            return geoid
+    return None
+
+
+def locate_brute_force(index, lon: float, lat: float) -> str | None:
+    """Exhaustive all-polygon scan; the correctness oracle for locate()."""
+    for geoid in index.geoids:
+        if contains(_geometry(index, geoid), lon, lat):
+            return geoid
+    return None
+
+
+def night_overlaps(start_ts: int, dwell_s: int, night_start: int, night_end: int) -> list[tuple[int, int]]:
+    """Split a stop interval into (night_id, overlap_seconds) pieces.
+
+    A night is identified by the UTC day number on which its window
+    opens. Windows wrap midnight when night_end <= night_start.
+    """
+    if dwell_s <= 0:
+        return []
+    end_ts = start_ts + dwell_s
+    wrap = night_end <= night_start
+    span = (night_end + 24 if wrap else night_end) - night_start
+    out = []
+    first_day = start_ts // DAY_S - 1
+    last_day = (end_ts - 1) // DAY_S
+    for day in range(first_day, last_day + 1):
+        w_start = day * DAY_S + night_start * 3600
+        w_end = w_start + span * 3600
+        lo = max(start_ts, w_start)
+        hi = min(end_ts, w_end)
+        if hi > lo:
+            out.append((day, hi - lo))
+    return out
+
+
+def percentile_interpolated(sorted_values: list[float], q: float) -> float:
+    """Quantile via linear interpolation at plotting position q*(n+1).
+
+    This is the method whose 0.75 quantile of [10, 20, 30, 40] is 37.5.
+    """
+    n = len(sorted_values)
+    if n == 0:
+        raise ValueError("empty sample")
+    h = q * (n + 1)
+    if h <= 1:
+        return sorted_values[0]
+    if h >= n:
+        return sorted_values[-1]
+    k = int(h)  # 1-based rank of the lower order statistic
+    frac = h - k
+    lo = sorted_values[k - 1]
+    hi = sorted_values[k]
+    return lo + frac * (hi - lo)

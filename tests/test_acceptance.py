@@ -15,12 +15,14 @@ import pytest
 
 from hazmob import cluster, exposure, hazardclass, ingest, stats, synth
 from hazmob.cli import main as cli_main
-from hazmob.geoindex import build_index, contains, locate, locate_stops
+from hazmob.geoindex import build_index, locate_stops
 from hazmob.homeloc import infer_homes
 from hazmob.model import HAZARD_TYPES
 
-from conftest import assignments_of, masked_set, mei_rows, values_of
+from conftest import (assignments_of, contains, geoids_of, labels_of, locate, masked_set, mei_rows, stop_records,
+                      stops_at, tract_rows, values_of)
 from test_stats import WELCH_ORACLE, X20, Y20, R20
+from test_synth import file_digests
 
 
 def gate(num: int, description: str, condition: bool, detail: str = "") -> None:
@@ -65,7 +67,7 @@ def test_c01_exposure_equals_reference_loop():
     homes = assignments_of(home_map, world.stops, index.geoids)
     tdt: dict[str, int] = {}
     hdt: dict[str, dict[str, int]] = {h: {} for h in HAZARD_TYPES}
-    for s in world.stops.records():
+    for s in stop_records(world.stops):
         home = homes.get(s.user_id)
         if home is None:
             continue
@@ -94,19 +96,18 @@ def test_c01_exposure_equals_reference_loop():
 
 
 def test_c02_locate_equals_exhaustive_scan():
-    """Grid-indexed point location agrees with the all-polygon scan."""
+    """Grid-indexed point location, vectorized and scalar, agrees with the all-polygon scan."""
     started = time.perf_counter()
     world = synth.gen_world(synth.WorldConfig(seed=31, grid_n=10, users=1, stops_per_user=0))
     index = build_index(world.tracts, cell_size_deg=0.05)
-    ordered = sorted((t.geoid, t.geometry) for t in index.tracts)
+    ordered = sorted((t.geoid, t.geometry) for t in tract_rows(index.tracts))
     rng = random.Random(90125)
+    points = [(rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0)) for _ in range(10000)]
+    located = geoids_of(index, locate_stops(index, stops_at(points)))
     disagreements = 0
-    for _ in range(10000):
-        lon = rng.uniform(-1.0, 11.0)
-        lat = rng.uniform(-1.0, 11.0)
-        fast = locate(index, lon, lat)
+    for (lon, lat), fast in zip(points, located):
         slow = next((g for g, geom in ordered if contains(geom, lon, lat)), None)
-        if fast != slow:
+        if fast != slow or locate(index, lon, lat) != slow:
             disagreements += 1
     elapsed = time.perf_counter() - started
     gate(2, "indexed locate equals exhaustive polygon scan on 10,000 points",
@@ -173,9 +174,10 @@ def test_c03_dbscan_matches_quadratic_reference():
         ).clip(0.0, 1.0)
         eps = float(rng.uniform(0.05, 0.12))
         min_pts = int(rng.integers(3, 12))
-        points = [(f"48{i:09d}", tuple(c)) for i, c in enumerate(coords)]
-        mine = cluster.dbscan(points, cluster.ClusterConfig(eps=eps, min_pts=min_pts))
-        got = [mine.labels[g] for g, _ in points]
+        geoids = [f"48{i:09d}" for i in range(n)]
+        points = cluster.ClusterPoints(geoids=np.array(geoids), coords=coords)
+        mine = labels_of(cluster.dbscan(points, cluster.ClusterConfig(eps=eps, min_pts=min_pts)))
+        got = [mine[g] for g in geoids]
         want = _reference_dbscan(coords, eps, min_pts)
         if not _bijective_match(got, want):
             mismatches.append(case)
@@ -351,6 +353,10 @@ def test_c09_million_stop_performance_floor(tmp_path):
     assert len(world.stops) == 1_000_000
     assert len(world.tracts) >= 1000
     paths = synth.write_world(world, tmp_path)
+    assert file_digests(paths) == {
+        "stops": "b0d637843ae30267e034f50ae4a9168f2b37587ed6c7deb9a1ac4e860fd729eb",
+        "tracts": "d47716df2fdc2466b8412a2fc0563cb76b15505ed4a9964e967e807cb97051d5",
+    }
 
     started = time.perf_counter()
     stops, _ = ingest.parse_stops(paths["stops"])

@@ -80,6 +80,12 @@ def test_synth_bad_config_exits_2(tmp_path, capsys, flag):
     assert not (tmp_path / "w").exists()
 
 
+def test_synth_negative_seed_exits_2(tmp_path, capsys):
+    assert main(["synth", "--seed", "-1", "--grid", "2", "--out", str(tmp_path / "w")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+    assert not (tmp_path / "w").exists()
+
+
 def test_run_writes_all_reports(fixture_dir, tmp_path):
     out = tmp_path / "reports"
     assert main(run_args(fixture_dir, out)) == EXIT_OK

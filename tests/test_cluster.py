@@ -27,7 +27,7 @@ from hazmob.exposure import accumulate, classify_regions, compute_mei
 from hazmob.geoindex import build_index, locate_stops
 from hazmob.homeloc import infer_homes
 
-from conftest import classify_world_masks, mei_table
+from conftest import assert_same_labels, classify_world_masks, labels_of, mei_table
 
 
 def reference_dbscan(coords, eps, min_pts):
@@ -100,13 +100,15 @@ def same_partition_on_cores_and_noise(labels_a, labels_b, coords, eps, min_pts):
     return True
 
 
-def points_from(coords):
-    return [(f"48{i:09d}", tuple(c)) for i, c in enumerate(coords)]
+def points_from(coords) -> ClusterPoints:
+    """The frame of the given triples, with geoids 48000000000, 48000000001, ... in order."""
+    coords = np.asarray(coords, dtype=float).reshape(-1, 3)
+    return ClusterPoints(geoids=np.array([f"48{i:09d}" for i in range(len(coords))]), coords=coords)
 
 
 def summary_of(result, points):
     """The summary rows of result, with means over the clustered points."""
-    coords = dict(points)
+    coords = dict(zip(points.geoids.tolist(), points.coords.tolist()))
     return _summary_rows(result.label, np.array([coords[g] for g in result.geoids.tolist()]).reshape(-1, 3))
 
 
@@ -115,13 +117,13 @@ def test_two_blobs_two_clusters_no_noise():
     blob_a = 0.9 + rng.normal(0, 0.01, (20, 3))
     blob_b = 0.05 + rng.normal(0, 0.01, (20, 3))
     coords = np.vstack([blob_a, blob_b]).clip(0, 1)
-    result = dbscan(points_from(coords), ClusterConfig(eps=0.1, min_pts=5))
-    labels = set(result.labels.values())
+    result = labels_of(dbscan(points_from(coords), ClusterConfig(eps=0.1, min_pts=5)))
+    labels = set(result.values())
     assert labels == {0, 1}
-    assert all(v != NOISE for v in result.labels.values())
+    assert all(v != NOISE for v in result.values())
     # each blob is one cluster
     by_cluster = {}
-    for geoid, label in result.labels.items():
+    for geoid, label in result.items():
         by_cluster.setdefault(label, set()).add(int(geoid[2:]))
     assert {frozenset(range(20)), frozenset(range(20, 40))} == {
         frozenset(v) for v in by_cluster.values()
@@ -131,28 +133,28 @@ def test_two_blobs_two_clusters_no_noise():
 def test_identical_points_single_cluster():
     coords = [(0.5, 0.5, 0.5)] * 12
     result = dbscan(points_from(coords), ClusterConfig(eps=0.1, min_pts=12))
-    assert set(result.labels.values()) == {0}
+    assert set(labels_of(result).values()) == {0}
 
 
 def test_single_point_insufficient_neighbors_is_noise():
     result = dbscan(points_from([(0.1, 0.2, 0.3)]), ClusterConfig(eps=0.1, min_pts=2))
-    assert list(result.labels.values()) == [NOISE]
+    assert list(labels_of(result).values()) == [NOISE]
 
 
 def test_empty_input():
-    result = dbscan([], ClusterConfig(eps=0.1, min_pts=3))
-    assert result.labels == {}
-    assert summary_of(result, []) == []
+    result = dbscan(points_from([]), ClusterConfig(eps=0.1, min_pts=3))
+    assert labels_of(result) == {}
+    assert summary_of(result, points_from([])) == []
 
 
 def test_config_validation():
     for eps in (0.0, math.nan, math.inf, 2.0**-512, 2.0**512):  # eps * eps not a normal float
         with pytest.raises(ValueError):
-            dbscan([], ClusterConfig(eps=eps, min_pts=3))
+            dbscan(points_from([]), ClusterConfig(eps=eps, min_pts=3))
     for eps in (2.0**-511, 2.0**511):
         assert dbscan(points_from([(0.0, 0.0, 0.0)]), ClusterConfig(eps=eps, min_pts=1)).label.tolist() == [0]
     with pytest.raises(ValueError):
-        dbscan([], ClusterConfig(eps=0.1, min_pts=0))
+        dbscan(points_from([]), ClusterConfig(eps=0.1, min_pts=0))
 
 
 def test_non_finite_coordinates_rejected():
@@ -171,9 +173,9 @@ def test_coordinates_beyond_2_53_cells_rejected():
 def test_partition_property_every_point_labeled():
     rng = np.random.default_rng(17)
     coords = rng.random((300, 3))
-    result = dbscan(points_from(coords), ClusterConfig(eps=0.08, min_pts=4))
-    assert len(result.labels) == 300
-    assert all(isinstance(v, int) and v >= -1 for v in result.labels.values())
+    result = labels_of(dbscan(points_from(coords), ClusterConfig(eps=0.08, min_pts=4)))
+    assert len(result) == 300
+    assert all(isinstance(v, int) and v >= -1 for v in result.values())
 
 
 def test_labels_match_reference_implementation():
@@ -185,12 +187,13 @@ def test_labels_match_reference_implementation():
             [c + rng.normal(0, 0.04, (n // 4, 3)) for c in centers]
             + [rng.random((n - 4 * (n // 4), 3))]
         ).clip(0, 1)
-        pts = points_from(coords)
-        mine = dbscan(pts, ClusterConfig(eps=0.09, min_pts=5))
-        labels_mine = [mine.labels[g] for g, _ in sorted(pts)]
-        labels_ref = reference_dbscan([tuple(c) for _, c in sorted(pts)], 0.09, 5)
+        pts = points_from(coords)  # geoids ascend with the rows
+        mine = labels_of(dbscan(pts, ClusterConfig(eps=0.09, min_pts=5)))
+        labels_mine = [mine[g] for g in pts.geoids.tolist()]
+        triples = [tuple(c) for c in pts.coords.tolist()]
+        labels_ref = reference_dbscan(triples, 0.09, 5)
         assert same_partition_on_cores_and_noise(
-            labels_mine, labels_ref, [tuple(c) for _, c in sorted(pts)], 0.09, 5
+            labels_mine, labels_ref, triples, 0.09, 5
         ), f"seed {seed}: partitions differ"
 
 
@@ -334,9 +337,9 @@ def _traced_peak(points, config):
 
 def test_coincident_points_memory_bounded():
     """3,000 identical triples share one cell, which is all core with no pair tested."""
-    points = ClusterPoints.of(points_from(np.full((3000, 3), 0.5)))
+    points = points_from(np.full((3000, 3), 0.5))
     config = ClusterConfig(eps=0.1, min_pts=10)
-    assert set(dbscan(points, config).labels.values()) == {0}
+    assert set(labels_of(dbscan(points, config)).values()) == {0}
     peak = _traced_peak(points, config)
     assert peak < 2, f"peak {peak:.1f} MB"
 
@@ -345,9 +348,9 @@ def test_dense_cloud_memory_bounded():
     """20,000 triples, nearly all 4e8 ordered pairs within eps: stored as int32
     neighbor lists they would take 1.6 GB; dbscan holds none of them."""
     coords = 0.5 + np.random.default_rng(29).normal(0, 0.01, (20_000, 3))
-    points = ClusterPoints.of(points_from(coords))
+    points = points_from(coords)
     config = ClusterConfig(eps=0.1, min_pts=10)
-    assert set(dbscan(points, config).labels.values()) == {0}
+    assert set(labels_of(dbscan(points, config)).values()) == {0}
     peak = _traced_peak(points, config)
     assert peak < 8, f"peak {peak:.1f} MB"
 
@@ -357,11 +360,12 @@ def test_scan_order_insensitive_core_sets():
     coords = rng.random((200, 3))
     pts = points_from(coords)
     baseline = dbscan(pts, ClusterConfig(eps=0.1, min_pts=5))
-    shuffled = list(pts)
-    random.Random(0).shuffle(shuffled)
+    order = list(range(len(pts)))
+    random.Random(0).shuffle(order)
+    shuffled = ClusterPoints(geoids=pts.geoids[order], coords=pts.coords[order])
     again = dbscan(shuffled, ClusterConfig(eps=0.1, min_pts=5))
     # input order is irrelevant: dbscan sorts by geoid internally
-    assert baseline.labels == again.labels
+    assert_same_labels(baseline, again)
 
 
 def test_summary_means_and_ordering():
@@ -420,5 +424,5 @@ def test_archetype_world_largest_cluster_is_all_high():
     assert top.mean_mei["heat"] > 0.8
     # the largest cluster is the planted all-three-high archetype
     labels = world.truth.archetype_labels
-    top_members = [g for g, lab in result.labels.items() if lab == top.label]
+    top_members = [g for g, lab in labels_of(result).items() if lab == top.label]
     assert all(labels[g] == 7 for g in top_members)

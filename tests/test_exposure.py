@@ -18,9 +18,9 @@ from hazmob.exposure import (
     compute_mei,
     population_curve,
 )
-from hazmob.geoindex import build_index, locate, locate_stops
+from hazmob.geoindex import build_index, locate_stops
 from hazmob.homeloc import HomeMap, infer_homes
-from hazmob.model import HAZARD_TYPES, StopRecord, Stops, TractTable
+from hazmob.model import HAZARD_TYPES, StopRecord, Stops
 
 from conftest import (
     ExposureAccumulator,
@@ -28,9 +28,12 @@ from conftest import (
     classify_world_masks,
     frame_of,
     home_map_of,
+    locate,
     masked_set,
     masks_of,
     mei_rows,
+    stop_records,
+    tract_table,
     unit_square_tract,
     values_of,
 )
@@ -89,7 +92,7 @@ def by_tract(result: AccumulateResult) -> dict[str, ExposureAccumulator]:
 
 @pytest.fixture(scope="module")
 def two_tract_setup():
-    tracts = TractTable.from_rows([unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0)])
+    tracts = tract_table([unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0)])
     index = build_index(tracts, cell_size_deg=0.5)
     return tracts, index
 
@@ -258,7 +261,7 @@ def test_classify_regions_rules(two_tract_setup):
 
 
 def test_population_curve_definition(two_tract_setup):
-    tracts = TractTable.from_rows([unit_square_tract("48001000001", 0, 0, population=1000)])
+    tracts = tract_table([unit_square_tract("48001000001", 0, 0, population=1000)])
     acc = ExposureAccumulator(geoid="48001000001", tdt_s=100)
     acc.hdt_s["heat"] = 7
     table = classify_regions(compute_mei(sums_of([acc])), masks_of({}, []), [])
@@ -269,12 +272,12 @@ def test_population_curve_definition(two_tract_setup):
 def test_population_curve_empty_latent_class():
 
     table = classify_regions(compute_mei(sums_of([])), masks_of({}, []), [])
-    curve = population_curve(table, TractTable.from_rows([]), "heat", [0.0, 0.5])
+    curve = population_curve(table, tract_table([]), "heat", [0.0, 0.5])
     assert curve.points == [(0.0, 0), (0.5, 0)]
 
 
 def test_compound_latent_rules():
-    tracts = TractTable.from_rows([
+    tracts = tract_table([
         unit_square_tract("48001000001", 0, 0, population=500),
         unit_square_tract("48001000002", 1, 0, population=700),
     ])
@@ -297,14 +300,14 @@ def test_population_sums_are_exact_past_int64(populations):
     """Populations add up as Python ints, with no int64 wrap-around."""
     from hazmob.stats import disparity_table
 
-    tracts = TractTable.from_rows(unit_square_tract(f"4800100000{i}", i, 0, population=p)
-                        for i, p in enumerate(populations))
-    accs = [ExposureAccumulator(geoid=t.geoid, tdt_s=100, hdt_s=dict.fromkeys(HAZARD_TYPES, 50))
-            for t in tracts]
+    tracts = tract_table(unit_square_tract(f"4800100000{i}", i, 0, population=p)
+                         for i, p in enumerate(populations))
+    accs = [ExposureAccumulator(geoid=g, tdt_s=100, hdt_s=dict.fromkeys(HAZARD_TYPES, 50))
+            for g in tracts.geoids.tolist()]
     table = classify_regions(compute_mei(sums_of(accs)), masks_of({}, []), [])
     total = sum(populations)
     assert population_curve(table, tracts, "heat", [0.1, 0.9]).points == [(0.1, total), (0.9, 0)]
-    assert compound_latent(table, tracts, 0.1) == ([t.geoid for t in tracts], total)
+    assert compound_latent(table, tracts, 0.1) == (tracts.geoids.tolist(), total)
     assert disparity_table(table, tracts).rows[0].weighted_mean_poverty == pytest.approx(0.3)
 
 
@@ -321,8 +324,8 @@ def test_every_table_geoid_must_name_a_tract():
     accs = [ExposureAccumulator(geoid=g, tdt_s=100, hdt_s=dict.fromkeys(HAZARD_TYPES, 50))
             for g in ("48001000001", "48001000002", "48001000003")]
     table = classify_regions(compute_mei(sums_of(accs)), masks_of({}, []), [])
-    for tracts, first in ((TractTable.from_rows([unit_square_tract("48001000002", 0, 0)]), "48001000001"),
-                          (TractTable.from_rows([unit_square_tract("48001000001", 0, 0)]), "48001000002")):
+    for tracts, first in ((tract_table([unit_square_tract("48001000002", 0, 0)]), "48001000001"),
+                          (tract_table([unit_square_tract("48001000001", 0, 0)]), "48001000002")):
         for build in (lambda: population_curve(table, tracts, "heat", [0.1]),
                       lambda: compound_latent(table, tracts, 0.1),
                       lambda: disparity_table(table, tracts), lambda: scatter_export(table, tracts)):
@@ -378,7 +381,7 @@ def test_accumulate_matches_reference_loop(oracle_world):
     result = accumulate_at(world.stops, index, home_map, masks)
     masked_sets = {h: masked_set(masks[:, k], index.geoids) for k, h in enumerate(HAZARD_TYPES)}
     tdt, hdt, tdt_nh, hdt_nh, unresolved = reference_exposure(
-        world.stops.records(), assignments_of(home_map, world.stops, index.geoids), index, masked_sets
+        stop_records(world.stops), assignments_of(home_map, world.stops, index.geoids), index, masked_sets
     )
     assert set(by_tract(result)) == set(tdt)
     for geoid, acc in by_tract(result).items():
@@ -393,14 +396,14 @@ def test_accumulate_matches_reference_loop(oracle_world):
 def test_conservation_of_dwell(oracle_world):
     world, index, home_map, masks = oracle_world
     result = accumulate_at(world.stops, index, home_map, masks)
-    total = sum(s.dwell_s for s in world.stops.records())
+    total = sum(s.dwell_s for s in stop_records(world.stops))
     assert sum(a.tdt_s for a in by_tract(result).values()) + result.dropped_dwell_s == total
 
 
 def test_stop_order_shuffle_leaves_results_unchanged(oracle_world):
     world, index, home_map, masks = oracle_world
     baseline = compute_mei(accumulate_at(world.stops, index, home_map, masks))
-    shuffled = world.stops.records()
+    shuffled = stop_records(world.stops)
     random.Random(1).shuffle(shuffled)
     homes = assignments_of(home_map, world.stops, index.geoids)
     again = compute_mei(accumulate_at(shuffled, index, homes, masks))
@@ -421,7 +424,7 @@ def test_population_curve_matches_brute_force_on_world(oracle_world):
     world, index, home_map, masks = oracle_world
     table = classify_regions(compute_mei(accumulate_at(world.stops, index, home_map, masks)), masks,
                              index.geoids)
-    pop = {t.geoid: t.population for t in world.tracts}
+    pop = dict(zip(world.tracts.geoids.tolist(), world.tracts.population.tolist()))
     thresholds = [0.0, 0.02, 0.05, 0.1, 0.2, 0.5]
     for h in HAZARD_TYPES:
         curve = population_curve(table, world.tracts, h, thresholds)
@@ -438,7 +441,7 @@ def test_compound_latent_matches_brute_force_on_world(oracle_world):
     world, index, home_map, masks = oracle_world
     table = classify_regions(compute_mei(accumulate_at(world.stops, index, home_map, masks)), masks,
                              index.geoids)
-    pop = {t.geoid: t.population for t in world.tracts}
+    pop = dict(zip(world.tracts.geoids.tolist(), world.tracts.population.tolist()))
     geoids, total = compound_latent(table, world.tracts, 0.02)
     expected = sorted(
         g for g, r in mei_rows(table).items()

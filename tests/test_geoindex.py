@@ -8,29 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hazmob import geoindex, model
-from hazmob.geoindex import (
-    GeoIndexError,
-    build_index,
-    contains,
-    locate,
-    locate_brute_force,
-    locate_stops,
-)
-from hazmob.model import CensusTract, StopRecord, TractTable
+from hazmob import geoindex
+from hazmob.geoindex import GeoIndexError, build_index, locate_stops
+from hazmob.model import StopRecord
 
-from conftest import frame_of, geoids_of, stops_at, tract_worlds, unit_square_tract, wobbled
+from conftest import (Tract, contains, frame_of, geoids_of, locate, locate_brute_force, stop_records, stops_at,
+                      tract_rows, tract_table, tract_worlds, unit_square_tract, wobbled)
 
 
 @pytest.fixture(scope="module")
 def unit_square_index():
-    return build_index(TractTable.from_rows([unit_square_tract("48001950100", 0, 0)]), cell_size_deg=1.0)
+    return build_index(tract_table([unit_square_tract("48001950100", 0, 0)]), cell_size_deg=1.0)
 
 
 def test_build_index_rejects_empty_and_bad_cell():
     with pytest.raises(GeoIndexError):
-        build_index(TractTable.from_rows([]))
-    square = TractTable.from_rows([unit_square_tract("48001950100", 0, 0)])
+        build_index(tract_table([]))
+    square = tract_table([unit_square_tract("48001950100", 0, 0)])
     with pytest.raises(GeoIndexError):
         build_index(square, cell_size_deg=0.0)
     for bad in (math.nan, math.inf, 1e-320):  # 1e-320: the unit square spans no finite cell range
@@ -61,7 +55,7 @@ def test_boundary_points_count_as_inside(unit_square_index):
     assert locate(unit_square_index, 1.0, 1.0) == "48001950100"  # vertex
 
 
-def grid_tracts(n: int) -> list[CensusTract]:
+def grid_tracts(n: int) -> list[Tract]:
     return [
         unit_square_tract(f"48{row:03d}{col:06d}", col, row)
         for row in range(n)
@@ -70,7 +64,7 @@ def grid_tracts(n: int) -> list[CensusTract]:
 
 
 def test_grid_coverage_lower_bound():
-    index = build_index(TractTable.from_rows(grid_tracts(10)), cell_size_deg=0.05)
+    index = build_index(tract_table(grid_tracts(10)), cell_size_deg=0.05)
     total_entries = len(index.cell_parts)  # one (cell, part) entry per cell a part's box meets
     assert total_entries >= 100
 
@@ -78,7 +72,7 @@ def test_grid_coverage_lower_bound():
 def test_overlapping_tracts_resolve_to_smallest_geoid():
     a = unit_square_tract("48001950200", 0, 0)
     b = unit_square_tract("48001950100", 0.5, 0)  # overlaps a on [0.5, 1]
-    index = build_index(TractTable.from_rows([a, b]), cell_size_deg=0.25)
+    index = build_index(tract_table([a, b]), cell_size_deg=0.25)
     assert locate(index, 0.75, 0.5) == "48001950100"
     assert locate(index, 0.25, 0.5) == "48001950200"
 
@@ -86,11 +80,11 @@ def test_overlapping_tracts_resolve_to_smallest_geoid():
 def test_multipolygon_membership_any_part():
     ring1 = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
     ring2 = ((5.0, 5.0), (6.0, 5.0), (6.0, 6.0), (5.0, 6.0), (5.0, 5.0))
-    tract = CensusTract(
+    tract = Tract(
         geoid="48001950100", geometry=((ring1,), (ring2,)), population=10,
         pct_minority=0.1, pct_below_poverty200=0.1,
     )
-    index = build_index(TractTable.from_rows([tract]), cell_size_deg=0.5)
+    index = build_index(tract_table([tract]), cell_size_deg=0.5)
     assert locate(index, 0.5, 0.5) == "48001950100"
     assert locate(index, 5.5, 5.5) == "48001950100"
     assert locate(index, 3.0, 3.0) is None
@@ -99,11 +93,11 @@ def test_multipolygon_membership_any_part():
 def test_polygon_hole_excluded_boundary_included():
     outer = ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (0.0, 0.0))
     hole = ((1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0), (1.0, 1.0))
-    tract = CensusTract(
+    tract = Tract(
         geoid="48001950100", geometry=(((outer, hole)),),
         population=10, pct_minority=0.1, pct_below_poverty200=0.1,
     )
-    geom = build_index(TractTable.from_rows([tract]), cell_size_deg=1.0).tracts[0].geometry
+    geom = tract_rows(build_index(tract_table([tract]), cell_size_deg=1.0).tracts)[0].geometry
     assert contains(geom, 0.5, 0.5)
     assert not contains(geom, 2.0, 2.0)  # inside the hole
     assert contains(geom, 1.0, 2.0)  # on the hole boundary
@@ -111,7 +105,7 @@ def test_polygon_hole_excluded_boundary_included():
 
 
 def test_locate_agrees_with_brute_force_oracle():
-    tracts = TractTable.from_rows(grid_tracts(10))
+    tracts = tract_table(grid_tracts(10))
     index = build_index(tracts, cell_size_deg=0.05)
     rng = random.Random(4242)
     disagreements = 0
@@ -124,7 +118,7 @@ def test_locate_agrees_with_brute_force_oracle():
 
 
 def test_locate_independent_of_cell_size():
-    tracts = TractTable.from_rows(grid_tracts(5))
+    tracts = tract_table(grid_tracts(5))
     coarse = build_index(tracts, cell_size_deg=0.5)
     fine = build_index(tracts, cell_size_deg=0.05)
     rng = random.Random(7)
@@ -150,8 +144,8 @@ def _ring(*corners):
 
 
 def _tract(geoid, *parts):
-    return CensusTract(geoid=geoid, geometry=tuple(parts), population=10,
-                       pct_minority=0.1, pct_below_poverty200=0.1)
+    return Tract(geoid=geoid, geometry=tuple(parts), population=10,
+                 pct_minority=0.1, pct_below_poverty200=0.1)
 
 
 def _wobbled_pair():
@@ -190,7 +184,7 @@ LOCATE_WORLD = [
     _tract("48007000100", (_ring((14.0, 1.0), (17.0, 1.0), (17.0, 3.0), (16.0, 3.0),
                                  (16.0, 2.0), (15.0, 2.0), (15.0, 3.0), (14.0, 3.0)),)),
 ]
-LOCATE_TABLE = TractTable.from_rows(LOCATE_WORLD)
+LOCATE_TABLE = tract_table(LOCATE_WORLD)
 LOCATE_INDEX = build_index(LOCATE_TABLE, cell_size_deg=0.75)
 # Index cells finer than, comparable to, and coarser than the whole world.
 CELL_SIZES = (0.1, 0.75, 20.0)
@@ -274,7 +268,7 @@ def test_locate_stops_fixture_covers_edges_holes_and_islands():
     stops = stops_at(point for point, _ in FIXTURE_CASES)
     expected = [geoid for _, geoid in FIXTURE_CASES]
     for index in LOCATE_INDEXES:
-        assert [locate(index, s.lon, s.lat) for s in stops.records()] == expected
+        assert [locate(index, s.lon, s.lat) for s in stop_records(stops)] == expected
         assert geoids_of(index, locate_stops(index, stops)) == expected
         with mock.patch.multiple(geoindex, **SMALL_SIZES):
             assert geoids_of(index, locate_stops(index, stops)) == expected
@@ -289,21 +283,13 @@ def _scattered_stops(index, rng, n):
     return stops_at(pts)
 
 
-def test_locate_stops_calls_neither_locate_nor_contains(monkeypatch):
+def test_locate_stops_calls_neither_locate_nor_contains():
     stops = _scattered_stops(LOCATE_INDEX, random.Random(5), 3000)
-    expected = [locate(LOCATE_INDEX, s.lon, s.lat) for s in stops.records()]
-    table = TractTable.from_rows(LOCATE_WORLD)  # no rows built yet
-
-    def forbidden(*args):
-        raise AssertionError("locate_stops must not fall back to the scalar oracles")
-
-    def no_rows(*args):
-        raise AssertionError("build_index and locate_stops must not build CensusTract rows")
-
+    expected = [locate(LOCATE_INDEX, s.lon, s.lat) for s in stop_records(stops)]
+    # The scalar oracles live in the tests only, so locate_stops has none to fall back to.
     for name in ("locate", "contains", "point_in_part", "locate_brute_force"):
-        monkeypatch.setattr(geoindex, name, forbidden)
-    monkeypatch.setattr(model, "CensusTract", no_rows)
-    index = build_index(table, cell_size_deg=0.75)
+        assert not hasattr(geoindex, name), name
+    index = build_index(tract_table(LOCATE_WORLD), cell_size_deg=0.75)
     assert geoids_of(index, locate_stops(index, stops)) == expected
 
 
@@ -311,7 +297,7 @@ def _world_points(table, rng):
     """Every vertex and edge midpoint of the table's rings, random points over
     and around its tracts, and two points in cells far from every tract."""
     points = []
-    for tract in table:
+    for tract in tract_rows(table):
         for part in tract.geometry:
             for ring in part:
                 points += ring
@@ -367,7 +353,7 @@ def _wobbled_grid(n, rng):
 
 def test_locate_stops_memory_is_bounded():
     rng = random.Random(17)
-    index = build_index(TractTable.from_rows(_wobbled_grid(12, rng)), cell_size_deg=0.05)
+    index = build_index(tract_table(_wobbled_grid(12, rng)), cell_size_deg=0.05)
     stops = stops_at((rng.uniform(-0.5, 12.5), rng.uniform(-0.5, 12.5)) for _ in range(100_000))
     tracemalloc.start()
     try:
@@ -405,7 +391,7 @@ def reference_grid(rows, cell):
 @pytest.mark.parametrize("cell", CELL_SIZES)
 @pytest.mark.parametrize("rows", [LOCATE_WORLD, LOCATE_WORLD[::-1]], ids=["geoid order", "reversed"])
 def test_build_index_grid_equals_enumeration(rows, cell):
-    index = build_index(TractTable.from_rows(rows), cell_size_deg=cell)
+    index = build_index(tract_table(rows), cell_size_deg=cell)
     cells, offsets, parts = reference_grid(rows, cell)
     assert [(int(c.real), int(c.imag)) for c in index.cells.tolist()] == cells
     assert index.cell_offsets.tolist() == offsets
@@ -420,7 +406,7 @@ def test_build_index_memory_is_a_few_bytes_per_entry():
     columns it frees as it goes, so on 1,024 unit squares at 0.05-degree
     cells (451,584 entries) it peaks below 64 bytes an entry (its int64
     temporaries took 113)."""
-    table = TractTable.from_rows(unit_square_tract(f"48{i:03d}{j:06d}", i, j)
+    table = tract_table(unit_square_tract(f"48{i:03d}{j:06d}", i, j)
                                  for i in range(32) for j in range(32))
     tracemalloc.start()
     try:

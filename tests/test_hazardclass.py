@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hazmob.hazardclass import (
-    ClassifyError,
-    classify_heat_quartile,
-    classify_percentile,
-    percentile_interpolated,
-)
+from hazmob.hazardclass import ClassifyError, classify_heat_quartile, classify_percentile
 from hazmob.model import HazardLayer
 
-from conftest import layer_of, masked_set, unit_square_tract
+from conftest import layer_of, masked_set, percentile_interpolated, unit_square_tract
 
 
 def air_layer(values) -> HazardLayer:

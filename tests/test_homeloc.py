@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hazmob import homeloc, synth
-from hazmob.geoindex import build_index, locate, locate_stops
-from hazmob.homeloc import infer_homes, night_overlaps
-from hazmob.model import StopRecord, Stops, TractTable
+from hazmob.geoindex import build_index, locate_stops
+from hazmob.homeloc import infer_homes
+from hazmob.model import StopRecord, Stops
 
-from conftest import assignments_of, frame_of, unassigned_of, unit_square_tract
+from conftest import (assignments_of, frame_of, locate, night_overlaps, tract_table, unassigned_of,
+                      unit_square_tract)
 
 APR1 = 1554076800  # 2019-04-01T00:00:00Z
 
@@ -45,8 +46,8 @@ def homes_of(stops, index, **kwargs) -> Homes:
 
 def two_tract_index():
     return build_index(
-        TractTable.from_rows([unit_square_tract("48001000001", 0, 0),
-                              unit_square_tract("48001000002", 1, 0)]),
+        tract_table([unit_square_tract("48001000001", 0, 0),
+                     unit_square_tract("48001000002", 1, 0)]),
         cell_size_deg=0.5,
     )
 
@@ -278,8 +279,8 @@ def reference_homes(stops, index, night_start, night_end, min_nights):
 
 
 THREE_TRACTS = build_index(
-    TractTable.from_rows([unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0),
-                          unit_square_tract("48001000003", 2, 0)]),
+    tract_table([unit_square_tract("48001000001", 0, 0), unit_square_tract("48001000002", 1, 0),
+                 unit_square_tract("48001000003", 2, 0)]),
     cell_size_deg=0.5,
 )
 # Few places, hours and dwells, so equal night and total dwell (ties) are common.

@@ -6,13 +6,12 @@ import pytest
 from hazmob.model import (
     HAZARD_TYPES,
     MAX_DWELL_S,
-    CensusTract,
     HazardLayer,
     StopRecord,
     validate,
 )
 
-from conftest import ExposureAccumulator, check, layer_of, mei_table, unit_square_tract
+from conftest import ExposureAccumulator, Tract, check, layer_of, mei_table, unit_square_tract
 
 
 def make_stop(**overrides) -> StopRecord:
@@ -50,15 +49,9 @@ def test_stop_lon_boundaries_accepted():
     assert validate(make_stop(lon=180.0001)) != []
 
 
-def test_tract_county_fips_is_geoid_prefix():
-    tract = unit_square_tract("48001950100", 0, 0)
-    assert tract.county_fips == "48001"
-    assert check(tract) == []
-
-
 def test_tract_unclosed_ring_reported():
     ring = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))  # not closed
-    tract = CensusTract(
+    tract = Tract(
         geoid="48001950100", geometry=((ring,),), population=10,
         pct_minority=0.1, pct_below_poverty200=0.1,
     )
@@ -66,6 +59,7 @@ def test_tract_unclosed_ring_reported():
 
 
 def test_tract_bad_geoid_and_demographics():
+    assert check(unit_square_tract("48001950100", 0, 0)) == []
     tract = dataclasses.replace(unit_square_tract("48001950100", 0, 0), geoid="123")
     assert any("geoid" in v for v in check(tract))
     tract = dataclasses.replace(unit_square_tract("48001950100", 0, 0), pct_minority=1.5)

@@ -14,7 +14,7 @@ from hazmob import synth
 from hazmob.exposure import accumulate, classify_regions, compute_mei
 from hazmob.geoindex import build_index, locate_stops
 from hazmob.homeloc import infer_homes
-from hazmob.model import HAZARD_TYPES, TractTable
+from hazmob.model import HAZARD_TYPES
 from hazmob.stats import (
     TTestResult,
     betainc_regularized,
@@ -26,7 +26,7 @@ from hazmob.stats import (
     welch_t_test,
 )
 
-from conftest import classify_world_masks, mei_rows, mei_table, unit_square_tract
+from conftest import classify_world_masks, mei_rows, mei_table, tract_rows, tract_table, unit_square_tract
 
 # (sample_a, sample_b, t, welch_df, two_sided_p)
 WELCH_ORACLE = [
@@ -192,7 +192,7 @@ def test_disparity_planted_minority_in_direct_tracts():
                               poverty=(0.6 if direct else 0.25) + rng.gauss(0, 0.01))
         )
         regions[geoid] = ("direct" if direct else "latent",) * 3
-    table = disparity_table(make_table(regions), TractTable.from_rows(tracts))
+    table = disparity_table(make_table(regions), tract_table(tracts))
     baseline = table.rows[0]
     assert baseline.hazard == "all"
     assert baseline.mean_minority == pytest.approx((15 * 0.8 + 25 * 0.2) / 40, abs=0.02)
@@ -218,7 +218,7 @@ def test_disparity_uniform_demographics_nothing_significant():
                               poverty=0.3 + rng.gauss(0, 0.05))
         )
         regions[geoid] = ("direct" if i % 2 == 0 else "latent",) * 3
-    table = disparity_table(make_table(regions), TractTable.from_rows(tracts))
+    table = disparity_table(make_table(regions), tract_table(tracts))
     for row in table.rows[1:]:
         for test in (row.poverty_test, row.minority_test):
             if test is not None:
@@ -231,7 +231,7 @@ def test_disparity_empty_class_has_blank_cells():
         geoid = f"48001{i:06d}"
         tracts.append(unit_square_tract(geoid, i, 0))
         regions[geoid] = ("direct",) * 3
-    table = disparity_table(make_table(regions), TractTable.from_rows(tracts))
+    table = disparity_table(make_table(regions), tract_table(tracts))
     latent_rows = [r for r in table.rows if r.region_class == "latent"]
     assert all(r.n_tracts == 0 for r in latent_rows)
     assert all(r.mean_poverty is None and r.poverty_test is None for r in latent_rows)
@@ -246,7 +246,7 @@ def test_disparity_means_match_brute_force(small_world, small_world_index):
     masks = classify_world_masks(world, small_world_index.geoids)
     table = classify_regions(compute_mei(accumulate(world.stops, locate_stops(small_world_index, world.stops), small_world_index.geoids, home_map, masks)), masks, small_world_index.geoids)
     result = disparity_table(table, world.tracts)
-    by_geoid = {t.geoid: t for t in world.tracts}
+    by_geoid = {t.geoid: t for t in tract_rows(world.tracts)}
     rows = mei_rows(table)
     for row in result.rows[1:]:
         if row.hazard == "compound":
@@ -279,10 +279,10 @@ def test_hazard_pair_correlations_all_pairs(small_world, small_world_index):
 
 
 def test_scatter_export_rows_sorted_and_undefined_blank():
-    tracts = TractTable.from_rows(unit_square_tract(f"48001{i:06d}", i, 0, population=100 + i) for i in range(3))
-    rows = {t.geoid: dict(mei={"air_pollution": None if i == 1 else 0.4, "toxic": 0.2, "heat": 0.1},
-                          nonhome_share=0.0)
-            for i, t in enumerate(tracts)}
+    tracts = tract_table(unit_square_tract(f"48001{i:06d}", i, 0, population=100 + i) for i in range(3))
+    rows = {g: dict(mei={"air_pollution": None if i == 1 else 0.4, "toxic": 0.2, "heat": 0.1},
+                    nonhome_share=0.0)
+            for i, g in enumerate(tracts.geoids.tolist())}
     scatter = scatter_export(mei_table(rows), tracts)
     assert scatter.geoids.tolist() == sorted(rows)
     assert math.isnan(scatter.mei[1, 0])
@@ -292,9 +292,9 @@ def test_scatter_export_rows_sorted_and_undefined_blank():
 def test_scatter_round_trips_through_writer(tmp_path):
     from hazmob import ingest
 
-    tracts = TractTable.from_rows(unit_square_tract(f"48001{i:06d}", i, 0) for i in range(3))
+    tracts = tract_table(unit_square_tract(f"48001{i:06d}", i, 0) for i in range(3))
     mei = {"air_pollution": 0.123456789, "toxic": 0.5, "heat": None}
-    scatter = scatter_export(mei_table({t.geoid: dict(mei=mei, nonhome_share=0.0) for t in tracts}), tracts)
+    scatter = scatter_export(mei_table({g: dict(mei=mei, nonhome_share=0.0) for g in tracts.geoids.tolist()}), tracts)
     dest = tmp_path / "scatter.csv"
     ingest.write_report(scatter, dest)
     lines = dest.read_text().splitlines()

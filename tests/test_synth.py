@@ -3,16 +3,18 @@
 
 import math
 import random
+from hashlib import sha256
 
 import numpy as np
 import pytest
 
 from hazmob import synth
-from hazmob.geoindex import build_index, locate, locate_stops
+from hazmob.geoindex import build_index, locate_stops
 from hazmob.model import HAZARD_TYPES
-from hazmob.synth import SynthConfigError, WorldConfig, gen_world, planted_truth, write_world
+from hazmob.synth import SynthConfigError, WorldConfig, gen_world, write_world
 
-from conftest import masks_of, mei_rows, values_of
+from conftest import (assert_same_stops, assert_same_tracts, locate, masks_of, mei_rows, stop_records,
+                      values_of)
 
 
 def test_config_validation():
@@ -24,6 +26,8 @@ def test_config_validation():
         gen_world(WorldConfig(seed=1, users=0))
     with pytest.raises(SynthConfigError):
         gen_world(WorldConfig(seed=1, grid_n=10, archetype_mode=True))
+    with pytest.raises(SynthConfigError, match="^seed must be >= 0$"):
+        gen_world(WorldConfig(seed=-1, grid_n=2))
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(SynthConfigError, match="decay_alpha"):
             gen_world(WorldConfig(seed=1, decay_alpha=value))
@@ -35,8 +39,8 @@ def test_same_seed_identical_world():
     config = WorldConfig(seed=99, grid_n=5, users=40, stops_per_user=20)
     a = gen_world(config)
     b = gen_world(config)
-    assert a.stops == b.stops
-    assert a.tracts == b.tracts
+    assert_same_stops(a.stops, b.stops)
+    assert_same_tracts(a.tracts, b.tracts)
     for h in HAZARD_TYPES:
         assert values_of(a.layers[h]) == values_of(b.layers[h])
     assert a.truth.homes == b.truth.homes
@@ -52,19 +56,38 @@ def test_same_seed_byte_identical_files(tmp_path):
             assert fa.read() == fb.read(), key
 
 
+def file_digests(paths) -> dict:
+    """The SHA-256 of a written world's stops and tracts files."""
+    return {key: sha256(open(paths[key], "rb").read()).hexdigest() for key in ("stops", "tracts")}
+
+
+# The files of the c08 world, which gate c08 and the CLI tests run on.
+C08_DIGESTS = {
+    "stops": "fa297d9bc3973f6ef55a3aae7d3233b0f10ae3b28136a27f90bd6f5f47061163",
+    "tracts": "81d1b97a5135ed62fa19c4fd1c7d29f576075927a6385aea46ab662446aa7864",
+}
+
+
+def test_c08_world_files_are_pinned(tmp_path):
+    """synth writes the same bytes for the c08 world as it always has."""
+    world = gen_world(WorldConfig(seed=555, grid_n=6, hazard_autocorr=1, decay_alpha=2.5,
+                                  users=108, stops_per_user=40))
+    assert file_digests(write_world(world, tmp_path)) == C08_DIGESTS
+
+
 def test_user_count_does_not_perturb_hazard_fields():
     small = gen_world(WorldConfig(seed=5, grid_n=6, users=10, stops_per_user=5))
     large = gen_world(WorldConfig(seed=5, grid_n=6, users=50, stops_per_user=5))
     for h in HAZARD_TYPES:
         assert values_of(small.layers[h]) == values_of(large.layers[h])
-    assert [t.pct_minority for t in small.tracts] == [t.pct_minority for t in large.tracts]
+    assert small.tracts.pct_minority.tolist() == large.tracts.pct_minority.tolist()
 
 
 def test_stops_inside_home_grid_and_valid():
     from hazmob.model import validate
 
     world = gen_world(WorldConfig(seed=3, grid_n=4, users=30, stops_per_user=15))
-    for stop in world.stops.records():
+    for stop in stop_records(world.stops):
         assert validate(stop) == []
         assert 0.0 <= stop.lon <= 4.0
         assert 0.0 <= stop.lat <= 4.0
@@ -75,7 +98,7 @@ def test_nighttime_stops_forced_home():
     world = gen_world(WorldConfig(seed=3, grid_n=4, users=30, stops_per_user=15))
     index = build_index(world.tracts, cell_size_deg=0.5)
     homes = world.truth.homes
-    for stop in world.stops.records():
+    for stop in stop_records(world.stops):
         hour = (stop.start_ts % 86400) // 3600
         if hour == 23:
             assert locate(index, stop.lon, stop.lat) == homes[stop.user_id]
@@ -86,7 +109,7 @@ def test_extreme_decay_keeps_stops_home():
     index = build_index(world.tracts, cell_size_deg=0.5)
     homes = world.truth.homes
     at_home = sum(
-        1 for s in world.stops.records() if locate(index, s.lon, s.lat) == homes[s.user_id]
+        1 for s in stop_records(world.stops) if locate(index, s.lon, s.lat) == homes[s.user_id]
     )
     assert at_home / len(world.stops) >= 0.99
 
@@ -95,8 +118,8 @@ def neighbor_agreement(world, hazard: str) -> float:
     n = world.config.grid_n
     masked = world.truth.masks[hazard]
     bits = {}
-    for i, tract in enumerate(world.tracts):
-        bits[(i // n, i % n)] = tract.geoid in masked
+    for i, geoid in enumerate(world.tracts.geoids.tolist()):
+        bits[(i // n, i % n)] = geoid in masked
     agree = total = 0
     for (r, c), bit in bits.items():
         for dr, dc in ((0, 1), (1, 0)):
@@ -142,8 +165,8 @@ def test_autocorr_monotone_in_radius():
 
 def test_single_tract_world_expected_mei_is_mask_value():
     world = gen_world(WorldConfig(seed=2, grid_n=1, users=3, stops_per_user=10))
-    truth = planted_truth(world)
-    geoid = world.tracts[0].geoid
+    truth = world.truth
+    geoid = world.tracts.geoids.tolist()[0]
     for h in HAZARD_TYPES:
         expected = 1.0 if geoid in truth.masks[h] else 0.0
         assert truth.expected_mei[geoid][h] == pytest.approx(expected)
@@ -154,7 +177,7 @@ def test_expected_mei_matches_hand_enumeration_2x2():
     alpha = 2.0
     config = WorldConfig(seed=44, grid_n=2, decay_alpha=alpha, users=4, stops_per_user=10)
     world = gen_world(config)
-    truth = planted_truth(world)
+    truth = world.truth
     # tract 0 at (row 0, col 0); neighbors at distance 1, 1, sqrt(2)
     w_home = 1.0
     w_side = (1.0 + 1.0) ** -alpha
@@ -163,7 +186,7 @@ def test_expected_mei_matches_hand_enumeration_2x2():
     probs = {0: w_home / z, 1: w_side / z, 2: w_side / z, 3: w_diag / z}
     night = synth.NIGHTS_PER_USER * (synth.NIGHT_DWELL[0] + synth.NIGHT_DWELL[1] - 1) / 2.0
     day = config.stops_per_user * (synth.DAY_DWELL[0] + synth.DAY_DWELL[1] - 1) / 2.0
-    geoids = [t.geoid for t in world.tracts]
+    geoids = world.tracts.geoids.tolist()
     for h in HAZARD_TYPES:
         mask_bits = [1.0 if g in truth.masks[h] else 0.0 for g in geoids]
         day_rate = sum(probs[i] * mask_bits[i] for i in range(4))
@@ -195,9 +218,8 @@ def test_demographic_gain_plants_hazard_correlation():
         """Minority lift of plant-masked tracts over the global mean."""
         air = values_of(world.layers["air_pollution"])
         toxic = values_of(world.layers["toxic"])
-        masked = [t.pct_minority for t in world.tracts
-                  if air[t.geoid] > 0.8 or toxic[t.geoid] > 0.8]
-        everyone = [t.pct_minority for t in world.tracts]
+        everyone = world.tracts.pct_minority.tolist()
+        masked = [m for g, m in zip(world.tracts.geoids.tolist(), everyone) if air[g] > 0.8 or toxic[g] > 0.8]
         return sum(masked) / len(masked) - sum(everyone) / len(everyone)
 
     assert abs(hazard_gap(flat)) < 0.05
@@ -209,8 +231,8 @@ def test_hazard_overlap_correlates_fields():
     joined = gen_world(WorldConfig(seed=14, grid_n=16, users=1, stops_per_user=0, hazard_overlap=0.8))
 
     def field_corr(world):
-        air = [values_of(world.layers["air_pollution"])[t.geoid] for t in world.tracts]
-        toxic = [values_of(world.layers["toxic"])[t.geoid] for t in world.tracts]
+        air = [values_of(world.layers["air_pollution"])[g] for g in world.tracts.geoids.tolist()]
+        toxic = [values_of(world.layers["toxic"])[g] for g in world.tracts.geoids.tolist()]
         return np.corrcoef(air, toxic)[0, 1]
 
     assert abs(field_corr(split)) < 0.45
@@ -229,7 +251,7 @@ def test_empirical_mei_tracks_expected_on_moderate_world():
     home_map = infer_homes(world.stops, locate_stops(index, world.stops), index.geoids)
     masks = masks_of(world.truth.masks, index.geoids)
     table = compute_mei(accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, masks))
-    truth = planted_truth(world)
+    truth = world.truth
     worst = 0.0
     for geoid, row in mei_rows(table).items():
         for h in HAZARD_TYPES:
