@@ -40,8 +40,6 @@ except ImportError:
     except ImportError:  # an interpreter built without it
         from hashlib import sha256
 
-THREADS_ENV = "HAZMOB_THREADS"
-
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
@@ -130,23 +128,6 @@ class RunConfig:
         lambda v: all(0.0 <= t <= 1.0 for t in v) and all(a < b for a, b in zip(v, v[1:])),
         "be finite, lie in [0, 1] and strictly ascend")
     compound_threshold: float = _key(0.05, float, **_FRACTION)
-    # 0 = resolve from the environment, else 1. Validated and recorded, but
-    # without effect: the pipeline runs on one thread.
-    threads: int = _key(0, int, lambda v: v >= 0, "be >= 0", hashed=False)
-
-    def resolved_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get(THREADS_ENV, "")
-        if env.strip():
-            try:
-                n = int(env)
-            except ValueError:
-                raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}")
-            if n < 1:
-                raise ConfigError(f"{THREADS_ENV} must be >= 1")
-            return n
-        return 1
 
     def check(self, *names: str) -> None:
         """Raise ConfigError for the first of the named keys (all if none are
@@ -283,7 +264,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     config.check()
-    config.resolved_threads()  # validates HAZMOB_THREADS
 
     out_dir = Path(config.out_dir)
     with _stage("output"):

@@ -87,13 +87,17 @@ def build_index(tracts: TractTable, cell_size_deg: float = DEFAULT_CELL_SIZE_DEG
     part_code = np.repeat(code, np.diff(tracts.tract_offsets))
 
     # One (cell, part) entry per cell that a part's box meets.
-    with np.errstate(over="ignore"):  # an overflow is the check's infinity
+    # An overflow, or an infinite bound's NaN span, fails the check: every
+    # span and the entry total must fit the int64 casts.
+    with np.errstate(over="ignore", invalid="ignore"):
         cx0, cx1 = np.floor(min_x / cell_size_deg), np.floor(max_x / cell_size_deg)
         cy0, cy1 = np.floor(min_y / cell_size_deg), np.floor(max_y / cell_size_deg)
-    if not np.isfinite([cx0, cx1, cy0, cy1]).all():
+        nx, ny = cx1 - cx0 + 1, cy1 - cy0 + 1
+        entries = (nx * ny).sum()
+    if not entries < 2.0**63:
         raise GeoIndexError("cell_size_deg is too small for the tracts' extent")
-    ny = (cy1 - cy0 + 1).astype(np.int64)
-    counts = (cx1 - cx0 + 1).astype(np.int64) * ny
+    ny = ny.astype(np.int64)
+    counts = nx.astype(np.int64) * ny
     # The entry arrays are the index's transient memory: each is dropped as
     # soon as the next is built.
     part = np.repeat(np.arange(len(counts), dtype=np.int32), counts)

@@ -300,7 +300,7 @@ def test_c07_convergence_to_planted_expectation():
          cells == 300 and worst < 0.02, f"worst |delta| = {worst:.4f} over {cells} cells")
 
 
-def test_c08_determinism_and_shuffle_invariance(tmp_path):
+def test_c08_stop_order_leaves_reports_byte_identical(tmp_path):
     fixture = tmp_path / "world"
     world = synth.gen_world(
         synth.WorldConfig(seed=555, grid_n=6, hazard_autocorr=1, decay_alpha=2.5,
@@ -308,7 +308,7 @@ def test_c08_determinism_and_shuffle_invariance(tmp_path):
     )
     synth.write_world(world, fixture)
 
-    def run(out_dir, stops_path, threads):
+    def run(out_dir, stops_path):
         code = cli_main([
             "run",
             "--stops", str(stops_path),
@@ -318,31 +318,23 @@ def test_c08_determinism_and_shuffle_invariance(tmp_path):
             "--hazard-heat", str(fixture / "hazard_heat.csv"),
             "--out", str(out_dir),
             "--cell-size", "0.5",
-            "--threads", str(threads),
         ])
         assert code == 0
         return out_dir
 
     names = ["mei.csv", "clusters.csv", "cluster_summary.csv", "disparity.csv",
              "correlations.csv", "scatter.csv", "curves.csv"]
-    out1 = run(tmp_path / "t1", fixture / "stops.csv", 1)
-    out8 = run(tmp_path / "t8", fixture / "stops.csv", 8)
-    threads_identical = all(
-        (out1 / n).read_bytes() == (out8 / n).read_bytes() for n in names
-    )
+    out = run(tmp_path / "ordered", fixture / "stops.csv")
 
     lines = (fixture / "stops.csv").read_text().splitlines()
     header, rows = lines[0], lines[1:]
     random.Random(77).shuffle(rows)
     shuffled = tmp_path / "stops_shuffled.csv"
     shuffled.write_text("\n".join([header] + rows) + "\n")
-    out_shuffled = run(tmp_path / "shuffled", shuffled, 1)
-    shuffle_identical = all(
-        (out1 / n).read_bytes() == (out_shuffled / n).read_bytes() for n in names
-    )
-    gate(8, "thread count and stop order leave every report byte-identical",
-         threads_identical and shuffle_identical,
-         f"threads={threads_identical} shuffle={shuffle_identical}")
+    out_shuffled = run(tmp_path / "shuffled", shuffled)
+    differing = [n for n in names if (out / n).read_bytes() != (out_shuffled / n).read_bytes()]
+    gate(8, "stop order leaves every report byte-identical", not differing,
+         f"differing: {differing}")
 
 
 def test_c09_million_stop_performance_floor(tmp_path):

@@ -121,13 +121,14 @@ def test_run_sidecar_rows_count_the_csv_data_lines(fixture_dir, tmp_path, stops)
     assert (counts["mei.csv"][0] == 0) == (stops == "header-only")
 
 
-def test_run_threads_byte_identical(fixture_dir, tmp_path):
-    out1 = tmp_path / "t1"
-    out8 = tmp_path / "t8"
-    assert main(run_args(fixture_dir, out1, "--threads", "1")) == EXIT_OK
-    assert main(run_args(fixture_dir, out8, "--threads", "8")) == EXIT_OK
-    for name in REPORT_FILES:
-        assert (out1 / name).read_bytes() == (out8 / name).read_bytes(), name
+@pytest.mark.filterwarnings("error")
+def test_run_tiny_cell_size_names_geoindex_stage(fixture_dir, tmp_path, capsys):
+    """A cell size whose grid cannot be counted in int64 fails cleanly, with
+    no numpy cast warning."""
+    args = run_args(fixture_dir, tmp_path / "out")
+    args[args.index("--cell-size") + 1] = "1e-300"
+    assert main(args) == EXIT_RUNTIME
+    assert capsys.readouterr() == ("", "error in geoindex: cell_size_deg is too small for the tracts' extent\n")
 
 
 def test_run_corrupt_stops_names_ingest_stage(fixture_dir, tmp_path, capsys):
@@ -218,7 +219,7 @@ def test_run_missing_input_exits_2(fixture_dir, tmp_path, capsys):
     ("--curve-thresholds", "0.1,,0.2"), ("--curve-thresholds", ","), ("--curve-thresholds", ""),
     ("--cell-size", "nan"), ("--cell-size", "inf"),
     ("--compound-threshold", "nan"), ("--compound-threshold", "inf"),
-    ("--compound-threshold", "-1"), ("--threads", "-5"), ("--eps", "abc"),
+    ("--compound-threshold", "-1"), ("--eps", "abc"),
 ])
 def test_run_bad_cluster_or_curve_flag_exits_2(fixture_dir, tmp_path, capsys, flag, value):
     out = tmp_path / "out"
@@ -228,7 +229,7 @@ def test_run_bad_cluster_or_curve_flag_exits_2(fixture_dir, tmp_path, capsys, fl
 
 
 # The hashed keys of the default config, each with the value its `key=value`
-# line shows. Input paths, out_dir and threads are not hashed.
+# line shows. Input paths and out_dir are not hashed.
 DEFAULT_HASHED = {
     "air_threshold": "0.5", "toxic_threshold": "0.5", "heat_quartile": "True",
     "night_start": "22", "night_end": "6", "min_nights": "3", "cell_size_deg": "0.05",
@@ -238,7 +239,7 @@ DEFAULT_HASHED = {
 
 @pytest.mark.parametrize("changes, lines", [
     ({}, {}),
-    ({"stops": "s.csv", "out_dir": "out", "threads": 4, "heat_quartile": False,
+    ({"stops": "s.csv", "out_dir": "out", "heat_quartile": False,
       "curve_thresholds": (0.05, 0.1, 0.2), "eps": 0.15},
      {"heat_quartile": "False", "curve_thresholds": "'0.05,0.1,0.2'", "eps": "0.15"}),
 ])
@@ -263,7 +264,8 @@ def test_run_does_not_import_openssl(fixture_dir, tmp_path):
 
 @pytest.mark.parametrize("line, message", [
     ("heat_quartile = ture", "config error: {cfg}:2: bad value for heat_quartile: "),
-    ("threads = -5", "config error: threads must be >= 0"),
+    # The pipeline runs on one thread; no thread count is read.
+    ("threads = 1", "config error: {cfg}:2: unknown config key 'threads'\n"),
     ("compound_threshold = -1", "config error: compound_threshold must be finite and lie in [0, 1]"),
     ("eps = abc", "config error: {cfg}:2: bad value for eps: "),
     # A repeated threshold would write each of its curves.csv rows twice.
@@ -301,7 +303,7 @@ def test_option_strings_are_pinned():
         "run": "--config --stops --tracts --hazard-air --hazard-toxic --hazard-heat --out "
                "--air-threshold --toxic-threshold --heat-quartile --no-heat-quartile "
                "--night-start --night-end --min-nights --cell-size --eps --min-pts "
-               "--curve-thresholds --compound-threshold --threads",
+               "--curve-thresholds --compound-threshold",
         "report": "--mei --tracts --curve-thresholds --compound-threshold",
         "validate": "--stops --tracts --hazard-air --hazard-toxic --hazard-heat",
     }
@@ -327,7 +329,6 @@ def key_values(fixture: Path, out: Path) -> dict[str, tuple[str, str]]:
         "min_pts": ("--min-pts", "5"),
         "curve_thresholds": ("--curve-thresholds", "0.05,0.1,0.2"),
         "compound_threshold": ("--compound-threshold", "0.1"),
-        "threads": ("--threads", "2"),
     }
 
 
@@ -394,12 +395,21 @@ def test_config_file_unknown_key_rejected(tmp_path):
         load_config_file(str(cfg))
 
 
-def test_threads_env_default(fixture_dir, tmp_path, monkeypatch):
-    out = tmp_path / "env_out"
-    monkeypatch.setenv("HAZMOB_THREADS", "3")
-    assert main(run_args(fixture_dir, out)) == EXIT_OK
+def test_run_has_no_threads_flag(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(run_args(fixture_dir, out, "--threads", "2"))
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_ignores_hazmob_threads(fixture_dir, tmp_path, monkeypatch):
+    assert main(run_args(fixture_dir, tmp_path / "plain")) == EXIT_OK
     monkeypatch.setenv("HAZMOB_THREADS", "zero")
-    assert main(run_args(fixture_dir, tmp_path / "env_bad")) == EXIT_CONFIG
+    assert main(run_args(fixture_dir, tmp_path / "env")) == EXIT_OK
+    for name in REPORT_FILES:
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "env" / name).read_bytes(), name
 
 
 def test_report_summary_consistent_with_mei_csv(fixture_dir, tmp_path, capsys):

@@ -21,13 +21,20 @@ def unit_square_index():
     return build_index(tract_table([unit_square_tract("48001950100", 0, 0)]), cell_size_deg=1.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_build_index_rejects_empty_and_bad_cell():
     with pytest.raises(GeoIndexError):
         build_index(tract_table([]))
     square = tract_table([unit_square_tract("48001950100", 0, 0)])
     with pytest.raises(GeoIndexError):
         build_index(square, cell_size_deg=0.0)
-    for bad in (math.nan, math.inf, 1e-320):  # 1e-320: the unit square spans no finite cell range
+    # The unit square spans no finite cell range at 1e-320, and a finite
+    # span that does not fit int64 at 1e-300 and 1e-20: each is rejected
+    # before the int64 casts, with no numpy warning.
+    for bad in (1e-320, 1e-300, 1e-20):
+        with pytest.raises(GeoIndexError, match="cell_size_deg is too small for the tracts' extent"):
+            build_index(square, cell_size_deg=bad)
+    for bad in (math.nan, math.inf):
         with pytest.raises(GeoIndexError):
             build_index(square, cell_size_deg=bad)
 

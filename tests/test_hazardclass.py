@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -103,6 +104,17 @@ def test_heat_quartile_plotting_position_is_n_plus_one():
     assert heat_masked(values, tracts) == {tracts[4].geoid}
 
 
+def test_heat_quartile_cutoff_rounds_as_the_oracle_does():
+    tracts = county_tracts(1, 5)
+    # h = 4.5: with `below` the float just under 45, the cutoff
+    # below + 0.5 * (45 - below) is a tie that rounds to the even 45, so
+    # `below` stays unmasked; a cutoff computed a little low would mask it.
+    below = math.nextafter(45.0, -math.inf)
+    assert percentile_interpolated([10, 20, 30, below, 45.0], 0.75) == 45.0
+    values = dict(zip([t.geoid for t in tracts], [10, 20, 30, below, 45.0]))
+    assert heat_masked(values, tracts) == {tracts[4].geoid}
+
+
 def test_heat_quartile_identical_values_all_masked():
     tracts = county_tracts(1, 4)
     values = {t.geoid: 5 for t in tracts}
@@ -170,14 +182,19 @@ def reference_percentile(values: dict, threshold: float) -> dict:
     return {g: v > threshold for g, v in values.items()}
 
 
-def reference_heat_quartile(values: dict, known: set) -> dict:
-    """geoid -> masked, for every geoid of the layer that is a tract."""
+def counties(values: dict, known: set) -> list[list[str]]:
+    """The layer's geoids that are tracts, grouped by county."""
     by_county: dict[str, list[str]] = {}
     for geoid in values:
         if geoid in known:
             by_county.setdefault(geoid[:5], []).append(geoid)  # state and county digits
+    return list(by_county.values())
+
+
+def reference_heat_quartile(values: dict, known: set) -> dict:
+    """geoid -> masked, for every geoid of the layer that is a tract."""
     mask = {}
-    for geoids in by_county.values():
+    for geoids in counties(values, known):
         if len(geoids) < 4:
             top = min(geoids, key=lambda g: (-values[g], g))
             mask.update((g, g == top) for g in geoids)
@@ -221,6 +238,34 @@ def test_mask_columns_equal_the_dict_classifiers(world, heat_values, threshold, 
     air = classify_percentile(air_layer(ranks), tracts, threshold)
     expected = reference_percentile(ranks, threshold)
     assert air.tolist() == [expected.get(g, False) for g in tracts]
+
+
+def pin_to_cutoffs(values: dict, known: set) -> dict:
+    """values with, in each county of 4 or more tracts, the two order
+    statistics around its cutoff replaced by the float just below the
+    cutoff and the cutoff itself."""
+    pinned = dict(values)
+    for geoids in counties(values, known):
+        if len(geoids) < 4:
+            continue
+        ranked = sorted(geoids, key=lambda g: (values[g], g))
+        cutoff = percentile_interpolated([values[g] for g in ranked], 0.75)
+        k = int(0.75 * (len(ranked) + 1))  # 1-based rank of the lower order statistic
+        pinned[ranked[k - 1]] = math.nextafter(cutoff, -math.inf)
+        pinned[ranked[k]] = cutoff
+    return pinned
+
+
+@settings(max_examples=300, deadline=None)
+@given(layer_worlds(), HEAT_VALUES, st.data())
+def test_heat_mask_columns_at_and_just_below_each_cutoff(world, heat_values, data):
+    """With a tract one float below each county's cutoff, a cutoff computed
+    a little low masks that tract too."""
+    tracts, layer_geoids = world
+    values = pin_to_cutoffs({g: data.draw(heat_values) for g in layer_geoids}, set(tracts))
+    heat = classify_heat_quartile(heat_layer(values), tracts)
+    expected = reference_heat_quartile(values, set(tracts))
+    assert heat.tolist() == [expected.get(g, False) for g in tracts]
 
 
 def test_mask_columns_on_a_sorted_index_match_any_tract_order():
