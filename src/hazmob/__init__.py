@@ -4,16 +4,12 @@ from .model import (
     HAZARD_TYPES,
     HazardLayer,
     MeiTable,
-    StopRecord,
-    validate,
 )
 
 __all__ = [
     "HAZARD_TYPES",
     "HazardLayer",
     "MeiTable",
-    "StopRecord",
-    "validate",
 ]
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cluster, exposure, hazardclass, homeloc, ingest, stats
-from .geoindex import build_index, locate_stops
+from .geoindex import DEFAULT_CELL_SIZE_DEG, build_index, locate_stops
 from .model import DIRECT_CODE, HAZARD_TYPES, LATENT_CODE, NONE_CODE, REGIONS, MeiTable
 
 # The interpreter's own SHA-256: importing hashlib maps OpenSSL's libcrypto,
@@ -84,7 +84,8 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _exists(path: str) -> bool:
-    return bool(path) and Path(path).exists()
+    """Whether path names something to read: no directory, but a FIFO will do."""
+    return bool(path) and Path(path).exists() and not Path(path).is_dir()
 
 
 def _key(default, parse=str, check=None, must="", *, flag=None, hashed=True, hazard=None):
@@ -118,10 +119,8 @@ class RunConfig:
     night_start: int = _key(22, int, **_HOUR)
     night_end: int = _key(6, int, **_HOUR)
     min_nights: int = _key(3, int, **_COUNT)
-    cell_size_deg: float = _key(0.05, float, **_POSITIVE, flag="--cell-size")
-    # The range cluster.ClusterConfig.check() accepts.
-    eps: float = _key(0.1, float, lambda v: 2.0**-511 <= v < 2.0**512,
-                      "be at least 2**-511 and below 2**512")
+    cell_size_deg: float = _key(DEFAULT_CELL_SIZE_DEG, float, **_POSITIVE, flag="--cell-size")
+    eps: float = _key(0.1, float, cluster.eps_in_range, "be at least 2**-511 and below 2**512")
     min_pts: int = _key(10, int, **_COUNT)
     curve_thresholds: tuple[float, ...] = _key(
         (0.05, 0.10), _floats,

@@ -52,14 +52,18 @@ from .model import HAZARD_SHORT, HAZARD_TYPES, MeiTable, format6, positions
 NOISE = -1
 
 
+def eps_in_range(eps: float) -> bool:
+    """Whether eps * eps is a normal float, as the exact test needs to bound distance."""
+    return 2.0**-511 <= eps < 2.0**512
+
+
 @dataclass(frozen=True, slots=True)
 class ClusterConfig:
     eps: float = 0.1
     min_pts: int = 10
 
     def check(self) -> None:
-        # eps * eps must be a normal float for the exact test to bound distance.
-        if not 2.0**-511 <= self.eps < 2.0**512:
+        if not eps_in_range(self.eps):
             raise ValueError("eps must be at least 2**-511 and below 2**512")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")

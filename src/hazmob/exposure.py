@@ -88,14 +88,14 @@ def _mask_rows(masks: np.ndarray, codes: np.ndarray) -> np.ndarray:
 def accumulate(
     stops: Stops,
     where: np.ndarray,
-    geoids: Sequence[str],
+    geoids: np.ndarray,
     home_map: HomeMap,
     masks: np.ndarray,
 ) -> AccumulateResult:
     """Accumulate dwell sums for every stop made by a user with a home.
 
     where[i] is the tract of stop i (geoindex.locate_stops): a position in
-    geoids (sorted), or -1 when the stop lies outside every tract.
+    geoids (a sorted str array), or -1 when the stop lies outside every tract.
     home_map.home holds such a position per user code, and masks[t, k]
     whether tract t is masked for hazard HAZARD_TYPES[k].
 
@@ -123,7 +123,7 @@ def accumulate(
     # Homes with at least one kept stop.
     present = np.flatnonzero(np.bincount(home, minlength=len(geoids)))
     return AccumulateResult(
-        geoids=np.array(geoids, dtype=str)[present],
+        geoids=geoids[present],
         tdt_s=sums(slice(None))[present],
         hdt_s=np.stack(hdt, axis=1)[present],
         tdt_nonhome_s=sums(nonhome)[present],

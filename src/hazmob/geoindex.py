@@ -44,21 +44,22 @@ class GeoIndexError(Exception):
 class TractIndex:
     """A uniform grid over the polygon parts of a TractTable.
 
-    geoids holds the tract geoids sorted; a tract's code is its position in
-    it, and locate_stops() returns codes. Parts are numbered as in the
-    table: part p has the bounding box min_x[p], min_y[p], max_x[p],
-    max_y[p] and its tract's code is part_code[p]; its part_edges[p] edges
-    run over the table's vertex rows from part_first[p] on, the edges that
-    touch a ring's NaN row included. The grid is compressed sparse rows
-    over the occupied cells: cells holds their keys floor(x / cell_size_deg)
-    + i·floor(y / cell_size_deg), sorted, and cell c lists the parts whose
-    box meets it as cell_parts[cell_offsets[c]:cell_offsets[c + 1]], ordered
-    by tract code and then part.
+    geoids holds the tract geoids sorted, as a str array; a tract's code is
+    its position in it, and locate_stops() returns codes. Parts are numbered
+    as in the table: part p has the bounding box min_x[p], min_y[p],
+    max_x[p], max_y[p] and its tract's code is part_code[p]; its
+    part_edges[p] edges run over the table's vertex rows from part_first[p]
+    on, the edges that touch a ring's NaN row included. The grid is
+    compressed sparse rows over the occupied cells: cells holds their keys
+    floor(x / cell_size_deg) + i·floor(y / cell_size_deg), sorted, and cell
+    c lists the parts whose box meets it as
+    cell_parts[cell_offsets[c]:cell_offsets[c + 1]], ordered by tract code
+    and then part.
     """
 
     cell_size_deg: float
     tracts: TractTable
-    geoids: tuple[str, ...]
+    geoids: np.ndarray
     part_code: np.ndarray
     min_x: np.ndarray
     min_y: np.ndarray
@@ -124,7 +125,7 @@ def build_index(tracts: TractTable, cell_size_deg: float = DEFAULT_CELL_SIZE_DEG
     del keys
     return TractIndex(
         cell_size_deg=cell_size_deg, tracts=tracts,
-        geoids=tuple(tracts.geoids[by_geoid].tolist()), part_code=part_code,
+        geoids=tracts.geoids[by_geoid], part_code=part_code,
         min_x=min_x, min_y=min_y, max_x=max_x, max_y=max_y, part_first=part_first,
         part_edges=tracts.ring_offsets[tracts.part_offsets[1:]] - part_first - 2,
         cells=cells, cell_offsets=np.append(new_cell, len(cell_parts)), cell_parts=cell_parts,

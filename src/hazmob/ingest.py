@@ -24,8 +24,11 @@ converts every block with numpy. It vouches for user ids, numbers in the
 layouts -?D+(.D+)? and -?D{1,18} within their bounds, and timestamps in
 the layouts of _canonical_epochs(). A row that fails only on its
 timestamp is read with parse_iso_utc(); any other row it does not vouch
-for takes the scalar row path, which words each reject exactly as a
-row-by-row parse would.
+for takes the scalar row path, _scalar_stop(), which reads the row with
+float(), int() and parse_iso_utc() and checks it against the same
+model.STOP_BOUNDS, so each reject is worded as a row-by-row parse words
+it. A block's file lines number its rejects in the IngestReport; the
+Stops frame holds no line numbers.
 """
 
 from __future__ import annotations
@@ -53,12 +56,10 @@ from .model import (
     STOP_BOUNDS,
     HazardLayer,
     MeiTable,
-    StopRecord,
     Stops,
     TractTable,
     csr_offsets,
     is_geoid,
-    validate,
 )
 
 STOPS_HEADER = ["user_id", "lon", "lat", "start_ts", "dwell_s"]
@@ -154,7 +155,7 @@ _FIELD_BYTES = 32
 # their memory to the next blocks' arrays; without merging, a second copy of
 # the output stayed resident after the last concatenation freed them.
 _MERGE_BLOCKS = 64
-_STOP_DTYPES = (np.int32, np.float64, np.float64, np.int64, np.int64, np.int64)
+_STOP_DTYPES = (np.int32, np.float64, np.float64, np.int64, np.int64)
 _UNREAD = -(2**63)  # below every epoch parse_iso_utc() returns
 
 
@@ -187,9 +188,9 @@ def parse_stops(source: str | Path | IO) -> tuple[Stops, IngestReport]:
             if len(blocks) == _MERGE_BLOCKS:
                 merged.append(_merged(blocks))
                 blocks = []
-    user, lon, lat, start_ts, dwell_s, lines = _merged(merged + blocks)
+    user, lon, lat, start_ts, dwell_s = _merged(merged + blocks)
     stops = Stops(user=user, user_ids=np.array(list(users), dtype=object), lon=lon, lat=lat,
-                  start_ts=start_ts, dwell_s=dwell_s, line=lines)
+                  start_ts=start_ts, dwell_s=dwell_s)
     return stops, report
 
 
@@ -218,13 +219,17 @@ class _Feed:
         """The blocks after the header line (block()), each with the file
         line it starts on; line is then the file line after it. The header,
         the first line of the first block, is read by csv.reader and must be
-        header (_check_header()); the rest of the block is read again. A
-        header row that reads on past its line holds a line break, so it is
-        never header."""
+        header (_check_header()); the rest of the block is the first block
+        after it. A header row that reads on past its line holds a line
+        break, so it is never header: the lines it reads on into are those
+        after its own."""
         data, _ = self.block(_BLOCK_BYTES)
         end = data.find(b"\n") + 1 or len(data)
-        self.rest, self.line = data[end:] + self.rest, 2
+        self.rest, rest = data[end:] + self.rest, self.rest
         _check_header(self.csv_rows(data[:end], 1)[0][:1], what, header)
+        self.rest = rest  # the header read no further than its own line
+        if data[end:]:
+            yield data[end:], 2
         while (block := self.block(_BLOCK_BYTES))[0]:
             yield block
 
@@ -348,14 +353,15 @@ def _check_header(first: list, what: str, header: list[str]) -> None:
 
 def _convert(data: bytes, line: np.ndarray, rows: list | None, report: IngestReport,
              users: dict[str, int]) -> list[np.ndarray]:
-    """Columns (user code, lon, lat, start_ts, dwell_s, line) of the accepted rows of a block.
+    """Columns (user code, lon, lat, start_ts, dwell_s) of the accepted rows of a block.
 
-    Each line of data, LF- or CRLF-terminated, is a row, and line holds its
-    file line. rows holds the csv.reader rows the lines were joined from;
-    if None, each line split at its commas is its row. A row is vouched for
-    when it has 5 fields, a non-empty user_id, lon and lat in the byte
-    layout -?D+(.D+)? and dwell_s in -?D{1,18}, each within its bounds
-    (model.STOP_BOUNDS), and a start_ts in a layout of _canonical_epochs();
+    Each line of data, LF- or CRLF-terminated, is a row, and line holds the
+    file line that numbers its reject. rows holds the csv.reader rows the
+    lines were joined from; if None, each line split at its commas is its
+    row. A row is vouched for when it has 5 fields, a non-empty user_id,
+    lon and lat in the byte layout -?D+(.D+)? and dwell_s in -?D{1,18},
+    each within its bounds (model.STOP_BOUNDS), and a start_ts in a layout
+    of _canonical_epochs();
     _numbers() reads the numbers as float() and int() do. A row that fails
     only on its start_ts is read with parse_iso_utc(); every other row the
     checks refuse takes the row path, in line order, and its rejects are
@@ -395,9 +401,8 @@ def _convert(data: bytes, line: np.ndarray, rows: list | None, report: IngestRep
         if isinstance(rec, str):
             report.reject(int(line[i]), rec)
             continue
-        lon[i], lat[i], start_ts[i], dwell_s[i] = rec.lon, rec.lat, rec.start_ts, rec.dwell_s
+        named[i], lon[i], lat[i], start_ts[i], dwell_s[i] = rec
         accepted[i] = True
-        named[i] = rec.user_id
     report.rows_read += n
     keep = np.flatnonzero(accepted)
     report.rows_accepted += len(keep)
@@ -413,7 +418,7 @@ def _convert(data: bytes, line: np.ndarray, rows: list | None, report: IngestRep
         names[int(np.searchsorted(keep, i))] = name
     # A name first seen gets the next code, the count of codes before it.
     user = np.fromiter(map(users.setdefault, names, map(len, repeat(users))), np.int32, len(names))
-    return [user, lon[keep], lat[keep], start_ts[keep], dwell_s[keep], line[keep]]
+    return [user, lon[keep], lat[keep], start_ts[keep], dwell_s[keep]]
 
 
 def _vouch(a: np.ndarray, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -506,24 +511,25 @@ def _map_lenient(convert, texts, fill) -> list:
             out.append(fill)
 
 
-def _scalar_stop(row: list[str]) -> StopRecord | str:
-    """The row path: the row's record, or the reason it is rejected."""
+def _scalar_stop(row: list[str]) -> tuple | str:
+    """The row path: the row's user_id, lon, lat, start_ts and dwell_s, or
+    the reason it is rejected: the first field, in model.STOP_BOUNDS order,
+    outside its bounds (NaN fails every comparison)."""
     if isinstance(row, _Unreadable):
         return row.reason
     if len(row) != 5:
         return f"expected 5 fields, got {len(row)}"
     try:
-        rec = StopRecord(
-            user_id=row[0],
-            lon=float(row[1]),
-            lat=float(row[2]),
-            start_ts=parse_iso_utc(row[3]),
-            dwell_s=int(row[4]),
-        )
-    except (ValueError, IndexError) as exc:
+        stop = row[0], float(row[1]), float(row[2]), parse_iso_utc(row[3]), int(row[4])
+    except ValueError as exc:
         return f"unparseable field: {exc}"
-    violations = validate(rec)
-    return violations[0] if violations else rec
+    value = dict(zip(STOPS_HEADER, stop), user_id=len(row[0]))
+    for name, (low, high, below, above) in STOP_BOUNDS.items():
+        if not low <= value[name]:
+            return below
+        if not value[name] <= high:
+            return above
+    return stop
 
 
 # Byte positions of a YYYY-MM-DDTHH:MM:SS timestamp: its separators and its

@@ -10,15 +10,13 @@ tracts in one TractTable, each hazard in one HazardLayer, its per-tract
 indices and region classes in one MeiTable and its cluster labels in one
 cluster.ClusterResult. These are columns only, with no row view; the
 tests build their own rows, and the scalar oracles that read them, in
-tests/conftest.py. StopRecord is one stop on its own: ingest's row path
-builds one to check a row with validate(). A tract's code is its
-position in the tract index's sorted geoids: the hazard masks are one
-bool row per tract code and each user's home is a tract code, so no
-mapping keyed by geoid or user id runs between the parse and the index
-table.
+tests/conftest.py. A tract's code is its position in the tract index's
+sorted geoids: the hazard masks are one bool row per tract code and each
+user's home is a tract code, so no mapping keyed by geoid or user id runs
+between the parse and the index table.
 
 STOP_BOUNDS states each stop field's bounds and reject reasons once, for
-validate() and ingest.parse_stops() alike.
+ingest.parse_stops()'s column checks and its row path alike.
 """
 
 from __future__ import annotations
@@ -39,23 +37,12 @@ REGION_LATENT = "latent"
 REGION_NONE = "none"
 
 
-@dataclass(frozen=True, slots=True)
-class StopRecord:
-    """One device visit: who stopped where, when, and for how long."""
-
-    user_id: str
-    lon: float
-    lat: float
-    start_ts: int  # UTC epoch seconds
-    dwell_s: int
-
-
 # The longest accepted stop, about 68 years. It keeps every int64 dwell sum
 # exact for fewer than 2**32 stops.
 MAX_DWELL_S = 2**31 - 1
 
 # Each stop field's inclusive bounds (on its length, for user_id) and its
-# reject reasons below and above them, in the order validate() checks them.
+# reject reasons below and above them, in the order they are checked.
 STOP_BOUNDS = {
     "user_id": (1, math.inf, "user_id: must be non-empty", ""),
     "lon": (-180.0, 180.0, "lon: out of range [-180, 180]", "lon: out of range [-180, 180]"),
@@ -70,8 +57,7 @@ class Stops:
 
     user holds int32 codes into user_ids (an object array naming each user
     once, in order of first appearance); lon and lat are float64; start_ts
-    (UTC epoch seconds), dwell_s and line (the stop's line in its source
-    file, 2 for the first data row) are int64.
+    (UTC epoch seconds) and dwell_s are int64.
     """
 
     user: np.ndarray
@@ -80,7 +66,6 @@ class Stops:
     lat: np.ndarray
     start_ts: np.ndarray
     dwell_s: np.ndarray
-    line: np.ndarray
 
     def __len__(self) -> int:
         return len(self.user)
@@ -242,35 +227,3 @@ class MeiTable:
 def is_geoid(text) -> bool:
     """A tract GEOID is 11 ASCII digits: state, county and tract codes."""
     return isinstance(text, str) and len(text) == 11 and text.isascii() and text.isdigit()
-
-
-def _num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _validate_stop(rec: StopRecord) -> list[str]:
-    out = []
-    for name, (low, high, below, above) in STOP_BOUNDS.items():
-        value = getattr(rec, name)
-        if name == "user_id" and isinstance(value, str):
-            value = len(value)
-        # Dwell times are integer seconds; NaN fails every comparison.
-        if not _num(value) or (name == "dwell_s" and not isinstance(value, int)) or not low <= value:
-            out.append(below)
-        elif not value <= high:
-            out.append(above)
-    if not isinstance(rec.start_ts, int):
-        out.append("start_ts: must be integer epoch seconds")
-    return out
-
-
-def validate(value) -> list[str]:
-    """Check a domain value against its type invariants.
-
-    Returns an empty list when every invariant holds; otherwise one
-    human-readable violation per broken rule, naming field and rule.
-    Never raises for rule violations.
-    """
-    if isinstance(value, StopRecord):
-        return _validate_stop(value)
-    raise TypeError(f"validate() does not handle {type(value).__name__}")

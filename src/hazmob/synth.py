@@ -362,7 +362,6 @@ def gen_world(config: WorldConfig) -> World:
         user=np.repeat(np.arange(config.users, dtype=np.int32), NIGHTS_PER_USER + n_day),
         user_ids=np.array(list(homes), dtype=object),
         lon=lon, lat=lat, start_ts=start_ts, dwell_s=dwell_s,
-        line=np.arange(2, len(lon) + 2, dtype=np.int64),
     )
 
     expected = _expected_mei(config, geoids, weights, mask_columns)

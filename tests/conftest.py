@@ -19,17 +19,26 @@ from hazmob.model import (
     REGIONS,
     HazardLayer,
     MeiTable,
-    StopRecord,
     Stops,
     TractTable,
     is_geoid,
-    validate,
 )
 
 
 # ---------------------------------------------------------------------------
 # Rows: the tests' own view of the pipeline's columns.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Stop:
+    """One stop as a row: who stopped where, when (UTC epoch seconds) and for how long."""
+
+    user_id: str
+    lon: float
+    lat: float
+    start_ts: int
+    dwell_s: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,19 +92,19 @@ def assert_same_tracts(a: TractTable, b: TractTable) -> None:
         assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
-def stop_records(stops: Stops) -> list[StopRecord]:
-    """A Stops frame's rows: one StopRecord per stop, in order."""
+def stop_records(stops: Stops) -> list[Stop]:
+    """A Stops frame's rows: one Stop per stop, in order."""
     return list(map(
-        StopRecord, stops.user_ids[stops.user].tolist(), stops.lon.tolist(), stops.lat.tolist(),
+        Stop, stops.user_ids[stops.user].tolist(), stops.lon.tolist(), stops.lat.tolist(),
         stops.start_ts.tolist(), stops.dwell_s.tolist(),
     ))
 
 
 def assert_same_stops(a: Stops, b: Stops) -> None:
     """Two Stops frames hold the same stops: each one's user id, coordinates,
-    start, dwell and line, column for column."""
+    start and dwell, column for column."""
     assert a.user_ids[a.user].tolist() == b.user_ids[b.user].tolist()
-    for name in ("lon", "lat", "start_ts", "dwell_s", "line"):
+    for name in ("lon", "lat", "start_ts", "dwell_s"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -125,7 +134,7 @@ def unit_square_tract(geoid: str, col: float, row: float, population: int = 1000
 
 
 def frame_of(records) -> Stops:
-    """The Stops frame of a sequence of StopRecords, numbered as lines 2, 3, ..."""
+    """The Stops frame of a sequence of Stops."""
     codes: dict[str, int] = {}
     user = [codes.setdefault(r.user_id, len(codes)) for r in records]
     return Stops(
@@ -135,14 +144,12 @@ def frame_of(records) -> Stops:
         lat=np.array([r.lat for r in records], dtype=np.float64),
         start_ts=np.array([r.start_ts for r in records], dtype=np.int64),
         dwell_s=np.array([r.dwell_s for r in records], dtype=np.int64),
-        line=np.arange(2, len(records) + 2, dtype=np.int64),
     )
 
 
 def stops_at(points) -> Stops:
     """A frame of one-second stops by one user at the given (lon, lat) points."""
-    return frame_of([StopRecord(user_id="u", lon=x, lat=y, start_ts=0, dwell_s=1)
-                               for x, y in points])
+    return frame_of([Stop(user_id="u", lon=x, lat=y, start_ts=0, dwell_s=1) for x, y in points])
 
 
 def geoids_of(index, where) -> list:
@@ -442,9 +449,8 @@ def _reference_ring(ring: list, place: str) -> tuple | str:
 
 
 # ---------------------------------------------------------------------------
-# Oracles for values the pipeline does not build: one tract's dwell sums,
-# and the invariants of those, of Tracts, HazardLayers and MeiTables, which
-# model.validate() does not check.
+# The invariants of rows and of values the pipeline does not build: one
+# tract's dwell sums, Stops, Tracts, HazardLayers and MeiTables.
 # ---------------------------------------------------------------------------
 
 
@@ -469,6 +475,27 @@ class ExposureAccumulator:
 
 def _num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# Each stop field's inclusive bounds (on its length, for user_id) and its
+# reasons below and above them, in the order they are checked.
+STOP_RULES = (
+    ("user_id", 1, math.inf, "user_id: must be non-empty", None),
+    ("lon", -180.0, 180.0, "lon: out of range [-180, 180]", "lon: out of range [-180, 180]"),
+    ("lat", -90.0, 90.0, "lat: out of range [-90, 90]", "lat: out of range [-90, 90]"),
+    ("dwell_s", 0, 2**31 - 1, "dwell_s: must be a non-negative integer", "dwell_s: out of range"),
+)
+
+
+def _validate_stop(stop: Stop) -> list[str]:
+    out = []
+    for name, low, high, below, above in STOP_RULES:
+        value = len(stop.user_id) if name == "user_id" else getattr(stop, name)
+        if not low <= value:  # NaN fails every comparison
+            out.append(below)
+        elif not value <= high:
+            out.append(above)
+    return out
 
 
 def _validate_ring(ring, where: str) -> list[str]:
@@ -548,8 +575,10 @@ def _validate_mei_table(table: MeiTable) -> list[str]:
 
 
 def check(value) -> list[str]:
-    """model.validate(), extended to Tracts, HazardLayers,
-    ExposureAccumulators and MeiTables: one violation per broken rule."""
+    """The invariants of a Stop, Tract, HazardLayer, ExposureAccumulator or
+    MeiTable: one violation per broken rule, none if all hold."""
+    if isinstance(value, Stop):
+        return _validate_stop(value)
     if isinstance(value, Tract):
         return _validate_tract(value)
     if isinstance(value, HazardLayer):
@@ -558,7 +587,7 @@ def check(value) -> list[str]:
         return _validate_accumulator(value)
     if isinstance(value, MeiTable):
         return _validate_mei_table(value)
-    return validate(value)
+    raise TypeError(f"check() does not handle {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------

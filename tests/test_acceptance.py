@@ -402,7 +402,7 @@ def test_c10_monotonicity_suite(bimodal_world):
     masked = masked_set(masks[:, 2], index.geoids)
     extra = sorted(set(values_of(world.layers["heat"])) - masked)[:40]
     bigger = masks.copy()
-    bigger[[index.geoids.index(g) for g in extra], 2] = True
+    bigger[np.searchsorted(index.geoids, extra), 2] = True
     grown_table = exposure.compute_mei(
         exposure.accumulate(world.stops, locate_stops(index, world.stops), index.geoids, home_map, bigger)
     )

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import hazmob
 from hazmob import synth
 from hazmob.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_config_file, main, make_parser
 from hazmob.cli import ConfigError, RunConfig
+from hazmob.cluster import ClusterConfig
 
 from conftest import mei_table
 
@@ -210,6 +212,41 @@ def test_run_missing_input_exits_2(fixture_dir, tmp_path, capsys):
     args[args.index("--stops") + 1] = str(tmp_path / "nope.csv")
     assert main(args) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_directory_as_input_exits_2_and_writes_nothing(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = run_args(fixture_dir, out)
+    args[args.index("--stops") + 1] = str(tmp_path)
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: stops must name an existing file, got '{tmp_path}'\n"
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_named_pipe_is_an_input_file(tmp_path):
+    """A FIFO, such as `--stops <(zcat stops.csv.gz)` gives, passes the input check."""
+    fifo = tmp_path / "stops.csv"
+    os.mkfifo(fifo)
+    RunConfig(stops=str(fifo)).check("stops")
+
+
+@pytest.mark.parametrize("eps", [2.0**-511, math.nextafter(2.0**-511, 0), math.nextafter(2.0**512, 0), 2.0**512,
+                                 math.nan, math.inf, 0.1])
+def test_run_config_and_cluster_config_accept_the_same_eps(eps):
+    run_error = cluster_error = None
+    try:
+        RunConfig(eps=eps).check("eps")
+    except ConfigError as exc:
+        run_error = str(exc)
+    try:
+        ClusterConfig(eps=eps).check()
+    except ValueError as exc:
+        cluster_error = str(exc)
+    assert (run_error is None) == (cluster_error is None)
+    if run_error:
+        assert run_error == f"eps must be at least 2**-511 and below 2**512, got {eps!r}"
+        assert cluster_error == "eps must be at least 2**-511 and below 2**512"
 
 
 @pytest.mark.parametrize("flag, value", [

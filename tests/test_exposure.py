@@ -20,10 +20,11 @@ from hazmob.exposure import (
 )
 from hazmob.geoindex import build_index, locate_stops
 from hazmob.homeloc import HomeMap, infer_homes
-from hazmob.model import HAZARD_TYPES, StopRecord, Stops
+from hazmob.model import HAZARD_TYPES, Stops
 
 from conftest import (
     ExposureAccumulator,
+    Stop,
     assignments_of,
     classify_world_masks,
     frame_of,
@@ -42,11 +43,11 @@ APR1 = 1554076800
 
 
 def stop(user, lon, lat, dwell, start=APR1 + 9 * 3600):
-    return StopRecord(user_id=user, lon=lon, lat=lat, start_ts=start, dwell_s=dwell)
+    return Stop(user_id=user, lon=lon, lat=lat, start_ts=start, dwell_s=dwell)
 
 
 def accumulate_at(stops, index, homes, masks):
-    """accumulate() over a frame (or a list of StopRecords) located in index.
+    """accumulate() over a frame (or a list of Stops) located in index.
 
     homes is the frame's HomeMap or a user id -> home geoid map; masks are
     the (tract, hazard) masks or, per hazard, the set of masked geoids.
@@ -458,7 +459,7 @@ def test_enlarging_mask_never_decreases_mei(oracle_world):
     masked = masked_set(masks[:, 2], index.geoids)
     extra = sorted(set(values_of(world.layers["heat"])) - masked)[:20]
     bigger = masks.copy()
-    bigger[[index.geoids.index(g) for g in extra], 2] = True
+    bigger[np.searchsorted(index.geoids, extra), 2] = True
     grown_table = compute_mei(accumulate_at(world.stops, index, home_map, bigger))
     grown = mei_rows(grown_table)
     for geoid, row in mei_rows(base_table).items():

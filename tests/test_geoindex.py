@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from hazmob import geoindex
 from hazmob.geoindex import GeoIndexError, build_index, locate_stops
-from hazmob.model import StopRecord
 
-from conftest import (Tract, contains, frame_of, geoids_of, locate, locate_brute_force, stop_records, stops_at,
-                      tract_rows, tract_table, tract_worlds, unit_square_tract, wobbled)
+from conftest import (Stop, Tract, contains, frame_of, geoids_of, locate, locate_brute_force, stop_records,
+                      stops_at, tract_rows, tract_table, tract_worlds, unit_square_tract, wobbled)
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +233,7 @@ _points = st.one_of(
 # Few distinct points, many stops: most stops repeat an earlier point.
 _stop_lists = st.lists(_points, min_size=1, max_size=12).flatmap(
     lambda pts: st.lists(st.sampled_from(pts), max_size=60)
-).map(lambda pts: [StopRecord(user_id="u", lon=x, lat=y, start_ts=0, dwell_s=1) for x, y in pts])
+).map(lambda pts: [Stop(user_id="u", lon=x, lat=y, start_ts=0, dwell_s=1) for x, y in pts])
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hazmob import homeloc, synth
 from hazmob.geoindex import build_index, locate_stops
 from hazmob.homeloc import infer_homes
-from hazmob.model import StopRecord, Stops
+from hazmob.model import Stops
 
-from conftest import (assignments_of, frame_of, locate, night_overlaps, tract_table, unassigned_of,
+from conftest import (Stop, assignments_of, frame_of, locate, night_overlaps, tract_table, unassigned_of,
                       unit_square_tract)
 
 APR1 = 1554076800  # 2019-04-01T00:00:00Z
@@ -21,8 +21,8 @@ def ts(day: int, hour: int, minute: int = 0) -> int:
     return APR1 + day * 86400 + hour * 3600 + minute * 60
 
 
-def stop(user: str, lon: float, lat: float, start: int, dwell: int) -> StopRecord:
-    return StopRecord(user_id=user, lon=lon, lat=lat, start_ts=start, dwell_s=dwell)
+def stop(user: str, lon: float, lat: float, start: int, dwell: int) -> Stop:
+    return Stop(user_id=user, lon=lon, lat=lat, start_ts=start, dwell_s=dwell)
 
 
 @dataclass
@@ -35,7 +35,7 @@ class Homes:
 
 
 def homes_of(stops, index, **kwargs) -> Homes:
-    """infer_homes() over a frame (or a list of StopRecords) located in index."""
+    """infer_homes() over a frame (or a list of Stops) located in index."""
     if not isinstance(stops, Stops):
         stops = frame_of(stops)
     home_map = infer_homes(stops, locate_stops(index, stops), index.geoids, **kwargs)
@@ -286,7 +286,7 @@ THREE_TRACTS = build_index(
 # Few places, hours and dwells, so equal night and total dwell (ties) are common.
 _tie_stops = st.lists(
     st.builds(
-        lambda user, place, day, hour, dwell: StopRecord(
+        lambda user, place, day, hour, dwell: Stop(
             user_id=user, lon=place[0], lat=place[1], start_ts=ts(day, hour), dwell_s=dwell),
         st.sampled_from(["u1", "u2", "u10"]),
         st.sampled_from([(0.5, 0.5), (1.5, 0.5), (2.5, 0.5), (1.0, 0.5), (9.5, 9.5)]),

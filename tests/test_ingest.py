@@ -20,11 +20,10 @@ from hazmob import ingest, synth
 from hazmob.exposure import CurveTable, PopulationCurve
 from hazmob.ingest import IngestError, parse_hazard, parse_stops, parse_tracts
 from hazmob.hazardclass import classify_percentile
-from hazmob.model import (HAZARD_TYPES, MAX_DWELL_S, REGIONS, HazardLayer, MeiTable, StopRecord, TractTable,
-                          format6, validate)
+from hazmob.model import HAZARD_TYPES, MAX_DWELL_S, REGIONS, HazardLayer, MeiTable, TractTable, format6
 
-from conftest import (MEI_INDEXES, assert_same_stops, assert_same_tracts, layer_of, masked_set, mei_rows, mei_table,
-                      reference_parse_tracts, stop_records, tract_worlds, values_of)
+from conftest import (MEI_INDEXES, Stop, assert_same_stops, assert_same_tracts, check, layer_of, masked_set, mei_rows,
+                      mei_table, reference_parse_tracts, stop_records, tract_worlds, values_of)
 
 STOPS_HEADER = "user_id,lon,lat,start_ts,dwell_s\n"
 
@@ -84,7 +83,6 @@ def test_parse_stops_rejects_overlong_field_and_continues():
                 "u3,-73.9,40.7,2019-04-01T09:00:00Z,61",
             ))
         assert [s.user_id for s in stop_records(stops)] == ["u1", "u3"]
-        assert stops.line.tolist() == [2, 4]
         assert (report.rows_read, report.rows_accepted, report.rows_rejected) == (3, 2, 1)
         line_no, reason = report.first_10_rejects[0]
         assert line_no == 3
@@ -130,9 +128,9 @@ def test_csv_readers_word_a_missing_or_wrong_header_alike(parse, what, header):
 def test_validate_and_parse_stops_draw_a_stop_bound_alike(field, text, reason):
     cells = {"user_id": "u1", "lon": "-73.9", "lat": "40.7", "start_ts": "2019-04-01T08:00:00Z", "dwell_s": "60"}
     cells[field] = text
-    rec = StopRecord(user_id=cells["user_id"], lon=float(cells["lon"]), lat=float(cells["lat"]),
-                     start_ts=1554105600, dwell_s=int(cells["dwell_s"]))
-    assert validate(rec) == ([] if reason is None else [reason])
+    rec = Stop(user_id=cells["user_id"], lon=float(cells["lon"]), lat=float(cells["lat"]),
+               start_ts=1554105600, dwell_s=int(cells["dwell_s"]))
+    assert check(rec) == ([] if reason is None else [reason])
     # A chunk of good rows around it, so the column checks decide.
     good = "u2,-73.9,40.7,2019-04-01T08:00:00Z,60"
     stops, report = parse_stops(stops_stream(good, ",".join(cells.values()), good))
@@ -398,10 +396,10 @@ def reference_rows(text: str, what: str, header: list[str]) -> list:
 def reference_parse(text: str):
     """The row-by-row parse that parse_stops() replaced: its oracle.
 
-    Returns the accepted records, their line numbers and the report.
+    Returns the accepted rows and the report.
     """
     report = ingest.IngestReport()
-    records, lines = [], []
+    records = []
     for line_no, row in reference_rows(text, "stops", ingest.STOPS_HEADER):
         report.rows_read += 1
         if isinstance(row, str):
@@ -411,19 +409,18 @@ def reference_parse(text: str):
             report.reject(line_no, f"expected 5 fields, got {len(row)}")
             continue
         try:
-            rec = StopRecord(user_id=row[0], lon=float(row[1]), lat=float(row[2]),
-                             start_ts=ingest.parse_iso_utc(row[3]), dwell_s=int(row[4]))
-        except (ValueError, IndexError) as exc:
+            rec = Stop(user_id=row[0], lon=float(row[1]), lat=float(row[2]),
+                       start_ts=ingest.parse_iso_utc(row[3]), dwell_s=int(row[4]))
+        except ValueError as exc:
             report.reject(line_no, f"unparseable field: {exc}")
             continue
-        violations = validate(rec)
+        violations = check(rec)
         if violations:
             report.reject(line_no, violations[0])
             continue
         records.append(rec)
-        lines.append(line_no)
         report.rows_accepted += 1
-    return records, lines, report
+    return records, report
 
 
 # Rows of a vendor-style feed: canonical and non-canonical timestamps,
@@ -515,16 +512,28 @@ def parse_stops_at(block: int, source):
         return parse_stops(source)
 
 
+def with_every_reject(parse, *args):
+    """parse(*args), and every (line, reason) its IngestReport records, not only the first 10."""
+    rejects, record = [], ingest.IngestReport.reject
+
+    def reject(report, line_no, reason):
+        rejects.append((line_no, reason))
+        record(report, line_no, reason)
+
+    with mock.patch.object(ingest.IngestReport, "reject", reject):
+        return parse(*args), rejects
+
+
 def _assert_parse_equals_reference(text: str, blocks=BLOCK_SIZES) -> None:
-    records, lines, expected = reference_parse(text)
+    (records, expected), expected_rejects = with_every_reject(reference_parse, text)
     for block in blocks:
         for source in each_source(text):
-            stops, report = parse_stops_at(block, source)
+            (stops, report), rejects = with_every_reject(parse_stops_at, block, source)
+            assert rejects == expected_rejects
             assert stop_records(stops) == records
             for column in ("lon", "lat"):  # bit for bit, signed zeros included
                 values = np.array([getattr(r, column) for r in records], dtype=np.float64)
                 assert getattr(stops, column).view(np.int64).tolist() == values.view(np.int64).tolist()
-            assert stops.line.tolist() == lines
             assert stops.user_ids.tolist() == list(dict.fromkeys(r.user_id for r in records))
             assert (report.rows_read, report.rows_accepted, report.rows_rejected, report.first_10_rejects) == (
                 expected.rows_read, expected.rows_accepted, expected.rows_rejected, expected.first_10_rejects)
@@ -1024,8 +1033,7 @@ def test_parse_stops_memory_is_its_output_and_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert report.rows_accepted == len(stops) == 50_000
-    output = sum(column.nbytes for column in (stops.user, stops.lon, stops.lat, stops.start_ts,
-                                               stops.dwell_s, stops.line))
+    output = sum(column.nbytes for column in (stops.user, stops.lon, stops.lat, stops.start_ts, stops.dwell_s))
     assert peak < output + 10 * ingest._BLOCK_BYTES
 
 
@@ -1067,9 +1075,8 @@ def test_rejects_are_numbered_by_file_line_after_a_quoted_line_break():
     assert report.first_10_rejects == [(4, "unparseable value 'abc'")]
     text = (STOPS_HEADER + '"u\n1",1,2,2019-04-02T09:00:00Z,5\n'
             + "u2,abc,2,2019-04-02T09:00:00Z,5\nu3,1,2,2019-04-02T09:00:00Z,5\n")
-    stops, report = parse_stops(io.StringIO(text))
+    _, report = parse_stops(io.StringIO(text))
     assert [line for line, _ in report.first_10_rejects] == [4]
-    assert stops.line.tolist() == [2, 5]
 
 
 def test_parse_hazard_air_accepts_percentile():

@@ -3,50 +3,56 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hazmob.model import (
-    HAZARD_TYPES,
-    MAX_DWELL_S,
-    HazardLayer,
-    StopRecord,
-    validate,
-)
+import hazmob
+from hazmob import model
+from hazmob.model import HAZARD_TYPES, MAX_DWELL_S, HazardLayer, Stops
 
-from conftest import ExposureAccumulator, Tract, check, layer_of, mei_table, unit_square_tract
+from conftest import ExposureAccumulator, Stop, Tract, check, layer_of, mei_table, unit_square_tract
 
 
-def make_stop(**overrides) -> StopRecord:
+def make_stop(**overrides) -> Stop:
     base = dict(user_id="u1", lon=-70.0, lat=45.0, start_ts=1554076800, dwell_s=3600)
     base.update(overrides)
-    return StopRecord(**base)
+    return Stop(**base)
+
+
+def test_a_stop_is_held_in_one_form():
+    """The pipeline holds stops only as the Stops columns: no row type, no
+    row checker and no line column; the tests' rows live in conftest."""
+    for module in (hazmob, model):
+        assert not hasattr(module, "StopRecord")
+        assert not hasattr(module, "validate")
+    assert "StopRecord" not in hazmob.__all__ and "validate" not in hazmob.__all__
+    assert [f.name for f in dataclasses.fields(Stops)] == ["user", "user_ids", "lon", "lat", "start_ts", "dwell_s"]
 
 
 def test_valid_stop_at_dwell_zero_boundary():
-    assert validate(make_stop(dwell_s=0)) == []
+    assert check(make_stop(dwell_s=0)) == []
 
 
 def test_stop_dwell_bounded_at_int32_max():
-    assert validate(make_stop(dwell_s=MAX_DWELL_S)) == []
+    assert check(make_stop(dwell_s=MAX_DWELL_S)) == []
     assert MAX_DWELL_S == 2**31 - 1
     for dwell in (MAX_DWELL_S + 1, 10**20):
-        assert validate(make_stop(dwell_s=dwell)) == ["dwell_s: out of range"]
+        assert check(make_stop(dwell_s=dwell)) == ["dwell_s: out of range"]
 
 
 def test_stop_lat_out_of_range():
-    violations = validate(make_stop(lat=95.0))
+    violations = check(make_stop(lat=95.0))
     assert len(violations) == 1
     assert "lat" in violations[0]
 
 
 def test_stop_negative_dwell_and_empty_user():
-    violations = validate(make_stop(user_id="", dwell_s=-5))
+    violations = check(make_stop(user_id="", dwell_s=-5))
     assert any("user_id" in v for v in violations)
     assert any("dwell_s" in v for v in violations)
 
 
 def test_stop_lon_boundaries_accepted():
-    assert validate(make_stop(lon=-180.0)) == []
-    assert validate(make_stop(lon=180.0)) == []
-    assert validate(make_stop(lon=180.0001)) != []
+    assert check(make_stop(lon=-180.0)) == []
+    assert check(make_stop(lon=180.0)) == []
+    assert check(make_stop(lon=180.0001)) != []
 
 
 def test_tract_unclosed_ring_reported():
@@ -88,13 +94,6 @@ def test_hazard_layer_columns_must_align():
     assert "values: must hold one value per geoid" in check(layer)
 
 
-def test_validate_leaves_the_test_only_types_to_the_oracle():
-    for value in (unit_square_tract("48001950100", 0, 0), layer_of("toxic", {"G1": 0.7}),
-                  ExposureAccumulator(geoid="G1"), mei_table({})):
-        with pytest.raises(TypeError):
-            validate(value)
-
-
 def test_accumulator_invariants():
     acc = ExposureAccumulator(geoid="G1", tdt_s=100)
     acc.hdt_s["heat"] = 70
@@ -114,12 +113,12 @@ def test_mei_table_validation_prefixes_geoid():
     assert "rows[G1].region_class[air_pollution]: invalid class" in check(bad)
 
 
-def test_validate_is_pure():
+def test_check_is_pure():
     stop = make_stop(lat=95.0)
-    assert validate(stop) == validate(stop)
+    assert check(stop) == check(stop)
 
 
-def test_validate_rejects_unknown_type():
+def test_check_rejects_unknown_type():
     with pytest.raises(TypeError):
-        validate(42)
+        check(42)
 

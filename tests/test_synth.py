@@ -13,7 +13,7 @@ from hazmob.geoindex import build_index, locate_stops
 from hazmob.model import HAZARD_TYPES
 from hazmob.synth import SynthConfigError, WorldConfig, gen_world, write_world
 
-from conftest import (assert_same_stops, assert_same_tracts, locate, masks_of, mei_rows, stop_records,
+from conftest import (assert_same_stops, assert_same_tracts, check, locate, masks_of, mei_rows, stop_records,
                       values_of)
 
 
@@ -84,11 +84,9 @@ def test_user_count_does_not_perturb_hazard_fields():
 
 
 def test_stops_inside_home_grid_and_valid():
-    from hazmob.model import validate
-
     world = gen_world(WorldConfig(seed=3, grid_n=4, users=30, stops_per_user=15))
     for stop in stop_records(world.stops):
-        assert validate(stop) == []
+        assert check(stop) == []
         assert 0.0 <= stop.lon <= 4.0
         assert 0.0 <= stop.lat <= 4.0
         assert stop.dwell_s > 0
